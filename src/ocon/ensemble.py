@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     ManifestMismatch,
     MissingMember,
+    NonFiniteInput,
     PartialEnsemble,
 )
 from .features import SPEAKER_CLASS_NAMES, FeatureSetKind, ScalingRecord
@@ -105,6 +106,8 @@ def infer(model, vector, scaled=False):
 
     ``vector`` may be one feature vector or a (B, d) batch; raw inputs are
     passed through the shared scaling (clamped) unless ``scaled=True``.
+    NaN or infinite entries raise NonFiniteInput: arg-max over NaN would
+    name class 0 and clamping would turn an infinity into a valid value.
     """
     x = np.asarray(vector, dtype=np.float64)
     single = x.ndim == 1
@@ -113,6 +116,9 @@ def infer(model, vector, scaled=False):
     if x.shape[1] != model.feature_set.dim:
         raise DimensionMismatch(
             f"input width {x.shape[1]} != feature dim {model.feature_set.dim}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds NaN or inf")
     if not scaled:
         x = model.scaling.apply(x)
     logits = np.column_stack([m.predict_proba(x) for m in model.members])
@@ -186,23 +192,52 @@ def save_ensemble(model, dirpath):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+#: Keys an ``ensemble.json`` must carry, with the JSON type of each.
+_MANIFEST_KEYS = {"class_names": list, "feature_set": str, "f0_mode": str,
+                  "scaling": dict, "scaling_hash": str, "members": list}
+_MEMBER_KEYS = {"class": str, "file": str, "sha256": str}
+
+
+def _require_keys(record, keys, where):
+    if not isinstance(record, dict):
+        raise ManifestMismatch(f"{where} is not a JSON object")
+    for key, kind in keys.items():
+        if not isinstance(record.get(key), kind):
+            raise ManifestMismatch(f"{where}: key {key!r} missing or not a {kind.__name__}")
+
+
 def load_ensemble(dirpath):
-    """Load and validate an ensemble directory (hashes, topology, scaling)."""
+    """Load and validate an ensemble directory (hashes, topology, scaling).
+
+    A manifest that is not JSON, or lacks or mistypes a key, raises
+    ManifestMismatch.
+    """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise ManifestMismatch(f"no {MANIFEST_NAME} in {dirpath}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("version", 0) > ENSEMBLE_VERSION:
-        raise ManifestMismatch(f"ensemble version {manifest.get('version')} unsupported")
-
-    scaling = ScalingRecord.from_dict(manifest["scaling"])
+        try:
+            manifest = json.load(fh)
+        except ValueError as err:
+            raise ManifestMismatch(f"{manifest_path} is not valid JSON ({err})") from err
+    _require_keys(manifest, _MANIFEST_KEYS, MANIFEST_NAME)
+    version = manifest.get("version", 0)
+    if not isinstance(version, int) or version > ENSEMBLE_VERSION:
+        raise ManifestMismatch(f"ensemble version {version!r} unsupported")
+    if not all(isinstance(name, str) for name in manifest["class_names"]):
+        raise ManifestMismatch(f"{MANIFEST_NAME}: class_names must be strings")
+    try:
+        feature_set = FeatureSetKind(manifest["feature_set"])
+        scaling = ScalingRecord.from_dict(manifest["scaling"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ManifestMismatch(f"{MANIFEST_NAME}: bad feature set or scaling ({err!r})") from err
     if scaling.content_hash() != manifest["scaling_hash"]:
         raise ManifestMismatch("scaling record does not match its recorded hash")
 
     members = []
     topology = None
     for entry in manifest["members"]:
+        _require_keys(entry, _MEMBER_KEYS, f"{MANIFEST_NAME} member entry")
         path = os.path.join(dirpath, entry["file"])
         if not os.path.exists(path):
             raise MissingMember(entry["class"])
@@ -217,5 +252,4 @@ def load_ensemble(dirpath):
         members.append(member)
 
     return OconModel(class_names=tuple(manifest["class_names"]), members=members,
-                     scaling=scaling, feature_set=FeatureSetKind(manifest["feature_set"]),
-                     f0_mode=manifest["f0_mode"])
+                     scaling=scaling, feature_set=feature_set, f0_mode=manifest["f0_mode"])

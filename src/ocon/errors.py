@@ -64,6 +64,10 @@ class DimensionMismatch(OconError):
     """Vector or matrix width does not match the expected dimensionality."""
 
 
+class NonFiniteInput(OconError):
+    """An input vector holds NaN or an infinity, which has no class."""
+
+
 class VersionMismatch(OconError):
     """Serialized file carries an unsupported format version."""
 

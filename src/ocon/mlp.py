@@ -10,14 +10,27 @@ setup) and surviving activations are scaled by 1/keep at train time, so
 inference needs no rescaling.  Batch-norm normalizes with batch statistics in
 train mode while updating running statistics (momentum 0.1, biased variance)
 used verbatim in infer mode.
+
+Flat parameter layout: every trainable lives in one contiguous float64
+vector ``MlpParams.theta`` -- all weight matrices (row-major, W[l] shaped
+(fan_out, fan_in)), then all biases, then the batch-norm scales and shifts.
+``weights``/``biases``/``gamma``/``beta`` are reshaped views into it.  The
+gradient ``grad`` and the optimizer moments ``opt_m``/``opt_v`` are flat
+twins of ``theta``: backprop writes straight into views of ``grad``, and an
+Adam or RMSProp update is a fixed handful of ufunc calls on whole vectors.
+Because the weights come first, the L2 term touches only the prefix
+``theta[:n_weights]``.  Batch-norm running statistics are not trained and
+stay per-layer arrays outside ``theta``.
 """
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
-from .errors import DimensionMismatch, NonFiniteLoss
+from .errors import CorruptPayload, DimensionMismatch, NonFiniteLoss
 from .util import sha256_json
 
 ADAM_BETA1 = 0.9
@@ -28,7 +41,8 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 CHECKPOINT_KIND = "mlp_checkpoint"
-CHECKPOINT_VERSION = 1
+#: v2 dropped the optimizer moments (``m*``/``v*``); v1 files still load.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -98,76 +112,86 @@ class MlpConfig:
         return cls(**d)
 
 
-@dataclass
 class MlpParams:
-    """Weights, biases, batch-norm state, and optimizer accumulators."""
+    """All trainables in one flat ``theta``, with its gradient and moment twins.
 
-    weights: list                 # W[l] has shape (fan_out, fan_in)
-    biases: list
-    gamma: list                   # per hidden layer; empty when batch-norm off
-    beta: list
-    running_mean: list
-    running_var: list
-    opt_m: list                   # aligned with trainables()
-    opt_v: list
-    step: int = 0
+    ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
+    ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
+    ``grad``; writing through a view writes the flat buffer.  ``gamma`` and
+    ``beta`` are empty when batch-norm is off.
+    """
+
+    def __init__(self, config):
+        dims = config.layer_dims
+        pairs = list(zip(dims[:-1], dims[1:]))
+        self.shapes = ([(fan_out, fan_in) for fan_in, fan_out in pairs]
+                       + [(fan_out,) for _, fan_out in pairs]
+                       + [(w,) for w in config.hidden_layers] * (2 * config.batch_norm))
+        self.n_layers = len(pairs)
+        size = sum(math.prod(shape) for shape in self.shapes)
+        self.theta = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.opt_m = np.zeros(size)
+        self.opt_v = np.zeros(size)
+        self.weights, self.biases, self.gamma, self.beta = self._split(self.theta)
+        self.d_weights, self.d_biases, self.d_gamma, self.d_beta = self._split(self.grad)
+        self.n_weights = sum(w.size for w in self.weights)
+        widths = config.hidden_layers if config.batch_norm else ()
+        self.running_mean = [np.zeros(w) for w in widths]
+        self.running_var = [np.ones(w) for w in widths]
+        self.step = 0
+        self._config = config
+
+    def _split(self, flat):
+        views, at = [], 0
+        for shape in self.shapes:
+            size = math.prod(shape)
+            views.append(flat[at: at + size].reshape(shape))
+            at += size
+        n, n_bn = self.n_layers, (len(views) - 2 * self.n_layers) // 2
+        return views[:n], views[n: 2 * n], views[2 * n: 2 * n + n_bn], views[2 * n + n_bn:]
 
     def trainables(self):
-        """Parameter arrays the optimizer updates, in fixed order."""
+        """Views of the parameter arrays in ``theta`` order."""
         return self.weights + self.biases + self.gamma + self.beta
 
-    def copy(self):
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            gamma=[g.copy() for g in self.gamma],
-            beta=[b.copy() for b in self.beta],
-            running_mean=[m.copy() for m in self.running_mean],
-            running_var=[v.copy() for v in self.running_var],
-            opt_m=[m.copy() for m in self.opt_m],
-            opt_v=[v.copy() for v in self.opt_v],
-            step=self.step,
-        )
+    # pickling and copying carry only the flat buffers; the views are rebuilt
+    # so they keep sharing memory with theta and grad
+    def __getstate__(self):
+        return self._config, {"theta": self.theta, "opt_m": self.opt_m, "opt_v": self.opt_v,
+                              "running": self.running_mean + self.running_var,
+                              "step": self.step}
 
-    def allclose(self, other, **kw):
-        mine, theirs = self.trainables(), other.trainables()
-        return len(mine) == len(theirs) and all(
-            np.allclose(a, b, **kw) for a, b in zip(mine, theirs))
+    def __setstate__(self, state):
+        config, values = state
+        self.__init__(config)
+        for key in ("theta", "opt_m", "opt_v"):
+            getattr(self, key)[...] = values[key]
+        for mine, saved in zip(self.running_mean + self.running_var, values["running"]):
+            mine[...] = saved
+        self.step = values["step"]
+
+    def copy(self):
+        return copy.deepcopy(self)
 
 
 def init_params(config):
     """Kaiming-He normal weights (std sqrt(2/fan_in)), zero biases, unit
     batch-norm scale; deterministic for a given config seed."""
     rng = np.random.default_rng(config.seed)
-    dims = config.layer_dims
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    gamma, beta, r_mean, r_var = [], [], [], []
-    if config.batch_norm:
-        for width in config.hidden_layers:
-            gamma.append(np.ones(width))
-            beta.append(np.zeros(width))
-            r_mean.append(np.zeros(width))
-            r_var.append(np.ones(width))
-    trainables = weights + biases + gamma + beta
-    return MlpParams(
-        weights=weights, biases=biases, gamma=gamma, beta=beta,
-        running_mean=r_mean, running_var=r_var,
-        opt_m=[np.zeros_like(t) for t in trainables],
-        opt_v=[np.zeros_like(t) for t in trainables],
-    )
+    params = MlpParams(config)
+    for w in params.weights:
+        w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+    for g in params.gamma:
+        g[:] = 1.0
+    return params
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: both branches use exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def bce_per_sample(zout, y):
@@ -180,12 +204,9 @@ def bce_per_sample(zout, y):
 class ForwardCache:
     """Intermediate values needed by backpropagation."""
 
-    x_in: np.ndarray              # batch after input dropout
-    layer_inputs: list            # input to each hidden affine
-    z: list                       # hidden affine outputs
+    layer_inputs: list            # input to each hidden affine (after dropout)
     zhat: list                    # batch-norm normalized (None entries when off)
-    mu: list
-    var: list
+    std: list                     # sqrt(var + eps) per batch-norm layer
     relu_in: list                 # what ReLU saw (bn output or z)
     drop_masks: list              # inverted-dropout masks (None when off)
     out_input: np.ndarray         # input to the output affine
@@ -212,69 +233,61 @@ def forward(params, config, batch, mode="infer", rng=None):
 
     if train and config.dropout_keep_input < 1:
         keep = config.dropout_keep_input
-        x = x * (rng.random(x.shape) < keep) / keep
+        x = x * (rng.random(x.shape) < keep)
+        x /= keep
 
-    cache = ForwardCache(x_in=x, layer_inputs=[], z=[], zhat=[], mu=[], var=[],
-                         relu_in=[], drop_masks=[], out_input=None,
-                         zout=None, probs=None, mode=mode)
+    cache = ForwardCache(layer_inputs=[], zhat=[], std=[], relu_in=[], drop_masks=[],
+                         out_input=None, zout=None, probs=None, mode=mode)
     a = x
-    n_hidden = len(config.hidden_layers)
-    for l in range(n_hidden):
+    n = len(x)
+    for l in range(len(config.hidden_layers)):
         cache.layer_inputs.append(a)
-        z = a @ params.weights[l].T + params.biases[l]
-        cache.z.append(z)
+        z = a @ params.weights[l].T
+        z += params.biases[l]
         if config.batch_norm:
             if train:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
+                # z.mean(axis=0) and z.var(axis=0) spelled out as numpy computes
+                # them (same bits), so the centred batch is reused for zhat
+                mu = np.add.reduce(z, axis=0) / n
+                z -= mu
+                var = np.add.reduce(z * z, axis=0) / n
                 params.running_mean[l] *= 1.0 - BN_MOMENTUM
                 params.running_mean[l] += BN_MOMENTUM * mu
                 params.running_var[l] *= 1.0 - BN_MOMENTUM
                 params.running_var[l] += BN_MOMENTUM * var
             else:
-                mu = params.running_mean[l]
+                z -= params.running_mean[l]
                 var = params.running_var[l]
-            zhat = (z - mu) / np.sqrt(var + BN_EPS)
-            pre_act = params.gamma[l] * zhat + params.beta[l]
-            cache.zhat.append(zhat)
-            cache.mu.append(mu)
-            cache.var.append(var)
+            std = np.sqrt(var + BN_EPS)
+            z /= std
+            cache.zhat.append(z)
+            cache.std.append(std)
+            pre_act = params.gamma[l] * z
+            pre_act += params.beta[l]
         else:
-            pre_act = z
             cache.zhat.append(None)
-            cache.mu.append(None)
-            cache.var.append(None)
+            cache.std.append(None)
+            pre_act = z
         cache.relu_in.append(pre_act)
         a = np.maximum(pre_act, 0.0)
         if train and config.dropout_keep_hidden < 1:
             keep = config.dropout_keep_hidden
             mask = (rng.random(a.shape) < keep) / keep
-            a = a * mask
+            a *= mask
             cache.drop_masks.append(mask)
         else:
             cache.drop_masks.append(None)
 
     cache.out_input = a
-    zout = (a @ params.weights[-1].T + params.biases[-1]).ravel()
-    cache.zout = zout
-    cache.probs = sigmoid(zout)
+    zout = a @ params.weights[-1].T
+    zout += params.biases[-1]
+    cache.zout = zout.ravel()
+    cache.probs = sigmoid(cache.zout)
     return cache.probs, cache
 
 
-@dataclass
-class MlpGrads:
-    """Gradients aligned with ``MlpParams.trainables()`` order."""
-
-    weights: list
-    biases: list
-    gamma: list
-    beta: list
-
-    def trainables(self):
-        return self.weights + self.biases + self.gamma + self.beta
-
-
 def _backward(params, config, cache, y):
+    """Gradients of the mean loss, written into ``params.grad``."""
     b = len(y)
     p = cache.probs
     if config.loss == "bce":
@@ -283,50 +296,54 @@ def _backward(params, config, cache, y):
         g = 2.0 * (p - y) * p * (1.0 - p) / b
     g = g[:, None]
 
-    lam = config.l2_lambda
+    np.matmul(g.T, cache.out_input, out=params.d_weights[-1])
+    np.add.reduce(g, axis=0, out=params.d_biases[-1])
     n_hidden = len(config.hidden_layers)
-    d_weights = [None] * (n_hidden + 1)
-    d_biases = [None] * (n_hidden + 1)
-    d_gamma = [np.zeros_like(gm) for gm in params.gamma]
-    d_beta = [np.zeros_like(bt) for bt in params.beta]
-
-    d_weights[-1] = g.T @ cache.out_input + lam * params.weights[-1]
-    d_biases[-1] = g.sum(axis=0)
-    da = g @ params.weights[-1]
+    if n_hidden:
+        da = g @ params.weights[-1]
 
     for l in range(n_hidden - 1, -1, -1):
         if cache.drop_masks[l] is not None:
-            da = da * cache.drop_masks[l]
-        d_pre = da * (cache.relu_in[l] > 0)
+            da *= cache.drop_masks[l]
+        da *= cache.relu_in[l] > 0
         if config.batch_norm:
             zhat = cache.zhat[l]
-            d_gamma[l] = (d_pre * zhat).sum(axis=0)
-            d_beta[l] = d_pre.sum(axis=0)
-            dzhat = d_pre * params.gamma[l]
-            inv_std = 1.0 / np.sqrt(cache.var[l] + BN_EPS)
-            dz = (inv_std / b) * (
-                b * dzhat - dzhat.sum(axis=0) - zhat * (dzhat * zhat).sum(axis=0))
-        else:
-            dz = d_pre
-        d_weights[l] = dz.T @ cache.layer_inputs[l] + lam * params.weights[l]
-        d_biases[l] = dz.sum(axis=0)
-        da = dz @ params.weights[l]
+            np.add.reduce(da * zhat, axis=0, out=params.d_gamma[l])
+            np.add.reduce(da, axis=0, out=params.d_beta[l])
+            da *= params.gamma[l]                     # now d loss / d zhat
+            inv_std = 1.0 / cache.std[l]
+            sum_d = np.add.reduce(da, axis=0)
+            sum_dz = np.add.reduce(da * zhat, axis=0)
+            da *= b
+            da -= sum_d
+            da -= zhat * sum_dz
+            da *= inv_std / b                         # now d loss / d z
+        np.matmul(da.T, cache.layer_inputs[l], out=params.d_weights[l])
+        np.add.reduce(da, axis=0, out=params.d_biases[l])
+        if l:
+            da = da @ params.weights[l]
 
-    return MlpGrads(weights=d_weights, biases=d_biases, gamma=d_gamma, beta=d_beta)
+    # L2 on weight matrices only: they are the leading n_weights entries
+    w = slice(0, params.n_weights)
+    params.grad[w] += config.l2_lambda * params.theta[w]
+    return params.grad
 
 
 def _l2_penalty(params, lam):
     if lam == 0:
         return 0.0
-    return 0.5 * lam * sum(float(np.sum(w * w)) for w in params.weights)
+    w = params.theta[: params.n_weights]
+    return 0.5 * lam * float(w @ w)
 
 
 def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
                    return_per_sample=False):
     """Mean loss (data term plus L2 weight penalty) and its gradients.
 
-    The L2 term covers weight matrices only, never biases or batch-norm
-    scale/shift.  Raises NonFiniteLoss when the loss diverges.
+    The gradients are ``params.grad``, the flat twin of ``params.theta``; the
+    next call overwrites them.  The L2 term covers weight matrices only,
+    never biases or batch-norm scale/shift.  Raises NonFiniteLoss when the
+    loss diverges.
     """
     y = np.asarray(labels, dtype=np.float64).ravel()
     probs, cache = forward(params, config, batch, mode=mode, rng=rng)
@@ -346,26 +363,24 @@ def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
 
 
 def optimizer_step(params, grads, config):
-    """One in-place Adam (bias-corrected) or RMSProp update."""
+    """One in-place Adam (bias-corrected) or RMSProp update of ``theta``
+    from the flat gradient ``grads``."""
     params.step += 1
     t = params.step
     lr = config.learning_rate
-    targets = params.trainables()
-    g_list = grads.trainables()
+    m, v = params.opt_m, params.opt_v
     if config.optimizer == "adam":
         c1 = 1.0 - ADAM_BETA1 ** t
         c2 = 1.0 - ADAM_BETA2 ** t
-        for p, g, m, v in zip(targets, g_list, params.opt_m, params.opt_v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + OPT_EPS)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grads
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grads * grads)
+        params.theta -= lr * (m / c1) / (np.sqrt(v / c2) + OPT_EPS)
     else:
-        for p, g, v in zip(targets, g_list, params.opt_v):
-            v *= RMSPROP_DECAY
-            v += (1.0 - RMSPROP_DECAY) * (g * g)
-            p -= lr * g / (np.sqrt(v) + OPT_EPS)
+        v *= RMSPROP_DECAY
+        v += (1.0 - RMSPROP_DECAY) * (grads * grads)
+        params.theta -= lr * grads / (np.sqrt(v) + OPT_EPS)
     return params
 
 
@@ -394,25 +409,20 @@ class MlpModel:
         return predict_proba(self.params, self.config, batch)
 
 
-def _param_arrays(params, config):
-    arrays = {}
-    for i, w in enumerate(params.weights):
-        arrays[f"w{i}"] = w
-    for i, b in enumerate(params.biases):
-        arrays[f"b{i}"] = b
-    for i in range(len(params.gamma)):
-        arrays[f"gamma{i}"] = params.gamma[i]
-        arrays[f"beta{i}"] = params.beta[i]
-        arrays[f"rmean{i}"] = params.running_mean[i]
-        arrays[f"rvar{i}"] = params.running_var[i]
-    for i, (m, v) in enumerate(zip(params.opt_m, params.opt_v)):
-        arrays[f"m{i}"] = m
-        arrays[f"v{i}"] = v
-    return arrays
+def _checkpoint_arrays(params):
+    """(name, array) pairs of a checkpoint: trainables in ``theta`` order,
+    then the running statistics."""
+    n, n_bn = params.n_layers, len(params.gamma)
+    trainable = ([f"w{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
+                 + [f"gamma{i}" for i in range(n_bn)] + [f"beta{i}" for i in range(n_bn)])
+    stats = [f"rmean{i}" for i in range(n_bn)] + [f"rvar{i}" for i in range(n_bn)]
+    return (list(zip(trainable, params.trainables()))
+            + list(zip(stats, params.running_mean + params.running_var)))
 
 
 def save_model(model, path):
-    """Versioned binary checkpoint; round-trips bit-exactly."""
+    """Versioned binary checkpoint; round-trips bit-exactly.  Optimizer
+    moments are not written: retraining always starts fresh."""
     meta = {
         "config": model.config.to_dict(),
         "step": model.params.step,
@@ -420,29 +430,31 @@ def save_model(model, path):
         "manifest_hash": model.manifest_hash,
     }
     container.write_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION,
-                              meta, _param_arrays(model.params, model.config))
+                              meta, dict(_checkpoint_arrays(model.params)))
 
 
 def load_model(path):
+    """Read a v1 or v2 checkpoint (v1 optimizer moments are ignored).
+
+    Metadata or arrays that do not fit the recorded config raise
+    CorruptPayload.
+    """
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
-    config = MlpConfig.from_dict(meta["config"])
-    n_layers = len(config.hidden_layers) + 1
-    n_bn = len(config.hidden_layers) if config.batch_norm else 0
-    n_train = 2 * n_layers + 2 * n_bn
-    params = MlpParams(
-        weights=[arrays[f"w{i}"] for i in range(n_layers)],
-        biases=[arrays[f"b{i}"] for i in range(n_layers)],
-        gamma=[arrays[f"gamma{i}"] for i in range(n_bn)],
-        beta=[arrays[f"beta{i}"] for i in range(n_bn)],
-        running_mean=[arrays[f"rmean{i}"] for i in range(n_bn)],
-        running_var=[arrays[f"rvar{i}"] for i in range(n_bn)],
-        opt_m=[arrays[f"m{i}"] for i in range(n_train)],
-        opt_v=[arrays[f"v{i}"] for i in range(n_train)],
-        step=meta["step"],
-    )
+    try:
+        config = MlpConfig.from_dict(meta["config"])
+        step, scaling_hash, manifest_hash = (
+            meta["step"], meta["scaling_hash"], meta["manifest_hash"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise CorruptPayload(f"{path}: bad checkpoint metadata ({err!r})") from err
+    params = MlpParams(config)
+    for name, target in _checkpoint_arrays(params):
+        stored = arrays.get(name)
+        if stored is None or stored.shape != target.shape:
+            raise CorruptPayload(f"{path}: array {name!r} missing or of the wrong shape")
+        target[...] = stored
+    params.step = step
     return MlpModel(config=config, params=params,
-                    scaling_hash=meta["scaling_hash"],
-                    manifest_hash=meta["manifest_hash"])
+                    scaling_hash=scaling_hash, manifest_hash=manifest_hash)
 
 
 def config_hash(config):

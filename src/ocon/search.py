@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .configfile import load_config, parse_config_text
-from .errors import NonNumericHp
+from .errors import NonNumericHp, OconError
 from .features import SPEAKER_CLASS_NAMES
 from .mlp import MlpConfig
 from .training import TrainConfig, k_fold_evaluate
@@ -227,8 +227,9 @@ def _run_cell(matrix, stage, hps, combo_index, class_id, stage_seed, task,
         if result.diverged:
             return combo_index, class_id, float("-inf"), result.mean_seconds, True
         return combo_index, class_id, result.mean_accuracy, result.mean_seconds, False
-    except Exception:
-        # cell failures must not kill the stage; they rank last
+    except OconError:
+        # a cell the data cannot support (too few samples, hopeless balance)
+        # must not kill the stage; it ranks last.  Programming errors propagate.
         return combo_index, class_id, float("-inf"), 0.0, True
 
 

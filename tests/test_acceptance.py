@@ -174,7 +174,7 @@ def test_c07_gradient_correctness():
         y = (rng.random(len(x)) < 0.5).astype(np.float64)
         _, grads = ocon.loss_and_grads(params, config, x, y)
         numeric = finite_difference_grads(params, config, x, y)
-        err = max_relative_error(grads.trainables(), numeric)
+        err = max_relative_error(grads, numeric)
         assert err < 1e-4, f"case {case}: relative error {err:.2e}"
 
 

@@ -131,7 +131,8 @@ def test_train_speaker_task(pipeline_dir, tmp_path):
     assert manifest["class_names"] == ["male", "female", "children"]
 
 
-def test_infer_all_half_vector_prints_12_logits(pipeline_dir, tmp_path, capsys):
+def train_tiny_model(pipeline_dir, tmp_path):
+    """A one-epoch, 2-unit ensemble trained through the CLI; returns its dir."""
     matrix = str(pipeline_dir / "matrix.ocm")
     mlp_cfg = tmp_path / "mlp.cfg"
     mlp_cfg.write_text("hidden_layers = [2]\nlearning_rate = 1e-3\nseed = 0\n")
@@ -140,6 +141,11 @@ def test_infer_all_half_vector_prints_12_logits(pipeline_dir, tmp_path, capsys):
     model_dir = str(tmp_path / "tiny_model")
     assert main(["train", "--matrix", matrix, "--mlp-config", str(mlp_cfg),
                  "--train-config", str(train_cfg), "--out-dir", model_dir]) == 0
+    return model_dir
+
+
+def test_infer_all_half_vector_prints_12_logits(pipeline_dir, tmp_path, capsys):
+    model_dir = train_tiny_model(pipeline_dir, tmp_path)
     capsys.readouterr()
     vec = ",".join(["0.5"] * 12)
     assert main(["infer", "--model", model_dir, "--input", vec, "--scaled"]) == 0
@@ -184,6 +190,28 @@ class TestErrorContract:
         assert code == 1
         err = capsys.readouterr().err
         assert "ERROR OconError" in err and "lerning_rate" in err
+
+    @pytest.mark.parametrize("flags", [["--input", ",".join(["nan"] * 12)],
+                                       ["--input", ",".join(["inf"] * 12), "--scaled"]])
+    def test_non_finite_infer_input_exit_1(self, pipeline_dir, tmp_path, capsys, flags):
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ERROR NonFiniteInput" in captured.err
+
+    def test_manifest_missing_key_named(self, pipeline_dir, tmp_path, capsys):
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        manifest_path = os.path.join(model_dir, "ensemble.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        del manifest["f0_mode"]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
+        assert "ERROR ManifestMismatch" in capsys.readouterr().err
 
 
 def test_train_reruns_byte_identical(pipeline_dir, tmp_path):

@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ocon.errors import (
     DimensionMismatch,
     ManifestMismatch,
     MissingMember,
+    NonFiniteInput,
     PartialEnsemble,
 )
 from ocon.features import FeatureSetKind
@@ -92,6 +95,20 @@ class TestInfer:
         model = two_class_model(matrix)
         with pytest.raises(DimensionMismatch):
             infer(model, np.zeros(5))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad, scaled):
+        matrix = blob_matrix(n_per_class=5)
+        model = two_class_model(matrix)
+        vector = matrix.values[0].copy()
+        vector[1] = bad
+        with pytest.raises(NonFiniteInput):
+            infer(model, vector, scaled=scaled)
+        batch = matrix.values.copy()
+        batch[4, 0] = bad
+        with pytest.raises(NonFiniteInput, match="row 4"):
+            infer(model, batch, scaled=scaled)
 
     def test_pure_function(self):
         matrix = blob_matrix(n_per_class=10, seed=1)
@@ -187,6 +204,29 @@ class TestTrainEnsemble:
                 assert before == after
 
 
+REQUIRED_MANIFEST_KEYS = ("class_names", "feature_set", "f0_mode", "scaling",
+                          "scaling_hash", "members")
+
+
+def edit_manifest(path, edit):
+    manifest_path = os.path.join(path, "ensemble.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.fixture(scope="module")
+def saved_ensemble(tmp_path_factory):
+    matrix = blob_matrix(n_per_class=30, n_classes=2, seed=7)
+    mlp, tc = quick_configs(epochs=10)
+    model, _ = train_ensemble(matrix, mlp, tc)
+    path = str(tmp_path_factory.mktemp("saved") / "ensemble")
+    save_ensemble(model, path)
+    return path
+
+
 class TestSaveLoad:
     def make_model(self, tmp_path):
         matrix = blob_matrix(n_per_class=30, n_classes=2, seed=7)
@@ -233,3 +273,34 @@ class TestSaveLoad:
         assert manifest_before["members"][1]["sha256"] == \
             manifest_after["members"][1]["sha256"]
         load_ensemble(path)  # still consistent
+
+    @pytest.mark.parametrize("key", REQUIRED_MANIFEST_KEYS)
+    def test_missing_manifest_key(self, saved_ensemble, tmp_path, key):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        edit_manifest(path, lambda m: m.pop(key))
+        with pytest.raises(ManifestMismatch, match=key):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("class_names", "ae"), ("class_names", [1, 2]), ("feature_set", "tt13"),
+        ("f0_mode", 3), ("scaling", {"lo": [0.0]}), ("scaling_hash", None),
+        ("members", {}), ("members", ["member_ae.ocmdl"]), ("version", "1"),
+    ])
+    def test_mistyped_manifest_value(self, saved_ensemble, tmp_path, key, value):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        edit_manifest(path, lambda m: m.__setitem__(key, value))
+        with pytest.raises(ManifestMismatch):
+            load_ensemble(path)
+
+    def test_member_entry_without_hash(self, saved_ensemble, tmp_path):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        edit_manifest(path, lambda m: m["members"][1].pop("sha256"))
+        with pytest.raises(ManifestMismatch, match="sha256"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe", b"[1, 2]"])
+    def test_manifest_not_a_json_object(self, saved_ensemble, tmp_path, text):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        (path / "ensemble.json").write_bytes(text)
+        with pytest.raises(ManifestMismatch):
+            load_ensemble(path)

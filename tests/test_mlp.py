@@ -1,10 +1,14 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from ocon.errors import DimensionMismatch, NonFiniteLoss
+from ocon import container
+from ocon.errors import CorruptPayload, DimensionMismatch, NonFiniteLoss, VersionMismatch
 from ocon.mlp import (
+    CHECKPOINT_KIND,
+    CHECKPOINT_VERSION,
     MlpConfig,
     MlpModel,
     bce_per_sample,
@@ -44,29 +48,23 @@ def numerical_loss(params, config, batch, labels):
 
 
 def finite_difference_grads(params, config, batch, labels, h=1e-5):
-    grads = []
-    for arr in params.trainables():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gf = g.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up = numerical_loss(params, config, batch, labels)
-            flat[i] = keep - h
-            down = numerical_loss(params, config, batch, labels)
-            flat[i] = keep
-            gf[i] = (up - down) / (2 * h)
-        grads.append(g)
+    """Central differences over every entry of the flat ``params.theta``."""
+    theta = params.theta
+    grads = np.zeros_like(theta)
+    for i in range(theta.size):
+        keep = theta[i]
+        theta[i] = keep + h
+        up = numerical_loss(params, config, batch, labels)
+        theta[i] = keep - h
+        down = numerical_loss(params, config, batch, labels)
+        theta[i] = keep
+        grads[i] = (up - down) / (2 * h)
     return grads
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.abs(a) + np.abs(n), 1e-3)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-3)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 class TestGradients:
@@ -89,7 +87,7 @@ class TestGradients:
         x, y = rand_batch(rng, int(rng.integers(3, 9)), config.input_dim)
         _, grads = loss_and_grads(params, config, x, y)
         numeric = finite_difference_grads(params, config, x, y)
-        assert max_relative_error(grads.trainables(), numeric) < 1e-4
+        assert max_relative_error(grads, numeric) < 1e-4
 
     def test_mse_flag_gradients(self):
         rng = np.random.default_rng(7)
@@ -98,7 +96,7 @@ class TestGradients:
         x, y = rand_batch(rng, 6, 3)
         _, grads = loss_and_grads(params, config, x, y)
         numeric = finite_difference_grads(params, config, x, y)
-        assert max_relative_error(grads.trainables(), numeric) < 1e-4
+        assert max_relative_error(grads, numeric) < 1e-4
 
 
 class TestInit:
@@ -244,19 +242,18 @@ class TestLoss:
 
 
 class TestOptimizers:
-    def zero_grads_like(self, params):
-        from ocon.mlp import MlpGrads
-        return MlpGrads(weights=[np.zeros_like(w) for w in params.weights],
-                        biases=[np.zeros_like(b) for b in params.biases],
-                        gamma=[np.zeros_like(g) for g in params.gamma],
-                        beta=[np.zeros_like(b) for b in params.beta])
+    def zero_grads(self, params):
+        """The flat gradient buffer, zeroed; ``params.d_weights`` etc. are
+        views into it."""
+        params.grad[:] = 0.0
+        return params.grad
 
     @pytest.mark.parametrize("optimizer", ["adam", "rmsprop"])
     def test_zero_gradient_leaves_params(self, optimizer):
         config = small_config(optimizer=optimizer)
         params = init_params(config)
         before = [a.copy() for a in params.trainables()]
-        optimizer_step(params, self.zero_grads_like(params), config)
+        optimizer_step(params, self.zero_grads(params), config)
         for a, b in zip(params.trainables(), before):
             assert np.array_equal(a, b)
 
@@ -267,8 +264,8 @@ class TestOptimizers:
                            optimizer="adam", seed=0)
         params = init_params(config)
         start = params.weights[0][0, 0]
-        grads = self.zero_grads_like(params)
-        grads.weights[0][:] = 1.0
+        grads = self.zero_grads(params)
+        params.d_weights[0][:] = 1.0
         optimizer_step(params, grads, config)
         delta = params.weights[0][0, 0] - start
         assert np.isclose(delta, -lr, rtol=1e-7)
@@ -281,8 +278,8 @@ class TestOptimizers:
                            optimizer="rmsprop", seed=0)
         params = init_params(config)
         start = params.weights[0][0, 0]
-        grads = self.zero_grads_like(params)
-        grads.weights[0][:] = 1.0
+        grads = self.zero_grads(params)
+        params.d_weights[0][:] = 1.0
         optimizer_step(params, grads, config)
         delta = params.weights[0][0, 0] - start
         assert np.isclose(delta, -lr / (math.sqrt(0.1) + 1e-8), rtol=1e-12)
@@ -291,9 +288,8 @@ class TestOptimizers:
         config = small_config(learning_rate=0.0)
         params = init_params(config)
         before = [a.copy() for a in params.trainables()]
-        grads = self.zero_grads_like(params)
-        for g in grads.trainables():
-            g[:] = 1.0
+        grads = self.zero_grads(params)
+        grads[:] = 1.0
         optimizer_step(params, grads, config)
         for a, b in zip(params.trainables(), before):
             assert np.array_equal(a, b)
@@ -305,8 +301,8 @@ class TestOptimizers:
                            optimizer=optimizer, seed=0)
         params = init_params(config)
         params.weights[0][:] = 1.0
-        grads = self.zero_grads_like(params)
-        grads.weights[0][:] = 2.0 * params.weights[0][0, 0]
+        grads = self.zero_grads(params)
+        params.d_weights[0][:] = 2.0 * params.weights[0][0, 0]
         optimizer_step(params, grads, config)
         assert 0 < params.weights[0][0, 0] < 1.0
 
@@ -350,6 +346,93 @@ class TestDeterminismAndCheckpoints:
         path2 = str(tmp_path / "model2.ocmdl")
         save_model(back, path2)
         assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+    def write_v1_checkpoint(self, path, model):
+        """A checkpoint in the version-1 layout, optimizer moments included."""
+        p = model.params
+        arrays = {f"w{i}": w for i, w in enumerate(p.weights)}
+        arrays.update({f"b{i}": b for i, b in enumerate(p.biases)})
+        for i in range(len(p.gamma)):
+            arrays.update({f"gamma{i}": p.gamma[i], f"beta{i}": p.beta[i],
+                           f"rmean{i}": p.running_mean[i], f"rvar{i}": p.running_var[i]})
+        for i, t in enumerate(p.trainables()):
+            arrays.update({f"m{i}": np.full_like(t, 0.25), f"v{i}": np.full_like(t, 0.5)})
+        meta = {"config": model.config.to_dict(), "step": p.step,
+                "scaling_hash": model.scaling_hash, "manifest_hash": model.manifest_hash}
+        container.write_container(path, CHECKPOINT_KIND, 1, meta, arrays)
+
+    def test_v2_checkpoint_has_no_optimizer_moments(self, tmp_path):
+        config, params, _ = self.run_steps()
+        path = str(tmp_path / "model.ocmdl")
+        save_model(MlpModel(config=config, params=params), path)
+        version, _, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
+        assert version == CHECKPOINT_VERSION == 2
+        assert sorted(arrays) == ["b0", "b1", "beta0", "gamma0", "rmean0", "rvar0", "w0", "w1"]
+        with pytest.raises(VersionMismatch):
+            container.read_container(path, CHECKPOINT_KIND, 1)
+
+    def test_v1_checkpoint_loads_without_moments(self, tmp_path):
+        config, params, _ = self.run_steps()
+        model = MlpModel(config=config, params=params, scaling_hash="s", manifest_hash="m")
+        path = str(tmp_path / "v1.ocmdl")
+        self.write_v1_checkpoint(path, model)
+        back = load_model(path)
+        assert back.config == config and back.params.step == params.step
+        assert (back.scaling_hash, back.manifest_hash) == ("s", "m")
+        assert np.array_equal(back.params.theta.view(np.uint64), params.theta.view(np.uint64))
+        for a, b in zip(back.params.running_mean + back.params.running_var,
+                        params.running_mean + params.running_var):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert not back.params.opt_m.any() and not back.params.opt_v.any()
+        x = np.random.default_rng(1).random((5, 3))
+        assert np.array_equal(back.predict_proba(x), model.predict_proba(x))
+
+    @pytest.mark.parametrize("damage", ["drop_b1", "drop_rvar0", "reshape_w0", "drop_config"])
+    def test_incomplete_checkpoint_is_corrupt(self, tmp_path, damage):
+        config, params, _ = self.run_steps()
+        arrays = {"w0": params.weights[0], "w1": params.weights[1],
+                  "b0": params.biases[0], "b1": params.biases[1],
+                  "gamma0": params.gamma[0], "beta0": params.beta[0],
+                  "rmean0": params.running_mean[0], "rvar0": params.running_var[0]}
+        meta = {"config": config.to_dict(), "step": params.step,
+                "scaling_hash": "", "manifest_hash": ""}
+        if damage == "reshape_w0":
+            arrays["w0"] = arrays["w0"].T
+        elif damage == "drop_config":
+            del meta["config"]
+        else:
+            del arrays[damage[len("drop_"):]]
+        path = str(tmp_path / "bad.ocmdl")
+        container.write_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION, meta, arrays)
+        with pytest.raises(CorruptPayload):
+            load_model(path)
+
+
+class TestFlatLayout:
+    def test_views_cover_theta_in_trainables_order(self):
+        config = small_config(batch_norm=True, hidden_layers=(4, 3))
+        params = init_params(config)
+        flat = np.concatenate([a.ravel() for a in params.trainables()])
+        assert np.array_equal(flat, params.theta)
+        assert params.n_weights == 3 * 4 + 4 * 3 + 3 * 1
+        for view in params.trainables():
+            assert np.shares_memory(view, params.theta)
+        grad_views = params.d_weights + params.d_biases + params.d_gamma + params.d_beta
+        assert [g.shape for g in grad_views] == [a.shape for a in params.trainables()]
+        params.d_gamma[1][:] = 7.0
+        offset = sum(a.size for a in params.trainables()[:-3])
+        assert np.all(params.grad[offset: offset + 3] == 7.0)
+
+    def test_pickle_and_copy_keep_views_on_fresh_buffers(self):
+        config, params, _ = TestDeterminismAndCheckpoints().run_steps()
+        for twin in (pickle.loads(pickle.dumps(params)), params.copy()):
+            assert np.array_equal(twin.theta, params.theta)
+            assert np.array_equal(twin.opt_v, params.opt_v) and twin.step == params.step
+            assert np.array_equal(twin.running_var[0], params.running_var[0])
+            assert not np.shares_memory(twin.theta, params.theta)
+            assert all(np.shares_memory(v, twin.theta) for v in twin.trainables())
+            assert all(np.shares_memory(v, twin.grad) for v in twin.d_weights)
 
 
 class TestAccuracyHelper:

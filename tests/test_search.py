@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ocon.errors import NonNumericHp
+from ocon import search
+from ocon.errors import NonNumericHp, TooFewSamples
 from ocon.mlp import MlpConfig
 from ocon.search import (
     SearchStage,
@@ -162,6 +163,21 @@ class TestRunStage:
         result = run_stage(matrix, tiny_stage(), seed=1)
         assert all(r.mean_accuracy == float("-inf") for r in result.rows)
         assert all(r.diverged for r in result.rows)
+
+    def test_domain_error_in_cell_ranks_last(self, monkeypatch):
+        def too_few(*args, **kwargs):
+            raise TooFewSamples("no folds")
+        monkeypatch.setattr(search, "k_fold_evaluate", too_few)
+        result = run_stage(blob_matrix(n_per_class=20, n_classes=2, seed=2),
+                           tiny_stage(), seed=1)
+        assert all(r.mean_accuracy == float("-inf") and r.diverged for r in result.rows)
+
+    def test_programming_error_in_cell_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("operands could not be broadcast")
+        monkeypatch.setattr(search, "k_fold_evaluate", broken)
+        with pytest.raises(TypeError, match="broadcast"):
+            run_stage(blob_matrix(n_per_class=20, n_classes=2, seed=2), tiny_stage(), seed=1)
 
     def test_selection_deterministic_tiebreak(self):
         from ocon.search import CombinationResult, SearchResult
