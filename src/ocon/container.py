@@ -9,12 +9,17 @@ Layout (all integers little-endian)::
     payload    raw array bytes, C order, little-endian dtypes
     crc32      u32 over everything above
 
-Round-trips are bit-exact for float64 payloads.  Truncation or corruption
-raises CorruptPayload; a version byte newer than the reader raises
-VersionMismatch.
+The header is ``{"meta": {...}, "arrays": [entry, ...]}``; each entry names
+an array's dtype (bool, integer, float or complex), shape, and byte offset
+and length within the payload.  Round-trips are bit-exact for float64
+payloads.  Truncation, corruption, or a header whose entries do not describe
+arrays lying wholly inside the payload raises CorruptPayload; a version byte
+newer than the reader raises VersionMismatch.
 """
 
 import json
+import math
+import re
 import struct
 import zlib
 
@@ -24,6 +29,9 @@ from .errors import CorruptPayload, VersionMismatch
 
 MAGIC = b"OCONBIN\x00"
 _KIND_LEN = 16
+#: Array dtypes a container holds: bool, signed or unsigned integer, float
+#: or complex, written without byte-order mark (e.g. "f8", "i8", "b1").
+_DTYPE = re.compile(r"[biufc][0-9]{1,2}")
 
 
 def write_container(path, kind, version, meta, arrays):
@@ -37,11 +45,14 @@ def write_container(path, kind, version, meta, arrays):
     offset = 0
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
+        dtype = arr.dtype.str.lstrip("<>=|")
+        if not _DTYPE.fullmatch(dtype):
+            raise ValueError(f"array {name!r}: unsupported dtype {arr.dtype}")
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         raw = le.tobytes()
         index.append({
             "name": name,
-            "dtype": arr.dtype.str.lstrip("<>=|"),
+            "dtype": dtype,
             "shape": list(arr.shape),
             "offset": offset,
             "nbytes": len(raw),
@@ -64,6 +75,35 @@ def write_container(path, kind, version, meta, arrays):
         fh.write(struct.pack("<I", crc))
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_array(path, entry, body, payload_at):
+    """(name, array) of one index entry, checked against the payload."""
+    if not isinstance(entry, dict):
+        raise CorruptPayload(f"{path}: array index entry is not a JSON object")
+    name, dtype, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
+    offset, nbytes = entry.get("offset"), entry.get("nbytes")
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(_is_count(n) for n in shape)
+            and _is_count(offset) and _is_count(nbytes)):
+        raise CorruptPayload(f"{path}: malformed index entry for array {name!r}")
+    if not (isinstance(dtype, str) and _DTYPE.fullmatch(dtype)):
+        raise CorruptPayload(f"{path}: array {name!r} has unsupported dtype {dtype!r}")
+    try:
+        dtype = np.dtype(dtype).newbyteorder("<")
+    except TypeError as err:
+        raise CorruptPayload(f"{path}: array {name!r} has unsupported dtype ({err})") from err
+    if math.prod(shape) * dtype.itemsize != nbytes:
+        raise CorruptPayload(f"{path}: array {name!r} shape {shape} does not fit {nbytes} bytes")
+    start = payload_at + offset
+    if start + nbytes > len(body):
+        raise CorruptPayload(f"{path}: array {name!r} truncated")
+    arr = np.frombuffer(body[start: start + nbytes], dtype=dtype)
+    return name, arr.reshape(shape).astype(dtype.newbyteorder("="))
+
+
 def read_container(path, kind, max_version):
     """Read and validate a container, returning ``(version, meta, arrays)``."""
     with open(path, "rb") as fh:
@@ -76,7 +116,7 @@ def read_container(path, kind, max_version):
         raise CorruptPayload(f"{path}: checksum mismatch")
 
     pos = len(MAGIC)
-    found_kind = body[pos: pos + _KIND_LEN].rstrip(b"\x00").decode()
+    found_kind = body[pos: pos + _KIND_LEN].rstrip(b"\x00").decode("ascii", "replace")
     pos += _KIND_LEN
     if found_kind != kind:
         raise CorruptPayload(f"{path}: expected kind {kind!r}, found {found_kind!r}")
@@ -86,19 +126,16 @@ def read_container(path, kind, max_version):
         raise VersionMismatch(f"{path}: version {version} > supported {max_version}")
     (header_len,) = struct.unpack_from("<I", body, pos)
     pos += 4
+    if pos + header_len > len(body):
+        raise CorruptPayload(f"{path}: header runs past the end of the file")
     try:
         header = json.loads(body[pos: pos + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise CorruptPayload(f"{path}: bad header ({err})") from err
     pos += header_len
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise CorruptPayload(f"{path}: header needs a 'meta' object and an 'arrays' list")
 
-    arrays = {}
-    for entry in header["arrays"]:
-        start = pos + entry["offset"]
-        end = start + entry["nbytes"]
-        if end > len(body):
-            raise CorruptPayload(f"{path}: array {entry['name']!r} truncated")
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        arr = np.frombuffer(body[start:end], dtype=dtype)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="))
+    arrays = dict(_read_array(path, entry, body, pos) for entry in header["arrays"])
     return version, header["meta"], arrays

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import container
 from .dataset import ARPABET_CODES, filter_usable
-from .errors import ConstantColumn, DimensionMismatch, UnusableRecord
+from .errors import ConstantColumn, CorruptPayload, DimensionMismatch, UnusableRecord
 from .util import sha256_json
 
 MATRIX_KIND = "feature_matrix"
@@ -248,18 +248,23 @@ def save_matrix(matrix, path):
 
 
 def load_matrix(path):
+    """Read a matrix file; a missing or ill-typed array or metadata key
+    raises CorruptPayload."""
     _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
-    scaling = ScalingRecord(lo=arrays["scaling_lo"], hi=arrays["scaling_hi"],
-                            mode=meta["scaling_mode"])
-    return FeatureMatrix(
-        values=arrays["values"],
-        labels=arrays["labels"],
-        groups=arrays["groups"],
-        scaling=scaling,
-        feature_set=FeatureSetKind(meta["feature_set"]),
-        class_names=tuple(meta["class_names"]),
-        f0_mode=meta["f0_mode"],
-    )
+    try:
+        scaling = ScalingRecord(lo=arrays["scaling_lo"], hi=arrays["scaling_hi"],
+                                mode=meta["scaling_mode"])
+        return FeatureMatrix(
+            values=arrays["values"],
+            labels=arrays["labels"],
+            groups=arrays["groups"],
+            scaling=scaling,
+            feature_set=FeatureSetKind(meta["feature_set"]),
+            class_names=tuple(meta["class_names"]),
+            f0_mode=meta["f0_mode"],
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err
 
 
 def projection_2d(records, kind=FeatureSetKind.SS3):

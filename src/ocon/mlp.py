@@ -21,6 +21,12 @@ Adam or RMSProp update is a fixed handful of ufunc calls on whole vectors.
 Because the weights come first, the L2 term touches only the prefix
 ``theta[:n_weights]``.  Batch-norm running statistics are not trained and
 stay per-layer arrays outside ``theta``.
+
+Stacked inference: ``stack_params`` copies K same-topology members' ``theta``
+rows into one (K, P) array whose views carry a leading member axis, and
+``forward`` in infer mode runs all K members in one pass over it.  Each
+member's slice goes through the same matmul and elementwise ops as a
+single-member forward, so the probabilities are bitwise the same.
 """
 
 import copy
@@ -143,10 +149,16 @@ class MlpParams:
         self._config = config
 
     def _split(self, flat):
+        """Views of ``flat`` shaped like the parameters.  A (K, P) ``flat``
+        holds one member per row: its weight views are (K, out, in) and its
+        vector views (K, 1, width), so they broadcast over (K, rows, width)."""
+        lead = flat.shape[:-1]
         views, at = [], 0
         for shape in self.shapes:
             size = math.prod(shape)
-            views.append(flat[at: at + size].reshape(shape))
+            if lead and len(shape) == 1:
+                shape = (1, *shape)
+            views.append(flat[..., at: at + size].reshape(*lead, *shape))
             at += size
         n, n_bn = self.n_layers, (len(views) - 2 * self.n_layers) // 2
         return views[:n], views[n: 2 * n], views[2 * n: 2 * n + n_bn], views[2 * n + n_bn:]
@@ -187,17 +199,48 @@ def init_params(config):
     return params
 
 
-def sigmoid(z):
-    """Logistic function without overflow: both branches use exp(-|z|)."""
-    e = np.exp(-np.abs(z))
+@dataclass
+class StackedParams:
+    """Parameters of K same-topology members with a leading member axis,
+    built by ``stack_params``; ``forward`` takes them in infer mode only."""
+
+    theta: np.ndarray             # (K, P), one member's theta per row
+    weights: list                 # (K, out, in) views into theta
+    biases: list                  # (K, 1, out) views
+    gamma: list                   # (K, 1, width) views
+    beta: list
+    running_mean: list            # (K, 1, width) copies
+    running_var: list
+
+
+def stack_params(params_list):
+    """Copy the members' ``theta`` rows and running statistics into stacked
+    buffers.  The stack is a snapshot: later edits to a member do not show."""
+    first = params_list[0]
+    if any(p.shapes != first.shapes for p in params_list):
+        raise DimensionMismatch("stacked members must share one topology")
+    theta = np.array([p.theta for p in params_list])
+    n_bn = len(first.running_mean)
+    running = [np.array(stats)[:, None, :] for stats in
+               zip(*(p.running_mean + p.running_var for p in params_list))]
+    return StackedParams(theta, *first._split(theta), running[:n_bn], running[n_bn:])
+
+
+def sigmoid(z, e=None):
+    """Logistic function without overflow: both branches use ``e = exp(-|z|)``,
+    which a caller that already has it may pass in."""
+    if e is None:
+        e = np.exp(-np.abs(z))
     d = 1.0 + e
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def bce_per_sample(zout, y):
+def bce_per_sample(zout, y, e=None):
     """Numerically stable per-sample binary cross-entropy from pre-sigmoid
-    values: softplus(z) - y*z."""
-    return np.maximum(zout, 0.0) + np.log1p(np.exp(-np.abs(zout))) - y * zout
+    values: softplus(z) - y*z, with ``e = exp(-|z|)`` as in ``sigmoid``."""
+    if e is None:
+        e = np.exp(-np.abs(zout))
+    return np.maximum(zout, 0.0) + np.log1p(e) - y * zout
 
 
 @dataclass
@@ -210,7 +253,8 @@ class ForwardCache:
     relu_in: list                 # what ReLU saw (bn output or z)
     drop_masks: list              # inverted-dropout masks (None when off)
     out_input: np.ndarray         # input to the output affine
-    zout: np.ndarray              # pre-sigmoid output, shape (B,)
+    zout: np.ndarray              # pre-sigmoid output, shape (B,) or (K, B)
+    exp_neg_abs: np.ndarray       # exp(-|zout|), shared by sigmoid and BCE
     probs: np.ndarray
     mode: str
 
@@ -221,13 +265,16 @@ def forward(params, config, batch, mode="infer", rng=None):
     Train mode applies dropout (requires ``rng``) and batch statistics,
     updating the running batch-norm estimates in place; infer mode uses the
     running statistics and no dropout.  Returns (probabilities, cache).
+    ``StackedParams`` of K members give (K, B) probabilities, infer mode only.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != config.input_dim:
-        raise DimensionMismatch(f"batch width {x.shape[1]} != input dim {config.input_dim}")
+    if x.shape[-1] != config.input_dim:
+        raise DimensionMismatch(f"batch width {x.shape[-1]} != input dim {config.input_dim}")
     train = mode == "train"
+    if train and isinstance(params, StackedParams):
+        raise ValueError("stacked parameters are for infer mode only")
     if train and rng is None and (config.dropout_keep_input < 1 or config.dropout_keep_hidden < 1):
         raise ValueError("train-mode forward with dropout needs an rng")
 
@@ -237,12 +284,13 @@ def forward(params, config, batch, mode="infer", rng=None):
         x /= keep
 
     cache = ForwardCache(layer_inputs=[], zhat=[], std=[], relu_in=[], drop_masks=[],
-                         out_input=None, zout=None, probs=None, mode=mode)
+                         out_input=None, zout=None, exp_neg_abs=None, probs=None,
+                         mode=mode)
     a = x
     n = len(x)
     for l in range(len(config.hidden_layers)):
         cache.layer_inputs.append(a)
-        z = a @ params.weights[l].T
+        z = a @ params.weights[l].mT
         z += params.biases[l]
         if config.batch_norm:
             if train:
@@ -279,10 +327,11 @@ def forward(params, config, batch, mode="infer", rng=None):
             cache.drop_masks.append(None)
 
     cache.out_input = a
-    zout = a @ params.weights[-1].T
+    zout = a @ params.weights[-1].mT
     zout += params.biases[-1]
-    cache.zout = zout.ravel()
-    cache.probs = sigmoid(cache.zout)
+    cache.zout = zout[..., 0]
+    cache.exp_neg_abs = np.exp(-np.abs(cache.zout))
+    cache.probs = sigmoid(cache.zout, cache.exp_neg_abs)
     return cache.probs, cache
 
 
@@ -324,8 +373,9 @@ def _backward(params, config, cache, y):
             da = da @ params.weights[l]
 
     # L2 on weight matrices only: they are the leading n_weights entries
-    w = slice(0, params.n_weights)
-    params.grad[w] += config.l2_lambda * params.theta[w]
+    if config.l2_lambda:
+        w = slice(0, params.n_weights)
+        params.grad[w] += config.l2_lambda * params.theta[w]
     return params.grad
 
 
@@ -350,11 +400,13 @@ def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
     if len(y) != len(probs):
         raise DimensionMismatch("labels length != batch size")
     if config.loss == "bce":
-        per_sample = bce_per_sample(cache.zout, y)
+        per_sample = bce_per_sample(cache.zout, y, cache.exp_neg_abs)
     else:
         per_sample = (probs - y) ** 2
-    loss = float(per_sample.mean()) + _l2_penalty(params, config.l2_lambda)
-    if not np.isfinite(loss):
+    # np.add.reduce(...) / n is how per_sample.mean() computes it (same bits)
+    loss = float(np.add.reduce(per_sample) / len(per_sample))
+    loss += _l2_penalty(params, config.l2_lambda)
+    if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss became {loss}")
     grads = _backward(params, config, cache, y)
     if return_per_sample:

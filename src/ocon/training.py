@@ -218,7 +218,7 @@ def _run_cycle(matrix, class_name, provider, mlp_config, train_config):
     tc = train_config
     params = init_params(mlp_config)
     dropout_rng = rng_from(mlp_config.seed, "dropout")
-    window = deque(maxlen=tc.early_stop.loss_window if tc.early_stop else 50)
+    window = deque(maxlen=tc.early_stop.loss_window) if tc.early_stop else None
 
     loss_curve = []
     boundaries = []
@@ -241,25 +241,27 @@ def _run_cycle(matrix, class_name, provider, mlp_config, train_config):
 
         for _ in range(tc.epochs_per_batch_set):
             order = shuffle_rng.permutation(n_train)
+            xe, ye = train.x[order], train.y[order]
             epoch_losses = np.empty(n_train)
-            at = 0
             try:
                 for start in range(0, n_train, mlp_config.batch_size):
-                    take = order[start: start + mlp_config.batch_size]
+                    stop = start + mlp_config.batch_size
                     _, grads, per_sample = loss_and_grads(
-                        params, mlp_config, train.x[take], train.y[take],
+                        params, mlp_config, xe[start:stop], ye[start:stop],
                         rng=dropout_rng, mode="train", return_per_sample=True)
                     optimizer_step(params, grads, mlp_config)
-                    window.extend(per_sample)
-                    epoch_losses[at: at + len(per_sample)] = per_sample
-                    at += len(per_sample)
+                    epoch_losses[start:stop] = per_sample
             except NonFiniteLoss:
                 stop_reason = "diverged"
                 stopped = True
                 break
-            loss_curve.append(float(epoch_losses.mean()))
+            # np.add.reduce(...) / n is how .mean() computes it (same bits)
+            loss_curve.append(float(np.add.reduce(epoch_losses) / n_train))
 
             if tc.early_stop is not None:
+                # the window holds the last loss_window sample losses, as if
+                # it were extended after every step
+                window.extend(epoch_losses[-tc.early_stop.loss_window:])
                 rolling = float(np.mean(window))
                 # the escape is an AND, so the held-out pass only runs once
                 # the loss side of the condition already holds

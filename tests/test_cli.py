@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ocon.cli import main
-from ocon.features import load_matrix
+from ocon.features import MATRIX_KIND, load_matrix
 from ocon.synth import write_synth_dat
+from tests.test_container import MALFORMED_HEADERS, PAYLOAD, write_raw
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +213,17 @@ class TestErrorContract:
         capsys.readouterr()
         assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
         assert "ERROR ManifestMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["no_arrays", "header_is_a_list", "unknown_dtype",
+                                      "negative_offset", "no_matrix_arrays"])
+    def test_crafted_matrix_is_corrupt_payload(self, tmp_path, capsys, case):
+        crafted = str(tmp_path / "crafted.ocm")
+        header = MALFORMED_HEADERS.get(case, {"meta": {}, "arrays": []})
+        write_raw(crafted, header, PAYLOAD, kind=MATRIX_KIND.encode())
+        code = main(["train", "--matrix", crafted, "--out-dir", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "ERROR CorruptPayload" in err and "Traceback" not in err
 
 
 def test_train_reruns_byte_identical(pipeline_dir, tmp_path):

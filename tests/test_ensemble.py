@@ -1,11 +1,13 @@
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ocon.ensemble import (
+    STACK_MAX_VALUES,
     OconModel,
     evaluate_ensemble,
     infer,
@@ -22,8 +24,17 @@ from ocon.errors import (
     PartialEnsemble,
 )
 from ocon.features import FeatureSetKind
-from ocon.mlp import MlpConfig, MlpModel, init_params
+from ocon.mlp import (
+    MlpConfig,
+    MlpModel,
+    forward,
+    init_params,
+    load_model,
+    save_model,
+    stack_params,
+)
 from ocon.training import TrainConfig
+from ocon.util import sha256_file
 from tests.test_training import blob_matrix
 
 
@@ -128,6 +139,70 @@ class TestInfer:
             assert np.array_equal(np.argmax(a * logits + b, axis=1), predicted)
 
 
+BIT_IDENTITY_TRAIN = TrainConfig(epochs_per_batch_set=2, max_batch_sets=1,
+                                 early_stop=None, seed=2)
+
+
+@pytest.fixture(scope="module")
+def banks(synth_matrix):
+    """Two 12-member tt12 banks, tuned (BN, 1x100) and no-BN (16, 8) RMSProp,
+    and a 3-member bank of zero-hidden-layer constant members."""
+    tuned, _ = train_ensemble(synth_matrix, MlpConfig.tuned(12, seed=4), BIT_IDENTITY_TRAIN)
+    two_layer, _ = train_ensemble(
+        synth_matrix, MlpConfig(input_dim=12, hidden_layers=(16, 8), optimizer="rmsprop",
+                                learning_rate=1e-3, seed=4), BIT_IDENTITY_TRAIN)
+    blobs = blob_matrix(n_per_class=200, n_classes=3, seed=6)
+    h = blobs.scaling.content_hash()
+    constant = OconModel(class_names=blobs.class_names,
+                         members=[constant_member(z, h) for z in (-0.3, 1.7, 0.9)],
+                         scaling=blobs.scaling, feature_set=blobs.feature_set)
+    return {"tuned": (tuned, synth_matrix.values), "two_layer": (two_layer, synth_matrix.values),
+            "constant": (constant, blobs.values)}
+
+
+class TestInferBitIdentity:
+    """Joint inference equals one predict_proba per member, bit for bit,
+    whichever path (stacked or per-member) the batch size selects."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 27, 33, None])
+    @pytest.mark.parametrize("bank", ["tuned", "two_layer", "constant"])
+    def test_logits_equal_per_member_reference(self, banks, bank, rows):
+        model, values = banks[bank]
+        x = values[:rows]
+        reference = np.column_stack([m.predict_proba(x) for m in model.members])
+        logits, predicted = infer(model, x, scaled=True)
+        assert np.array_equal(logits.view(np.uint64), reference.view(np.uint64))
+        assert np.array_equal(predicted, np.argmax(reference, axis=1))
+        config = model.members[0].config
+        stacked, _ = forward(stack_params([m.params for m in model.members]), config, x)
+        assert np.array_equal(stacked.T.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("bank", ["tuned", "two_layer", "constant"])
+    def test_single_vectors(self, banks, bank):
+        model, values = banks[bank]
+        for vector in values[:40]:
+            reference = np.array([m.predict_proba(vector)[0] for m in model.members])
+            logits, label = infer(model, vector, scaled=True)
+            assert np.array_equal(logits.view(np.uint64), reference.view(np.uint64))
+            assert label == int(np.argmax(reference))
+
+    def test_both_paths_covered(self, banks):
+        model, values = banks["tuned"]
+        width = max(model.members[0].config.layer_dims) * model.n_classes
+        assert width <= STACK_MAX_VALUES < len(values) * width
+
+    def test_member_edits_show_at_once(self, banks):
+        model, values = banks["constant"]
+        member = model.members[1]
+        before, _ = infer(model, values[0], scaled=True)
+        member.params.biases[0][:] -= 5.0
+        try:
+            after, _ = infer(model, values[0], scaled=True)
+        finally:
+            member.params.biases[0][:] += 5.0
+        assert after[1] < before[1] and after[0] == before[0]
+
+
 class TestEvaluate:
     def test_perfect_members(self):
         matrix = blob_matrix(n_per_class=25, seed=5)
@@ -144,6 +219,49 @@ class TestEvaluate:
         model = two_class_model(matrix)
         with pytest.raises(ManifestMismatch):
             evaluate_ensemble(model, other)
+
+
+class TestTopology:
+    @pytest.mark.parametrize("other", [MlpConfig(input_dim=3, hidden_layers=(4,)),
+                                       MlpConfig(input_dim=3, hidden_layers=(8, 8)),
+                                       MlpConfig(input_dim=3, hidden_layers=(8,),
+                                                 batch_norm=True)])
+    def test_constructor_rejects_mixed_topology(self, other):
+        matrix = blob_matrix(n_per_class=5)
+        members = [MlpModel(config=cfg, params=init_params(cfg))
+                   for cfg in (MlpConfig(input_dim=3, hidden_layers=(8,)), other)]
+        with pytest.raises(ManifestMismatch, match="layer dims"):
+            OconModel(class_names=matrix.class_names, members=members,
+                      scaling=matrix.scaling, feature_set=matrix.feature_set)
+
+    def test_retrain_with_other_topology_leaves_model_untouched(self, tmp_path):
+        matrix = blob_matrix(n_per_class=30, n_classes=2, seed=7)
+        mlp, tc = quick_configs(epochs=5)
+        model, _ = train_ensemble(matrix, mlp, tc)
+        members = list(model.members)
+        save_ensemble(model, str(tmp_path / "before"))
+        other = MlpConfig(input_dim=3, hidden_layers=(4,), batch_norm=True, seed=1)
+        with pytest.raises(ManifestMismatch):
+            retrain_member(model, matrix, 1, other, tc)
+        assert all(a is b for a, b in zip(model.members, members))
+        save_ensemble(model, str(tmp_path / "after"))
+        for name in model.class_names:
+            fname = f"member_{name}.ocmdl"
+            assert (tmp_path / "before" / fname).read_bytes() == \
+                (tmp_path / "after" / fname).read_bytes()
+        load_ensemble(str(tmp_path / "after"))
+
+    def test_load_rejects_batch_norm_mix(self, saved_ensemble, tmp_path):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        member_path = str(path / "member_c1.ocmdl")
+        member = load_model(member_path)
+        cfg = replace(member.config, batch_norm=True)
+        save_model(MlpModel(config=cfg, params=init_params(cfg),
+                            scaling_hash=member.scaling_hash), member_path)
+        edit_manifest(path, lambda m: m["members"][1].__setitem__(
+            "sha256", sha256_file(member_path)))
+        with pytest.raises(ManifestMismatch, match="batch_norm"):
+            load_ensemble(path)
 
 
 class TestTrainEnsemble:

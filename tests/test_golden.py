@@ -4,7 +4,10 @@ Short seeded cycles on the ``synth_records(seed=11)`` corpus must reproduce
 pinned sha256 digests of the trained parameters (``trainables()`` order),
 the batch-norm running statistics and the loss curve.  Any change to the
 per-element arithmetic of forward, backward or the optimizer moves a digest,
-so a refactor that claims identical training is held to it.
+so a refactor that claims identical training is held to it.  The early-stop
+case keeps a rolling loss window of 500 samples, about 2.5 epochs, so the
+stop epoch also pins how the window carries losses across epochs and
+batch-sets.
 
 The digests are float64 results of this numpy and its BLAS; a different BLAS
 kernel can round a matmul differently.  Re-pin only after the parent commit
@@ -17,18 +20,25 @@ import numpy as np
 import pytest
 
 from ocon.mlp import MlpConfig
-from ocon.training import TrainConfig, train_one_class
+from ocon.training import EarlyStopRule, TrainConfig, train_one_class
 
 TRAIN = TrainConfig(epochs_per_batch_set=4, max_batch_sets=2, early_stop=None, seed=3)
+TWO_LAYER_RMSPROP = MlpConfig(input_dim=12, hidden_layers=(16, 8), optimizer="rmsprop",
+                              learning_rate=1e-3, seed=5)
 
+# name -> (mlp config, train config, epochs run, digest)
 CASES = {
     "tuned_bn_dropout_adam": (
-        MlpConfig.tuned(12, seed=5),
+        MlpConfig.tuned(12, seed=5), TRAIN, 8,
         "65cf6f14c4831357b80507434eea8d18a91c4f1f9aa9368b592b8a65dbd812c2"),
     "two_layer_rmsprop": (
-        MlpConfig(input_dim=12, hidden_layers=(16, 8), optimizer="rmsprop",
-                  learning_rate=1e-3, seed=5),
+        TWO_LAYER_RMSPROP, TRAIN, 8,
         "a694b3f1b5d11bbad2378b757e70960d0c4bfcb68b9269b13c7adf8203e8ee67"),
+    "early_stop_multi_epoch_window": (
+        TWO_LAYER_RMSPROP,
+        TrainConfig(epochs_per_batch_set=3, max_batch_sets=3, seed=3,
+                    early_stop=EarlyStopRule(0.66, 0.0, loss_window=500)), 7,
+        "e4452103e61cb93a552d4d7e758082161517f04725245dcb2ecc837c90c0817f"),
 }
 
 
@@ -43,7 +53,7 @@ def training_digest(model, report):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_seeded_training_is_bit_identical(synth_matrix, name):
-    config, pinned = CASES[name]
-    model, report = train_one_class(synth_matrix, 0, config, TRAIN)
-    assert report.epochs_run == 8
+    config, train, epochs, pinned = CASES[name]
+    model, report = train_one_class(synth_matrix, 0, config, train)
+    assert report.epochs_run == epochs
     assert training_digest(model, report) == pinned

@@ -20,6 +20,7 @@ from ocon.mlp import (
     optimizer_step,
     save_model,
     sigmoid,
+    stack_params,
 )
 
 
@@ -433,6 +434,50 @@ class TestFlatLayout:
             assert not np.shares_memory(twin.theta, params.theta)
             assert all(np.shares_memory(v, twin.theta) for v in twin.trainables())
             assert all(np.shares_memory(v, twin.grad) for v in twin.d_weights)
+
+
+class TestStackedParams:
+    def members(self, n=3):
+        config = small_config(batch_norm=True, hidden_layers=(4, 3))
+        members = [init_params(small_config(batch_norm=True, hidden_layers=(4, 3), seed=seed))
+                   for seed in range(n)]
+        for i, params in enumerate(members):
+            params.running_mean[1][:] = 0.1 * i
+            params.running_var[1][:] = 1.0 + i
+        return config, members
+
+    def test_views_carry_a_member_axis(self):
+        config, members = self.members()
+        stacked = stack_params(members)
+        assert stacked.theta.shape == (3, members[0].theta.size)
+        assert [w.shape for w in stacked.weights] == [(3, 4, 3), (3, 3, 4), (3, 1, 3)]
+        assert [b.shape for b in stacked.biases] == [(3, 1, 4), (3, 1, 3), (3, 1, 1)]
+        assert [g.shape for g in stacked.gamma] == [(3, 1, 4), (3, 1, 3)]
+        for i, params in enumerate(members):
+            for mine, theirs in zip(stacked.weights + stacked.beta + stacked.running_var,
+                                    params.weights + params.beta + params.running_var):
+                assert np.array_equal(mine[i].reshape(theirs.shape), theirs)
+        assert all(np.shares_memory(w, stacked.theta) for w in stacked.weights)
+        assert not np.shares_memory(stacked.theta, members[0].theta)
+
+    def test_stacked_forward_equals_each_member(self):
+        config, members = self.members()
+        x = np.random.default_rng(2).random((7, 3))
+        probs, _ = forward(stack_params(members), config, x)
+        reference = np.stack([forward(p, config, x)[0] for p in members])
+        assert np.array_equal(probs.view(np.uint64), reference.view(np.uint64))
+
+    def test_train_mode_rejected(self):
+        config, members = self.members()
+        with pytest.raises(ValueError, match="infer mode"):
+            forward(stack_params(members), config, np.zeros((2, 3)), mode="train",
+                    rng=np.random.default_rng(0))
+
+    def test_mixed_topology_rejected(self):
+        config, members = self.members()
+        members.append(init_params(small_config(hidden_layers=(4, 3))))
+        with pytest.raises(DimensionMismatch):
+            stack_params(members)
 
 
 class TestAccuracyHelper:
