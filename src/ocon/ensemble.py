@@ -7,6 +7,11 @@ maximum of the per-class probability vector.  Members are independently
 retrainable; saving writes one checkpoint per member plus a JSON manifest, so
 swapping a single member never touches the others' bytes.
 
+Training runs through the lockstep engine (``training._run_cycle``):
+``train_ensemble`` hands it all members at once, or with ``workers=w`` one
+contiguous chunk of class ids per process, so each process steps its
+members together in one stacked minibatch step.
+
 Joint inference has two paths that give bitwise the same probabilities.  A
 query of a few rows costs mostly per-call overhead, K times over, so when
 rows x K x the widest layer is at most ``STACK_MAX_VALUES`` float64 values
@@ -36,15 +41,12 @@ from .errors import (
     PartialEnsemble,
 )
 from .features import SPEAKER_CLASS_NAMES, FeatureSetKind, ScalingRecord
-from .mlp import forward, load_model, save_model, stack_params
-from .training import train_one_class
+from .mlp import STACK_MAX_VALUES, forward, load_model, save_model, stack_params
+from .training import _run_cycle, one_class_cycle
 from .util import derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
 MANIFEST_NAME = "ensemble.json"
-#: Largest rows x members x widest layer run as one stacked forward (about
-#: 1 MB per float64 temporary, well inside a 2 MB L2 cache).
-STACK_MAX_VALUES = 1 << 17
 
 
 def _check_topology(name, config, bank_config):
@@ -86,29 +88,39 @@ class OconModel:
         return len(self.class_names)
 
 
-def _train_member(matrix, class_id, mlp_config, train_config, task):
+def _member_cycle(matrix, class_id, mlp_config, train_config, task):
     member_mlp = replace(mlp_config, seed=derive_seed(mlp_config.seed, "member", class_id))
     member_tc = replace(train_config, seed=derive_seed(train_config.seed, "member", class_id))
-    return train_one_class(matrix, class_id, member_mlp, member_tc, task=task)
+    return one_class_cycle(matrix, class_id, member_mlp, member_tc, task=task)
+
+
+def _train_members(matrix, class_ids, mlp_config, train_config, task):
+    """The members of ``class_ids``, trained by one lockstep engine call."""
+    return _run_cycle(matrix, [_member_cycle(matrix, cid, mlp_config, train_config, task)
+                               for cid in class_ids])
 
 
 def train_ensemble(matrix, mlp_config, train_config, workers=1, task="phoneme"):
     """Train one member per class; returns (OconModel, reports).
 
-    Member seeds derive from (master seed, class id), so any level of
-    parallelism produces identical results.  If any member diverges the
-    whole bank is rejected with PartialEnsemble naming the failures.
+    ``workers`` processes each train one contiguous chunk of the class ids
+    as one lockstep group.  Member seeds derive from (master seed, class
+    id), so any level of parallelism produces identical results.  If any
+    member diverges the whole bank is rejected with PartialEnsemble naming
+    the failures.
     """
     class_names = SPEAKER_CLASS_NAMES if task == "speaker" else matrix.class_names
     class_ids = list(range(len(class_names)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_train_member, matrix, cid, mlp_config,
-                                   train_config, task) for cid in class_ids]
-            outcomes = [f.result() for f in futures]
+    n = len(class_ids)
+    chunks = [chunk for chunk in (class_ids[i * n // workers: (i + 1) * n // workers]
+                                  for i in range(max(1, workers))) if chunk]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(_train_members, matrix, chunk, mlp_config, train_config,
+                                   task) for chunk in chunks]
+            outcomes = [outcome for f in futures for outcome in f.result()]
     else:
-        outcomes = [_train_member(matrix, cid, mlp_config, train_config, task)
-                    for cid in class_ids]
+        outcomes = _train_members(matrix, class_ids, mlp_config, train_config, task)
 
     members = [model for model, _ in outcomes]
     reports = [report for _, report in outcomes]
@@ -128,7 +140,7 @@ def retrain_member(model, matrix, class_id, mlp_config, train_config, task="phon
     before any training, and the model is left as it was.
     """
     _check_topology(model.class_names[class_id], mlp_config, model.members[class_id].config)
-    member, report = _train_member(matrix, class_id, mlp_config, train_config, task)
+    [(member, report)] = _train_members(matrix, [class_id], mlp_config, train_config, task)
     if report.stop_reason == "diverged":
         raise PartialEnsemble([report.class_name], reports=[report])
     model.members[class_id] = member

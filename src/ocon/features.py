@@ -266,14 +266,3 @@ def load_matrix(path):
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err
 
-
-def projection_2d(records, kind=FeatureSetKind.SS3):
-    """(F1-based, F2-based) 2-D projections, unscaled ratios and scaled.
-
-    Returns (labels, raw_points, scaled_points); used by the report command
-    to emit both variants of the class-separation scatter.
-    """
-    matrix, _ = build_feature_matrix(records, kind)
-    kept, _ = filter_usable(records, kind)
-    raw = np.stack([normalize_by_f0(rec, kind) for rec in kept])
-    return matrix.labels, raw[:, :2], matrix.values[:, :2]

@@ -22,11 +22,23 @@ Because the weights come first, the L2 term touches only the prefix
 ``theta[:n_weights]``.  Batch-norm running statistics are not trained and
 stay per-layer arrays outside ``theta``.
 
-Stacked inference: ``stack_params`` copies K same-topology members' ``theta``
+Stacked members: ``stack_params`` copies K same-topology members' ``theta``
 rows into one (K, P) array whose views carry a leading member axis, and
-``forward`` in infer mode runs all K members in one pass over it.  Each
-member's slice goes through the same matmul and elementwise ops as a
-single-member forward, so the probabilities are bitwise the same.
+``forward``, ``_backward`` and ``optimizer_step`` run all K members in one
+set of numpy calls over it.  Each member's slice goes through the same
+matmul, elementwise and row-axis reductions as a single-member pass, so
+every member's probabilities, gradients and updates are bitwise its own.
+An ``MlpParams`` is the K=1 case: ``params.stacked`` is a (1, P) view of
+its own buffers, so there is one code path.  In infer mode all K members
+see one (B, d) batch; in train mode each member has its own (rows, d) block
+and its own dropout generator, drawn from one call per member in member
+order, as a single-member step draws.
+
+Train-mode steps write every temporary into a workspace (``_Workspace``)
+allocated once per stack: a fresh (K, rows, width) temporary is large
+enough for glibc to map and unmap it on every operation, at hundreds of
+page faults per step.  A steady-state stacked step allocates nothing larger
+than (K, rows).
 """
 
 import copy
@@ -45,6 +57,11 @@ RMSPROP_DECAY = 0.9
 OPT_EPS = 1e-8
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+#: Largest rows x members x widest layer one stacked pass handles, in float64
+#: values (about 1 MB per (K, rows, width) temporary, inside a 2 MB L2
+#: cache).  Stacked inference and lockstep training both size stacks by it.
+STACK_MAX_VALUES = 1 << 17
 
 CHECKPOINT_KIND = "mlp_checkpoint"
 #: v2 dropped the optimizer moments (``m*``/``v*``); v1 files still load.
@@ -118,13 +135,31 @@ class MlpConfig:
         return cls(**d)
 
 
+def _split(shapes, n_layers, flat):
+    """Views of ``flat`` shaped like the parameters.  A (K, P) ``flat`` holds
+    one member per row: its weight views are (K, out, in) and its vector
+    views (K, 1, width), so they broadcast over (K, rows, width)."""
+    lead = flat.shape[:-1]
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        if lead and len(shape) == 1:
+            shape = (1, *shape)
+        views.append(flat[..., at: at + size].reshape(*lead, *shape))
+        at += size
+    n, n_bn = n_layers, (len(views) - 2 * n_layers) // 2
+    return views[:n], views[n: 2 * n], views[2 * n: 2 * n + n_bn], views[2 * n + n_bn:]
+
+
 class MlpParams:
     """All trainables in one flat ``theta``, with its gradient and moment twins.
 
     ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
     ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
     ``grad``; writing through a view writes the flat buffer.  ``gamma`` and
-    ``beta`` are empty when batch-norm is off.
+    ``beta`` are empty when batch-norm is off.  ``stacked`` is the K=1
+    ``StackedParams`` view of these same buffers, which ``forward``,
+    ``_backward`` and ``optimizer_step`` run on.
     """
 
     def __init__(self, config):
@@ -147,21 +182,14 @@ class MlpParams:
         self.running_var = [np.ones(w) for w in widths]
         self.step = 0
         self._config = config
+        self.stacked = StackedParams(
+            self.shapes, self.n_layers, self.theta[None],
+            [m[None, None] for m in self.running_mean], [v[None, None] for v in self.running_var],
+            grad=self.grad[None], opt_m=self.opt_m[None], opt_v=self.opt_v[None],
+            keep_workspace=False)
 
     def _split(self, flat):
-        """Views of ``flat`` shaped like the parameters.  A (K, P) ``flat``
-        holds one member per row: its weight views are (K, out, in) and its
-        vector views (K, 1, width), so they broadcast over (K, rows, width)."""
-        lead = flat.shape[:-1]
-        views, at = [], 0
-        for shape in self.shapes:
-            size = math.prod(shape)
-            if lead and len(shape) == 1:
-                shape = (1, *shape)
-            views.append(flat[..., at: at + size].reshape(*lead, *shape))
-            at += size
-        n, n_bn = self.n_layers, (len(views) - 2 * self.n_layers) // 2
-        return views[:n], views[n: 2 * n], views[2 * n: 2 * n + n_bn], views[2 * n + n_bn:]
+        return _split(self.shapes, self.n_layers, flat)
 
     def trainables(self):
         """Views of the parameter arrays in ``theta`` order."""
@@ -199,23 +227,72 @@ def init_params(config):
     return params
 
 
-@dataclass
 class StackedParams:
-    """Parameters of K same-topology members with a leading member axis,
-    built by ``stack_params``; ``forward`` takes them in infer mode only."""
+    """Parameters of K same-topology members with a leading member axis.
 
-    theta: np.ndarray             # (K, P), one member's theta per row
-    weights: list                 # (K, out, in) views into theta
-    biases: list                  # (K, 1, out) views
-    gamma: list                   # (K, 1, width) views
-    beta: list
-    running_mean: list            # (K, 1, width) copies
-    running_var: list
+    ``theta`` is (K, P), one member's flat parameters per row; weight views
+    are (K, out, in), vector views and running statistics (K, 1, width).
+    ``grad``, ``opt_m`` and ``opt_v`` (training only; ``None`` in a stack
+    built for inference) are (K, P) twins, and ``step`` counts the optimizer
+    steps all K members took together.  Train-mode steps write their
+    temporaries into ``workspace``; a stack made with ``keep_workspace``
+    keeps it between steps, so a step's cache is only valid until the next.
+    """
+
+    def __init__(self, shapes, n_layers, theta, running_mean, running_var,
+                 grad=None, opt_m=None, opt_v=None, step=0, keep_workspace=True):
+        self.shapes, self.n_layers = shapes, n_layers
+        self.theta = theta
+        self.weights, self.biases, self.gamma, self.beta = _split(shapes, n_layers, theta)
+        self.n_weights = sum(math.prod(shape) for shape in shapes[:n_layers])
+        self.running_mean, self.running_var = running_mean, running_var
+        self.grad, self.opt_m, self.opt_v, self.step = grad, opt_m, opt_v, step
+        if grad is not None:
+            self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
+                shapes, n_layers, grad)
+        self.keep_workspace = keep_workspace
+        self.workspace = None
+
+    @property
+    def n_members(self):
+        return len(self.theta)
+
+    def buffers(self, config, rows):
+        """Workspace views for one train step of ``rows`` rows per member."""
+        ws = self.workspace
+        if ws is None or not ws.fits(self.n_members, rows):
+            ws = _Workspace(config, self.n_members, rows, self.theta.shape[1], self.n_weights)
+            if self.keep_workspace:
+                self.workspace = ws
+        return ws.at(self.n_members, rows)
+
+    def select(self, keep):
+        """Copy of the members at indices ``keep``; shares the workspace."""
+        part = StackedParams(
+            self.shapes, self.n_layers, self.theta[keep],
+            [m[keep] for m in self.running_mean], [v[keep] for v in self.running_var],
+            grad=self.grad[keep], opt_m=self.opt_m[keep], opt_v=self.opt_v[keep],
+            step=self.step)
+        part.workspace = self.workspace
+        return part
+
+    def copy_out(self, k, params):
+        """Write member ``k``'s parameters, moments, running statistics and
+        step count into the ``MlpParams`` ``params``."""
+        params.theta[...] = self.theta[k]
+        params.opt_m[...] = self.opt_m[k]
+        params.opt_v[...] = self.opt_v[k]
+        for mine, stacked in zip(params.running_mean + params.running_var,
+                                 self.running_mean + self.running_var):
+            mine[...] = stacked[k, 0]
+        params.step = self.step
 
 
-def stack_params(params_list):
+def stack_params(params_list, train=False):
     """Copy the members' ``theta`` rows and running statistics into stacked
-    buffers.  The stack is a snapshot: later edits to a member do not show."""
+    buffers.  The stack is a snapshot: later edits to a member do not show.
+    ``train=True`` also copies the optimizer moments and adds a gradient
+    buffer; the members must then have taken the same number of steps."""
     first = params_list[0]
     if any(p.shapes != first.shapes for p in params_list):
         raise DimensionMismatch("stacked members must share one topology")
@@ -223,7 +300,102 @@ def stack_params(params_list):
     n_bn = len(first.running_mean)
     running = [np.array(stats)[:, None, :] for stats in
                zip(*(p.running_mean + p.running_var for p in params_list))]
-    return StackedParams(theta, *first._split(theta), running[:n_bn], running[n_bn:])
+    extra = {}
+    if train:
+        if any(p.step != first.step for p in params_list):
+            raise ValueError("stacked members must have taken the same number of steps")
+        extra = {"grad": np.zeros_like(theta), "step": first.step,
+                 "opt_m": np.array([p.opt_m for p in params_list]),
+                 "opt_v": np.array([p.opt_v for p in params_list])}
+    return StackedParams(first.shapes, first.n_layers, theta, running[:n_bn],
+                         running[n_bn:], **extra)
+
+
+class _Buffers:
+    """The buffers of one step: per-layer lists and single arrays, or
+    ``None`` where the operation should allocate its result."""
+
+    #: roles sized (members, rows, ...); the rest are (members, 1, width)
+    #: statistics or (members, P) optimizer temporaries
+    ROW_ROLES = ("inp", "z", "act", "mask", "da", "zout", "e")
+    ROLES = ROW_ROLES + ("mu", "std", "sum_d", "sum_dz", "p1", "p2", "pw")
+
+    def __init__(self, **roles):
+        for role in self.ROLES:
+            setattr(self, role, roles.get(role))
+
+    def cut(self, k, rows):
+        def part(buf, role):
+            if buf is None:
+                return None
+            if isinstance(buf, list):
+                return [part(b, role) for b in buf]
+            return buf[:k, :rows] if role in self.ROW_ROLES else buf[:k]
+        return _Buffers(**{role: part(getattr(self, role), role) for role in self.ROLES})
+
+
+class _Nothing:
+    """Stands for a per-layer buffer list whose every entry is ``None``."""
+
+    def __getitem__(self, index):
+        return None
+
+
+#: infer-mode forwards and single-member optimizer steps allocate fresh
+_FRESH = _Buffers(**{role: _Nothing() for role in ("z", "act", "mask", "da",
+                                                     "mu", "std", "sum_d", "sum_dz")})
+
+
+class _Workspace:
+    """Preallocated temporaries of stacked train steps.
+
+    A fresh (K, rows, width) float64 temporary of the tuned bank (12 x 32 x
+    100, 300 KB) is above glibc's 128 KiB mmap threshold, so glibc maps and
+    unmaps it on every operation, at hundreds of page faults per step.  A
+    workspace is allocated once per lockstep group and every step writes into
+    it: one (K, rows, width) block per role and hidden layer, (K, 1, width)
+    batch-norm statistics and two (K, P) optimizer temporaries.  Blocks are
+    reused once their value is dead: ReLU runs in place, the squared centred
+    batch goes through the batch-norm output block, and the backward pass
+    turns each activation block into scratch once it has read the ReLU mask
+    from it.
+    ``at(k, rows)`` gives the leading ``[:k, :rows]`` views, cached per key,
+    for a group that lost members or a step shorter than the batch.
+    """
+
+    def __init__(self, config, n_members, rows, n_params, n_weights):
+        hidden = config.hidden_layers
+        bn = config.batch_norm
+
+        def block(width):
+            return np.empty((n_members, rows, width))
+
+        def per_layer(make, on=True):
+            return [make(w) if on else None for w in hidden]
+
+        def stat(width):
+            return np.empty((n_members, 1, width))
+
+        p1 = np.empty((n_members, n_params))
+        self.members, self.rows = n_members, rows
+        self._full = _Buffers(
+            inp=block(config.input_dim) if config.dropout_keep_input < 1 else None,
+            z=per_layer(block), act=per_layer(block, bn),
+            mask=per_layer(block, config.dropout_keep_hidden < 1), da=per_layer(block),
+            mu=per_layer(stat, bn), std=per_layer(stat, bn),
+            sum_d=per_layer(stat, bn), sum_dz=per_layer(stat, bn),
+            zout=block(1), e=np.empty((n_members, rows)),
+            p1=p1, p2=np.empty((n_members, n_params)), pw=p1[:, :n_weights])
+        self._views = {}
+
+    def fits(self, k, rows):
+        return k <= self.members and rows <= self.rows
+
+    def at(self, k, rows):
+        views = self._views.get((k, rows))
+        if views is None:
+            views = self._views[(k, rows)] = self._full.cut(k, rows)
+        return views
 
 
 def sigmoid(z, e=None):
@@ -245,18 +417,28 @@ def bce_per_sample(zout, y, e=None):
 
 @dataclass
 class ForwardCache:
-    """Intermediate values needed by backpropagation."""
+    """Intermediate values needed by backpropagation, with a member axis."""
 
     layer_inputs: list            # input to each hidden affine (after dropout)
     zhat: list                    # batch-norm normalized (None entries when off)
     std: list                     # sqrt(var + eps) per batch-norm layer
-    relu_in: list                 # what ReLU saw (bn output or z)
     drop_masks: list              # inverted-dropout masks (None when off)
     out_input: np.ndarray         # input to the output affine
-    zout: np.ndarray              # pre-sigmoid output, shape (B,) or (K, B)
+    zout: np.ndarray              # pre-sigmoid output: (B,) for MlpParams, else (K, B)
     exp_neg_abs: np.ndarray       # exp(-|zout|), shared by sigmoid and BCE
     probs: np.ndarray
     mode: str
+    buffers: _Buffers             # where the step's temporaries live
+
+
+def _dropout(rngs, keep, buf):
+    """Keep indicators (1.0 where a uniform draw is below ``keep``, else 0.0)
+    in ``buf``, one draw per member from its own generator, in member order,
+    as ``rng.random(shape) < keep`` draws for one member."""
+    for k, rng in enumerate(rngs):
+        rng.random(out=buf[k])
+    np.less(buf, keep, out=buf)
+    return buf
 
 
 def forward(params, config, batch, mode="infer", rng=None):
@@ -265,125 +447,153 @@ def forward(params, config, batch, mode="infer", rng=None):
     Train mode applies dropout (requires ``rng``) and batch statistics,
     updating the running batch-norm estimates in place; infer mode uses the
     running statistics and no dropout.  Returns (probabilities, cache).
-    ``StackedParams`` of K members give (K, B) probabilities, infer mode only.
+
+    ``StackedParams`` of K members give (K, B) probabilities.  In infer mode
+    they all see the same (B, d) batch; in train mode the batch is (K, rows,
+    d), one block per member, and ``rng`` holds one generator per member.
+    An ``MlpParams`` runs as the K=1 stack of its own buffers.
     """
+    single = isinstance(params, MlpParams)
+    stack = params.stacked if single else params
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[-1] != config.input_dim:
         raise DimensionMismatch(f"batch width {x.shape[-1]} != input dim {config.input_dim}")
     train = mode == "train"
-    if train and isinstance(params, StackedParams):
-        raise ValueError("stacked parameters are for infer mode only")
-    if train and rng is None and (config.dropout_keep_input < 1 or config.dropout_keep_hidden < 1):
-        raise ValueError("train-mode forward with dropout needs an rng")
+    buffers = _FRESH
+    if train:
+        if rng is None and (config.dropout_keep_input < 1 or config.dropout_keep_hidden < 1):
+            raise ValueError("train-mode forward with dropout needs an rng")
+        if single:
+            x, rng = x[None], [rng]
+        elif x.ndim != 3 or len(x) != stack.n_members:
+            raise DimensionMismatch(
+                f"a stacked train batch is (members={stack.n_members}, rows, width)")
+        buffers = stack.buffers(config, x.shape[1])
 
     if train and config.dropout_keep_input < 1:
         keep = config.dropout_keep_input
-        x = x * (rng.random(x.shape) < keep)
-        x /= keep
+        kept = _dropout(rng, keep, buffers.inp)
+        kept *= x
+        kept /= keep
+        x = kept
 
-    cache = ForwardCache(layer_inputs=[], zhat=[], std=[], relu_in=[], drop_masks=[],
+    cache = ForwardCache(layer_inputs=[], zhat=[], std=[], drop_masks=[],
                          out_input=None, zout=None, exp_neg_abs=None, probs=None,
-                         mode=mode)
+                         mode=mode, buffers=buffers)
     a = x
-    n = len(x)
+    n = x.shape[-2]
     for l in range(len(config.hidden_layers)):
         cache.layer_inputs.append(a)
-        z = a @ params.weights[l].mT
-        z += params.biases[l]
+        z = np.matmul(a, stack.weights[l].mT, out=buffers.z[l])
+        z += stack.biases[l]
         if config.batch_norm:
             if train:
-                # z.mean(axis=0) and z.var(axis=0) spelled out as numpy computes
+                # z.mean(axis) and z.var(axis) spelled out as numpy computes
                 # them (same bits), so the centred batch is reused for zhat
-                mu = np.add.reduce(z, axis=0) / n
+                mu = np.add.reduce(z, axis=-2, keepdims=True, out=buffers.mu[l])
+                mu /= n
                 z -= mu
-                var = np.add.reduce(z * z, axis=0) / n
-                params.running_mean[l] *= 1.0 - BN_MOMENTUM
-                params.running_mean[l] += BN_MOMENTUM * mu
-                params.running_var[l] *= 1.0 - BN_MOMENTUM
-                params.running_var[l] += BN_MOMENTUM * var
+                var = np.add.reduce(np.multiply(z, z, out=buffers.act[l]), axis=-2,
+                                    keepdims=True, out=buffers.std[l])
+                var /= n
+                running_mean, running_var = stack.running_mean[l], stack.running_var[l]
+                running_mean *= 1.0 - BN_MOMENTUM
+                running_mean += np.multiply(mu, BN_MOMENTUM, out=mu)
+                running_var *= 1.0 - BN_MOMENTUM
+                running_var += np.multiply(var, BN_MOMENTUM, out=mu)
+                std = var
+                std += BN_EPS
+                np.sqrt(std, out=std)
             else:
-                z -= params.running_mean[l]
-                var = params.running_var[l]
-            std = np.sqrt(var + BN_EPS)
+                z -= stack.running_mean[l]
+                std = np.sqrt(stack.running_var[l] + BN_EPS)
             z /= std
             cache.zhat.append(z)
             cache.std.append(std)
-            pre_act = params.gamma[l] * z
-            pre_act += params.beta[l]
+            pre_act = np.multiply(stack.gamma[l], z, out=buffers.act[l])
+            pre_act += stack.beta[l]
         else:
             cache.zhat.append(None)
             cache.std.append(None)
             pre_act = z
-        cache.relu_in.append(pre_act)
-        a = np.maximum(pre_act, 0.0)
+        a = np.maximum(pre_act, 0.0, out=pre_act)
         if train and config.dropout_keep_hidden < 1:
             keep = config.dropout_keep_hidden
-            mask = (rng.random(a.shape) < keep) / keep
+            mask = _dropout(rng, keep, buffers.mask[l])
+            mask /= keep
             a *= mask
             cache.drop_masks.append(mask)
         else:
             cache.drop_masks.append(None)
 
     cache.out_input = a
-    zout = a @ params.weights[-1].mT
-    zout += params.biases[-1]
-    cache.zout = zout[..., 0]
-    cache.exp_neg_abs = np.exp(-np.abs(cache.zout))
-    cache.probs = sigmoid(cache.zout, cache.exp_neg_abs)
-    return cache.probs, cache
+    zout = np.matmul(a, stack.weights[-1].mT, out=buffers.zout)
+    zout += stack.biases[-1]
+    zout = zout[..., 0]
+    e = np.abs(zout, out=buffers.e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    probs = sigmoid(zout, e)
+    if single:
+        zout, e, probs = zout[0], e[0], probs[0]
+    cache.zout, cache.exp_neg_abs, cache.probs = zout, e, probs
+    return probs, cache
 
 
-def _backward(params, config, cache, y):
-    """Gradients of the mean loss, written into ``params.grad``."""
-    b = len(y)
-    p = cache.probs
+def _backward(stack, config, cache, y):
+    """Gradients of each member's mean loss, written into ``stack.grad``;
+    ``y`` is (K, rows)."""
+    buffers = cache.buffers
+    b = y.shape[-1]
+    p = cache.probs.reshape(y.shape)
     if config.loss == "bce":
         g = (p - y) / b
     else:
         g = 2.0 * (p - y) * p * (1.0 - p) / b
-    g = g[:, None]
+    g = g[..., None]
 
-    np.matmul(g.T, cache.out_input, out=params.d_weights[-1])
-    np.add.reduce(g, axis=0, out=params.d_biases[-1])
+    np.matmul(g.mT, cache.out_input, out=stack.d_weights[-1])
+    np.add.reduce(g, axis=-2, keepdims=True, out=stack.d_biases[-1])
     n_hidden = len(config.hidden_layers)
     if n_hidden:
-        da = g @ params.weights[-1]
+        da = np.matmul(g, stack.weights[-1], out=buffers.da[-1])
 
+    activations = cache.layer_inputs[1:] + [cache.out_input]
     for l in range(n_hidden - 1, -1, -1):
         if cache.drop_masks[l] is not None:
             da *= cache.drop_masks[l]
-        da *= cache.relu_in[l] > 0
+        # a > 0 exactly where the ReLU input was: dropout scales by 1/keep
+        # >= 1 or zeroes entries whose gradient it already zeroed.  The
+        # activation is dead after this, so its block becomes scratch.
+        scratch = np.greater(activations[l], 0, out=activations[l])
+        da *= scratch
         if config.batch_norm:
             zhat = cache.zhat[l]
-            np.add.reduce(da * zhat, axis=0, out=params.d_gamma[l])
-            np.add.reduce(da, axis=0, out=params.d_beta[l])
-            da *= params.gamma[l]                     # now d loss / d zhat
-            inv_std = 1.0 / cache.std[l]
-            sum_d = np.add.reduce(da, axis=0)
-            sum_dz = np.add.reduce(da * zhat, axis=0)
+            np.add.reduce(np.multiply(da, zhat, out=scratch), axis=-2, keepdims=True,
+                          out=stack.d_gamma[l])
+            np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_beta[l])
+            da *= stack.gamma[l]                      # now d loss / d zhat
+            inv_std = np.divide(1.0, cache.std[l], out=buffers.mu[l])
+            sum_d = np.add.reduce(da, axis=-2, keepdims=True, out=buffers.sum_d[l])
+            sum_dz = np.add.reduce(np.multiply(da, zhat, out=scratch), axis=-2,
+                                   keepdims=True, out=buffers.sum_dz[l])
             da *= b
             da -= sum_d
-            da -= zhat * sum_dz
-            da *= inv_std / b                         # now d loss / d z
-        np.matmul(da.T, cache.layer_inputs[l], out=params.d_weights[l])
-        np.add.reduce(da, axis=0, out=params.d_biases[l])
+            da -= np.multiply(zhat, sum_dz, out=scratch)
+            inv_std /= b
+            da *= inv_std                             # now d loss / d z
+        np.matmul(da.mT, cache.layer_inputs[l], out=stack.d_weights[l])
+        np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_biases[l])
         if l:
-            da = da @ params.weights[l]
+            da = np.matmul(da, stack.weights[l], out=buffers.da[l - 1])
 
     # L2 on weight matrices only: they are the leading n_weights entries
     if config.l2_lambda:
-        w = slice(0, params.n_weights)
-        params.grad[w] += config.l2_lambda * params.theta[w]
-    return params.grad
-
-
-def _l2_penalty(params, lam):
-    if lam == 0:
-        return 0.0
-    w = params.theta[: params.n_weights]
-    return 0.5 * lam * float(w @ w)
+        w = slice(0, stack.n_weights)
+        stack.grad[:, w] += np.multiply(stack.theta[:, w], config.l2_lambda, out=buffers.pw)
+    return stack.grad
 
 
 def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
@@ -392,23 +602,36 @@ def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
 
     The gradients are ``params.grad``, the flat twin of ``params.theta``; the
     next call overwrites them.  The L2 term covers weight matrices only,
-    never biases or batch-norm scale/shift.  Raises NonFiniteLoss when the
-    loss diverges.
+    never biases or batch-norm scale/shift.  For an ``MlpParams`` the loss is
+    a float and NonFiniteLoss is raised when it diverges.  For
+    ``StackedParams`` the batch is (K, rows, d), ``labels`` are the K x rows
+    labels flat, and the losses come back as a (K,) array for the caller to
+    check; the per-sample losses are (K, rows).
     """
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    single = isinstance(params, MlpParams)
+    stack = params.stacked if single else params
     probs, cache = forward(params, config, batch, mode=mode, rng=rng)
-    if len(y) != len(probs):
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    if len(y) != probs.size:
         raise DimensionMismatch("labels length != batch size")
+    y = y.reshape(stack.n_members, -1)
     if config.loss == "bce":
-        per_sample = bce_per_sample(cache.zout, y, cache.exp_neg_abs)
+        per_sample = bce_per_sample(cache.zout.reshape(y.shape), y,
+                                    cache.exp_neg_abs.reshape(y.shape))
     else:
-        per_sample = (probs - y) ** 2
+        per_sample = (probs.reshape(y.shape) - y) ** 2
     # np.add.reduce(...) / n is how per_sample.mean() computes it (same bits)
-    loss = float(np.add.reduce(per_sample) / len(per_sample))
-    loss += _l2_penalty(params, config.l2_lambda)
-    if not math.isfinite(loss):
-        raise NonFiniteLoss(f"loss became {loss}")
-    grads = _backward(params, config, cache, y)
+    loss = np.add.reduce(per_sample, axis=-1) / y.shape[1]
+    if config.l2_lambda:
+        w = stack.theta[:, :stack.n_weights]
+        loss += 0.5 * config.l2_lambda * np.vecdot(w, w)
+    if single:
+        loss, per_sample = float(loss[0]), per_sample[0]
+        if not math.isfinite(loss):
+            raise NonFiniteLoss(f"loss became {loss}")
+    grads = _backward(stack, config, cache, y)
+    if single:
+        grads = params.grad
     if return_per_sample:
         return loss, grads, per_sample
     return loss, grads
@@ -416,23 +639,38 @@ def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
 
 def optimizer_step(params, grads, config):
     """One in-place Adam (bias-corrected) or RMSProp update of ``theta``
-    from the flat gradient ``grads``."""
+    from the flat gradient ``grads``; a stack updates all K rows at once."""
     params.step += 1
     t = params.step
     lr = config.learning_rate
     m, v = params.opt_m, params.opt_v
+    buffers = _FRESH
+    if isinstance(params, StackedParams) and params.workspace is not None:
+        buffers = params.workspace.at(params.n_members, params.workspace.rows)
+    p1, p2 = buffers.p1, buffers.p2
     if config.optimizer == "adam":
         c1 = 1.0 - ADAM_BETA1 ** t
         c2 = 1.0 - ADAM_BETA2 ** t
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grads
+        m += np.multiply(grads, 1.0 - ADAM_BETA1, out=p1)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (grads * grads)
-        params.theta -= lr * (m / c1) / (np.sqrt(v / c2) + OPT_EPS)
+        square = np.multiply(grads, grads, out=p1)
+        square *= 1.0 - ADAM_BETA2
+        v += square
+        update = np.divide(m, c1, out=p1)
+        update *= lr
+        denom = np.divide(v, c2, out=p2)
+        np.sqrt(denom, out=denom)
     else:
         v *= RMSPROP_DECAY
-        v += (1.0 - RMSPROP_DECAY) * (grads * grads)
-        params.theta -= lr * grads / (np.sqrt(v) + OPT_EPS)
+        square = np.multiply(grads, grads, out=p1)
+        square *= 1.0 - RMSPROP_DECAY
+        v += square
+        update = np.multiply(grads, lr, out=p1)
+        denom = np.sqrt(v, out=p2)
+    denom += OPT_EPS
+    update /= denom
+    params.theta -= update
     return params
 
 

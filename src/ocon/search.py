@@ -8,9 +8,13 @@ numeric hyperparameter around the current best.  The four preset stages
 mirror the reference experiment ladder: topology/optimizer/learning-rate,
 dropout, batch-norm with a learning-rate recheck, and L2 weight decay.
 
-Grid cells are embarrassingly parallel; each cell derives its own seed from
-(stage seed, combination, class), so results are identical for any worker
-count or scheduling order.
+A search task is one grid combination (``_run_cell``): every class x fold
+cycle of it goes through one lockstep engine call (``training._run_cycle``),
+which steps cycles of equal training-split size together.  Each class is
+planned on its own, so a class the data cannot support scores -inf without
+touching the others.  Each (combination, class) cell derives its own seed
+from (stage seed, combination, class), so results are identical for any
+worker count or scheduling order.
 """
 
 import csv
@@ -23,7 +27,7 @@ from .configfile import load_config, parse_config_text
 from .errors import NonNumericHp, OconError
 from .features import SPEAKER_CLASS_NAMES
 from .mlp import MlpConfig
-from .training import TrainConfig, k_fold_evaluate
+from .training import KFoldResult, TrainConfig, _run_cycle, plan_k_fold
 from .util import derive_seed
 
 #: Hyperparameters refined on a log scale; everything else numeric is linear.
@@ -213,24 +217,35 @@ def _cell_seedstamp(stage_seed, combo_index, class_id):
     return derive_seed(stage_seed, "cell", combo_index, class_id)
 
 
-def _run_cell(matrix, stage, hps, combo_index, class_id, stage_seed, task,
+def _run_cell(matrix, stage, hps, combo_index, class_ids, stage_seed, task,
               max_batch_sets, early_stop):
-    cell_seed = _cell_seedstamp(stage_seed, combo_index, class_id)
-    mlp_cfg = hp_to_mlp_config(hps, matrix.feature_set.dim, seed=derive_seed(cell_seed, "init"))
-    train_cfg = TrainConfig(
-        epochs_per_batch_set=stage.epochs, max_batch_sets=max_batch_sets,
-        early_stop=early_stop, k_folds=stage.k_folds,
-        seed=derive_seed(cell_seed, "train"), reencode_per_batch_set=False)
-    try:
-        result = k_fold_evaluate(matrix, class_id, mlp_cfg, train_cfg,
-                                 k=stage.k_folds, task=task)
-        if result.diverged:
-            return combo_index, class_id, float("-inf"), result.mean_seconds, True
-        return combo_index, class_id, result.mean_accuracy, result.mean_seconds, False
-    except OconError:
-        # a cell the data cannot support (too few samples, hopeless balance)
-        # must not kill the stage; it ranks last.  Programming errors propagate.
-        return combo_index, class_id, float("-inf"), 0.0, True
+    """One grid combination: every class x fold cycle of it, trained by one
+    engine call.  Returns (combo_index, [(accuracy, seconds, failed)] per
+    class id)."""
+    plans, outcomes = {}, {}
+    for class_id in class_ids:
+        cell_seed = _cell_seedstamp(stage_seed, combo_index, class_id)
+        mlp_cfg = hp_to_mlp_config(hps, matrix.feature_set.dim,
+                                   seed=derive_seed(cell_seed, "init"))
+        train_cfg = TrainConfig(
+            epochs_per_batch_set=stage.epochs, max_batch_sets=max_batch_sets,
+            early_stop=early_stop, k_folds=stage.k_folds,
+            seed=derive_seed(cell_seed, "train"), reencode_per_batch_set=False)
+        try:
+            plans[class_id] = plan_k_fold(matrix, class_id, mlp_cfg, train_cfg,
+                                          k=stage.k_folds, task=task)
+        except OconError:
+            # a class the data cannot support (too few samples, hopeless
+            # balance) must not kill the stage; it ranks last.  Programming
+            # errors propagate.
+            outcomes[class_id] = (float("-inf"), 0.0, True)
+    cycles = [cycle for plan in plans.values() for cycle in plan]
+    trained = iter(_run_cycle(matrix, cycles) if cycles else ())
+    for class_id, plan in plans.items():
+        result = KFoldResult.of([report for _, report in itertools.islice(trained, len(plan))])
+        accuracy = float("-inf") if result.diverged else result.mean_accuracy
+        outcomes[class_id] = (accuracy, result.mean_seconds, result.diverged)
+    return combo_index, [outcomes[class_id] for class_id in class_ids]
 
 
 def run_stage(matrix, stage, inherited=None, seed=0, workers=1, task="phoneme",
@@ -257,23 +272,16 @@ def run_stage(matrix, stage, inherited=None, seed=0, workers=1, task="phoneme",
         class_ids = list(range(matrix.n_classes))
         class_names = matrix.class_names
 
-    cells = [(ci, cid) for ci in range(len(combos)) for cid in class_ids]
-    outcomes = {}
+    args = [(matrix, stage, combos[ci], ci, class_ids, seed, task, max_batch_sets, early_stop)
+            for ci in range(len(combos))]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, matrix, stage, combos[ci], ci, cid, seed,
-                            task, max_batch_sets, early_stop)
-                for ci, cid in cells]
-            for fut in futures:
-                ci, cid, acc, secs, div = fut.result()
-                outcomes[(ci, cid)] = (acc, secs, div)
+            futures = [pool.submit(_run_cell, *a) for a in args]
+            cells = [fut.result() for fut in futures]
     else:
-        for ci, cid in cells:
-            ci, cid, acc, secs, div = _run_cell(
-                matrix, stage, combos[ci], ci, cid, seed, task, max_batch_sets,
-                early_stop)
-            outcomes[(ci, cid)] = (acc, secs, div)
+        cells = [_run_cell(*a) for a in args]
+    outcomes = {(ci, cid): outcome for ci, per_class in cells
+                for cid, outcome in zip(class_ids, per_class)}
 
     grid_keys = list(stage.grid)
     rows = []

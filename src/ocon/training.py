@@ -8,7 +8,24 @@ in the loss curve), re-splits it 70/15/15, and runs up to
 individual training-sample losses must fall below the loss threshold while
 held-out accuracy meets the accuracy threshold.  The held-out split is dev by
 default; ``escape_on_test=True`` reproduces the reference protocol, which
-peeks at the test split (documented leakage, off by default).
+peeks at the test split (documented leakage, off by default).  Under
+batch-norm a 1-row tail minibatch joins the step before it (``_step_bounds``).
+
+``_run_cycle`` is the only training engine.  It takes a list of ``Cycle``s
+that share one configuration but for their seeds -- the members of a bank,
+the folds of a k-fold evaluation, or every class x fold cycle of one search
+combination -- and trains them in lockstep: cycles whose training splits
+have the same number of rows (which depends only on class counts) form a
+group, and each minibatch step of a group is one stacked ``loss_and_grads``
+and ``optimizer_step`` over all its members (see ``mlp``), at most
+``STACK_MAX_VALUES`` values of rows x members x widest layer per group.
+Every member keeps its own shuffle, dropout stream, loss curve, early-stop
+window and held-out checks, so its bits are those of a solo run.  A member
+that stops early or whose loss is not finite is copied out of the stack
+before the next optimizer step and the group shrinks.  A member's
+``train_seconds`` is its batch-set 0 fetch plus, for every epoch it took
+part in, the epoch's wall time divided by the members then in the group:
+the shares of a group add up to the group's wall time.
 """
 
 import math
@@ -19,14 +36,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .balancer import build_balanced_subset, speaker_balanced_subset
-from .errors import NonFiniteLoss, TooFewSamples
+from .errors import TooFewSamples
 from .mlp import (
+    STACK_MAX_VALUES,
+    MlpConfig,
     MlpModel,
     binary_accuracy,
     config_hash,
     init_params,
     loss_and_grads,
     optimizer_step,
+    stack_params,
 )
 from .util import derive_seed, rng_from, sha256_json
 
@@ -132,19 +152,8 @@ class TrainReport:
         }
 
 
-def _largest_remainder(n, fractions):
-    """Integer allocation of n items proportional to fractions."""
-    exact = [n * f for f in fractions]
-    base = [int(math.floor(e)) for e in exact]
-    leftover = n - sum(base)
-    order = sorted(range(len(fractions)), key=lambda i: (-(exact[i] - base[i]), i))
-    for i in order[:leftover]:
-        base[i] += 1
-    return base
-
-
 def _nonempty_targets(n, fractions):
-    targets = _largest_remainder(n, fractions)
+    targets = _largest_remainder([n * f for f in fractions], n)
     needed = [i for i, f in enumerate(fractions) if f > 0]
     if n < len(needed):
         raise TooFewSamples(f"{n} samples cannot fill {len(needed)} splits")
@@ -165,7 +174,7 @@ def _stratified_split(positives, negatives, fractions, seed):
     n = n_pos + n_neg
     targets = _nonempty_targets(n, fractions)
     pos_share = [t * n_pos / n for t in targets]
-    pos_alloc = _largest_remainder_from_shares(pos_share, n_pos)
+    pos_alloc = _largest_remainder(pos_share, n_pos)
     for i in range(len(targets)):
         while pos_alloc[i] > targets[i]:
             j = max(range(len(targets)), key=lambda s: targets[s] - pos_alloc[s])
@@ -185,7 +194,9 @@ def _stratified_split(positives, negatives, fractions, seed):
     return out
 
 
-def _largest_remainder_from_shares(shares, total):
+def _largest_remainder(shares, total):
+    """Integer allocation of ``total`` items: the floors of ``shares``, plus
+    one for the largest fractional parts (lowest index on ties)."""
     base = [int(math.floor(s)) for s in shares]
     leftover = total - sum(base)
     order = sorted(range(len(shares)), key=lambda i: (-(shares[i] - base[i]), i))
@@ -209,92 +220,199 @@ def _gather(matrix, pos_mask, idx):
     return _SplitData(x=matrix.values[idx], y=pos_mask[idx].astype(np.float64))
 
 
-def _run_cycle(matrix, class_name, provider, mlp_config, train_config):
-    """Shared engine behind train_one_class and the k-fold folds.
+@dataclass
+class Cycle:
+    """One training cycle for ``_run_cycle``.
 
-    ``provider(bs)`` supplies (train, dev, test) _SplitData plus bookkeeping
-    for batch-set ``bs``.
+    ``provider(bs)`` supplies the (train, dev, test) ``_SplitData``, the
+    subset seed and the (positives, negatives) sizes of batch-set ``bs``.
     """
-    tc = train_config
-    params = init_params(mlp_config)
-    dropout_rng = rng_from(mlp_config.seed, "dropout")
-    window = deque(maxlen=tc.early_stop.loss_window) if tc.early_stop else None
 
-    loss_curve = []
-    boundaries = []
-    subset_seeds, subset_sizes, split_sizes = [], [], []
-    stop_reason = "exhausted_budget"
-    dev_accuracy = float("nan")
-    splits = None
-    stopped = False
+    class_name: str
+    provider: object
+    mlp_config: MlpConfig
+    train_config: TrainConfig
 
-    t0 = time.perf_counter()
+
+def _step_bounds(n, config):
+    """(start, stop) rows of each minibatch of an n-row epoch.
+
+    Under batch-norm a 1-row step has zero batch variance: its weight, scale
+    and shift gradients are all zero and it shrinks the running variance by
+    the momentum.  Such a tail row joins the step before it instead.
+    """
+    starts = list(range(0, n, config.batch_size))
+    if config.batch_norm and len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class _Member:
+    """One cycle inside a lockstep group: its random streams, its report
+    fields, and an ``MlpParams`` that the stack's row is copied into when
+    the member leaves the group or meets a held-out check."""
+
+    def __init__(self, cycle, first, seconds):
+        self.cycle = cycle
+        self.config = cycle.mlp_config
+        self.params = init_params(cycle.mlp_config)
+        self.dropout_rng = rng_from(cycle.mlp_config.seed, "dropout")
+        rule = cycle.train_config.early_stop
+        self.window = deque(maxlen=rule.loss_window) if rule else None
+        self.first = first                # the provider's batch-set 0
+        self.seconds = seconds
+        self.loss_curve, self.boundaries = [], []
+        self.subset_seeds, self.subset_sizes, self.split_sizes = [], [], []
+        self.stop_reason = "exhausted_budget"
+        self.dev_accuracy = float("nan")
+        self.splits = None
+        self.shuffle_rng = None
+
+    def start_batch_set(self, bs):
+        """Fetch batch-set ``bs``; returns its training split."""
+        splits, seed_used, sizes = self.first if bs == 0 else self.cycle.provider(bs)
+        self.first = None
+        self.splits = splits
+        self.subset_seeds.append(seed_used)
+        self.subset_sizes.append(sizes)
+        self.split_sizes.append(tuple(len(part.y) for part in splits))
+        self.boundaries.append(len(self.loss_curve))
+        self.shuffle_rng = rng_from(self.cycle.train_config.seed, "shuffle", bs)
+        return splits[0]
+
+    def end_epoch(self, losses, refresh):
+        """Record an epoch's per-sample losses; True when the early-stop
+        escape holds.  ``refresh()`` copies the member's row out of the
+        stack before a held-out check."""
+        tc = self.cycle.train_config
+        # np.add.reduce(...) / n is how .mean() computes it (same bits)
+        self.loss_curve.append(float(np.add.reduce(losses) / len(losses)))
+        rule = tc.early_stop
+        if rule is None:
+            return False
+        # the window holds the last loss_window sample losses, as if it were
+        # extended after every step
+        self.window.extend(losses[-rule.loss_window:])
+        # the escape is an AND, so the held-out pass only runs once the loss
+        # side of the condition already holds
+        if not float(np.mean(self.window)) < rule.loss_threshold:
+            return False
+        held = self.splits[2] if tc.escape_on_test else self.splits[1]
+        refresh()
+        acc = binary_accuracy(self.params, self.config, held.x, held.y)
+        if acc < rule.accuracy_threshold:
+            return False
+        self.stop_reason = "early_stop"
+        self.dev_accuracy = acc
+        return True
+
+    def result(self, scaling_hash):
+        splits, diverged = self.splits, self.stop_reason == "diverged"
+        test_accuracy = 0.0 if diverged else binary_accuracy(
+            self.params, self.config, splits[2].x, splits[2].y)
+        dev_accuracy = self.dev_accuracy
+        if math.isnan(dev_accuracy) and not diverged:
+            dev_accuracy = binary_accuracy(self.params, self.config, splits[1].x, splits[1].y)
+        report = TrainReport(
+            class_name=self.cycle.class_name, loss_curve=self.loss_curve,
+            batch_set_boundaries=self.boundaries, epochs_run=len(self.loss_curve),
+            test_accuracy=test_accuracy, dev_accuracy=dev_accuracy,
+            train_seconds=self.seconds, stop_reason=self.stop_reason,
+            subset_seeds=self.subset_seeds, subset_sizes=self.subset_sizes,
+            split_sizes=self.split_sizes, mlp_config_hash=config_hash(self.config))
+        model = MlpModel(config=self.config, params=self.params, scaling_hash=scaling_hash,
+                         manifest_hash=report.manifest_hash())
+        return model, report
+
+
+def _train_group(members, n_train, config, tc):
+    """Train ``members`` in lockstep: one stacked step per minibatch for all
+    of them, until each has stopped or spent its budget."""
+    steps = _step_bounds(n_train, config)
+    stack = stack_params([m.params for m in members], train=True)
+    stack.buffers(config, max(stop - start for start, stop in steps))
+    k = len(members)
+    xe = np.empty((k, n_train, config.input_dim))
+    ye = np.empty((k, n_train))
+    losses = np.empty((k, n_train))
+    alive = members
+    clock = time.perf_counter()
     for bs in range(tc.max_batch_sets):
-        splits, seed_used, sizes = provider(bs)
-        subset_seeds.append(seed_used)
-        subset_sizes.append(sizes)
-        split_sizes.append((len(splits[0].y), len(splits[1].y), len(splits[2].y)))
-        boundaries.append(len(loss_curve))
-        train, dev, test = splits
-        n_train = len(train.y)
-        shuffle_rng = rng_from(tc.seed, "shuffle", bs)
-
+        trains = [m.start_batch_set(bs) for m in alive]
+        if any(len(train.y) != n_train for train in trains):
+            raise ValueError("a lockstep member's training split changed size")
         for _ in range(tc.epochs_per_batch_set):
-            order = shuffle_rng.permutation(n_train)
-            xe, ye = train.x[order], train.y[order]
-            epoch_losses = np.empty(n_train)
-            try:
-                for start in range(0, n_train, mlp_config.batch_size):
-                    stop = start + mlp_config.batch_size
-                    _, grads, per_sample = loss_and_grads(
-                        params, mlp_config, xe[start:stop], ye[start:stop],
-                        rng=dropout_rng, mode="train", return_per_sample=True)
-                    optimizer_step(params, grads, mlp_config)
-                    epoch_losses[start:stop] = per_sample
-            except NonFiniteLoss:
-                stop_reason = "diverged"
-                stopped = True
-                break
-            # np.add.reduce(...) / n is how .mean() computes it (same bits)
-            loss_curve.append(float(np.add.reduce(epoch_losses) / n_train))
-
-            if tc.early_stop is not None:
-                # the window holds the last loss_window sample losses, as if
-                # it were extended after every step
-                window.extend(epoch_losses[-tc.early_stop.loss_window:])
-                rolling = float(np.mean(window))
-                # the escape is an AND, so the held-out pass only runs once
-                # the loss side of the condition already holds
-                if rolling < tc.early_stop.loss_threshold:
-                    held = test if tc.escape_on_test else dev
-                    acc = binary_accuracy(params, mlp_config, held.x, held.y)
-                    if acc >= tc.early_stop.accuracy_threshold:
-                        stop_reason = "early_stop"
-                        dev_accuracy = acc
-                        stopped = True
+            entered = alive
+            for j, (m, train) in enumerate(zip(alive, trains)):
+                order = m.shuffle_rng.permutation(n_train)
+                np.take(train.x, order, axis=0, out=xe[j])
+                np.take(train.y, order, out=ye[j])
+            rngs = [m.dropout_rng for m in alive]
+            for start, stop in steps:
+                k = len(alive)
+                loss, _, per_sample = loss_and_grads(
+                    stack, config, xe[:k, start:stop], ye[:k, start:stop].ravel(),
+                    rng=rngs, mode="train", return_per_sample=True)
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    # a diverged member leaves before the optimizer step; the
+                    # others' rows are untouched by its non-finite values
+                    for j in np.flatnonzero(~finite):
+                        alive[j].stop_reason = "diverged"
+                        stack.copy_out(j, alive[j].params)
+                    keep = np.flatnonzero(finite)
+                    stack = stack.select(keep)
+                    alive, trains, rngs = ([seq[j] for j in keep] for seq in (alive, trains, rngs))
+                    for buf in (xe, ye, losses):
+                        buf[:len(keep)] = buf[keep]
+                    per_sample = per_sample[keep]
+                    if not alive:
                         break
-        if stopped:
-            break
-    seconds = time.perf_counter() - t0
+                optimizer_step(stack, stack.grad, config)
+                losses[:len(alive), start:stop] = per_sample
+            stopped = [m.end_epoch(losses[j], lambda j=j, m=m: stack.copy_out(j, m.params))
+                       for j, m in enumerate(alive)]
+            if any(stopped):
+                keep = [j for j, done in enumerate(stopped) if not done]
+                stack = stack.select(keep)
+                alive, trains = [alive[j] for j in keep], [trains[j] for j in keep]
+            now = time.perf_counter()
+            for m in entered:
+                m.seconds += (now - clock) / len(entered)
+            clock = now
+            if not alive:
+                return
+    for j, m in enumerate(alive):
+        stack.copy_out(j, m.params)
 
-    if stop_reason == "diverged":
-        test_accuracy = 0.0
-    else:
-        test_accuracy = binary_accuracy(params, mlp_config, splits[2].x, splits[2].y)
-    if math.isnan(dev_accuracy) and stop_reason != "diverged":
-        dev_accuracy = binary_accuracy(params, mlp_config, splits[1].x, splits[1].y)
 
-    report = TrainReport(
-        class_name=class_name, loss_curve=loss_curve,
-        batch_set_boundaries=boundaries, epochs_run=len(loss_curve),
-        test_accuracy=test_accuracy, dev_accuracy=dev_accuracy,
-        train_seconds=seconds, stop_reason=stop_reason,
-        subset_seeds=subset_seeds, subset_sizes=subset_sizes,
-        split_sizes=split_sizes, mlp_config_hash=config_hash(mlp_config))
-    model = MlpModel(config=mlp_config, params=params,
-                     scaling_hash=matrix.scaling.content_hash(),
-                     manifest_hash=report.manifest_hash())
-    return model, report
+def _run_cycle(matrix, cycles):
+    """The training engine: run ``cycles`` (one config but for the seeds)
+    in lockstep groups; returns one (MlpModel, TrainReport) per cycle.
+
+    Each cycle's batch-set 0 is fetched first.  Cycles with the same number
+    of training rows step together, at most ``STACK_MAX_VALUES`` values of
+    rows x members x widest layer per group.  A member's ``train_seconds``
+    is its batch-set 0 fetch plus its share of every epoch it took part in:
+    the epoch's wall time over the members then in the group.
+    """
+    members = []
+    for cycle in cycles:
+        t0 = time.perf_counter()
+        first = cycle.provider(0)
+        members.append(_Member(cycle, first, time.perf_counter() - t0))
+    groups = {}
+    for m in members:
+        key = (len(m.first[0][0].y), replace(m.config, seed=0),
+               replace(m.cycle.train_config, seed=0))
+        groups.setdefault(key, []).append(m)
+    for (n_train, config, tc), group in groups.items():
+        rows = max(stop - start for start, stop in _step_bounds(n_train, config))
+        size = max(1, STACK_MAX_VALUES // (rows * max(config.layer_dims)))
+        for at in range(0, len(group), size):
+            _train_group(group[at: at + size], n_train, config, tc)
+    scaling_hash = matrix.scaling.content_hash()
+    return [m.result(scaling_hash) for m in members]
 
 
 def _subset_builder(matrix, class_id, task, tolerance):
@@ -313,8 +431,8 @@ def _class_name(matrix, class_id, task):
     return names[class_id]
 
 
-def train_one_class(matrix, class_id, mlp_config, train_config, task="phoneme"):
-    """Full training cycle for one class; returns (MlpModel, TrainReport)."""
+def one_class_cycle(matrix, class_id, mlp_config, train_config, task="phoneme"):
+    """The ``Cycle`` of one class's full training run."""
     tc = train_config
     build = _subset_builder(matrix, class_id, task, tc.balancing_tolerance)
     pos_mask = np.zeros(matrix.n_rows, dtype=bool)
@@ -333,8 +451,13 @@ def train_one_class(matrix, class_id, mlp_config, train_config, task="phoneme"):
         splits = tuple(_gather(matrix, pos_mask, idx) for idx in parts)
         return splits, state["seed"], (subset.n_positive, subset.n_negative)
 
-    return _run_cycle(matrix, _class_name(matrix, class_id, task), provider,
-                      mlp_config, train_config)
+    return Cycle(_class_name(matrix, class_id, task), provider, mlp_config, train_config)
+
+
+def train_one_class(matrix, class_id, mlp_config, train_config, task="phoneme"):
+    """Full training cycle for one class; returns (MlpModel, TrainReport)."""
+    return _run_cycle(matrix, [one_class_cycle(matrix, class_id, mlp_config, train_config,
+                                               task)])[0]
 
 
 @dataclass
@@ -342,6 +465,13 @@ class KFoldResult:
     mean_accuracy: float
     mean_seconds: float
     reports: list
+
+    @classmethod
+    def of(cls, reports):
+        k = len(reports)
+        return cls(mean_accuracy=sum(r.test_accuracy for r in reports) / k,
+                   mean_seconds=sum(r.train_seconds for r in reports) / k,
+                   reports=reports)
 
     @property
     def diverged(self):
@@ -357,13 +487,14 @@ def _fold_assignment(n_pos, n_neg, k, rng):
     return pos_folds, neg_folds
 
 
-def k_fold_evaluate(matrix, class_id, mlp_config, train_config, k=None, task="phoneme"):
-    """Average accuracy and training time over k held-out folds.
+def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None, task="phoneme"):
+    """The k fold ``Cycle``s of one k-fold evaluation, for ``_run_cycle``.
 
     The balanced subset is built once per evaluation (so folds stay fixed);
     within each fold the remainder is re-split into train/dev at each
     batch-set boundary, which preserves the re-shuffling protocol without
-    touching the held-out fold.
+    touching the held-out fold.  A class the data cannot support raises its
+    ``OconError`` here, before any training.
     """
     tc = train_config
     k = tc.k_folds if k is None else k
@@ -380,9 +511,10 @@ def k_fold_evaluate(matrix, class_id, mlp_config, train_config, k=None, task="ph
     pos_mask[positives] = True
 
     frac = tc.fractions
-    inner = (frac[0] / (frac[0] + frac[1]), frac[1] / (frac[0] + frac[1]))
+    inner = (frac[0] / (frac[0] + frac[1]), frac[1] / (frac[0] + frac[1]), 0.0)
+    name = _class_name(matrix, class_id, task)
 
-    reports = []
+    cycles = []
     for f in range(k):
         test_idx = np.sort(np.concatenate([positives[pos_folds == f],
                                            negatives[neg_folds == f]]))
@@ -390,20 +522,22 @@ def k_fold_evaluate(matrix, class_id, mlp_config, train_config, k=None, task="ph
         rest_neg = negatives[neg_folds != f]
         if len(test_idx) == 0 or len(rest_pos) + len(rest_neg) == 0:
             raise TooFewSamples(f"fold {f} leaves an empty part")
+        _nonempty_targets(len(rest_pos) + len(rest_neg), inner)
 
         def provider(bs, _tp=test_idx, _rp=rest_pos, _rn=rest_neg, _f=f):
             seed = derive_seed(tc.seed, "fold", _f, "split", bs)
-            tr, dv, _ = _stratified_split(_rp, _rn, (*inner, 0.0), seed)
+            tr, dv, _ = _stratified_split(_rp, _rn, inner, seed)
             splits = (_gather(matrix, pos_mask, tr), _gather(matrix, pos_mask, dv),
                       _gather(matrix, pos_mask, _tp))
             return splits, seed, (subset.n_positive, subset.n_negative)
 
         fold_cfg = replace(mlp_config, seed=derive_seed(mlp_config.seed, "fold", f))
-        _, report = _run_cycle(matrix, _class_name(matrix, class_id, task),
-                               provider, fold_cfg, tc)
-        reports.append(report)
+        cycles.append(Cycle(name, provider, fold_cfg, tc))
+    return cycles
 
-    return KFoldResult(
-        mean_accuracy=sum(r.test_accuracy for r in reports) / k,
-        mean_seconds=sum(r.train_seconds for r in reports) / k,
-        reports=reports)
+
+def k_fold_evaluate(matrix, class_id, mlp_config, train_config, k=None, task="phoneme"):
+    """Average accuracy and training time over k held-out folds, all folds
+    trained by one engine call (see ``plan_k_fold``)."""
+    cycles = plan_k_fold(matrix, class_id, mlp_config, train_config, k=k, task=task)
+    return KFoldResult.of([report for _, report in _run_cycle(matrix, cycles)])

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ class TestForward:
         probs1, _ = forward(params, config, x, mode="infer")
         probs2, _ = forward(params, config, x, mode="infer")
         assert np.array_equal(probs1, probs2)  # infer never mutates state
+
+    def test_one_row_batch_norm_step_is_degenerate(self):
+        # why the training loop never takes a 1-row step under batch-norm:
+        # zero batch variance zeroes every weight, scale and shift gradient
+        # and shrinks the running variance by the momentum
+        config = small_config(batch_norm=True)
+        params = init_params(config)
+        x = np.random.default_rng(0).random((1, 3))
+        loss_and_grads(params, config, x, np.ones(1))
+        assert np.array_equal(params.running_var[0], np.full(4, 0.9))
+        assert not params.d_weights[0].any() and not params.d_gamma[0].any()
+        assert not params.d_beta[0].any()
 
     def test_dropout_expectation_matches_infer_in_linear_regime(self):
         # positive weights, biases, and inputs keep ReLU in its identity
@@ -467,11 +480,66 @@ class TestStackedParams:
         reference = np.stack([forward(p, config, x)[0] for p in members])
         assert np.array_equal(probs.view(np.uint64), reference.view(np.uint64))
 
-    def test_train_mode_rejected(self):
+    @pytest.mark.parametrize("config", [
+        MlpConfig.tuned(3, seed=0),
+        small_config(hidden_layers=(5, 4), batch_norm=True, dropout_keep_input=0.9,
+                     dropout_keep_hidden=0.7, l2_lambda=1e-3, optimizer="rmsprop"),
+        small_config(hidden_layers=(6,), loss="mse"),
+        small_config(hidden_layers=()),
+    ], ids=["tuned", "two_layer_bn_rmsprop", "mse", "no_hidden"])
+    def test_stacked_train_steps_equal_member_steps(self, config):
+        # full 8-row steps, then a 3-row tail through [:, :rows] workspace views
+        n_members, row_counts = 3, (8, 8, 3, 8)
+        members = [init_params(replace(config, seed=seed)) for seed in range(n_members)]
+        singles = [p.copy() for p in members]
+        stack = stack_params(members, train=True)
+        stacked_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
+        single_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
+        data = np.random.default_rng(7)
+        for rows in row_counts:
+            x = data.random((n_members, rows, config.input_dim))
+            y = (data.random((n_members, rows)) < 0.5).astype(np.float64)
+            losses, grads, per_sample = loss_and_grads(
+                stack, config, x, y.ravel(), rng=stacked_rngs, return_per_sample=True)
+            optimizer_step(stack, grads, config)
+            assert losses.shape == (n_members,) and per_sample.shape == (n_members, rows)
+            for k, params in enumerate(singles):
+                loss, grad, samples = loss_and_grads(params, config, x[k], y[k],
+                                                     rng=single_rngs[k], return_per_sample=True)
+                optimizer_step(params, grad, config)
+                assert loss == losses[k]
+                assert np.array_equal(samples.view(np.uint64), per_sample[k].view(np.uint64))
+        for k, params in enumerate(singles):
+            out = init_params(config)
+            stack.copy_out(k, out)
+            assert out.step == params.step == len(row_counts)
+            for mine, theirs in zip([out.theta, out.opt_m, out.opt_v, *out.running_mean,
+                                     *out.running_var],
+                                    [params.theta, params.opt_m, params.opt_v,
+                                     *params.running_mean, *params.running_var]):
+                assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
+    def test_non_finite_member_leaves_the_others_alone(self):
+        config = small_config(batch_norm=True, dropout_keep_hidden=0.5)
+        members = [init_params(replace(config, seed=seed)) for seed in range(3)]
+        x = np.random.default_rng(1).random((3, 6, 3))
+        y = np.ones(18)
+        clean, _ = loss_and_grads(stack_params(members, train=True), config, x, y,
+                                  rng=[np.random.default_rng(k) for k in range(3)])
+        x[1, 2, 0] = np.nan
+        stack = stack_params(members, train=True)
+        with np.errstate(invalid="ignore"):
+            dirty, grads = loss_and_grads(stack, config, x, y,
+                                          rng=[np.random.default_rng(k) for k in range(3)])
+        assert np.isnan(dirty[1]) and np.isfinite(dirty[[0, 2]]).all()
+        assert dirty[0] == clean[0] and dirty[2] == clean[2]
+        assert np.isfinite(grads[[0, 2]]).all()
+
+    def test_stacked_train_batch_needs_a_member_axis(self):
         config, members = self.members()
-        with pytest.raises(ValueError, match="infer mode"):
-            forward(stack_params(members), config, np.zeros((2, 3)), mode="train",
-                    rng=np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch, match="members=3"):
+            forward(stack_params(members, train=True), config, np.zeros((2, 3)),
+                    mode="train", rng=[np.random.default_rng(0)] * 3)
 
     def test_mixed_topology_rejected(self):
         config, members = self.members()

@@ -167,7 +167,7 @@ class TestRunStage:
     def test_domain_error_in_cell_ranks_last(self, monkeypatch):
         def too_few(*args, **kwargs):
             raise TooFewSamples("no folds")
-        monkeypatch.setattr(search, "k_fold_evaluate", too_few)
+        monkeypatch.setattr(search, "plan_k_fold", too_few)
         result = run_stage(blob_matrix(n_per_class=20, n_classes=2, seed=2),
                            tiny_stage(), seed=1)
         assert all(r.mean_accuracy == float("-inf") and r.diverged for r in result.rows)
@@ -175,7 +175,7 @@ class TestRunStage:
     def test_programming_error_in_cell_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("operands could not be broadcast")
-        monkeypatch.setattr(search, "k_fold_evaluate", broken)
+        monkeypatch.setattr(search, "plan_k_fold", broken)
         with pytest.raises(TypeError, match="broadcast"):
             run_stage(blob_matrix(n_per_class=20, n_classes=2, seed=2), tiny_stage(), seed=1)
 

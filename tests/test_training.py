@@ -1,19 +1,33 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocon import training
 from ocon.balancer import build_balanced_subset
+from ocon.ensemble import train_ensemble
 from ocon.errors import TooFewSamples
 from ocon.features import FeatureMatrix, FeatureSetKind, ScalingRecord
 from ocon.mlp import MlpConfig
+from ocon.search import hp_to_mlp_config, run_stage
 from ocon.training import (
+    Cycle,
     EarlyStopRule,
+    KFoldResult,
     TrainConfig,
+    _run_cycle,
+    _SplitData,
+    _step_bounds,
     k_fold_evaluate,
+    one_class_cycle,
+    plan_k_fold,
     split_dataset,
     train_one_class,
 )
+from ocon.util import derive_seed
 from tests.conftest import matrix_from_labels
 
 
@@ -227,3 +241,187 @@ class TestKFold:
         assert len(pos_folds) == 10 and len(neg_folds) == 9
         for f in range(4):
             assert np.sum(pos_folds == f) + np.sum(neg_folds == f) >= 1
+
+
+# --- lockstep engine: every grouping gives each member its solo bits ---
+
+def digest(model, report):
+    """Bytes of everything a cycle produces, timing excluded."""
+    params = model.params
+    arrays = (params.theta, params.opt_m, params.opt_v, *params.running_mean,
+              *params.running_var, np.asarray(report.loss_curve, dtype=np.float64))
+    fields = {k: v for k, v in report.to_dict().items() if k != "train_seconds"}
+    return b"".join(a.tobytes() for a in arrays), repr(fields), params.step
+
+
+def member_cycles(matrix, class_ids, mlp, tc, data=None):
+    """One seeded ``Cycle`` per class, as ``train_ensemble`` derives them;
+    ``data`` maps a class id to another matrix to draw that member from."""
+    data = data or {}
+    return [one_class_cycle(data.get(cid, matrix), cid,
+                            replace(mlp, seed=derive_seed(mlp.seed, "member", cid)),
+                            replace(tc, seed=derive_seed(tc.seed, "member", cid)))
+            for cid in class_ids]
+
+
+def solo(matrix, cycles):
+    return [digest(*_run_cycle(matrix, [cycle])[0]) for cycle in cycles]
+
+
+def together(matrix, cycles):
+    return [digest(*out) for out in _run_cycle(matrix, cycles)]
+
+
+TUNED_TC = TrainConfig(epochs_per_batch_set=2, max_batch_sets=2, early_stop=None, seed=4)
+
+
+class TestLockstep:
+    def test_bank_as_one_group_as_5_and_7_and_alone(self, synth_matrix):
+        mlp = MlpConfig.tuned(12, seed=3)
+
+        def cycles():
+            return member_cycles(synth_matrix, range(12), mlp, TUNED_TC)
+
+        reference = solo(synth_matrix, cycles())
+        assert together(synth_matrix, cycles()) == reference
+        split = cycles()
+        assert (together(synth_matrix, split[:5]) + together(synth_matrix, split[5:])
+                == reference)
+
+    def test_size_cap_splits_a_group_without_changing_bits(self, synth_matrix, monkeypatch):
+        mlp = MlpConfig(input_dim=12, hidden_layers=(16, 8), optimizer="rmsprop",
+                        learning_rate=1e-3, seed=1)
+        reference = solo(synth_matrix, member_cycles(synth_matrix, range(5), mlp, TUNED_TC))
+        seen = []
+        monkeypatch.setattr(training, "STACK_MAX_VALUES", 2 * 32 * 16)
+        original = training._train_group
+        monkeypatch.setattr(training, "_train_group",
+                            lambda members, *a: seen.append(len(members)) or original(members, *a))
+        assert together(synth_matrix, member_cycles(synth_matrix, range(5), mlp,
+                                                    TUNED_TC)) == reference
+        assert seen == [2, 2, 1]
+
+    def test_unequal_training_splits(self, synth_matrix):
+        mlp = MlpConfig.tuned(12, seed=2)
+        tc = replace(TUNED_TC, reencode_per_batch_set=False)
+
+        def cycles():
+            return [c for cid in (0, 4) for c in plan_k_fold(synth_matrix, cid, mlp, tc, k=3)]
+
+        trained = _run_cycle(synth_matrix, cycles())
+        assert len({r.split_sizes[0][0] for _, r in trained}) > 1
+        assert [digest(*out) for out in trained] == solo(synth_matrix, cycles())
+
+    def test_members_stopping_early_at_different_epochs(self):
+        matrix = blob_matrix(n_per_class=60, n_classes=4, seed=3)
+        mlp = MlpConfig(input_dim=3, hidden_layers=(8,), learning_rate=3e-3,
+                        batch_norm=True, dropout_keep_hidden=0.8, seed=6)
+        tc = TrainConfig(epochs_per_batch_set=15, max_batch_sets=3,
+                         early_stop=EarlyStopRule(0.3, 90.0, loss_window=40), seed=2)
+        trained = _run_cycle(matrix, member_cycles(matrix, range(4), mlp, tc))
+        stops = [(r.stop_reason, r.epochs_run) for _, r in trained]
+        assert ("early_stop" in {reason for reason, _ in stops}
+                and len({epochs for _, epochs in stops}) > 1), stops
+        assert ([digest(*out) for out in trained]
+                == solo(matrix, member_cycles(matrix, range(4), mlp, tc)))
+
+    def test_a_diverging_member_leaves_the_others_unchanged(self, synth_matrix):
+        mlp = MlpConfig.tuned(12, seed=8)
+        poisoned = replace(synth_matrix, values=synth_matrix.values.copy())
+        poisoned.values[synth_matrix.labels == 3] = np.nan
+        data = {3: poisoned}
+
+        def cycles():
+            return member_cycles(synth_matrix, range(6), mlp, TUNED_TC, data)
+
+        with np.errstate(invalid="ignore"):
+            trained = _run_cycle(synth_matrix, cycles())
+            reference = solo(synth_matrix, cycles())
+        assert [r.stop_reason for _, r in trained] == ["exhausted_budget"] * 3 + [
+            "diverged"] + ["exhausted_budget"] * 2
+        assert [digest(*out) for out in trained] == reference
+
+    def test_shares_of_group_time_add_up(self, synth_matrix):
+        mlp = MlpConfig.tuned(12, seed=3)
+        t0 = time.perf_counter()
+        trained = _run_cycle(synth_matrix, member_cycles(synth_matrix, range(4), mlp, TUNED_TC))
+        wall = time.perf_counter() - t0
+        seconds = [r.train_seconds for _, r in trained]
+        assert all(s > 0 for s in seconds) and sum(seconds) <= wall
+
+
+class TestBatchNormTail:
+    @pytest.mark.parametrize("n, batch_norm, bounds", [
+        (33, True, [(0, 33)]),
+        (33, False, [(0, 32), (32, 33)]),
+        (65, True, [(0, 32), (32, 65)]),
+        (64, True, [(0, 32), (32, 64)]),
+        (1, True, [(0, 1)]),
+        (197, True, [(0, 32), (32, 64), (64, 96), (96, 128), (128, 160), (160, 192),
+                     (192, 197)]),
+    ])
+    def test_step_bounds(self, n, batch_norm, bounds):
+        config = MlpConfig(input_dim=3, batch_norm=batch_norm, batch_size=32)
+        assert _step_bounds(n, config) == bounds
+
+    @pytest.mark.parametrize("batch_norm, steps", [(True, [33]), (False, [32, 1])])
+    def test_no_one_row_step_under_batch_norm(self, monkeypatch, batch_norm, steps):
+        matrix = blob_matrix(n_per_class=30, seed=1)
+        rows = np.arange(43)
+        y = (matrix.labels == 0).astype(np.float64)
+
+        def part(idx):
+            return _SplitData(x=matrix.values[idx], y=y[idx])
+
+        def provider(bs):
+            return (part(rows[:33]), part(rows[33:38]), part(rows[38:])), 0, (30, 30)
+
+        seen = []
+        original = training.loss_and_grads
+
+        def record(params, config, batch, labels, *args, **kwargs):
+            seen.append(len(labels))
+            return original(params, config, batch, labels, *args, **kwargs)
+
+        monkeypatch.setattr(training, "loss_and_grads", record)
+        mlp = MlpConfig(input_dim=3, hidden_layers=(4,), batch_norm=batch_norm, seed=0)
+        tc = TrainConfig(epochs_per_batch_set=3, max_batch_sets=1, early_stop=None)
+        [(model, report)] = _run_cycle(matrix, [Cycle("c0", provider, mlp, tc)])
+        assert seen == steps * 3
+        assert model.params.step == len(steps) * 3 and report.epochs_run == 3
+        if batch_norm:
+            # no zero-variance update: every running variance stays above the
+            # 0.9 ** 3 that three degenerate steps would leave behind
+            assert (model.params.running_var[0] > 0.9 ** 3).all()
+
+
+class TestParallelLockstep:
+    def test_train_ensemble_workers_1_2_3_equal_solo_members(self):
+        matrix = blob_matrix(n_per_class=30, n_classes=5, seed=4)
+        mlp = MlpConfig(input_dim=3, hidden_layers=(8,), learning_rate=3e-3,
+                        batch_norm=True, dropout_keep_hidden=0.7, seed=1)
+        tc = TrainConfig(epochs_per_batch_set=4, max_batch_sets=2, early_stop=None, seed=2)
+        reference = solo(matrix, member_cycles(matrix, range(5), mlp, tc))
+        for workers in (1, 2, 3):
+            model, reports = train_ensemble(matrix, mlp, tc, workers=workers)
+            assert [digest(m, r) for m, r in zip(model.members, reports)] == reference
+
+    def test_run_stage_workers_1_2_equal_solo_folds(self):
+        from tests.test_search import tiny_stage
+        matrix = blob_matrix(n_per_class=30, n_classes=3, seed=2)
+        stage = tiny_stage()
+        serial = run_stage(matrix, stage, seed=5, workers=1)
+        parallel = run_stage(matrix, stage, seed=5, workers=2)
+        assert serial.to_csv_text() == parallel.to_csv_text()
+        for row in serial.rows:
+            for cid, name in enumerate(matrix.class_names):
+                cell_seed = derive_seed(5, "cell", row.index, cid)
+                mlp = hp_to_mlp_config({**stage.fixed, **row.hps}, 3,
+                                       seed=derive_seed(cell_seed, "init"))
+                tc = TrainConfig(epochs_per_batch_set=stage.epochs, max_batch_sets=1,
+                                 early_stop=None, k_folds=stage.k_folds,
+                                 seed=derive_seed(cell_seed, "train"),
+                                 reencode_per_batch_set=False)
+                folds = [_run_cycle(matrix, [c])[0][1]
+                         for c in plan_k_fold(matrix, cid, mlp, tc, k=stage.k_folds)]
+                assert row.per_class[name][0] == KFoldResult.of(folds).mean_accuracy
