@@ -3,13 +3,14 @@
 For a chosen true class the encoder keeps all its rows and draws an evenly
 sized random down-sample from each of the other classes, keeping the binary
 task balanced to within three samples.  The same construction drives the
-3-class speaker-group task, pooling boys and girls into a children class.
+3-class speaker-group task on ``speaker_view(matrix)``, the same rows
+relabelled by speaker group with boys and girls pooled into a children class.
 """
 
 import numpy as np
 
-from ocon.balancer import build_balanced_subset, speaker_balanced_subset
-from ocon.features import FeatureSetKind, build_feature_matrix
+from ocon.balancer import build_balanced_subset
+from ocon.features import FeatureSetKind, build_feature_matrix, speaker_view
 from ocon.synth import synth_records
 
 matrix, _ = build_feature_matrix(synth_records(seed=5), FeatureSetKind.SS3)
@@ -30,9 +31,10 @@ other = build_balanced_subset(matrix, true_class=7, seed=43)
 print("different seed redraws negatives:",
       not np.array_equal(subset.negatives, other.negatives))
 
-# Speaker-group task: male vs (female + children).
-for group in ("male", "female", "children"):
-    sub = speaker_balanced_subset(matrix, group, seed=1)
+# Speaker-group task: male vs (female + children), and so on.
+speakers = speaker_view(matrix)
+for true_class, group in enumerate(speakers.class_names):
+    sub = build_balanced_subset(speakers, true_class, seed=1)
     sizes = {sub.class_names[c]: len(rows)
              for c, rows in sub.negatives_by_class.items()}
     print(f"speaker task, true={group:>8}: {sub.n_positive} positives, "

@@ -8,7 +8,7 @@ ensemble training and inference, and ROC/DET evaluation.
 
 __version__ = "0.1.0"
 
-from .balancer import BalancedSubset, build_balanced_subset, speaker_balanced_subset
+from .balancer import BalancedSubset, build_balanced_subset
 from .dataset import (
     ARPABET_CODES,
     ClassStats,
@@ -36,12 +36,12 @@ from .features import (
     FeatureMatrix,
     FeatureSetKind,
     ScalingRecord,
-    apply_minmax,
     build_feature_matrix,
     fit_minmax,
     load_matrix,
     normalize_by_f0,
     save_matrix,
+    speaker_view,
 )
 from .metrics import ConfusionCounts, DetMetrics, RocCurve, det_metrics, report_tables, roc_auc
 from .mlp import (

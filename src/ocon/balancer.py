@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BalanceToleranceExceeded, EmptyFalseClass, UnknownClass
-from .features import SPEAKER_CLASS_NAMES
 
 
 class BalanceWarning(UserWarning):
@@ -113,18 +112,27 @@ def _balance_sizes(sizes, avail, n_positive):
     return sizes
 
 
-def _build(row_indices_by_class, true_class, class_names, seed, balancing_tolerance):
+def build_balanced_subset(matrix, true_class, seed, balancing_tolerance=0.01):
+    """Balanced binary subset of a labeled matrix for one true class.
+
+    Deterministic given (matrix, true_class, seed); sampling is without
+    replacement, uniformly within each false class.
+    """
+    class_names = matrix.class_names
     k = len(class_names)
-    if true_class not in row_indices_by_class or not len(row_indices_by_class[true_class]):
+    if not 0 <= true_class < k:
+        raise UnknownClass(f"label id {true_class} outside 0..{k - 1}")
+    by_class = {c: np.flatnonzero(matrix.labels == c) for c in range(k)}
+    if not len(by_class[true_class]):
         raise UnknownClass(f"class {class_names[true_class]!r} has no samples")
     for c in range(k):
-        if c != true_class and len(row_indices_by_class.get(c, ())) == 0:
+        if c != true_class and len(by_class[c]) == 0:
             raise EmptyFalseClass(class_names[c])
 
-    positives = np.sort(row_indices_by_class[true_class])
+    positives = by_class[true_class]
     n_pos = len(positives)
-    false_classes = sorted(c for c in range(k) if c != true_class)
-    avail = {c: len(row_indices_by_class[c]) for c in false_classes}
+    false_classes = [c for c in range(k) if c != true_class]
+    avail = {c: len(by_class[c]) for c in false_classes}
     targets = _shared_targets(n_pos, false_classes)
     sizes = {c: min(targets[c], avail[c]) for c in false_classes}
     capped = any(avail[c] < targets[c] for c in false_classes)
@@ -133,8 +141,7 @@ def _build(row_indices_by_class, true_class, class_names, seed, balancing_tolera
     rng = np.random.default_rng(seed)
     negatives = {}
     for c in sorted(sizes):
-        rows = np.sort(row_indices_by_class[c])
-        negatives[c] = np.sort(rng.choice(rows, size=sizes[c], replace=False))
+        negatives[c] = np.sort(rng.choice(by_class[c], size=sizes[c], replace=False))
 
     n_neg = sum(sizes.values())
     tolerance_flag = abs(n_pos - n_neg) / n_pos > balancing_tolerance
@@ -142,50 +149,8 @@ def _build(row_indices_by_class, true_class, class_names, seed, balancing_tolera
         warnings.warn(
             f"subset for {class_names[true_class]} misses the relative balance "
             f"target: {n_pos} positives vs {n_neg} negatives", BalanceWarning,
-            stacklevel=3)
+            stacklevel=2)
     return BalancedSubset(
         true_class=true_class, class_names=tuple(class_names), positives=positives,
         negatives_by_class=negatives, seed=seed, capped=capped,
         tolerance_flag=tolerance_flag)
-
-
-def build_balanced_subset(matrix, true_class, seed, balancing_tolerance=0.01):
-    """Balanced binary subset of a labeled matrix for one true class.
-
-    Deterministic given (matrix, true_class, seed); sampling is without
-    replacement, uniformly within each false class.
-    """
-    k = matrix.n_classes
-    if not 0 <= true_class < k:
-        raise UnknownClass(f"label id {true_class} outside 0..{k - 1}")
-    by_class = {c: np.flatnonzero(matrix.labels == c) for c in range(k)}
-    return _build(by_class, true_class, matrix.class_names, seed, balancing_tolerance)
-
-
-def speaker_labels(matrix):
-    """3-class speaker labels derived from raw group codes.
-
-    male = men, female = women, children = boys and girls pooled.
-    """
-    mapping = np.array([0, 2, 1, 2], dtype=np.int64)  # m, b, w, g -> male/children/female
-    return mapping[matrix.groups]
-
-
-def speaker_balanced_subset(matrix, true_group, seed, balancing_tolerance=0.01):
-    """Same construction with K=3 speaker-group classes.
-
-    ``true_group`` is a name from ``("male", "female", "children")`` or its
-    index.
-    """
-    if isinstance(true_group, str):
-        try:
-            true_class = SPEAKER_CLASS_NAMES.index(true_group)
-        except ValueError:
-            raise UnknownClass(f"unknown speaker class {true_group!r}") from None
-    else:
-        true_class = int(true_group)
-        if not 0 <= true_class < len(SPEAKER_CLASS_NAMES):
-            raise UnknownClass(f"speaker class id {true_class} outside 0..2")
-    labels3 = speaker_labels(matrix)
-    by_class = {c: np.flatnonzero(labels3 == c) for c in range(len(SPEAKER_CLASS_NAMES))}
-    return _build(by_class, true_class, SPEAKER_CLASS_NAMES, seed, balancing_tolerance)

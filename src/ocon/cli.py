@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -33,11 +34,13 @@ from .ensemble import infer as ensemble_infer
 from .ensemble import load_ensemble, save_ensemble, train_ensemble
 from .errors import OconError
 from .features import (
+    SPEAKER_CLASS_NAMES,
     FeatureSetKind,
     build_feature_matrix,
     load_matrix,
     normalize_by_f0,
     save_matrix,
+    speaker_view,
 )
 from .manifest import RunManifest, summarize_manifests
 from .metrics import report_tables
@@ -137,6 +140,12 @@ def _load_stage(spec_text):
     return SearchStage.from_file(spec_text)
 
 
+def _task_matrix(args):
+    """The matrix file, relabelled by speaker group for ``--task speaker``."""
+    matrix = load_matrix(args.matrix)
+    return speaker_view(matrix) if args.task == "speaker" else matrix
+
+
 def cmd_search(args):
     stage = _load_stage(args.stage)
     if args.desk_scale > 1:
@@ -146,25 +155,24 @@ def cmd_search(args):
         "matrix": args.matrix, "stage": args.stage, "desk_scale": args.desk_scale,
         "workers": args.workers, "task": args.task}, master_seed=args.seed)
     manifest.add_input(args.matrix)
-    matrix = load_matrix(args.matrix)
+    matrix = _task_matrix(args)
     result = run_stage(matrix, stage, inherited=inherited, seed=args.seed,
-                       workers=args.workers, task=args.task)
+                       workers=args.workers)
     result.write_csv(args.out, times_path=args.out + ".times.csv")
     manifest.add_output(args.out)
     manifest.add_output(args.out + ".times.csv")
     best = result.selected
     manifest.extra["selected"] = {k: repr(v) for k, v in best.hps.items()}
     manifest.extra["selected_accuracy"] = best.mean_accuracy
-    manifest.extra["cycles"] = stage.cycle_count(
-        matrix.n_classes if args.task == "phoneme" else 3)
+    manifest.extra["cycles"] = stage.cycle_count(matrix.n_classes)
     _manifest_out(manifest, os.path.dirname(os.path.abspath(args.out)))
     print(f"stage {stage.name}: {len(result.rows)} combinations -> {args.out}")
     print(f"selected {best.hps} (mean accuracy {best.mean_accuracy:.2f}%)")
     return 0
 
 
-def _check_keys(raw, allowed, what):
-    unknown = sorted(set(raw) - set(allowed))
+def _check_keys(raw, cls, what):
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise OconError(f"unknown {what} config keys: {', '.join(unknown)}")
 
@@ -173,43 +181,39 @@ def _mlp_config_from(args, input_dim):
     if args.mlp_config:
         raw = load_config(args.mlp_config)
         raw.setdefault("input_dim", input_dim)
-        raw["hidden_layers"] = tuple(raw.get("hidden_layers", [100]))
-        _check_keys(raw, MlpConfig.tuned(1).to_dict(), "mlp")
+        _check_keys(raw, MlpConfig, "mlp")
         cfg = MlpConfig(**raw)
     else:
         cfg = MlpConfig.tuned(input_dim)
     if args.seed is not None:
-        cfg = MlpConfig(**{**cfg.to_dict(), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
 def _train_config_from(args):
     if args.train_config:
         raw = load_config(args.train_config)
-        _check_keys(raw, TrainConfig(early_stop=None).to_dict(), "train")
+        _check_keys(raw, TrainConfig, "train")
         if "early_stop" in raw and isinstance(raw["early_stop"], dict):
             raw["early_stop"] = EarlyStopRule(**raw["early_stop"])
-        if "fractions" in raw:
-            raw["fractions"] = tuple(raw["fractions"])
         tc = TrainConfig(**raw)
     else:
         tc = TrainConfig(early_stop=EarlyStopRule(0.15, 95.0))
     if args.seed is not None:
-        tc = TrainConfig.from_dict({**tc.to_dict(), "seed": args.seed})
+        tc = replace(tc, seed=args.seed)
     return tc
 
 
 def cmd_train(args):
-    matrix = load_matrix(args.matrix)
+    matrix = _task_matrix(args)
     mlp_cfg = _mlp_config_from(args, matrix.feature_set.dim)
     train_cfg = _train_config_from(args)
     manifest = RunManifest("train", {
         "matrix": args.matrix, "task": args.task,
-        "mlp": mlp_cfg.to_dict(), "train": train_cfg.to_dict()},
+        "mlp": asdict(mlp_cfg), "train": asdict(train_cfg)},
         master_seed=train_cfg.seed)
     manifest.add_input(args.matrix)
-    model, reports = train_ensemble(matrix, mlp_cfg, train_cfg,
-                                    workers=args.workers, task=args.task)
+    model, reports = train_ensemble(matrix, mlp_cfg, train_cfg, workers=args.workers)
     save_ensemble(model, args.out_dir)
     report_path = os.path.join(args.out_dir, "train_reports.json")
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -232,6 +236,8 @@ def cmd_eval(args):
     manifest.add_input(args.matrix)
     model = load_ensemble(args.model)
     matrix = load_matrix(args.matrix)
+    if model.class_names == SPEAKER_CLASS_NAMES:
+        matrix = speaker_view(matrix)
     tables = report_tables(model, matrix)
     print(tables.accuracy_text())
     print(tables.det_text())

@@ -52,12 +52,6 @@ def load_config(path):
         return parse_config_text(fh.read())
 
 
-def _format_value(value):
-    if isinstance(value, str):
-        return json.dumps(value)
-    return json.dumps(value)
-
-
 def format_config(config, prefix=""):
     """Render a nested dict back into the config grammar (sorted keys)."""
     lines = []
@@ -67,7 +61,7 @@ def format_config(config, prefix=""):
         if isinstance(value, dict):
             lines.append(format_config(value, prefix=full + "."))
         else:
-            lines.append(f"{full} = {_format_value(value)}")
+            lines.append(f"{full} = {json.dumps(value)}")
     return "\n".join(line for line in lines if line)
 
 

@@ -7,15 +7,17 @@ and per-class statistics.  All functions are pure; records are immutable.
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .configfile import load_config, parse_config_text, save_config
+from .configfile import load_config, save_config
 from .errors import (
     MalformedFilename,
     MalformedRow,
     MissingColumn,
     NonNumericSpeakerId,
+    OconError,
     UnknownGroupChar,
     UnknownPhonemeCode,
 )
@@ -115,7 +117,7 @@ def decode_filename(name):
     if len(name) != 5:
         raise MalformedFilename(f"expected 5 characters, got {name!r}")
     group = SpeakerGroup.from_char(name[0])
-    if not name[1:3].isdigit():
+    if not (name[1:3].isascii() and name[1:3].isdigit()):
         raise NonNumericSpeakerId(f"speaker field {name[1:3]!r} is not numeric")
     phoneme = PhonemeLabel.from_code(name[3:5])
     return group, int(name[1:3]), phoneme
@@ -174,12 +176,6 @@ class ColumnLayout:
         skip = raw.pop("skip_rows", 0)
         return cls(columns=raw, skip_rows=skip)
 
-    @classmethod
-    def from_text(cls, text):
-        raw = parse_config_text(text)
-        skip = raw.pop("skip_rows", 0)
-        return cls(columns=raw, skip_rows=skip)
-
     def to_file(self, path):
         save_config({"skip_rows": self.skip_rows, **self.columns}, path)
 
@@ -190,45 +186,61 @@ def _split_row(line):
     return line.split()
 
 
+def _read_text(path):
+    """A file's text; bytes that are not UTF-8 raise MalformedRow naming
+    their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise MalformedRow(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
+
+
+def _cell(token, key, line_no):
+    """One frequency cell: a finite, non-negative number, else MalformedRow."""
+    try:
+        value = float(token)
+    except (TypeError, ValueError):
+        raise MalformedRow(line_no, f"non-numeric cell {token!r} for {key}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(line_no, f"non-finite value {token!r} for {key}")
+    if value < 0:
+        raise MalformedRow(line_no, f"negative value {value} for {key}")
+    return value
+
+
 def load_dataset(path, layout=None):
     """Parse a delimited measurement file into one record per data row.
 
     No filtering happens here; rows with zero-valued cells are kept so that
     :func:`filter_usable` can report them.  Raises MalformedRow (with the
-    1-based line number) on unparseable rows and MissingColumn when the
-    layout points past the row's end.
+    1-based line number) on unparseable rows, including NaN, infinite and
+    negative cells, and MissingColumn when the layout points past the row's
+    end.
     """
     if layout is None:
         layout = ColumnLayout.hgcw_bigdata()
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no <= layout.skip_rows:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            tokens = _split_row(line)
-            try:
-                group, speaker_no, phoneme = decode_filename(tokens[0])
-            except (MalformedFilename, UnknownGroupChar, NonNumericSpeakerId,
-                    UnknownPhonemeCode) as err:
-                raise MalformedRow(line_no, str(err)) from err
-            values = {}
-            for key in FEATURE_KEYS:
-                col = layout.columns[key]
-                if col >= len(tokens):
-                    raise MissingColumn(key, line_no=line_no)
-                try:
-                    value = float(tokens[col])
-                except ValueError:
-                    raise MalformedRow(
-                        line_no, f"non-numeric cell {tokens[col]!r} for {key}"
-                    ) from None
-                if value < 0:
-                    raise MalformedRow(line_no, f"negative value {value} for {key}")
-                values[key] = value
-            records.append(FeatureRecord(group, speaker_no, phoneme, **values))
+    lines = io.StringIO(_read_text(path), newline=None)
+    for line_no, line in enumerate(lines, start=1):
+        if line_no <= layout.skip_rows:
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        tokens = _split_row(line)
+        try:
+            group, speaker_no, phoneme = decode_filename(tokens[0])
+        except OconError as err:
+            raise MalformedRow(line_no, str(err)) from err
+        values = {}
+        for key in FEATURE_KEYS:
+            col = layout.columns[key]
+            if col >= len(tokens):
+                raise MissingColumn(key, line_no=line_no)
+            values[key] = _cell(tokens[col], key, line_no)
+        records.append(FeatureRecord(group, speaker_no, phoneme, **values))
     return records
 
 
@@ -315,14 +327,27 @@ def write_records_csv(records, path):
 
 
 def read_records_csv(path):
+    """Read a records CSV.  A missing header column, a short row, a bad
+    group, speaker or phoneme cell, or a cell ``load_dataset`` would refuse
+    raises MalformedRow with the 1-based line number."""
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    try:
+        missing = [c for c in ("group", "speaker", "phoneme") + FEATURE_KEYS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedRow(1, f"header lacks column(s) {', '.join(missing)}")
         for row in reader:
-            records.append(FeatureRecord(
-                SpeakerGroup(row["group"]),
-                int(row["speaker"]),
-                PhonemeLabel.from_code(row["phoneme"]),
-                **{k: float(row[k]) for k in FEATURE_KEYS},
-            ))
+            line_no = reader.line_num
+            try:
+                group = SpeakerGroup.from_char(row["group"])
+                speaker_no = int(row["speaker"])
+                phoneme = PhonemeLabel.from_code(row["phoneme"])
+                encode_filename(group, speaker_no, phoneme)  # 2-digit speaker number
+            except (OconError, TypeError, ValueError) as err:
+                raise MalformedRow(line_no, str(err)) from err
+            values = {k: _cell(row[k], k, line_no) for k in FEATURE_KEYS}
+            records.append(FeatureRecord(group, speaker_no, phoneme, **values))
+    except csv.Error as err:
+        raise MalformedRow(reader.line_num, f"unreadable CSV ({err})") from None
     return records

@@ -40,7 +40,7 @@ from .errors import (
     NonFiniteInput,
     PartialEnsemble,
 )
-from .features import SPEAKER_CLASS_NAMES, FeatureSetKind, ScalingRecord
+from .features import FeatureSetKind, ScalingRecord
 from .mlp import STACK_MAX_VALUES, forward, load_model, save_model, stack_params
 from .training import _run_cycle, one_class_cycle
 from .util import derive_seed, sha256_file
@@ -88,20 +88,21 @@ class OconModel:
         return len(self.class_names)
 
 
-def _member_cycle(matrix, class_id, mlp_config, train_config, task):
+def _member_cycle(matrix, class_id, mlp_config, train_config):
     member_mlp = replace(mlp_config, seed=derive_seed(mlp_config.seed, "member", class_id))
     member_tc = replace(train_config, seed=derive_seed(train_config.seed, "member", class_id))
-    return one_class_cycle(matrix, class_id, member_mlp, member_tc, task=task)
+    return one_class_cycle(matrix, class_id, member_mlp, member_tc)
 
 
-def _train_members(matrix, class_ids, mlp_config, train_config, task):
+def _train_members(matrix, class_ids, mlp_config, train_config):
     """The members of ``class_ids``, trained by one lockstep engine call."""
-    return _run_cycle(matrix, [_member_cycle(matrix, cid, mlp_config, train_config, task)
+    return _run_cycle(matrix, [_member_cycle(matrix, cid, mlp_config, train_config)
                                for cid in class_ids])
 
 
-def train_ensemble(matrix, mlp_config, train_config, workers=1, task="phoneme"):
-    """Train one member per class; returns (OconModel, reports).
+def train_ensemble(matrix, mlp_config, train_config, workers=1):
+    """Train one member per class of ``matrix.class_names``; returns
+    (OconModel, reports).
 
     ``workers`` processes each train one contiguous chunk of the class ids
     as one lockstep group.  Member seeds derive from (master seed, class
@@ -109,38 +110,49 @@ def train_ensemble(matrix, mlp_config, train_config, workers=1, task="phoneme"):
     member diverges the whole bank is rejected with PartialEnsemble naming
     the failures.
     """
-    class_names = SPEAKER_CLASS_NAMES if task == "speaker" else matrix.class_names
-    class_ids = list(range(len(class_names)))
+    class_ids = list(range(matrix.n_classes))
     n = len(class_ids)
     chunks = [chunk for chunk in (class_ids[i * n // workers: (i + 1) * n // workers]
                                   for i in range(max(1, workers))) if chunk]
     if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_train_members, matrix, chunk, mlp_config, train_config,
-                                   task) for chunk in chunks]
+            futures = [pool.submit(_train_members, matrix, chunk, mlp_config, train_config)
+                       for chunk in chunks]
             outcomes = [outcome for f in futures for outcome in f.result()]
     else:
-        outcomes = _train_members(matrix, class_ids, mlp_config, train_config, task)
+        outcomes = _train_members(matrix, class_ids, mlp_config, train_config)
 
     members = [model for model, _ in outcomes]
     reports = [report for _, report in outcomes]
     failures = [r.class_name for r in reports if r.stop_reason == "diverged"]
     if failures:
         raise PartialEnsemble(failures, reports=reports)
-    model = OconModel(class_names=tuple(class_names), members=members,
+    model = OconModel(class_names=tuple(matrix.class_names), members=members,
                       scaling=matrix.scaling, feature_set=matrix.feature_set,
                       f0_mode=matrix.f0_mode)
     return model, reports
 
 
-def retrain_member(model, matrix, class_id, mlp_config, train_config, task="phoneme"):
+def _check_matrix(model, matrix):
+    """A matrix must carry the bank's scaling and label table (e.g.
+    ``speaker_view`` for a speaker-group bank)."""
+    if model.scaling.content_hash() != matrix.scaling.content_hash():
+        raise ManifestMismatch("matrix scaling differs from the ensemble's")
+    if tuple(matrix.class_names) != tuple(model.class_names):
+        raise ManifestMismatch(f"matrix classes {matrix.class_names} differ from the "
+                               f"ensemble's {model.class_names}")
+
+
+def retrain_member(model, matrix, class_id, mlp_config, train_config):
     """Retrain a single member in place; other members are untouched.
 
-    A config whose topology differs from the bank's raises ManifestMismatch
-    before any training, and the model is left as it was.
+    A matrix of another scaling or label table, or a config whose topology
+    differs from the bank's, raises ManifestMismatch before any training,
+    and the model is left as it was.
     """
+    _check_matrix(model, matrix)
     _check_topology(model.class_names[class_id], mlp_config, model.members[class_id].config)
-    [(member, report)] = _train_members(matrix, [class_id], mlp_config, train_config, task)
+    [(member, report)] = _train_members(matrix, [class_id], mlp_config, train_config)
     if report.stop_reason == "diverged":
         raise PartialEnsemble([report.class_name], reports=[report])
     model.members[class_id] = member
@@ -191,19 +203,13 @@ class EnsembleEvaluation:
         return sum(self.per_class_accuracy.values()) / len(self.per_class_accuracy)
 
 
-def _task_labels(model, matrix):
-    if tuple(model.class_names) == SPEAKER_CLASS_NAMES:
-        from .balancer import speaker_labels
-        return speaker_labels(matrix)
-    return matrix.labels
-
-
 def evaluate_ensemble(model, matrix):
     """Whole-dataset evaluation: per-member accuracy at threshold 0.5,
-    joint first-max accuracy, and the K x K confusion matrix."""
-    if model.scaling.content_hash() != matrix.scaling.content_hash():
-        raise ManifestMismatch("matrix scaling differs from the ensemble's")
-    labels = _task_labels(model, matrix)
+    joint first-max accuracy, and the K x K confusion matrix.  A matrix of
+    another scaling or label table raises ManifestMismatch.
+    """
+    _check_matrix(model, matrix)
+    labels = matrix.labels
     scores, predicted = infer(model, matrix.values, scaled=True)
     k = model.n_classes
 

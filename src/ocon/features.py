@@ -8,7 +8,7 @@ is deliberate and documented).  Z-score standardization exists behind a flag
 but is off by default since the ratio distributions are strongly skewed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -133,13 +133,6 @@ def fit_minmax(matrix):
     return ScalingRecord(lo=lo, hi=hi, mode="minmax")
 
 
-def apply_minmax(x, scaling):
-    """Scale into [0, 1] per column; values outside the fit range clamp."""
-    if scaling.mode != "minmax":
-        raise ValueError("scaling record is not min-max")
-    return scaling.apply(x)
-
-
 def fit_zscore(matrix):
     """Per-column (mean, std).  Off the default path; see module docstring."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -163,7 +156,7 @@ class FeatureMatrix:
 
     ``labels`` index into ``class_names`` (phoneme codes by default);
     ``groups`` keep the raw speaker-group code of each row so the 3-class
-    speaker task can be derived from the same matrix.
+    speaker task can be derived from the same matrix (``speaker_view``).
     """
 
     values: np.ndarray          # (N, d) float64, scaled
@@ -202,10 +195,15 @@ class FeatureMatrix:
         of the whole dataset.
         """
         indices = np.asarray(indices)
-        return FeatureMatrix(values=self.values[indices], labels=self.labels[indices],
-                             groups=self.groups[indices], scaling=self.scaling,
-                             feature_set=self.feature_set,
-                             class_names=self.class_names, f0_mode=self.f0_mode)
+        return replace(self, values=self.values[indices], labels=self.labels[indices],
+                       groups=self.groups[indices])
+
+
+def speaker_view(matrix):
+    """The same rows labelled by speaker group: male = men, female = women,
+    children = boys and girls pooled (``SPEAKER_CLASS_NAMES``)."""
+    mapping = np.array([0, 2, 1, 2], dtype=np.int64)  # m, b, w, g -> male/children/female
+    return replace(matrix, labels=mapping[matrix.groups], class_names=SPEAKER_CLASS_NAMES)
 
 
 def build_feature_matrix(records, kind, scaling=None, f0_mode="raw", zscore=False):

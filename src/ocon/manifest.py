@@ -9,7 +9,7 @@ enough to re-run the command and to audit which run produced which artifact.
 import datetime as _dt
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .util import sha256_file, sha256_json
 
@@ -43,10 +43,7 @@ class RunManifest:
         self.finished = _utc_now()
 
     def to_dict(self):
-        return {"command": self.command, "config": self.config,
-                "config_hash": self.config_hash, "master_seed": self.master_seed,
-                "started": self.started, "finished": self.finished,
-                "inputs": self.inputs, "outputs": self.outputs, "extra": self.extra}
+        return {**asdict(self), "config_hash": self.config_hash}
 
     def write(self, directory):
         os.makedirs(directory, exist_ok=True)

@@ -182,14 +182,12 @@ def report_tables(model, matrix):
     if matrix.n_rows == 0:
         raise EmptyEvaluationSet("evaluation matrix has no rows")
     evaluation = evaluate_ensemble(model, matrix)
-    from .ensemble import _task_labels
-    labels = _task_labels(model, matrix)
 
     accuracy_rows = [(name, evaluation.per_class_accuracy[name])
                      for name in model.class_names]
     det_rows, curves = [], {}
     for c, name in enumerate(model.class_names):
-        truth = labels == c
+        truth = matrix.labels == c
         counts = ConfusionCounts.from_scores(evaluation.scores[:, c], truth)
         curve = roc_auc(evaluation.scores[:, c], truth)
         det_rows.append((name, det_metrics(counts), curve.auc))

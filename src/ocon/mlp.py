@@ -43,7 +43,7 @@ than (K, rows).
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,23 +116,6 @@ class MlpConfig:
     @property
     def layer_dims(self):
         return (self.input_dim, *self.hidden_layers, 1)
-
-    def to_dict(self):
-        return {
-            "input_dim": self.input_dim, "hidden_layers": list(self.hidden_layers),
-            "activation": self.activation,
-            "dropout_keep_input": self.dropout_keep_input,
-            "dropout_keep_hidden": self.dropout_keep_hidden,
-            "batch_norm": self.batch_norm, "l2_lambda": self.l2_lambda,
-            "optimizer": self.optimizer, "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size, "seed": self.seed, "loss": self.loss,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["hidden_layers"] = tuple(d["hidden_layers"])
-        return cls(**d)
 
 
 def _split(shapes, n_layers, flat):
@@ -714,7 +697,7 @@ def save_model(model, path):
     """Versioned binary checkpoint; round-trips bit-exactly.  Optimizer
     moments are not written: retraining always starts fresh."""
     meta = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "step": model.params.step,
         "scaling_hash": model.scaling_hash,
         "manifest_hash": model.manifest_hash,
@@ -731,7 +714,7 @@ def load_model(path):
     """
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     try:
-        config = MlpConfig.from_dict(meta["config"])
+        config = MlpConfig(**meta["config"])
         step, scaling_hash, manifest_hash = (
             meta["step"], meta["scaling_hash"], meta["manifest_hash"])
     except (KeyError, TypeError, ValueError) as err:
@@ -748,4 +731,4 @@ def load_model(path):
 
 
 def config_hash(config):
-    return sha256_json(config.to_dict())
+    return sha256_json(asdict(config))

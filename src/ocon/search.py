@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 from .configfile import load_config, parse_config_text
 from .errors import NonNumericHp, OconError
-from .features import SPEAKER_CLASS_NAMES
 from .mlp import MlpConfig
 from .training import KFoldResult, TrainConfig, _run_cycle, plan_k_fold
 from .util import derive_seed
@@ -177,10 +176,6 @@ class SearchResult:
         time, then grid order."""
         return min(self.rows, key=lambda r: (-r.mean_accuracy, r.mean_time, r.index))
 
-    def selected_hps(self):
-        """Winning values, ready to inherit into the next stage."""
-        return dict(self.selected.hps)
-
     def to_csv_text(self):
         """Ranked CSV of the deterministic columns (no wall-clock values)."""
         out = io.StringIO()
@@ -217,11 +212,11 @@ def _cell_seedstamp(stage_seed, combo_index, class_id):
     return derive_seed(stage_seed, "cell", combo_index, class_id)
 
 
-def _run_cell(matrix, stage, hps, combo_index, class_ids, stage_seed, task,
-              max_batch_sets, early_stop):
+def _run_cell(matrix, stage, hps, combo_index, stage_seed, max_batch_sets, early_stop):
     """One grid combination: every class x fold cycle of it, trained by one
     engine call.  Returns (combo_index, [(accuracy, seconds, failed)] per
     class id)."""
+    class_ids = range(matrix.n_classes)
     plans, outcomes = {}, {}
     for class_id in class_ids:
         cell_seed = _cell_seedstamp(stage_seed, combo_index, class_id)
@@ -233,7 +228,7 @@ def _run_cell(matrix, stage, hps, combo_index, class_ids, stage_seed, task,
             seed=derive_seed(cell_seed, "train"), reencode_per_batch_set=False)
         try:
             plans[class_id] = plan_k_fold(matrix, class_id, mlp_cfg, train_cfg,
-                                          k=stage.k_folds, task=task)
+                                          k=stage.k_folds)
         except OconError:
             # a class the data cannot support (too few samples, hopeless
             # balance) must not kill the stage; it ranks last.  Programming
@@ -248,14 +243,18 @@ def _run_cell(matrix, stage, hps, combo_index, class_ids, stage_seed, task,
     return combo_index, [outcomes[class_id] for class_id in class_ids]
 
 
-def run_stage(matrix, stage, inherited=None, seed=0, workers=1, task="phoneme",
+def run_stage(matrix, stage, inherited=None, seed=0, workers=1,
               max_batch_sets=1, early_stop=None):
-    """Sweep a stage's grid over every class and rank the combinations.
+    """Sweep a stage's grid over every class of ``matrix.class_names`` and
+    rank the combinations.
 
     ``inherited`` carries best estimates from earlier stages; explicit stage
     fixed values override it, grid values override both.  Heuristic cycles
     run a single batch-set of ``stage.epochs`` epochs with no early stopping
     unless overridden.  Failed cells score -inf instead of aborting.
+    Combinations are submitted widest network first (hidden nodes x hidden
+    layers, then grid order), so the costliest tasks do not run last and
+    alone; rows are assembled in grid order whatever the finishing order.
     """
     base = dict(inherited or {})
     base.update(stage.fixed)
@@ -265,37 +264,28 @@ def run_stage(matrix, stage, inherited=None, seed=0, workers=1, task="phoneme",
         merged.update(hps)
         combos.append(merged)
 
-    if task == "speaker":
-        class_ids = list(range(len(SPEAKER_CLASS_NAMES)))
-        class_names = SPEAKER_CLASS_NAMES
-    else:
-        class_ids = list(range(matrix.n_classes))
-        class_names = matrix.class_names
-
-    args = [(matrix, stage, combos[ci], ci, class_ids, seed, task, max_batch_sets, early_stop)
-            for ci in range(len(combos))]
+    dim = matrix.feature_set.dim
+    order = sorted(range(len(combos)),
+                   key=lambda ci: (-sum(hp_to_mlp_config(combos[ci], dim).hidden_layers), ci))
+    args = [(matrix, stage, combos[ci], ci, seed, max_batch_sets, early_stop) for ci in order]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, *a) for a in args]
-            cells = [fut.result() for fut in futures]
+            cells = dict(fut.result() for fut in futures)
     else:
-        cells = [_run_cell(*a) for a in args]
-    outcomes = {(ci, cid): outcome for ci, per_class in cells
-                for cid, outcome in zip(class_ids, per_class)}
+        cells = dict(_run_cell(*a) for a in args)
 
     grid_keys = list(stage.grid)
     rows = []
     for ci, merged in enumerate(combos):
-        per_class = {class_names[cid]: (outcomes[(ci, cid)][0], outcomes[(ci, cid)][1])
-                     for cid in class_ids}
-        diverged = any(outcomes[(ci, cid)][2] for cid in class_ids)
-        accs = [outcomes[(ci, cid)][0] for cid in class_ids]
-        times = [outcomes[(ci, cid)][1] for cid in class_ids]
-        mean_acc = float("-inf") if diverged else sum(accs) / len(accs)
+        accs, times, failed = zip(*cells[ci])
+        diverged = any(failed)
         rows.append(CombinationResult(
             index=ci, hps={k: merged[k] for k in grid_keys},
-            mean_accuracy=mean_acc, mean_time=sum(times) / len(times),
-            per_class=per_class, diverged=diverged))
+            mean_accuracy=float("-inf") if diverged else sum(accs) / len(accs),
+            mean_time=sum(times) / len(times),
+            per_class={name: (acc, t) for name, acc, t in zip(matrix.class_names, accs, times)},
+            diverged=diverged))
     return SearchResult(stage_name=stage.name, rows=rows)
 
 

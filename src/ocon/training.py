@@ -31,11 +31,11 @@ the shares of a group add up to the group's wall time.
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .balancer import build_balanced_subset, speaker_balanced_subset
+from .balancer import build_balanced_subset
 from .errors import TooFewSamples
 from .mlp import (
     STACK_MAX_VALUES,
@@ -90,28 +90,6 @@ class TrainConfig:
         if self.epochs_per_batch_set < 1 or self.max_batch_sets < 1:
             raise ValueError("epoch and batch-set budgets must be >= 1")
 
-    def to_dict(self):
-        es = None
-        if self.early_stop is not None:
-            es = {"loss_threshold": self.early_stop.loss_threshold,
-                  "accuracy_threshold": self.early_stop.accuracy_threshold,
-                  "loss_window": self.early_stop.loss_window}
-        return {"fractions": list(self.fractions),
-                "epochs_per_batch_set": self.epochs_per_batch_set,
-                "max_batch_sets": self.max_batch_sets, "early_stop": es,
-                "k_folds": self.k_folds,
-                "balancing_tolerance": self.balancing_tolerance, "seed": self.seed,
-                "reencode_per_batch_set": self.reencode_per_batch_set,
-                "escape_on_test": self.escape_on_test}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if d.get("early_stop") is not None:
-            d["early_stop"] = EarlyStopRule(**d["early_stop"])
-        d["fractions"] = tuple(d.get("fractions", (0.70, 0.15, 0.15)))
-        return cls(**d)
-
 
 @dataclass
 class TrainReport:
@@ -141,15 +119,7 @@ class TrainReport:
         })
 
     def to_dict(self):
-        return {
-            "class_name": self.class_name, "loss_curve": self.loss_curve,
-            "batch_set_boundaries": self.batch_set_boundaries,
-            "epochs_run": self.epochs_run, "test_accuracy": self.test_accuracy,
-            "dev_accuracy": self.dev_accuracy, "train_seconds": self.train_seconds,
-            "stop_reason": self.stop_reason, "subset_seeds": self.subset_seeds,
-            "subset_sizes": self.subset_sizes, "split_sizes": self.split_sizes,
-            "mlp_config_hash": self.mlp_config_hash,
-        }
+        return asdict(self)
 
 
 def _nonempty_targets(n, fractions):
@@ -415,33 +385,16 @@ def _run_cycle(matrix, cycles):
     return [m.result(scaling_hash) for m in members]
 
 
-def _subset_builder(matrix, class_id, task, tolerance):
-    if task == "phoneme":
-        return lambda seed: build_balanced_subset(matrix, class_id, seed, tolerance)
-    if task == "speaker":
-        return lambda seed: speaker_balanced_subset(matrix, class_id, seed, tolerance)
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _class_name(matrix, class_id, task):
-    from .features import SPEAKER_CLASS_NAMES
-    names = SPEAKER_CLASS_NAMES if task == "speaker" else matrix.class_names
-    if isinstance(class_id, str):
-        return class_id
-    return names[class_id]
-
-
-def one_class_cycle(matrix, class_id, mlp_config, train_config, task="phoneme"):
+def one_class_cycle(matrix, class_id, mlp_config, train_config):
     """The ``Cycle`` of one class's full training run."""
     tc = train_config
-    build = _subset_builder(matrix, class_id, task, tc.balancing_tolerance)
     pos_mask = np.zeros(matrix.n_rows, dtype=bool)
     state = {}
 
     def provider(bs):
         if bs == 0 or tc.reencode_per_batch_set:
             seed = derive_seed(tc.seed, "subset", bs)
-            subset = build(seed)
+            subset = build_balanced_subset(matrix, class_id, seed, tc.balancing_tolerance)
             pos_mask[:] = False
             pos_mask[subset.positives] = True
             state["subset"] = subset
@@ -451,13 +404,12 @@ def one_class_cycle(matrix, class_id, mlp_config, train_config, task="phoneme"):
         splits = tuple(_gather(matrix, pos_mask, idx) for idx in parts)
         return splits, state["seed"], (subset.n_positive, subset.n_negative)
 
-    return Cycle(_class_name(matrix, class_id, task), provider, mlp_config, train_config)
+    return Cycle(matrix.class_names[class_id], provider, mlp_config, train_config)
 
 
-def train_one_class(matrix, class_id, mlp_config, train_config, task="phoneme"):
+def train_one_class(matrix, class_id, mlp_config, train_config):
     """Full training cycle for one class; returns (MlpModel, TrainReport)."""
-    return _run_cycle(matrix, [one_class_cycle(matrix, class_id, mlp_config, train_config,
-                                               task)])[0]
+    return _run_cycle(matrix, [one_class_cycle(matrix, class_id, mlp_config, train_config)])[0]
 
 
 @dataclass
@@ -487,7 +439,7 @@ def _fold_assignment(n_pos, n_neg, k, rng):
     return pos_folds, neg_folds
 
 
-def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None, task="phoneme"):
+def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None):
     """The k fold ``Cycle``s of one k-fold evaluation, for ``_run_cycle``.
 
     The balanced subset is built once per evaluation (so folds stay fixed);
@@ -498,8 +450,8 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None, task="phonem
     """
     tc = train_config
     k = tc.k_folds if k is None else k
-    build = _subset_builder(matrix, class_id, task, tc.balancing_tolerance)
-    subset = build(derive_seed(tc.seed, "kfold-subset"))
+    subset = build_balanced_subset(matrix, class_id, derive_seed(tc.seed, "kfold-subset"),
+                                   tc.balancing_tolerance)
     n = subset.n_positive + subset.n_negative
     if k < 2 or k > n:
         raise TooFewSamples(f"k={k} folds impossible with {n} samples")
@@ -512,7 +464,7 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None, task="phonem
 
     frac = tc.fractions
     inner = (frac[0] / (frac[0] + frac[1]), frac[1] / (frac[0] + frac[1]), 0.0)
-    name = _class_name(matrix, class_id, task)
+    name = matrix.class_names[class_id]
 
     cycles = []
     for f in range(k):
@@ -536,8 +488,8 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None, task="phonem
     return cycles
 
 
-def k_fold_evaluate(matrix, class_id, mlp_config, train_config, k=None, task="phoneme"):
+def k_fold_evaluate(matrix, class_id, mlp_config, train_config, k=None):
     """Average accuracy and training time over k held-out folds, all folds
     trained by one engine call (see ``plan_k_fold``)."""
-    cycles = plan_k_fold(matrix, class_id, mlp_config, train_config, k=k, task=task)
+    cycles = plan_k_fold(matrix, class_id, mlp_config, train_config, k=k)
     return KFoldResult.of([report for _, report in _run_cycle(matrix, cycles)])

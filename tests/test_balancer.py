@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocon.balancer import (
-    BalanceWarning,
-    build_balanced_subset,
-    round_half_up,
-    speaker_balanced_subset,
-)
+from ocon.balancer import BalanceWarning, build_balanced_subset, round_half_up
 from ocon.errors import BalanceToleranceExceeded, EmptyFalseClass, UnknownClass
+from ocon.features import speaker_view
 from tests.conftest import (
     matrix_from_labels,
     reference_group_distribution,
@@ -123,7 +119,7 @@ class TestToleranceFlag:
 class TestSpeakerSubsets:
     def test_male_true_class(self, reference_matrix):
         # 527 men over 2 false groups: 264 women + 263 children = 527 exactly
-        subset = speaker_balanced_subset(reference_matrix, "male", seed=2)
+        subset = build_balanced_subset(speaker_view(reference_matrix), 0, seed=2)
         assert subset.n_positive == 527
         assert len(subset.negatives_by_class[1]) == 264   # female
         assert len(subset.negatives_by_class[2]) == 263   # children
@@ -131,19 +127,14 @@ class TestSpeakerSubsets:
 
     def test_children_true_class(self, reference_matrix):
         # 301 boys + 221 girls = 522 children; round(522/2) = 261 each
-        subset = speaker_balanced_subset(reference_matrix, "children", seed=2)
+        subset = build_balanced_subset(speaker_view(reference_matrix), 2, seed=2)
         assert subset.n_positive == 522
         assert all(len(v) == 261 for v in subset.negatives_by_class.values())
-
-    def test_by_index_and_by_name_agree(self, reference_matrix):
-        a = speaker_balanced_subset(reference_matrix, "female", seed=4)
-        b = speaker_balanced_subset(reference_matrix, 1, seed=4)
-        assert np.array_equal(a.indices, b.indices)
 
     def test_single_group_input(self):
         matrix = matrix_from_labels([0] * 24, groups=[0] * 24)
         with pytest.raises(EmptyFalseClass):
-            speaker_balanced_subset(matrix, "male", seed=0)
+            build_balanced_subset(speaker_view(matrix), 0, seed=0)
 
 
 class TestSizeInvariantsRandomized:

@@ -130,6 +130,16 @@ def test_train_speaker_task(pipeline_dir, tmp_path):
                  "--out-dir", model_dir]) == 0
     manifest = json.load(open(os.path.join(model_dir, "ensemble.json")))
     assert manifest["class_names"] == ["male", "female", "children"]
+    eval_dir = str(tmp_path / "speaker_eval")
+    assert main(["eval", "--model", model_dir, "--matrix", matrix,
+                 "--out-dir", eval_dir]) == 0
+    with open(os.path.join(eval_dir, "confusion.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    assert rows[0] == ["true\\pred", "male", "female", "children"]
+    assert [row[0] for row in rows[1:]] == ["male", "female", "children"]
+    counts = np.array([[int(c) for c in row[1:]] for row in rows[1:]])
+    assert counts.shape == (3, 3)
+    assert counts.sum() == load_matrix(matrix).n_rows
 
 
 def train_tiny_model(pipeline_dir, tmp_path):
@@ -159,6 +169,28 @@ class TestErrorContract:
         code = main(["ingest", "--data", "/nonexistent.dat", "--out", "/tmp/x.csv"])
         assert code == 3
         assert "ERROR FileNotFoundError" in capsys.readouterr().err
+
+    def test_non_finite_cell_is_malformed_row(self, pipeline_dir, tmp_path, capsys):
+        lines = (pipeline_dir / "synth.dat").read_text().splitlines()
+        cells = lines[50].split()
+        cells[3] = "inf"                       # an F1 steady-state cell
+        lines[50] = " ".join(cells)
+        bad = tmp_path / "inf.dat"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["ingest", "--data", str(bad), "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "ERROR MalformedRow: line 51: non-finite value 'inf' for f1_ss" in \
+            capsys.readouterr().err
+
+        lines = (pipeline_dir / "records.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        records = tmp_path / "nan.csv"
+        records.write_text("\n".join(lines) + "\n")
+        code = main(["preprocess", "--records", str(records),
+                     "--out", str(tmp_path / "m.ocm")])
+        assert code == 1
+        assert "ERROR MalformedRow: line 3: non-finite value 'nan' for f3_80" in \
+            capsys.readouterr().err
 
     def test_domain_error_named_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"

@@ -1,11 +1,19 @@
+import contextlib
+import functools
+import io
 import itertools
+import math
+import os
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocon.cli import main
 from ocon.dataset import (
     ARPABET_CODES,
+    FEATURE_KEYS,
     ColumnLayout,
     FeatureRecord,
     PhonemeLabel,
@@ -23,10 +31,12 @@ from ocon.errors import (
     MalformedRow,
     MissingColumn,
     NonNumericSpeakerId,
+    OconError,
     UnknownGroupChar,
     UnknownPhonemeCode,
 )
 from ocon.features import FeatureSetKind
+from ocon.synth import records_to_dat, synth_records
 
 
 def make_record(code="ae", group=SpeakerGroup.MAN, speaker=10, **overrides):
@@ -123,6 +133,26 @@ class TestLoadDataset:
         with pytest.raises(MalformedRow):
             load_dataset(write_dat(tmp_path, rows), simple_layout())
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "NaN", "1e999", "Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, token):
+        rows = [row_for("m01ae", [100] + [500] * 12),
+                row_for("w02ih", [200] + [500] * 5 + [token] + [500] * 6)]
+        with pytest.raises(MalformedRow) as err:
+            load_dataset(write_dat(tmp_path, rows), simple_layout())
+        assert err.value.line_no == 2
+
+    def test_non_ascii_digit_speaker_rejected(self, tmp_path):
+        rows = [row_for("m\u00b2\u00b2ae", [100] + [500] * 12)]  # superscript twos
+        with pytest.raises(MalformedRow):
+            load_dataset(write_dat(tmp_path, rows), simple_layout())
+
+    def test_non_utf8_bytes_reported_with_line(self, tmp_path):
+        path = tmp_path / "latin1.dat"
+        path.write_bytes(b"m01ae " + b"500 " * 13 + b"\nm02ae 5\xe900\n")
+        with pytest.raises(MalformedRow) as err:
+            load_dataset(str(path), simple_layout())
+        assert err.value.line_no == 2
+
     def test_missing_column(self, tmp_path):
         rows = [row_for("m01ae", [100] * 5)]
         with pytest.raises(MissingColumn):
@@ -218,6 +248,22 @@ class TestClassStatistics:
             assert code in text
 
 
+@functools.lru_cache(maxsize=None)
+def valid_text(writer, n):
+    """Text of a file that ``writer`` makes from ``n`` synthetic records."""
+    records = synth_records(seed=4, men=1, women=1, boys=1, girls=1)[:n]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "valid")
+        writer(records, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+
+def records_csv_lines(n=3):
+    """Header plus ``n`` valid rows of a records CSV, as text lines."""
+    return valid_text(write_records_csv, n).splitlines()
+
+
 class TestRecordsCsv:
     def test_roundtrip_exact(self, tmp_path, synth_corpus):
         path = tmp_path / "records.csv"
@@ -225,6 +271,181 @@ class TestRecordsCsv:
         write_records_csv(subset, str(path))
         back = read_records_csv(str(path))
         assert back == subset
+
+    def read_lines(self, tmp_path, lines):
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return read_records_csv(str(path))
+
+    def test_missing_header_column(self, tmp_path):
+        lines = records_csv_lines()
+        lines[0] = lines[0].replace(",f2_ss,", ",f2_xx,")
+        with pytest.raises(MalformedRow) as err:
+            self.read_lines(tmp_path, lines)
+        assert err.value.line_no == 1 and "f2_ss" in str(err.value)
+
+    def test_empty_file_lacks_header(self, tmp_path):
+        with pytest.raises(MalformedRow) as err:
+            self.read_lines(tmp_path, [])
+        assert err.value.line_no == 1
+
+    def test_short_row(self, tmp_path):
+        lines = records_csv_lines()
+        lines[2] = ",".join(lines[2].split(",")[:8])
+        with pytest.raises(MalformedRow) as err:
+            self.read_lines(tmp_path, lines)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("column, token", [
+        (1, "q"), (1, ""), (2, "x1"), (2, "1.5"), (2, "100"), (2, "-1"), (3, "zz"),
+        (3, "AE"), (5, "inf"), (7, "nan"), (16, "-1e999"), (9, "-3"), (12, "five")])
+    def test_bad_cell(self, tmp_path, column, token):
+        lines = records_csv_lines()
+        cells = lines[3].split(",")
+        cells[column] = token
+        lines[3] = ",".join(cells)
+        with pytest.raises(MalformedRow) as err:
+            self.read_lines(tmp_path, lines)
+        assert err.value.line_no == 4
+
+
+# --- fuzzing: malformed input ends in an OconError, never a raw exception ---
+
+BAD_CELLS = st.sampled_from(["inf", "-inf", "nan", "NaN", "1e999", "", "x", "-1", "1e5e", "0x10"])
+DAT_NAMES = st.sampled_from(["x01ae", "m1xae", "m01zz", "m01a", "m\u00b2\u00b2ae", "M01AE"])
+CSV_IDENTITY = st.sampled_from([(1, "q"), (1, "M"), (2, ""), (2, "1.5"), (2, "100"),
+                                (3, "zz"), (3, "AE")])
+#: Hand-picked cell tokens mixed with arbitrary text, for unconstrained lines.
+TOKENS = st.sampled_from(["m01ae", "w12iy", "500", "0", "-1", "nan", "inf", "1e400", ","]) \
+    | st.text(max_size=6)
+LINES = st.lists(st.lists(TOKENS, max_size=32).map(" ".join)
+                 | st.lists(TOKENS, max_size=20).map(",".join), max_size=4)
+
+
+def dat_lines():
+    """43 header lines plus three valid rows in the public layout."""
+    return valid_text(records_to_dat, 3).splitlines()
+
+
+@st.composite
+def malformed_dat(draw):
+    """(file bytes, 1-based line of the defect) for a measurement file."""
+    lines = dat_lines()
+    at = draw(st.integers(44, len(lines)))
+    tokens = lines[at - 1].split()
+    kind = draw(st.sampled_from(["cell", "short", "name", "bytes"]))
+    if kind == "cell":
+        col = draw(st.sampled_from(sorted(set(ColumnLayout.hgcw_bigdata().columns.values()))))
+        tokens[col] = draw(BAD_CELLS.filter(bool))
+    elif kind == "short":
+        tokens = tokens[:draw(st.integers(1, max(ColumnLayout.hgcw_bigdata().columns.values())))]
+    elif kind == "name":
+        tokens[0] = draw(DAT_NAMES)
+    lines[at - 1] = " ".join(tokens)
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "bytes":
+        lines[at - 1] += " \udcff"
+        data = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+    return data, at
+
+
+@st.composite
+def malformed_records_csv(draw):
+    """(file bytes, 1-based line of the defect) for a records CSV."""
+    lines = records_csv_lines()
+    at = draw(st.integers(2, len(lines)))
+    cells = lines[at - 1].split(",")
+    kind = draw(st.sampled_from(["cell", "identity", "short", "header", "bytes"]))
+    if kind == "cell":
+        cells[draw(st.integers(5, len(cells) - 1))] = draw(BAD_CELLS)
+    elif kind == "identity":
+        col, token = draw(CSV_IDENTITY)
+        cells[col] = token
+    elif kind == "short":
+        cells = cells[:draw(st.integers(1, len(cells) - 1))]
+    lines[at - 1] = ",".join(cells)
+    if kind == "header":
+        at = 1
+        header = lines[0].split(",")
+        del header[draw(st.sampled_from([1, 2, 3] + list(range(5, len(header)))))]
+        lines[0] = ",".join(header)
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "bytes":
+        lines[at - 1] += "\udcff"
+        data = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+    return data, at
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader_fuzz")
+
+
+def run_cli(argv):
+    """Exit code and stderr of an in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_sane(records):
+    for rec in records:
+        values = [rec.value(k) for k in FEATURE_KEYS]
+        assert all(math.isfinite(v) and v >= 0 for v in values)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=LINES)
+    def test_dat_reader_returns_sane_records_or_ocon_error(self, fuzz_dir, lines):
+        path = fuzz_dir / "any.dat"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            assert_sane(load_dataset(str(path), simple_layout()))
+        except OconError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=LINES, header=st.booleans())
+    def test_csv_reader_returns_sane_records_or_ocon_error(self, fuzz_dir, lines, header):
+        path = fuzz_dir / "any.csv"
+        path.write_text("\n".join(records_csv_lines(0) * header + lines) + "\n",
+                        encoding="utf-8")
+        try:
+            assert_sane(read_records_csv(str(path)))
+        except OconError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=malformed_dat())
+    def test_malformed_dat_is_named_by_ingest(self, fuzz_dir, case):
+        data, line_no = case
+        path = fuzz_dir / "bad.dat"
+        path.write_bytes(data)
+        with pytest.raises((MalformedRow, MissingColumn)) as err:
+            load_dataset(str(path))
+        assert err.value.line_no == line_no
+        code, stderr = run_cli(["ingest", "--data", str(path),
+                                "--out", str(fuzz_dir / "out.csv")])
+        assert code == 1
+        assert stderr.startswith(f"ERROR {type(err.value).__name__}: ")
+        assert "Traceback" not in stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=malformed_records_csv())
+    def test_malformed_records_csv_is_named_by_preprocess(self, fuzz_dir, case):
+        data, line_no = case
+        path = fuzz_dir / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(MalformedRow) as err:
+            read_records_csv(str(path))
+        assert err.value.line_no == line_no
+        code, stderr = run_cli(["preprocess", "--records", str(path),
+                                "--out", str(fuzz_dir / "out.ocm")])
+        assert code == 1
+        assert stderr.startswith("ERROR MalformedRow: ")
+        assert "Traceback" not in stderr
 
 
 def test_synthetic_full_corpus_shape(tmp_path):

@@ -23,7 +23,8 @@ from ocon.errors import (
     NonFiniteInput,
     PartialEnsemble,
 )
-from ocon.features import FeatureSetKind
+from ocon.features import FeatureSetKind, speaker_view
+from ocon.metrics import report_tables
 from ocon.mlp import (
     MlpConfig,
     MlpModel,
@@ -290,12 +291,29 @@ class TestTrainEnsemble:
         mlp = MlpConfig(input_dim=12, hidden_layers=(4,), learning_rate=1e-3, seed=0)
         tc = TrainConfig(epochs_per_batch_set=2, max_batch_sets=1,
                          early_stop=None, seed=0)
-        model, reports = train_ensemble(synth_matrix, mlp, tc, task="speaker")
+        matrix = speaker_view(synth_matrix)
+        model, reports = train_ensemble(matrix, mlp, tc)
         assert model.class_names == ("male", "female", "children")
         assert len(model.members) == 3 and len(reports) == 3
-        ev = evaluate_ensemble(model, synth_matrix)
+        ev = evaluate_ensemble(model, matrix)
         assert ev.confusion.shape == (3, 3)
         assert ev.confusion.sum() == synth_matrix.n_rows
+
+    def test_wrong_label_table_is_manifest_mismatch(self, synth_matrix):
+        mlp = MlpConfig(input_dim=12, hidden_layers=(4,), learning_rate=1e-3, seed=0)
+        tc = TrainConfig(epochs_per_batch_set=1, max_batch_sets=1, early_stop=None, seed=0)
+        speaker_bank, _ = train_ensemble(speaker_view(synth_matrix), mlp, tc)
+        with pytest.raises(ManifestMismatch, match="classes"):
+            evaluate_ensemble(speaker_bank, synth_matrix)
+        with pytest.raises(ManifestMismatch, match="classes"):
+            report_tables(speaker_bank, synth_matrix)
+        phoneme_bank, _ = train_ensemble(synth_matrix, mlp, tc)
+        with pytest.raises(ManifestMismatch, match="classes"):
+            evaluate_ensemble(phoneme_bank, speaker_view(synth_matrix))
+        before = list(speaker_bank.members)
+        with pytest.raises(ManifestMismatch, match="classes"):
+            retrain_member(speaker_bank, synth_matrix, 0, mlp, tc)
+        assert speaker_bank.members == before
 
     def test_partial_ensemble_on_divergence(self):
         matrix = blob_matrix(n_per_class=20, n_classes=3, seed=4)

@@ -7,7 +7,6 @@ from ocon.dataset import ColumnLayout, load_dataset
 from ocon.errors import ConstantColumn, CorruptPayload, DimensionMismatch, UnusableRecord, VersionMismatch
 from ocon.features import (
     FeatureSetKind,
-    apply_minmax,
     build_feature_matrix,
     fit_minmax,
     fit_zscore,
@@ -96,19 +95,19 @@ class TestMinMax:
 
     def test_apply_endpoints_and_midpoint(self):
         scaling = fit_minmax(np.array([[2.0], [6.0]]))
-        assert apply_minmax(np.array([2.0]), scaling)[0] == 0.0
-        assert apply_minmax(np.array([6.0]), scaling)[0] == 1.0
-        assert apply_minmax(np.array([4.0]), scaling)[0] == 0.5
+        assert scaling.apply(np.array([2.0]))[0] == 0.0
+        assert scaling.apply(np.array([6.0]))[0] == 1.0
+        assert scaling.apply(np.array([4.0]))[0] == 0.5
 
     def test_clamping(self):
         scaling = fit_minmax(np.array([[2.0], [6.0]]))
-        assert apply_minmax(np.array([0.0]), scaling)[0] == 0.0
-        assert apply_minmax(np.array([60.0]), scaling)[0] == 1.0
+        assert scaling.apply(np.array([0.0]))[0] == 0.0
+        assert scaling.apply(np.array([60.0]))[0] == 1.0
 
     def test_dimension_mismatch(self):
         scaling = fit_minmax(np.array([[2.0], [6.0]]))
         with pytest.raises(DimensionMismatch):
-            apply_minmax(np.array([1.0, 2.0]), scaling)
+            scaling.apply(np.array([1.0, 2.0]))
 
     @settings(max_examples=50)
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=6),
@@ -121,7 +120,7 @@ class TestMinMax:
             scaling = fit_minmax(data)
         except ConstantColumn:
             return
-        scaled = apply_minmax(data, scaling)
+        scaled = scaling.apply(data)
         assert np.all(scaled >= 0.0) and np.all(scaled <= 1.0)
         assert np.allclose(scaled.min(axis=0), 0.0)
         assert np.allclose(scaled.max(axis=0), 1.0)

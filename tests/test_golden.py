@@ -19,8 +19,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from ocon.ensemble import save_ensemble, train_ensemble
+from ocon.features import speaker_view
+from ocon.metrics import report_tables
 from ocon.mlp import MlpConfig
 from ocon.training import EarlyStopRule, TrainConfig, train_one_class
+from ocon.util import sha256_file
 
 TRAIN = TrainConfig(epochs_per_batch_set=4, max_batch_sets=2, early_stop=None, seed=3)
 TWO_LAYER_RMSPROP = MlpConfig(input_dim=12, hidden_layers=(16, 8), optimizer="rmsprop",
@@ -41,6 +45,15 @@ CASES = {
         "e4452103e61cb93a552d4d7e758082161517f04725245dcb2ecc837c90c0817f"),
 }
 
+# class or file -> sha256 of the speaker bank trained in
+# ``test_speaker_bank_is_bit_identical``
+SPEAKER_BANK_DIGESTS = {
+    "male": "24d8392d1cd282c9f04f682d7e90643c70cfe92a670ab6d704b0256fb20c1ba6",
+    "female": "fe010898ebb440bc088224c416f1bf5aa3ee27d32ab1cba9cb091dd5a25d07e7",
+    "children": "bbe3017ebf9c6b51c483e38307bac5bac08ad12108349fd33cae6bbfb0f74066",
+    "confusion.csv": "a6f37570459ff4b0b43ab9c077c8c7dd70b1b0c262c7707077fbba87165c8b3b",
+}
+
 
 def training_digest(model, report):
     h = hashlib.sha256()
@@ -57,3 +70,17 @@ def test_seeded_training_is_bit_identical(synth_matrix, name):
     model, report = train_one_class(synth_matrix, 0, config, train)
     assert report.epochs_run == epochs
     assert training_digest(model, report) == pinned
+
+
+def test_speaker_bank_is_bit_identical(synth_matrix, tmp_path):
+    """A 3-member speaker-group bank: sha256 of each member checkpoint and
+    of confusion.csv."""
+    config = MlpConfig(input_dim=12, hidden_layers=(8,), learning_rate=1e-3, seed=7)
+    matrix = speaker_view(synth_matrix)
+    model, _ = train_ensemble(matrix, config, TRAIN)
+    save_ensemble(model, str(tmp_path / "bank"))
+    report_tables(model, matrix).write_csv(str(tmp_path / "eval"))
+    digests = {name: sha256_file(str(tmp_path / "bank" / f"member_{name}.ocmdl"))
+               for name in model.class_names}
+    digests["confusion.csv"] = sha256_file(str(tmp_path / "eval" / "confusion.csv"))
+    assert digests == SPEAKER_BANK_DIGESTS

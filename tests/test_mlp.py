@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -372,7 +372,7 @@ class TestDeterminismAndCheckpoints:
                            f"rmean{i}": p.running_mean[i], f"rvar{i}": p.running_var[i]})
         for i, t in enumerate(p.trainables()):
             arrays.update({f"m{i}": np.full_like(t, 0.25), f"v{i}": np.full_like(t, 0.5)})
-        meta = {"config": model.config.to_dict(), "step": p.step,
+        meta = {"config": asdict(model.config), "step": p.step,
                 "scaling_hash": model.scaling_hash, "manifest_hash": model.manifest_hash}
         container.write_container(path, CHECKPOINT_KIND, 1, meta, arrays)
 
@@ -409,7 +409,7 @@ class TestDeterminismAndCheckpoints:
                   "b0": params.biases[0], "b1": params.biases[1],
                   "gamma0": params.gamma[0], "beta0": params.beta[0],
                   "rmean0": params.running_mean[0], "rvar0": params.running_var[0]}
-        meta = {"config": config.to_dict(), "step": params.step,
+        meta = {"config": asdict(config), "step": params.step,
                 "scaling_hash": "", "manifest_hash": ""}
         if damage == "reshape_w0":
             arrays["w0"] = arrays["w0"].T

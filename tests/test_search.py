@@ -172,6 +172,20 @@ class TestRunStage:
                            tiny_stage(), seed=1)
         assert all(r.mean_accuracy == float("-inf") and r.diverged for r in result.rows)
 
+    def test_widest_combinations_run_first(self, monkeypatch):
+        order = []
+        run_cell = search._run_cell
+
+        def recording(matrix, stage, hps, combo_index, *args):
+            order.append(combo_index)
+            return run_cell(matrix, stage, hps, combo_index, *args)
+        monkeypatch.setattr(search, "_run_cell", recording)
+        stage = tiny_stage(grid={"hidden_nodes": [4, 8], "hidden_layers": [1, 2]})
+        result = run_stage(blob_matrix(n_per_class=20, n_classes=2, seed=2), stage, seed=1)
+        assert order == [3, 1, 2, 0]           # widths 16, 8, 8, 4; ties in grid order
+        assert [row.index for row in result.rows] == [0, 1, 2, 3]
+        assert [row.hps for row in result.rows] == list(stage.combinations())
+
     def test_programming_error_in_cell_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("operands could not be broadcast")

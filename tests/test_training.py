@@ -10,7 +10,7 @@ from ocon import training
 from ocon.balancer import build_balanced_subset
 from ocon.ensemble import train_ensemble
 from ocon.errors import TooFewSamples
-from ocon.features import FeatureMatrix, FeatureSetKind, ScalingRecord
+from ocon.features import FeatureMatrix, FeatureSetKind, ScalingRecord, speaker_view
 from ocon.mlp import MlpConfig
 from ocon.search import hp_to_mlp_config, run_stage
 from ocon.training import (
@@ -190,7 +190,7 @@ class TestTrainOneClass:
         cfg = MlpConfig(input_dim=12, hidden_layers=(8,), learning_rate=1e-3, seed=0)
         tc = TrainConfig(epochs_per_batch_set=3, max_batch_sets=1, early_stop=None,
                          seed=0)
-        _, report = train_one_class(synth_matrix, "male", cfg, tc, task="speaker")
+        _, report = train_one_class(speaker_view(synth_matrix), 0, cfg, tc)
         assert report.class_name == "male"
         assert report.subset_sizes[0][0] == int(np.sum(synth_matrix.groups == 0))
 
