@@ -112,6 +112,14 @@ def _balance_sizes(sizes, avail, n_positive):
     return sizes
 
 
+def check_class_id(labelled, class_id):
+    """Raise UnknownClass unless ``class_id`` indexes ``labelled.class_names``
+    (of a matrix or an ensemble)."""
+    k = len(labelled.class_names)
+    if not 0 <= class_id < k:
+        raise UnknownClass(f"label id {class_id} outside 0..{k - 1}")
+
+
 def build_balanced_subset(matrix, true_class, seed, balancing_tolerance=0.01):
     """Balanced binary subset of a labeled matrix for one true class.
 
@@ -120,8 +128,7 @@ def build_balanced_subset(matrix, true_class, seed, balancing_tolerance=0.01):
     """
     class_names = matrix.class_names
     k = len(class_names)
-    if not 0 <= true_class < k:
-        raise UnknownClass(f"label id {true_class} outside 0..{k - 1}")
+    check_class_id(matrix, true_class)
     by_class = {c: np.flatnonzero(matrix.labels == c) for c in range(k)}
     if not len(by_class[true_class]):
         raise UnknownClass(f"class {class_names[true_class]!r} has no samples")

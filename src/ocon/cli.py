@@ -8,6 +8,9 @@ summarizes run manifests.  Config files use the plain ``key = value``
 grammar; flags override file values, and the merged effective config is
 echoed into the run manifest.
 
+Each command imports the modules only it needs (``metrics``, ``search``,
+``training``) in its own body, which keeps the start-up of the others short.
+
 Exit codes: 0 success, 1 domain error (the error class name is printed on
 stderr as ``ERROR <Name>: ...``), 2 usage error, 3 missing file.
 """
@@ -43,10 +46,7 @@ from .features import (
     speaker_view,
 )
 from .manifest import RunManifest, summarize_manifests
-from .metrics import report_tables
 from .mlp import MlpConfig
-from .search import SearchStage, desk_scale, run_stage, stage_presets
-from .training import EarlyStopRule, TrainConfig
 
 _FEATURE_SETS = {kind.value: kind for kind in FeatureSetKind}
 
@@ -131,6 +131,8 @@ def _write_projections(records, prefix):
 
 
 def _load_stage(spec_text):
+    from .search import SearchStage, stage_presets
+
     if spec_text.startswith("preset:"):
         name = spec_text.split(":", 1)[1]
         presets = {f"stage{i + 1}": s for i, s in enumerate(stage_presets())}
@@ -147,6 +149,8 @@ def _task_matrix(args):
 
 
 def cmd_search(args):
+    from .search import desk_scale, run_stage
+
     stage = _load_stage(args.stage)
     if args.desk_scale > 1:
         stage = desk_scale(stage, args.desk_scale)
@@ -191,6 +195,8 @@ def _mlp_config_from(args, input_dim):
 
 
 def _train_config_from(args):
+    from .training import EarlyStopRule, TrainConfig
+
     if args.train_config:
         raw = load_config(args.train_config)
         _check_keys(raw, TrainConfig, "train")
@@ -231,6 +237,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    from .metrics import report_tables
+
     manifest = RunManifest("eval", {"model": args.model, "matrix": args.matrix},
                            master_seed=0)
     manifest.add_input(args.matrix)

@@ -1,38 +1,33 @@
 """The OCON model: an ordered bank of independently trained one-class MLPs.
 
 All members share one topology (layer widths and batch-norm) and one scaling
-record; ``OconModel`` refuses a bank that does not.  Joint inference runs
-every member on the (scaled) input and takes the first occurrence of the
-maximum of the per-class probability vector.  Members are independently
-retrainable; saving writes one checkpoint per member plus a JSON manifest, so
-swapping a single member never touches the others' bytes.
+record; ``OconModel`` refuses a bank that does not.  The model owns one
+(K, P) parameter store and each member is a view of its row.  Joint
+inference takes the first occurrence of the maximum of the per-class
+probability vector.  Saving writes one checkpoint per member plus a JSON
+manifest, so swapping a single member never touches the others' bytes.
 
 Training runs through the lockstep engine (``training._run_cycle``):
 ``train_ensemble`` hands it all members at once, or with ``workers=w`` one
-contiguous chunk of class ids per process, so each process steps its
-members together in one stacked minibatch step.
+contiguous chunk of class ids per process.
 
-Joint inference has two paths that give bitwise the same probabilities.  A
-query of a few rows costs mostly per-call overhead, K times over, so when
-rows x K x the widest layer is at most ``STACK_MAX_VALUES`` float64 values
-all K members run in one stacked ``mlp.forward`` (``mlp.stack_params``).
-Above that the (K, rows, width) temporaries outgrow the CPU cache and the
-stacked pass runs slower than one ``predict_proba`` per member, so large
-batches keep the per-member loop.  The input size picks the path.  The stack
-is rebuilt on every call (15-30 us for 12 members) and never cached:
-members are mutable (``retrain_member``, in-place edits), and a stale cache
-would give a silently wrong answer.  Rows are never split into blocks,
-because BLAS rounds the edge rows of a block whose size is not a multiple
-of its row tile differently.
+Joint inference has two paths that give bitwise the same probabilities.
+When rows x K x the widest layer is at most ``STACK_MAX_VALUES`` float64
+values, all K members run in one stacked ``mlp.forward`` over the store
+itself: no copy, and nothing that can go stale.  Above that the (K, rows,
+width) temporaries outgrow the CPU cache, so large batches run one
+``predict_proba`` per member.  Rows are never split into blocks, because
+BLAS rounds the edge rows of a block whose size is not a multiple of its
+row tile differently.
 """
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .balancer import check_class_id
 from .errors import (
     DimensionMismatch,
     ManifestMismatch,
@@ -41,63 +36,87 @@ from .errors import (
     PartialEnsemble,
 )
 from .features import FeatureSetKind, ScalingRecord
-from .mlp import STACK_MAX_VALUES, forward, load_model, save_model, stack_params
-from .training import _run_cycle, one_class_cycle
+from .mlp import STACK_MAX_VALUES, MlpParams, StackedParams, forward, load_model, save_model
 from .util import derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
 MANIFEST_NAME = "ensemble.json"
 
 
-def _check_topology(name, config, bank_config):
-    """Members must share layer widths and batch-norm: one stacked forward
-    runs them all with the first member's config."""
-    got = (config.layer_dims, config.batch_norm)
-    want = (bank_config.layer_dims, bank_config.batch_norm)
-    if got != want:
-        raise ManifestMismatch(
-            f"member {name!r} has layer dims {got[0]} and batch_norm={got[1]}; "
-            f"the bank has {want[0]} and batch_norm={want[1]}")
-
-
-@dataclass
 class OconModel:
-    """Ordered member bank plus the shared feature-space provenance."""
+    """Ordered member bank plus the shared feature-space provenance.
 
-    class_names: tuple
-    members: list                     # MlpModel per class, label order
-    scaling: ScalingRecord
-    feature_set: FeatureSetKind
-    f0_mode: str = "raw"
+    The bank owns its members' buffers: ``store`` is one (K, P) training
+    ``StackedParams``, and each member of the immutable ``members`` tuple is
+    an ``MlpModel`` whose params are row views of it, so an edit through a
+    member shows in ``infer`` at once.  Members are copied into their rows
+    when the model is built, and ``replace_member`` copies a new one in.
+    """
 
-    def __post_init__(self):
-        if len(self.members) != len(self.class_names):
+    def __init__(self, class_names, members, scaling, feature_set, f0_mode="raw"):
+        self.class_names = tuple(class_names)
+        self.scaling, self.feature_set, self.f0_mode = scaling, feature_set, f0_mode
+        if len(members) != len(self.class_names):
             raise ManifestMismatch("one member required per class")
-        want = self.scaling.content_hash()
-        for name, member in zip(self.class_names, self.members):
-            if member.config.input_dim != self.feature_set.dim:
-                raise ManifestMismatch(
-                    f"member {name!r} input dim {member.config.input_dim} != "
-                    f"{self.feature_set.dim}")
-            _check_topology(name, member.config, self.members[0].config)
-            if member.scaling_hash and member.scaling_hash != want:
-                raise ManifestMismatch(f"member {name!r} trained with different scaling")
+        self._members, bank_hash = tuple(members), scaling.content_hash()
+        for name, member in zip(self.class_names, members):
+            self._check_member(name, member.config, member.scaling_hash, bank_hash)
+        self.store = StackedParams(members[0].config, len(members), train=True)
+        self._members = tuple(self._adopt(k, m) for k, m in enumerate(members))
+
+    def _check_member(self, name, config, scaling_hash="", bank_hash=None):
+        """A member must fit the bank: the feature width, the first member's
+        layer widths and batch-norm (one stacked forward runs them all with
+        its config) and the bank's scaling (hash ``bank_hash`` if known)."""
+        bank = self._members[0].config
+        if config.input_dim != self.feature_set.dim:
+            raise ManifestMismatch(
+                f"member {name!r} input dim {config.input_dim} != {self.feature_set.dim}")
+        got, want = (config.layer_dims, config.batch_norm), (bank.layer_dims, bank.batch_norm)
+        if got != want:
+            raise ManifestMismatch(
+                f"member {name!r} has layer dims {got[0]} and batch_norm={got[1]}; "
+                f"the bank has {want[0]} and batch_norm={want[1]}")
+        if scaling_hash and scaling_hash != (bank_hash or self.scaling.content_hash()):
+            raise ManifestMismatch(f"member {name!r} trained with different scaling")
+
+    def _adopt(self, k, member):
+        """``member`` copied into row ``k``, as a view of the row."""
+        self.store.put(k, member.params)
+        params = MlpParams(member.config, self.store, k)
+        params.step = member.params.step
+        return replace(member, params=params)
+
+    @property
+    def members(self):
+        return self._members
 
     @property
     def n_classes(self):
         return len(self.class_names)
 
+    def replace_member(self, k, member):
+        """Copy ``member`` into row ``k``; the member it replaces keeps its values."""
+        check_class_id(self, k)
+        self._check_member(self.class_names[k], member.config, member.scaling_hash)
+        self._members[k].params = self._members[k].params.copy()
+        self._members = self._members[:k] + (self._adopt(k, member),) + self._members[k + 1:]
 
-def _member_cycle(matrix, class_id, mlp_config, train_config):
-    member_mlp = replace(mlp_config, seed=derive_seed(mlp_config.seed, "member", class_id))
-    member_tc = replace(train_config, seed=derive_seed(train_config.seed, "member", class_id))
-    return one_class_cycle(matrix, class_id, member_mlp, member_tc)
+    def __reduce__(self):
+        # members pickle as standalone copies, put into the new model's store
+        return OconModel, (self.class_names, self._members, self.scaling,
+                           self.feature_set, self.f0_mode)
 
 
 def _train_members(matrix, class_ids, mlp_config, train_config):
-    """The members of ``class_ids``, trained by one lockstep engine call."""
-    return _run_cycle(matrix, [_member_cycle(matrix, cid, mlp_config, train_config)
-                               for cid in class_ids])
+    """The members of ``class_ids``, trained by one lockstep engine call;
+    member seeds derive from (master seed, class id)."""
+    from .training import _run_cycle, one_class_cycle
+
+    return _run_cycle(matrix, [one_class_cycle(
+        matrix, cid, replace(mlp_config, seed=derive_seed(mlp_config.seed, "member", cid)),
+        replace(train_config, seed=derive_seed(train_config.seed, "member", cid)))
+        for cid in class_ids])
 
 
 def train_ensemble(matrix, mlp_config, train_config, workers=1):
@@ -115,6 +134,8 @@ def train_ensemble(matrix, mlp_config, train_config, workers=1):
     chunks = [chunk for chunk in (class_ids[i * n // workers: (i + 1) * n // workers]
                                   for i in range(max(1, workers))) if chunk]
     if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [pool.submit(_train_members, matrix, chunk, mlp_config, train_config)
                        for chunk in chunks]
@@ -122,8 +143,7 @@ def train_ensemble(matrix, mlp_config, train_config, workers=1):
     else:
         outcomes = _train_members(matrix, class_ids, mlp_config, train_config)
 
-    members = [model for model, _ in outcomes]
-    reports = [report for _, report in outcomes]
+    members, reports = (list(part) for part in zip(*outcomes))
     failures = [r.class_name for r in reports if r.stop_reason == "diverged"]
     if failures:
         raise PartialEnsemble(failures, reports=reports)
@@ -147,15 +167,16 @@ def retrain_member(model, matrix, class_id, mlp_config, train_config):
     """Retrain a single member in place; other members are untouched.
 
     A matrix of another scaling or label table, or a config whose topology
-    differs from the bank's, raises ManifestMismatch before any training,
-    and the model is left as it was.
+    differs from the bank's, raises ManifestMismatch (an unknown class id
+    UnknownClass) before any training, and the model is left as it was.
     """
     _check_matrix(model, matrix)
-    _check_topology(model.class_names[class_id], mlp_config, model.members[class_id].config)
+    check_class_id(matrix, class_id)
+    model._check_member(model.class_names[class_id], mlp_config)
     [(member, report)] = _train_members(matrix, [class_id], mlp_config, train_config)
     if report.stop_reason == "diverged":
         raise PartialEnsemble([report.class_name], reports=[report])
-    model.members[class_id] = member
+    model.replace_member(class_id, member)
     return report
 
 
@@ -181,7 +202,7 @@ def infer(model, vector, scaled=False):
         x = model.scaling.apply(x)
     config = model.members[0].config
     if len(x) * model.n_classes * max(config.layer_dims) <= STACK_MAX_VALUES:
-        probs, _ = forward(stack_params([m.params for m in model.members]), config, x)
+        probs, _ = forward(model.store, config, x)
         logits = probs.T
     else:
         logits = np.column_stack([m.predict_proba(x) for m in model.members])
@@ -213,11 +234,9 @@ def evaluate_ensemble(model, matrix):
     scores, predicted = infer(model, matrix.values, scaled=True)
     k = model.n_classes
 
-    per_class = {}
-    for c, name in enumerate(model.class_names):
-        truth = labels == c
-        hit = (scores[:, c] >= 0.5) == truth
-        per_class[name] = 100.0 * float(np.mean(hit))
+    hits = (scores >= 0.5) == (labels[:, None] == np.arange(k))
+    per_class = {name: 100.0 * float(np.mean(hits[:, c]))
+                 for c, name in enumerate(model.class_names)}
 
     argmax_accuracy = 100.0 * float(np.mean(predicted == labels))
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -49,7 +49,8 @@ class MissingColumn(OconError):
 # --- feature pipeline ---
 
 class UnusableRecord(OconError):
-    """A required frequency field is zero or negative."""
+    """A required frequency field is zero or negative, or the features it
+    gives are not finite (an F0 ratio that overflows)."""
 
 
 class ConstantColumn(OconError):

@@ -65,13 +65,16 @@ def normalize_by_f0(record, kind, f0_mode="raw"):
 
     Every component is Fi(t)/F0 with the single steady-state F0; the SS4
     variant appends an F0 channel (raw Hz when ``f0_mode="raw"``, constant 1.0
-    when ``"unit"``).  Raises UnusableRecord if any required field is <= 0.
+    when ``"unit"``).  Raises UnusableRecord if any required field is <= 0,
+    or if a ratio is not finite (a tiny but positive F0 such as 1e-320).
     """
     f0 = record.value("f0_ss")
     values = [record.value(k) for k in kind.required_keys]
     if any(v <= 0 for v in values):
         raise UnusableRecord(f"record {record.filename} has non-positive required fields")
     out = np.array([record.value(k) / f0 for k in kind.ratio_keys], dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise UnusableRecord(f"record {record.filename} has a non-finite F0 ratio")
     if kind is FeatureSetKind.SS4:
         channel = f0 if f0_mode == "raw" else 1.0
         out = np.append(out, channel)
@@ -210,7 +213,8 @@ def build_feature_matrix(records, kind, scaling=None, f0_mode="raw", zscore=Fals
     """Filter, normalize, scale, and stack records into a FeatureMatrix.
 
     When ``scaling`` is given it is applied as-is (inference path); otherwise
-    it is fit on these rows.  Returns (matrix, dropped_records).
+    it is fit on these rows.  Returns (matrix, dropped_records).  A record
+    or scaling that gives a non-finite value raises UnusableRecord.
     """
     kept, dropped = filter_usable(records, kind)
     if not kept:
@@ -219,6 +223,10 @@ def build_feature_matrix(records, kind, scaling=None, f0_mode="raw", zscore=Fals
     if scaling is None:
         scaling = fit_zscore(raw) if zscore else fit_minmax(raw)
     values = scaling.apply(raw)
+    # the one finiteness check of the matrix path: ScalingRecord.apply also
+    # serves single-vector infer, which checks its input before scaling
+    if not all(np.isfinite(a).all() for a in (values, scaling.lo, scaling.hi)):
+        raise UnusableRecord("the scaled feature matrix or its scaling is not finite")
     labels = np.array([rec.phoneme.label_id for rec in kept], dtype=np.int64)
     groups = np.array([rec.group.code for rec in kept], dtype=np.int64)
     matrix = FeatureMatrix(values=values, labels=labels, groups=groups,

@@ -22,23 +22,18 @@ Because the weights come first, the L2 term touches only the prefix
 ``theta[:n_weights]``.  Batch-norm running statistics are not trained and
 stay per-layer arrays outside ``theta``.
 
-Stacked members: ``stack_params`` copies K same-topology members' ``theta``
-rows into one (K, P) array whose views carry a leading member axis, and
-``forward``, ``_backward`` and ``optimizer_step`` run all K members in one
-set of numpy calls over it.  Each member's slice goes through the same
-matmul, elementwise and row-axis reductions as a single-member pass, so
-every member's probabilities, gradients and updates are bitwise its own.
-An ``MlpParams`` is the K=1 case: ``params.stacked`` is a (1, P) view of
-its own buffers, so there is one code path.  In infer mode all K members
-see one (B, d) batch; in train mode each member has its own (rows, d) block
-and its own dropout generator, drawn from one call per member in member
-order, as a single-member step draws.
-
-Train-mode steps write every temporary into a workspace (``_Workspace``)
-allocated once per stack: a fresh (K, rows, width) temporary is large
-enough for glibc to map and unmap it on every operation, at hundreds of
-page faults per step.  A steady-state stacked step allocates nothing larger
-than (K, rows).
+Stacked members: a ``StackedParams`` holds K same-topology members as one
+(K, P) ``theta`` whose views carry a leading member axis, and ``forward``,
+``_backward`` and ``optimizer_step`` run all K in one set of numpy calls.
+Each member's slice goes through the same matmul, elementwise and row-axis
+reductions as a single-member pass, so its results are bitwise its own.
+Every ``MlpParams`` is a row of a stack -- a K=1 stack of its own, or a
+bank's store (``ensemble.OconModel``) -- and runs as the K=1 view of that
+row (``params.stacked``).  In infer mode all K members see one (B, d)
+batch; in train mode each has its own (rows, d) block and dropout
+generator, drawn in member order.  Train-mode temporaries live in a
+workspace the stack keeps (``_Workspace``), so a train-mode cache is valid
+until the stack's next step.
 """
 
 import copy
@@ -134,65 +129,125 @@ def _split(shapes, n_layers, flat):
     return views[:n], views[n: 2 * n], views[2 * n: 2 * n + n_bn], views[2 * n + n_bn:]
 
 
-class MlpParams:
-    """All trainables in one flat ``theta``, with its gradient and moment twins.
+class StackedParams:
+    """Parameters of K same-topology members with a leading member axis.
 
-    ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
-    ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
-    ``grad``; writing through a view writes the flat buffer.  ``gamma`` and
-    ``beta`` are empty when batch-norm is off.  ``stacked`` is the K=1
-    ``StackedParams`` view of these same buffers, which ``forward``,
-    ``_backward`` and ``optimizer_step`` run on.
+    ``theta`` is (K, P), one member's flat parameters per row; weight views
+    are (K, out, in), vector views and running statistics (K, 1, width).
+    ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins (``None`` in a stack
+    built with ``train=False``), and ``step`` counts the optimizer steps all
+    K members took together.  A new stack holds zeros, unit running
+    variances.  Train-mode steps write their temporaries into ``workspace``,
+    which the stack keeps between steps.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, n_members=1, train=False):
         dims = config.layer_dims
         pairs = list(zip(dims[:-1], dims[1:]))
         self.shapes = ([(fan_out, fan_in) for fan_in, fan_out in pairs]
                        + [(fan_out,) for _, fan_out in pairs]
                        + [(w,) for w in config.hidden_layers] * (2 * config.batch_norm))
-        self.n_layers = len(pairs)
-        size = sum(math.prod(shape) for shape in self.shapes)
-        self.theta = np.zeros(size)
-        self.grad = np.zeros(size)
-        self.opt_m = np.zeros(size)
-        self.opt_v = np.zeros(size)
-        self.weights, self.biases, self.gamma, self.beta = self._split(self.theta)
-        self.d_weights, self.d_biases, self.d_gamma, self.d_beta = self._split(self.grad)
-        self.n_weights = sum(w.size for w in self.weights)
+        self.config, self.n_layers, self.workspace = config, len(pairs), None
+        self.n_weights = sum(math.prod(shape) for shape in self.shapes[:self.n_layers])
+        theta = np.zeros((n_members, sum(math.prod(shape) for shape in self.shapes)))
         widths = config.hidden_layers if config.batch_norm else ()
-        self.running_mean = [np.zeros(w) for w in widths]
-        self.running_var = [np.ones(w) for w in widths]
-        self.step = 0
-        self._config = config
-        self.stacked = StackedParams(
-            self.shapes, self.n_layers, self.theta[None],
-            [m[None, None] for m in self.running_mean], [v[None, None] for v in self.running_var],
-            grad=self.grad[None], opt_m=self.opt_m[None], opt_v=self.opt_v[None],
-            keep_workspace=False)
+        running = ([np.zeros((n_members, 1, w)) for w in widths]
+                   + [np.ones((n_members, 1, w)) for w in widths])
+        twins = [np.zeros_like(theta) for _ in range(3)] if train else [None] * 3
+        self._bind(theta, running, *twins)
 
-    def _split(self, flat):
-        return _split(self.shapes, self.n_layers, flat)
+    def _bind(self, theta, running, grad, opt_m, opt_v, step=0):
+        self.theta, self.grad, self.opt_m, self.opt_v, self.step = theta, grad, opt_m, opt_v, step
+        n_bn = len(running) // 2
+        self.running_mean, self.running_var = running[:n_bn], running[n_bn:]
+        self.weights, self.biases, self.gamma, self.beta = _split(self.shapes, self.n_layers, theta)
+        if grad is not None:
+            self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
+                self.shapes, self.n_layers, grad)
+
+    def _state(self):
+        """Parameters, running statistics, then moments if it has them."""
+        moments = [] if self.opt_m is None else [self.opt_m, self.opt_v]
+        return [self.theta, *self.running_mean, *self.running_var, *moments]
+
+    @property
+    def n_members(self):
+        return len(self.theta)
+
+    def buffers(self, config, rows):
+        """Workspace views for one train step of ``rows`` rows per member."""
+        ws = self.workspace
+        if ws is None or not (self.n_members <= ws.members and rows <= ws.rows):
+            ws = self.workspace = _Workspace(config, self.n_members, rows,
+                                             self.theta.shape[1], self.n_weights)
+        return ws.at(self.n_members, rows)
+
+    def select(self, index):
+        """The members at ``index``, sharing the workspace: views of this
+        stack for a slice, copies for a list of indices."""
+        part = copy.copy(self)
+        part._bind(self.theta[index], [s[index] for s in self.running_mean + self.running_var],
+                   *(None if a is None else a[index] for a in (self.grad, self.opt_m, self.opt_v)),
+                   step=self.step)
+        return part
+
+    def put(self, k, params):
+        """Copy ``MlpParams`` ``params`` into row ``k`` (moments only if the stack has them)."""
+        for stacked, mine in zip(self._state(), params._state()):
+            stacked[k] = mine
+
+    def copy_out(self, k, params):
+        """Write member ``k``'s parameters, running statistics, moments and
+        step count into the ``MlpParams`` ``params``."""
+        for mine, stacked in zip(params._state(), self._state()):
+            mine[...] = stacked[k]
+        params.step = self.step
+
+
+class MlpParams:
+    """One member's trainables in a flat ``theta``, with its gradient and
+    moment twins: row ``k`` of a training ``stack`` (by default a K=1 stack
+    of its own), so a write through either shows in both.
+
+    ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
+    ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
+    ``grad``.  ``gamma`` and ``beta`` are empty when batch-norm is off.
+    ``stacked`` is the K=1 view of the row that ``forward``, ``_backward``
+    and ``optimizer_step`` run on.
+    """
+
+    def __init__(self, config, stack=None, k=0):
+        own = stack is None
+        stack = StackedParams(config, train=True) if own else stack
+        self.shapes, self.n_layers, self.n_weights = stack.shapes, stack.n_layers, stack.n_weights
+        self.stacked = stack if own else stack.select(slice(k, k + 1))
+        self.theta, self.grad, self.opt_m, self.opt_v = (
+            buf[k] for buf in (stack.theta, stack.grad, stack.opt_m, stack.opt_v))
+        self.weights, self.biases, self.gamma, self.beta = _split(
+            self.shapes, self.n_layers, self.theta)
+        self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
+            self.shapes, self.n_layers, self.grad)
+        self.running_mean = [m[k, 0] for m in stack.running_mean]
+        self.running_var = [v[k, 0] for v in stack.running_var]
+        self.step, self._config = 0, config
+
+    _state = StackedParams._state
 
     def trainables(self):
         """Views of the parameter arrays in ``theta`` order."""
         return self.weights + self.biases + self.gamma + self.beta
 
-    # pickling and copying carry only the flat buffers; the views are rebuilt
-    # so they keep sharing memory with theta and grad
+    # pickling and copying carry only the values; the buffers are rebuilt as
+    # a stack of their own, with views that keep sharing memory with them
     def __getstate__(self):
-        return self._config, {"theta": self.theta, "opt_m": self.opt_m, "opt_v": self.opt_v,
-                              "running": self.running_mean + self.running_var,
-                              "step": self.step}
+        return self._config, self._state(), self.step
 
     def __setstate__(self, state):
-        config, values = state
+        config, values, step = state
         self.__init__(config)
-        for key in ("theta", "opt_m", "opt_v"):
-            getattr(self, key)[...] = values[key]
-        for mine, saved in zip(self.running_mean + self.running_var, values["running"]):
+        for mine, saved in zip(self._state(), values):
             mine[...] = saved
-        self.step = values["step"]
+        self.step = step
 
     def copy(self):
         return copy.deepcopy(self)
@@ -210,88 +265,21 @@ def init_params(config):
     return params
 
 
-class StackedParams:
-    """Parameters of K same-topology members with a leading member axis.
-
-    ``theta`` is (K, P), one member's flat parameters per row; weight views
-    are (K, out, in), vector views and running statistics (K, 1, width).
-    ``grad``, ``opt_m`` and ``opt_v`` (training only; ``None`` in a stack
-    built for inference) are (K, P) twins, and ``step`` counts the optimizer
-    steps all K members took together.  Train-mode steps write their
-    temporaries into ``workspace``; a stack made with ``keep_workspace``
-    keeps it between steps, so a step's cache is only valid until the next.
-    """
-
-    def __init__(self, shapes, n_layers, theta, running_mean, running_var,
-                 grad=None, opt_m=None, opt_v=None, step=0, keep_workspace=True):
-        self.shapes, self.n_layers = shapes, n_layers
-        self.theta = theta
-        self.weights, self.biases, self.gamma, self.beta = _split(shapes, n_layers, theta)
-        self.n_weights = sum(math.prod(shape) for shape in shapes[:n_layers])
-        self.running_mean, self.running_var = running_mean, running_var
-        self.grad, self.opt_m, self.opt_v, self.step = grad, opt_m, opt_v, step
-        if grad is not None:
-            self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
-                shapes, n_layers, grad)
-        self.keep_workspace = keep_workspace
-        self.workspace = None
-
-    @property
-    def n_members(self):
-        return len(self.theta)
-
-    def buffers(self, config, rows):
-        """Workspace views for one train step of ``rows`` rows per member."""
-        ws = self.workspace
-        if ws is None or not ws.fits(self.n_members, rows):
-            ws = _Workspace(config, self.n_members, rows, self.theta.shape[1], self.n_weights)
-            if self.keep_workspace:
-                self.workspace = ws
-        return ws.at(self.n_members, rows)
-
-    def select(self, keep):
-        """Copy of the members at indices ``keep``; shares the workspace."""
-        part = StackedParams(
-            self.shapes, self.n_layers, self.theta[keep],
-            [m[keep] for m in self.running_mean], [v[keep] for v in self.running_var],
-            grad=self.grad[keep], opt_m=self.opt_m[keep], opt_v=self.opt_v[keep],
-            step=self.step)
-        part.workspace = self.workspace
-        return part
-
-    def copy_out(self, k, params):
-        """Write member ``k``'s parameters, moments, running statistics and
-        step count into the ``MlpParams`` ``params``."""
-        params.theta[...] = self.theta[k]
-        params.opt_m[...] = self.opt_m[k]
-        params.opt_v[...] = self.opt_v[k]
-        for mine, stacked in zip(params.running_mean + params.running_var,
-                                 self.running_mean + self.running_var):
-            mine[...] = stacked[k, 0]
-        params.step = self.step
-
-
 def stack_params(params_list, train=False):
-    """Copy the members' ``theta`` rows and running statistics into stacked
-    buffers.  The stack is a snapshot: later edits to a member do not show.
-    ``train=True`` also copies the optimizer moments and adds a gradient
-    buffer; the members must then have taken the same number of steps."""
+    """Copy the members' ``theta`` rows and running statistics (and with
+    ``train=True`` their optimizer moments) into a new stack.  The stack is
+    a snapshot: later edits to a member do not show.  Training members must
+    have taken the same number of steps."""
     first = params_list[0]
     if any(p.shapes != first.shapes for p in params_list):
         raise DimensionMismatch("stacked members must share one topology")
-    theta = np.array([p.theta for p in params_list])
-    n_bn = len(first.running_mean)
-    running = [np.array(stats)[:, None, :] for stats in
-               zip(*(p.running_mean + p.running_var for p in params_list))]
-    extra = {}
-    if train:
-        if any(p.step != first.step for p in params_list):
-            raise ValueError("stacked members must have taken the same number of steps")
-        extra = {"grad": np.zeros_like(theta), "step": first.step,
-                 "opt_m": np.array([p.opt_m for p in params_list]),
-                 "opt_v": np.array([p.opt_v for p in params_list])}
-    return StackedParams(first.shapes, first.n_layers, theta, running[:n_bn],
-                         running[n_bn:], **extra)
+    if train and any(p.step != first.step for p in params_list):
+        raise ValueError("stacked members must have taken the same number of steps")
+    stack = StackedParams(first._config, len(params_list), train)
+    for stacked, column in zip(stack._state(), zip(*(p._state() for p in params_list))):
+        stacked[...] = np.reshape(column, stacked.shape)
+    stack.step = first.step if train else 0
+    return stack
 
 
 class _Buffers:
@@ -324,7 +312,7 @@ class _Nothing:
         return None
 
 
-#: infer-mode forwards and single-member optimizer steps allocate fresh
+#: infer-mode forwards and ``MlpParams`` optimizer steps allocate fresh
 _FRESH = _Buffers(**{role: _Nothing() for role in ("z", "act", "mask", "da",
                                                      "mu", "std", "sum_d", "sum_dz")})
 
@@ -333,17 +321,15 @@ class _Workspace:
     """Preallocated temporaries of stacked train steps.
 
     A fresh (K, rows, width) float64 temporary of the tuned bank (12 x 32 x
-    100, 300 KB) is above glibc's 128 KiB mmap threshold, so glibc maps and
-    unmaps it on every operation, at hundreds of page faults per step.  A
-    workspace is allocated once per lockstep group and every step writes into
-    it: one (K, rows, width) block per role and hidden layer, (K, 1, width)
-    batch-norm statistics and two (K, P) optimizer temporaries.  Blocks are
-    reused once their value is dead: ReLU runs in place, the squared centred
-    batch goes through the batch-norm output block, and the backward pass
-    turns each activation block into scratch once it has read the ReLU mask
-    from it.
-    ``at(k, rows)`` gives the leading ``[:k, :rows]`` views, cached per key,
-    for a group that lost members or a step shorter than the batch.
+    100, 300 KB) is above glibc's 128 KiB mmap threshold, so glibc would map
+    and unmap it on every operation, at hundreds of page faults per step.
+    So every step writes into one (K, rows, width) block per role and hidden
+    layer, (K, 1, width) batch-norm statistics and two (K, P) optimizer
+    temporaries.  Blocks are reused once their value is dead: ReLU runs in
+    place, the squared centred batch goes through the batch-norm output
+    block, and the backward pass turns each activation block into scratch
+    once it has read the ReLU mask from it.  ``at(k, rows)`` gives the
+    leading ``[:k, :rows]`` views, cached per key.
     """
 
     def __init__(self, config, n_members, rows, n_params, n_weights):
@@ -370,9 +356,6 @@ class _Workspace:
             zout=block(1), e=np.empty((n_members, rows)),
             p1=p1, p2=np.empty((n_members, n_params)), pw=p1[:, :n_weights])
         self._views = {}
-
-    def fits(self, k, rows):
-        return k <= self.members and rows <= self.rows
 
     def at(self, k, rows):
         views = self._views.get((k, rows))
@@ -410,7 +393,6 @@ class ForwardCache:
     zout: np.ndarray              # pre-sigmoid output: (B,) for MlpParams, else (K, B)
     exp_neg_abs: np.ndarray       # exp(-|zout|), shared by sigmoid and BCE
     probs: np.ndarray
-    mode: str
     buffers: _Buffers             # where the step's temporaries live
 
 
@@ -464,7 +446,7 @@ def forward(params, config, batch, mode="infer", rng=None):
 
     cache = ForwardCache(layer_inputs=[], zhat=[], std=[], drop_masks=[],
                          out_input=None, zout=None, exp_neg_abs=None, probs=None,
-                         mode=mode, buffers=buffers)
+                         buffers=buffers)
     a = x
     n = x.shape[-2]
     for l in range(len(config.hidden_layers)):
@@ -613,8 +595,7 @@ def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"loss became {loss}")
     grads = _backward(stack, config, cache, y)
-    if single:
-        grads = params.grad
+    grads = params.grad if single else grads
     if return_per_sample:
         return loss, grads, per_sample
     return loss, grads
@@ -627,9 +608,8 @@ def optimizer_step(params, grads, config):
     t = params.step
     lr = config.learning_rate
     m, v = params.opt_m, params.opt_v
-    buffers = _FRESH
-    if isinstance(params, StackedParams) and params.workspace is not None:
-        buffers = params.workspace.at(params.n_members, params.workspace.rows)
+    ws = getattr(params, "workspace", None)     # an MlpParams step allocates
+    buffers = _FRESH if ws is None else ws.at(params.n_members, ws.rows)
     p1, p2 = buffers.p1, buffers.p2
     if config.optimizer == "adam":
         c1 = 1.0 - ADAM_BETA1 ** t

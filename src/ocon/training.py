@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .balancer import build_balanced_subset
+from .balancer import build_balanced_subset, check_class_id
 from .errors import TooFewSamples
 from .mlp import (
     STACK_MAX_VALUES,
@@ -387,6 +387,7 @@ def _run_cycle(matrix, cycles):
 
 def one_class_cycle(matrix, class_id, mlp_config, train_config):
     """The ``Cycle`` of one class's full training run."""
+    check_class_id(matrix, class_id)
     tc = train_config
     pos_mask = np.zeros(matrix.n_rows, dtype=bool)
     state = {}

@@ -192,6 +192,22 @@ class TestErrorContract:
         assert "ERROR MalformedRow: line 3: non-finite value 'nan' for f3_80" in \
             capsys.readouterr().err
 
+    def test_tiny_f0_is_unusable_record(self, pipeline_dir, tmp_path, capsys):
+        lines = (pipeline_dir / "records.csv").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines[1:], 1)
+                  if "0.0" not in line.split(",")[5:])
+        cells = lines[at].split(",")
+        cells[5] = "1e-320"                     # f0_ss: finite, positive, tiny
+        lines[at] = ",".join(cells)
+        records = tmp_path / "tiny.csv"
+        records.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.ocm"
+        code = main(["preprocess", "--records", str(records), "--out", str(out)])
+        assert code == 1
+        assert f"ERROR UnusableRecord: record {cells[0]} has a non-finite F0 ratio" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_domain_error_named_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"
         bad.write_text("zzzzz 1 2 3\n")
@@ -283,3 +299,49 @@ def test_manifest_written_and_rerunnable(pipeline_dir):
     assert m["command"] in ("ingest", "preprocess")
     assert m["inputs"] and m["outputs"]
     assert all(len(entry["sha256"]) == 64 for entry in m["outputs"])
+
+
+class TestStartup:
+    #: every name ``ocon`` re-exported when its init imported each module eagerly
+    PACKAGE_NAMES = (
+        "ARPABET_CODES", "BalancedSubset", "ClassStats", "ColumnLayout", "ConfusionCounts",
+        "DetMetrics", "EarlyStopRule", "FeatureMatrix", "FeatureRecord", "FeatureSetKind",
+        "KFoldResult", "MlpConfig", "MlpModel", "MlpParams", "OconError", "OconModel",
+        "PhonemeLabel", "RocCurve", "ScalingRecord", "SearchStage", "SpeakerGroup",
+        "TrainConfig", "TrainReport", "build_balanced_subset", "build_feature_matrix",
+        "class_statistics", "decode_filename", "desk_scale", "det_metrics",
+        "encode_filename", "evaluate_ensemble", "filter_usable", "fit_minmax", "forward",
+        "infer", "init_params", "k_fold_evaluate", "load_dataset", "load_ensemble",
+        "load_matrix", "load_model", "loss_and_grads", "narrow_grid", "normalize_by_f0",
+        "optimizer_step", "report_tables", "retrain_member", "roc_auc", "run_stage",
+        "save_ensemble", "save_matrix", "save_model", "speaker_view", "split_dataset",
+        "stage_presets", "train_ensemble", "train_one_class")
+
+    def run_python(self, code):
+        import subprocess
+        import sys
+
+        import ocon
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ocon.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_metrics_search_and_process_pool_unloaded(self):
+        loaded = self.run_python(
+            "import sys, ocon.cli\n"
+            "print([m for m in ('ocon.metrics', 'ocon.search', 'ocon.training',"
+            " 'concurrent.futures.process') if m in sys.modules])")
+        assert loaded == "[]"
+
+    def test_every_package_name_still_imports(self):
+        names = ", ".join(self.PACKAGE_NAMES)
+        out = self.run_python(f"from ocon import {names}\nimport ocon\n"
+                              "print(ocon.metrics.__name__, hasattr(ocon, 'no_such_name'))")
+        assert out == "ocon.metrics False"
+        import ocon
+        assert sorted(ocon.__all__) == sorted(self.PACKAGE_NAMES)

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import shutil
 from dataclasses import replace
 
@@ -22,6 +24,7 @@ from ocon.errors import (
     MissingMember,
     NonFiniteInput,
     PartialEnsemble,
+    UnknownClass,
 )
 from ocon.features import FeatureSetKind, speaker_view
 from ocon.metrics import report_tables
@@ -204,6 +207,112 @@ class TestInferBitIdentity:
         assert after[1] < before[1] and after[0] == before[0]
 
 
+def assert_members_alias_store(model):
+    """Each member's buffers are views of its row of the model's store."""
+    store = model.store
+    for k, member in enumerate(model.members):
+        params = member.params
+        assert np.shares_memory(params.theta, store.theta[k])
+        assert not any(np.shares_memory(params.theta, store.theta[j])
+                       for j in range(model.n_classes) if j != k)
+        assert all(np.shares_memory(v, store.theta[k]) for v in params.trainables())
+        for mine, stacked in zip(params.running_mean + params.running_var,
+                                 store.running_mean + store.running_var):
+            assert np.shares_memory(mine, stacked[k])
+        assert np.array_equal(store.theta[k], params.theta)
+
+
+def bn_configs(seed=0):
+    mlp = MlpConfig(input_dim=3, hidden_layers=(8,), batch_norm=True, learning_rate=3e-3,
+                    seed=seed)
+    return mlp, TrainConfig(epochs_per_batch_set=5, max_batch_sets=1, early_stop=None,
+                            seed=seed)
+
+
+class TestParameterStore:
+    def test_trained_members_alias_the_store(self, banks):
+        model, _ = banks["tuned"]
+        assert model.store.theta.shape == (12, model.members[0].params.theta.size)
+        assert [m.shape for m in model.store.running_var] == [(12, 1, 100)]
+        assert_members_alias_store(model)
+
+    def test_loaded_and_retrained_members_alias_the_store(self, tmp_path):
+        matrix = blob_matrix(n_per_class=30, n_classes=3, seed=7)
+        model, _ = train_ensemble(matrix, *bn_configs())
+        save_ensemble(model, str(tmp_path / "bank"))
+        back = load_ensemble(str(tmp_path / "bank"))
+        assert_members_alias_store(back)
+        assert np.array_equal(back.store.theta, model.store.theta)
+        old = model.members[1]
+        before = old.params.theta.copy()
+        retrain_member(model, matrix, 1, *bn_configs(seed=5))
+        assert_members_alias_store(model)
+        assert model.members[1] is not old
+        assert not np.array_equal(model.store.theta[1], before)
+        # the replaced member keeps its own values on its own buffers
+        assert np.array_equal(old.params.theta, before)
+        assert not np.shares_memory(old.params.theta, model.store.theta)
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_alias_their_own_store(self, banks, clone):
+        model, values = banks["tuned"]
+        twin = clone(model)
+        assert_members_alias_store(twin)
+        assert not np.shares_memory(twin.store.theta, model.store.theta)
+        assert [m.params.step for m in twin.members] == [m.params.step for m in model.members]
+        a, _ = infer(model, values[:5], scaled=True)
+        b, _ = infer(twin, values[:5], scaled=True)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_members_are_immutable(self, banks):
+        model, _ = banks["constant"]
+        other = constant_member(3.0, model.scaling.content_hash())
+        with pytest.raises(TypeError):
+            model.members[1] = other
+        with pytest.raises(AttributeError):
+            model.members = (other,) * 3
+
+    def test_replace_member_copies_into_the_row(self):
+        matrix = blob_matrix(n_per_class=10, n_classes=3, seed=6)
+        h = matrix.scaling.content_hash()
+        model = OconModel(class_names=matrix.class_names,
+                          members=[constant_member(z, h) for z in (-0.3, 1.7, 0.9)],
+                          scaling=matrix.scaling, feature_set=matrix.feature_set)
+        new = constant_member(4.0, h)
+        model.replace_member(0, new)
+        assert model.members[0].params is not new.params
+        assert_members_alias_store(model)
+        probs, label = infer(model, matrix.values[0], scaled=True)
+        assert label == 0 and probs[0] == new.predict_proba(matrix.values[0])[0]
+        new.params.biases[0][:] = -9.0          # the caller's object stays its own
+        assert infer(model, matrix.values[0], scaled=True)[1] == 0
+
+    def test_replace_member_refuses_a_misfit(self):
+        matrix = blob_matrix(n_per_class=10, n_classes=2, seed=6)
+        model = two_class_model(matrix)
+        for slot in (2, -1):
+            with pytest.raises(UnknownClass):
+                model.replace_member(slot, model.members[0])
+        cfg = MlpConfig(input_dim=3, hidden_layers=(4,))
+        with pytest.raises(ManifestMismatch, match="layer dims"):
+            model.replace_member(1, MlpModel(config=cfg, params=init_params(cfg)))
+        stranger = linear_member([1.0, 0.0, 0.0], 0.0, scaling_hash="x")
+        with pytest.raises(ManifestMismatch, match="scaling"):
+            model.replace_member(1, stranger)
+        with pytest.raises(ManifestMismatch, match="scaling"):
+            OconModel(class_names=matrix.class_names, members=[model.members[0], stranger],
+                      scaling=matrix.scaling, feature_set=matrix.feature_set)
+
+    def test_retrain_unknown_class_is_refused(self):
+        matrix = blob_matrix(n_per_class=20, n_classes=2, seed=7)
+        model, _ = train_ensemble(matrix, *quick_configs(epochs=2))
+        members = model.members
+        with pytest.raises(UnknownClass):
+            retrain_member(model, matrix, 2, *quick_configs())
+        assert model.members is members
+
+
 class TestEvaluate:
     def test_perfect_members(self):
         matrix = blob_matrix(n_per_class=25, seed=5)
@@ -310,7 +419,7 @@ class TestTrainEnsemble:
         phoneme_bank, _ = train_ensemble(synth_matrix, mlp, tc)
         with pytest.raises(ManifestMismatch, match="classes"):
             evaluate_ensemble(phoneme_bank, speaker_view(synth_matrix))
-        before = list(speaker_bank.members)
+        before = tuple(speaker_bank.members)
         with pytest.raises(ManifestMismatch, match="classes"):
             retrain_member(speaker_bank, synth_matrix, 0, mlp, tc)
         assert speaker_bank.members == before

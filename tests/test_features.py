@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocon.dataset import ColumnLayout, load_dataset
+from ocon.dataset import ColumnLayout, filter_usable, load_dataset
 from ocon.errors import ConstantColumn, CorruptPayload, DimensionMismatch, UnusableRecord, VersionMismatch
 from ocon.features import (
     FeatureSetKind,
+    ScalingRecord,
     build_feature_matrix,
     fit_minmax,
     fit_zscore,
@@ -65,6 +68,12 @@ class TestNormalizeByF0:
         rec = make_record(f1_ss=0.0)
         with pytest.raises(UnusableRecord):
             normalize_by_f0(rec, FeatureSetKind.SS3)
+
+    @pytest.mark.parametrize("f0", [5e-324, 1e-320, 1e-306])
+    def test_tiny_f0_overflows_to_unusable(self, f0):
+        with pytest.raises(UnusableRecord, match="non-finite F0 ratio"):
+            normalize_by_f0(make_record(f0_ss=f0), FeatureSetKind.TT12)
+        assert np.isfinite(normalize_by_f0(make_record(f0_ss=1e-300), FeatureSetKind.TT12)).all()
 
     def test_ss4_appends_f0_channel(self):
         rec = make_record(f0_ss=100.0, f1_ss=500.0, f2_ss=1500.0, f3_ss=2500.0)
@@ -157,6 +166,35 @@ class TestBuildFeatureMatrix:
         again, _ = build_feature_matrix(synth_corpus, FeatureSetKind.SS3,
                                         scaling=matrix.scaling)
         assert np.array_equal(matrix.values, again.values)
+
+    def test_tiny_f0_row_raises_instead_of_writing_nan(self, synth_corpus):
+        kept, _ = filter_usable(synth_corpus, FeatureSetKind.TT12)
+        records = list(synth_corpus)
+        at = records.index(kept[5])
+        records[at] = replace(records[at], f0_ss=1e-320)
+        with pytest.raises(UnusableRecord, match=records[at].filename):
+            build_feature_matrix(records, FeatureSetKind.TT12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_given_scaling_raises(self, synth_corpus, bad):
+        matrix, _ = build_feature_matrix(synth_corpus, FeatureSetKind.SS3)
+        hi = matrix.scaling.hi.copy()
+        hi[1] = bad
+        with pytest.raises(UnusableRecord, match="not finite"):
+            build_feature_matrix(synth_corpus, FeatureSetKind.SS3,
+                                 scaling=ScalingRecord(lo=matrix.scaling.lo, hi=hi))
+
+    def test_zscore_overflow_raises(self, synth_corpus):
+        # finite ratios near 1e305 overflow the variance, so the fitted
+        # standard deviation is inf and every scaled cell of the column is 0
+        kept, _ = filter_usable(synth_corpus, FeatureSetKind.SS3)
+        records = list(synth_corpus)
+        for rec in kept[:2]:
+            records[records.index(rec)] = replace(rec, f0_ss=1e-5, f1_ss=1e300)
+        assert build_feature_matrix(records, FeatureSetKind.SS3)[0].n_rows == len(kept)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(UnusableRecord, match="not finite"):
+            build_feature_matrix(records, FeatureSetKind.SS3, zscore=True)
 
     def test_take_slices_rows_and_keeps_provenance(self, synth_matrix):
         rows = np.array([3, 5, 8, 13])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ocon import training
 from ocon.balancer import build_balanced_subset
 from ocon.ensemble import train_ensemble
-from ocon.errors import TooFewSamples
+from ocon.errors import TooFewSamples, UnknownClass
 from ocon.features import FeatureMatrix, FeatureSetKind, ScalingRecord, speaker_view
 from ocon.mlp import MlpConfig
 from ocon.search import hp_to_mlp_config, run_stage
@@ -193,6 +193,46 @@ class TestTrainOneClass:
         _, report = train_one_class(speaker_view(synth_matrix), 0, cfg, tc)
         assert report.class_name == "male"
         assert report.subset_sizes[0][0] == int(np.sum(synth_matrix.groups == 0))
+
+
+class TestClassIdAndEscapeOnTest:
+    @pytest.mark.parametrize("class_id", [99, 2, -1])
+    def test_unknown_class_id(self, class_id):
+        matrix = blob_matrix(n_per_class=20)
+        cfg = MlpConfig(input_dim=3, hidden_layers=(4,), seed=0)
+        tc = TrainConfig(epochs_per_batch_set=1, max_batch_sets=1, early_stop=None)
+        with pytest.raises(UnknownClass, match="outside 0..1"):
+            train_one_class(matrix, class_id, cfg, tc)
+        with pytest.raises(UnknownClass):
+            one_class_cycle(matrix, class_id, cfg, tc)
+
+    def test_escape_on_test_checks_the_test_split(self, monkeypatch):
+        # dev (30 rows) and test (18 rows) differ in size, so the row count
+        # of every held-out check names the split it read
+        matrix = blob_matrix(n_per_class=60, separation=1.5, seed=3)
+        cfg = MlpConfig(input_dim=3, hidden_layers=(8,), learning_rate=3e-3, seed=0)
+        tc = TrainConfig(fractions=(0.6, 0.25, 0.15), epochs_per_batch_set=40,
+                         max_batch_sets=3, early_stop=EarlyStopRule(0.6, 85.0), seed=0)
+        checked = []
+        original = training.binary_accuracy
+
+        def spy(params, config, x, y):
+            checked.append(len(y))
+            return original(params, config, x, y)
+
+        monkeypatch.setattr(training, "binary_accuracy", spy)
+        _, on_dev = train_one_class(matrix, 0, cfg, tc)
+        dev_checks, checked[:] = checked[:], []
+        _, on_test = train_one_class(matrix, 0, cfg, replace(tc, escape_on_test=True))
+        assert on_dev.split_sizes[0] == on_test.split_sizes[0] == (72, 30, 18)
+        # held-out checks, then the final test-accuracy pass
+        assert set(dev_checks[:-1]) == {30} and dev_checks[-1] == 18
+        assert set(checked) == {18} and len(checked) >= 2
+        assert on_dev.stop_reason == on_test.stop_reason == "early_stop"
+        assert on_dev.epochs_run != on_test.epochs_run
+        # the escape accuracy it records is the test accuracy it reports
+        assert on_test.dev_accuracy == on_test.test_accuracy
+        assert on_dev.dev_accuracy != on_dev.test_accuracy
 
 
 class TestKFold:
