@@ -7,10 +7,6 @@ inference takes the first occurrence of the maximum of the per-class
 probability vector.  Saving writes one checkpoint per member plus a JSON
 manifest, so swapping a single member never touches the others' bytes.
 
-Training runs through the lockstep engine (``training._run_cycle``):
-``train_ensemble`` hands it all members at once, or with ``workers=w`` one
-contiguous chunk of class ids per process.
-
 Joint inference has two paths that give bitwise the same probabilities.
 When rows x K x the widest layer is at most ``STACK_MAX_VALUES`` float64
 values, all K members run in one stacked ``mlp.forward`` over the store
@@ -36,7 +32,7 @@ from .errors import (
     PartialEnsemble,
 )
 from .features import FeatureSetKind, ScalingRecord
-from .mlp import STACK_MAX_VALUES, MlpParams, StackedParams, forward, load_model, save_model
+from .mlp import STACK_MAX_VALUES, MlpParams, StackedParams, forward, read_checkpoint, save_model
 from .util import derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
@@ -49,19 +45,20 @@ class OconModel:
     The bank owns its members' buffers: ``store`` is one (K, P) training
     ``StackedParams``, and each member of the immutable ``members`` tuple is
     an ``MlpModel`` whose params are row views of it, so an edit through a
-    member shows in ``infer`` at once.  Members are copied into their rows
-    when the model is built, and ``replace_member`` copies a new one in.
+    member shows in ``infer`` at once.  Building the model copies each
+    member into its row (``params=None`` leaves the row for the caller to
+    fill); ``replace_member`` copies a new one in.
     """
 
     def __init__(self, class_names, members, scaling, feature_set, f0_mode="raw"):
         self.class_names = tuple(class_names)
         self.scaling, self.feature_set, self.f0_mode = scaling, feature_set, f0_mode
-        if len(members) != len(self.class_names):
-            raise ManifestMismatch("one member required per class")
+        if not members or len(members) != len(self.class_names):
+            raise ManifestMismatch("one member required per class, and at least one")
         self._members, bank_hash = tuple(members), scaling.content_hash()
         for name, member in zip(self.class_names, members):
             self._check_member(name, member.config, member.scaling_hash, bank_hash)
-        self.store = StackedParams(members[0].config, len(members), train=True)
+        self.store = StackedParams(members[0].config, len(members))
         self._members = tuple(self._adopt(k, m) for k, m in enumerate(members))
 
     def _check_member(self, name, config, scaling_hash="", bank_hash=None):
@@ -82,9 +79,10 @@ class OconModel:
 
     def _adopt(self, k, member):
         """``member`` copied into row ``k``, as a view of the row."""
-        self.store.put(k, member.params)
         params = MlpParams(member.config, self.store, k)
-        params.step = member.params.step
+        if member.params is not None:
+            self.store.put(k, member.params)
+            params.step = member.params.step
         return replace(member, params=params)
 
     @property
@@ -143,7 +141,8 @@ def train_ensemble(matrix, mlp_config, train_config, workers=1):
     else:
         outcomes = _train_members(matrix, class_ids, mlp_config, train_config)
 
-    members, reports = (list(part) for part in zip(*outcomes))
+    members = [model for model, _ in outcomes]
+    reports = [report for _, report in outcomes]
     failures = [r.class_name for r in reports if r.stop_reason == "diverged"]
     if failures:
         raise PartialEnsemble(failures, reports=reports)
@@ -234,9 +233,11 @@ def evaluate_ensemble(model, matrix):
     scores, predicted = infer(model, matrix.values, scaled=True)
     k = model.n_classes
 
-    hits = (scores >= 0.5) == (labels[:, None] == np.arange(k))
-    per_class = {name: 100.0 * float(np.mean(hits[:, c]))
-                 for c, name in enumerate(model.class_names)}
+    per_class = {}
+    for c, name in enumerate(model.class_names):
+        truth = labels == c
+        hit = (scores[:, c] >= 0.5) == truth
+        per_class[name] = 100.0 * float(np.mean(hit))
 
     argmax_accuracy = 100.0 * float(np.mean(predicted == labels))
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -284,7 +285,8 @@ def _require_keys(record, keys, where):
 
 def load_ensemble(dirpath):
     """Load and validate an ensemble directory (hashes, scaling; the
-    ``OconModel`` constructor checks the topology).
+    ``OconModel`` constructor checks the topology).  Each member's arrays
+    are read straight into its row of the model's store.
 
     A manifest that is not JSON, or lacks or mistypes a key, raises
     ManifestMismatch.
@@ -311,7 +313,7 @@ def load_ensemble(dirpath):
     if scaling.content_hash() != manifest["scaling_hash"]:
         raise ManifestMismatch("scaling record does not match its recorded hash")
 
-    members = []
+    checkpoints = []
     for entry in manifest["members"]:
         _require_keys(entry, _MEMBER_KEYS, f"{MANIFEST_NAME} member entry")
         path = os.path.join(dirpath, entry["file"])
@@ -319,7 +321,11 @@ def load_ensemble(dirpath):
             raise MissingMember(entry["class"])
         if sha256_file(path) != entry["sha256"]:
             raise ManifestMismatch(f"member file {entry['file']} hash mismatch")
-        members.append(load_model(path))
+        checkpoints.append(read_checkpoint(path))
 
-    return OconModel(class_names=tuple(manifest["class_names"]), members=members,
-                     scaling=scaling, feature_set=feature_set, f0_mode=manifest["f0_mode"])
+    model = OconModel(class_names=tuple(manifest["class_names"]),
+                      members=[member for member, _ in checkpoints],
+                      scaling=scaling, feature_set=feature_set, f0_mode=manifest["f0_mode"])
+    for member, (_, fill) in zip(model.members, checkpoints):
+        fill(member.params)
+    return model

@@ -37,6 +37,7 @@ until the stack's next step.
 """
 
 import copy
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -134,14 +135,13 @@ class StackedParams:
 
     ``theta`` is (K, P), one member's flat parameters per row; weight views
     are (K, out, in), vector views and running statistics (K, 1, width).
-    ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins (``None`` in a stack
-    built with ``train=False``), and ``step`` counts the optimizer steps all
-    K members took together.  A new stack holds zeros, unit running
+    ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins, and ``step`` counts
+    the optimizer steps all K members took together.  A new stack holds zeros, unit running
     variances.  Train-mode steps write their temporaries into ``workspace``,
     which the stack keeps between steps.
     """
 
-    def __init__(self, config, n_members=1, train=False):
+    def __init__(self, config, n_members=1):
         dims = config.layer_dims
         pairs = list(zip(dims[:-1], dims[1:]))
         self.shapes = ([(fan_out, fan_in) for fan_in, fan_out in pairs]
@@ -153,22 +153,19 @@ class StackedParams:
         widths = config.hidden_layers if config.batch_norm else ()
         running = ([np.zeros((n_members, 1, w)) for w in widths]
                    + [np.ones((n_members, 1, w)) for w in widths])
-        twins = [np.zeros_like(theta) for _ in range(3)] if train else [None] * 3
-        self._bind(theta, running, *twins)
+        self._bind(theta, running, *(np.zeros_like(theta) for _ in range(3)))
 
     def _bind(self, theta, running, grad, opt_m, opt_v, step=0):
         self.theta, self.grad, self.opt_m, self.opt_v, self.step = theta, grad, opt_m, opt_v, step
         n_bn = len(running) // 2
         self.running_mean, self.running_var = running[:n_bn], running[n_bn:]
         self.weights, self.biases, self.gamma, self.beta = _split(self.shapes, self.n_layers, theta)
-        if grad is not None:
-            self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
-                self.shapes, self.n_layers, grad)
+        self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
+            self.shapes, self.n_layers, grad)
 
     def _state(self):
-        """Parameters, running statistics, then moments if it has them."""
-        moments = [] if self.opt_m is None else [self.opt_m, self.opt_v]
-        return [self.theta, *self.running_mean, *self.running_var, *moments]
+        """Parameters, running statistics, then moments."""
+        return [self.theta, *self.running_mean, *self.running_var, self.opt_m, self.opt_v]
 
     @property
     def n_members(self):
@@ -187,12 +184,11 @@ class StackedParams:
         stack for a slice, copies for a list of indices."""
         part = copy.copy(self)
         part._bind(self.theta[index], [s[index] for s in self.running_mean + self.running_var],
-                   *(None if a is None else a[index] for a in (self.grad, self.opt_m, self.opt_v)),
-                   step=self.step)
+                   *(a[index] for a in (self.grad, self.opt_m, self.opt_v)), step=self.step)
         return part
 
     def put(self, k, params):
-        """Copy ``MlpParams`` ``params`` into row ``k`` (moments only if the stack has them)."""
+        """Copy ``MlpParams`` ``params`` into row ``k``."""
         for stacked, mine in zip(self._state(), params._state()):
             stacked[k] = mine
 
@@ -218,20 +214,14 @@ class MlpParams:
 
     def __init__(self, config, stack=None, k=0):
         own = stack is None
-        stack = StackedParams(config, train=True) if own else stack
+        stack = StackedParams(config) if own else stack
         self.shapes, self.n_layers, self.n_weights = stack.shapes, stack.n_layers, stack.n_weights
         self.stacked = stack if own else stack.select(slice(k, k + 1))
-        self.theta, self.grad, self.opt_m, self.opt_v = (
-            buf[k] for buf in (stack.theta, stack.grad, stack.opt_m, stack.opt_v))
-        self.weights, self.biases, self.gamma, self.beta = _split(
-            self.shapes, self.n_layers, self.theta)
-        self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
-            self.shapes, self.n_layers, self.grad)
-        self.running_mean = [m[k, 0] for m in stack.running_mean]
-        self.running_var = [v[k, 0] for v in stack.running_var]
-        self.step, self._config = 0, config
+        self._bind(stack.theta[k], [s[k, 0] for s in stack.running_mean + stack.running_var],
+                   *(buf[k] for buf in (stack.grad, stack.opt_m, stack.opt_v)))
+        self._config = config
 
-    _state = StackedParams._state
+    _bind, _state = StackedParams._bind, StackedParams._state
 
     def trainables(self):
         """Views of the parameter arrays in ``theta`` order."""
@@ -265,20 +255,20 @@ def init_params(config):
     return params
 
 
-def stack_params(params_list, train=False):
-    """Copy the members' ``theta`` rows and running statistics (and with
-    ``train=True`` their optimizer moments) into a new stack.  The stack is
-    a snapshot: later edits to a member do not show.  Training members must
-    have taken the same number of steps."""
+def stack_params(params_list):
+    """Copy the members' ``theta`` rows, running statistics and optimizer
+    moments into a new stack for lockstep training.  The stack is a
+    snapshot: later edits to a member do not show.  The members must have
+    taken the same number of steps."""
     first = params_list[0]
     if any(p.shapes != first.shapes for p in params_list):
         raise DimensionMismatch("stacked members must share one topology")
-    if train and any(p.step != first.step for p in params_list):
+    if any(p.step != first.step for p in params_list):
         raise ValueError("stacked members must have taken the same number of steps")
-    stack = StackedParams(first._config, len(params_list), train)
+    stack = StackedParams(first._config, len(params_list))
     for stacked, column in zip(stack._state(), zip(*(p._state() for p in params_list))):
         stacked[...] = np.reshape(column, stacked.shape)
-    stack.step = first.step if train else 0
+    stack.step = first.step
     return stack
 
 
@@ -305,16 +295,12 @@ class _Buffers:
         return _Buffers(**{role: part(getattr(self, role), role) for role in self.ROLES})
 
 
-class _Nothing:
-    """Stands for a per-layer buffer list whose every entry is ``None``."""
-
-    def __getitem__(self, index):
-        return None
-
-
-#: infer-mode forwards and ``MlpParams`` optimizer steps allocate fresh
-_FRESH = _Buffers(**{role: _Nothing() for role in ("z", "act", "mask", "da",
-                                                     "mu", "std", "sum_d", "sum_dz")})
+@functools.cache
+def _fresh(n_hidden):
+    """Buffers of infer-mode forwards and ``MlpParams`` optimizer steps:
+    ``None`` everywhere, so every operation allocates its result."""
+    return _Buffers(**{role: (None,) * n_hidden for role in ("z", "act", "mask", "da",
+                                                             "mu", "std", "sum_d", "sum_dz")})
 
 
 class _Workspace:
@@ -336,23 +322,20 @@ class _Workspace:
         hidden = config.hidden_layers
         bn = config.batch_norm
 
-        def block(width):
+        def block(width, rows=rows):
             return np.empty((n_members, rows, width))
 
-        def per_layer(make, on=True):
-            return [make(w) if on else None for w in hidden]
-
-        def stat(width):
-            return np.empty((n_members, 1, width))
+        def per_layer(on=True, rows=rows):
+            return [block(w, rows) if on else None for w in hidden]
 
         p1 = np.empty((n_members, n_params))
         self.members, self.rows = n_members, rows
         self._full = _Buffers(
             inp=block(config.input_dim) if config.dropout_keep_input < 1 else None,
-            z=per_layer(block), act=per_layer(block, bn),
-            mask=per_layer(block, config.dropout_keep_hidden < 1), da=per_layer(block),
-            mu=per_layer(stat, bn), std=per_layer(stat, bn),
-            sum_d=per_layer(stat, bn), sum_dz=per_layer(stat, bn),
+            z=per_layer(), act=per_layer(bn),
+            mask=per_layer(config.dropout_keep_hidden < 1), da=per_layer(),
+            mu=per_layer(bn, 1), std=per_layer(bn, 1),
+            sum_d=per_layer(bn, 1), sum_dz=per_layer(bn, 1),
             zout=block(1), e=np.empty((n_members, rows)),
             p1=p1, p2=np.empty((n_members, n_params)), pw=p1[:, :n_weights])
         self._views = {}
@@ -426,7 +409,7 @@ def forward(params, config, batch, mode="infer", rng=None):
     if x.shape[-1] != config.input_dim:
         raise DimensionMismatch(f"batch width {x.shape[-1]} != input dim {config.input_dim}")
     train = mode == "train"
-    buffers = _FRESH
+    buffers = _fresh(len(config.hidden_layers))
     if train:
         if rng is None and (config.dropout_keep_input < 1 or config.dropout_keep_hidden < 1):
             raise ValueError("train-mode forward with dropout needs an rng")
@@ -609,7 +592,7 @@ def optimizer_step(params, grads, config):
     lr = config.learning_rate
     m, v = params.opt_m, params.opt_v
     ws = getattr(params, "workspace", None)     # an MlpParams step allocates
-    buffers = _FRESH if ws is None else ws.at(params.n_members, ws.rows)
+    buffers = _fresh(0) if ws is None else ws.at(params.n_members, ws.rows)
     p1, p2 = buffers.p1, buffers.p2
     if config.optimizer == "adam":
         c1 = 1.0 - ADAM_BETA1 ** t
@@ -686,12 +669,11 @@ def save_model(model, path):
                               meta, dict(_checkpoint_arrays(model.params)))
 
 
-def load_model(path):
-    """Read a v1 or v2 checkpoint (v1 optimizer moments are ignored).
-
-    Metadata or arrays that do not fit the recorded config raise
-    CorruptPayload.
-    """
+def read_checkpoint(path):
+    """A v1 or v2 checkpoint (v1 optimizer moments are ignored) as its
+    ``MlpModel`` with ``params=None`` and ``fill(params)``, which writes the
+    arrays and step into params of that config and returns them.  Metadata
+    or arrays that do not fit the recorded config raise CorruptPayload."""
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     try:
         config = MlpConfig(**meta["config"])
@@ -699,15 +681,25 @@ def load_model(path):
             meta["step"], meta["scaling_hash"], meta["manifest_hash"])
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptPayload(f"{path}: bad checkpoint metadata ({err!r})") from err
-    params = MlpParams(config)
-    for name, target in _checkpoint_arrays(params):
-        stored = arrays.get(name)
-        if stored is None or stored.shape != target.shape:
-            raise CorruptPayload(f"{path}: array {name!r} missing or of the wrong shape")
-        target[...] = stored
-    params.step = step
-    return MlpModel(config=config, params=params,
-                    scaling_hash=scaling_hash, manifest_hash=manifest_hash)
+
+    def fill(params):
+        for name, target in _checkpoint_arrays(params):
+            stored = arrays.get(name)
+            if stored is None or stored.shape != target.shape:
+                raise CorruptPayload(f"{path}: array {name!r} missing or of the wrong shape")
+            target[...] = stored
+        params.step = step
+        return params
+
+    return MlpModel(config=config, params=None, scaling_hash=scaling_hash,
+                    manifest_hash=manifest_hash), fill
+
+
+def load_model(path):
+    """Read a checkpoint into new buffers (see ``read_checkpoint``)."""
+    model, fill = read_checkpoint(path)
+    model.params = fill(MlpParams(model.config))
+    return model
 
 
 def config_hash(config):

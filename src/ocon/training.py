@@ -299,7 +299,7 @@ def _train_group(members, n_train, config, tc):
     """Train ``members`` in lockstep: one stacked step per minibatch for all
     of them, until each has stopped or spent its budget."""
     steps = _step_bounds(n_train, config)
-    stack = stack_params([m.params for m in members], train=True)
+    stack = stack_params([m.params for m in members])
     stack.buffers(config, max(stop - start for start, stop in steps))
     k = len(members)
     xe = np.empty((k, n_train, config.input_dim))

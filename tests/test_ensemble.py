@@ -18,7 +18,9 @@ from ocon.ensemble import (
     save_ensemble,
     train_ensemble,
 )
+from ocon import container
 from ocon.errors import (
+    CorruptPayload,
     DimensionMismatch,
     ManifestMismatch,
     MissingMember,
@@ -29,8 +31,11 @@ from ocon.errors import (
 from ocon.features import FeatureSetKind, speaker_view
 from ocon.metrics import report_tables
 from ocon.mlp import (
+    CHECKPOINT_KIND,
+    CHECKPOINT_VERSION,
     MlpConfig,
     MlpModel,
+    StackedParams,
     forward,
     init_params,
     load_model,
@@ -548,4 +553,40 @@ class TestSaveLoad:
         path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
         (path / "ensemble.json").write_bytes(text)
         with pytest.raises(ManifestMismatch):
+            load_ensemble(path)
+
+    def test_empty_bank_is_manifest_mismatch(self, saved_ensemble, tmp_path):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        edit_manifest(path, lambda m: m.update(class_names=[], members=[]))
+        with pytest.raises(ManifestMismatch, match="at least one"):
+            load_ensemble(path)
+
+    def test_load_reads_members_into_the_store(self, saved_ensemble, monkeypatch):
+        stacks = []
+        real_init = StackedParams.__init__
+
+        def counting_init(self, *args, **kwargs):
+            stacks.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StackedParams, "__init__", counting_init)
+        model = load_ensemble(saved_ensemble)
+        assert stacks == [model.store]
+        assert_members_alias_store(model)
+        for name, member in zip(model.class_names, model.members):
+            alone = load_model(os.path.join(saved_ensemble, f"member_{name}.ocmdl"))
+            assert np.array_equal(member.params.theta.view(np.uint64),
+                                  alone.params.theta.view(np.uint64))
+            assert member.params.step == alone.params.step
+
+    def test_member_with_misshapen_array_is_corrupt(self, saved_ensemble, tmp_path):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        member = path / "member_c1.ocmdl"
+        _, meta, arrays = container.read_container(str(member), CHECKPOINT_KIND,
+                                                   CHECKPOINT_VERSION)
+        arrays["w0"] = arrays["w0"].T.copy()
+        container.write_container(str(member), CHECKPOINT_KIND, CHECKPOINT_VERSION,
+                                  meta, arrays)
+        edit_manifest(path, lambda m: m["members"][1].update(sha256=sha256_file(str(member))))
+        with pytest.raises(CorruptPayload, match="w0"):
             load_ensemble(path)

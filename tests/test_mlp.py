@@ -492,7 +492,7 @@ class TestStackedParams:
         n_members, row_counts = 3, (8, 8, 3, 8)
         members = [init_params(replace(config, seed=seed)) for seed in range(n_members)]
         singles = [p.copy() for p in members]
-        stack = stack_params(members, train=True)
+        stack = stack_params(members)
         stacked_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         single_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         data = np.random.default_rng(7)
@@ -524,10 +524,10 @@ class TestStackedParams:
         members = [init_params(replace(config, seed=seed)) for seed in range(3)]
         x = np.random.default_rng(1).random((3, 6, 3))
         y = np.ones(18)
-        clean, _ = loss_and_grads(stack_params(members, train=True), config, x, y,
+        clean, _ = loss_and_grads(stack_params(members), config, x, y,
                                   rng=[np.random.default_rng(k) for k in range(3)])
         x[1, 2, 0] = np.nan
-        stack = stack_params(members, train=True)
+        stack = stack_params(members)
         with np.errstate(invalid="ignore"):
             dirty, grads = loss_and_grads(stack, config, x, y,
                                           rng=[np.random.default_rng(k) for k in range(3)])
@@ -538,7 +538,7 @@ class TestStackedParams:
     def test_stacked_train_batch_needs_a_member_axis(self):
         config, members = self.members()
         with pytest.raises(DimensionMismatch, match="members=3"):
-            forward(stack_params(members, train=True), config, np.zeros((2, 3)),
+            forward(stack_params(members), config, np.zeros((2, 3)),
                     mode="train", rng=[np.random.default_rng(0)] * 3)
 
     def test_mixed_topology_rejected(self):
