@@ -136,9 +136,9 @@ class StackedParams:
     ``theta`` is (K, P), one member's flat parameters per row; weight views
     are (K, out, in), vector views and running statistics (K, 1, width).
     ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins, and ``step`` counts
-    the optimizer steps all K members took together.  A new stack holds zeros, unit running
-    variances.  Train-mode steps write their temporaries into ``workspace``,
-    which the stack keeps between steps.
+    the optimizer steps all K members took together.  A new stack holds
+    zeros, unit running variances.  Train-mode steps write their temporaries
+    into ``workspace``, which the stack keeps between steps.
     """
 
     def __init__(self, config, n_members=1):
