@@ -84,3 +84,62 @@ def test_speaker_bank_is_bit_identical(synth_matrix, tmp_path):
                for name in model.class_names}
     digests["confusion.csv"] = sha256_file(str(tmp_path / "eval" / "confusion.csv"))
     assert digests == SPEAKER_BANK_DIGESTS
+
+
+# file or stdout -> sha256 of the CLI chain run in ``test_cli_chain_is_byte_identical``
+CLI_CHAIN_DIGESTS = {
+    "records.csv": "31e86cfe3941fc1485c03ce0b882a8536885a0ba114bb006893dac7f888ae249",
+    "records.csv.stats.txt": "cfd5b118d363fd4262fb425b8b2ed7b96d029dc09499961f06a1f535182dfcea",
+    "matrix.ocm": "44fc230893008ca4e89c58ecc4e1a757efa479348f0461bce42f9a38a4cfd768",
+    "matrix.ocm.stats.txt": "80d1d9755b4bd3b99ab56cad903030a8291c03210b524ecee97e884ffaafdfb6",
+    "eval/det.csv": "1e0d12385ff69c3b3047682a4bd04874937c5bb3d1856b2b3e94c5a34b31ca1e",
+    "eval/roc_ae.csv": "57635a71f7a1d0fbbb0ae617f4c2941fb802b4d19bdf302e0bc0f1192f8bbe81",
+    "infer.csv": "b36a81a868c74f14b023f3d713d4b36b4b4a2bd63fe4d7ede437f7e438b13e79",
+    "infer.jsonl": "10138c81cdcfccb8abc34e5e6faf20af4694f442275ceb384c1f327c1dd697aa",
+    "infer_single.csv": "dde41d7684723f17c43b055a98c87f34ff72dc95e93afab8469028f06bab7501",
+}
+
+CLI_TRAIN_CONFIG = "epochs_per_batch_set = 3\nmax_batch_sets = 1\nearly_stop = null\nseed = 5\n"
+
+
+def test_cli_chain_is_byte_identical(tmp_path, capsys):
+    """ingest -> preprocess -> train -> eval -> infer on a small corpus with
+    the tuned 12-member bank: sha256 of the records and matrix files with
+    their stats sidecars, ``det.csv`` and one ROC point file, and the
+    ``infer`` csv and jsonl output.  Eval and the file infer score more rows
+    than one stacked forward takes (``STACK_MAX_VALUES``), the single-vector
+    infer fewer, so both infer paths are pinned."""
+    from ocon.cli import main
+    from ocon.dataset import read_records_csv
+    from ocon.synth import write_synth_dat
+
+    dat, records = str(tmp_path / "synth.dat"), str(tmp_path / "records.csv")
+    write_synth_dat(dat, seed=21, zero_rate=0.03, men=10, women=10, boys=6, girls=6)
+    matrix, model = str(tmp_path / "matrix.ocm"), str(tmp_path / "model")
+    (tmp_path / "train.cfg").write_text(CLI_TRAIN_CONFIG)
+    steps = (["ingest", "--data", dat, "--out", records],
+             ["preprocess", "--records", records, "--feature-set", "tt12", "--out", matrix],
+             ["train", "--matrix", matrix, "--train-config", str(tmp_path / "train.cfg"),
+              "--out-dir", model],
+             ["eval", "--model", model, "--matrix", matrix, "--out-dir", str(tmp_path / "eval")])
+    for argv in steps:
+        assert main(argv) == 0
+    vectors = tmp_path / "vectors.txt"
+    with open(vectors, "w", encoding="utf-8") as fh:
+        for rec in read_records_csv(records):
+            if rec.f0_ss > 0:
+                fh.write(",".join(repr(rec.value(f"f{fmt}_{tp}") / rec.f0_ss)
+                                  for fmt in (1, 2, 3) for tp in ("10", "50", "ss", "80"))
+                         + "\n")
+    capsys.readouterr()
+    digests = {}
+    for fmt in ("csv", "jsonl"):
+        assert main(["infer", "--model", model, "--input-file", str(vectors),
+                     "--format", fmt]) == 0
+        digests[f"infer.{fmt}"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert main(["infer", "--model", model, "--input", vectors.read_text().split()[0]]) == 0
+    digests["infer_single.csv"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for name in ("records.csv", "records.csv.stats.txt", "matrix.ocm", "matrix.ocm.stats.txt",
+                 "eval/det.csv", "eval/roc_ae.csv"):
+        digests[name] = sha256_file(str(tmp_path / name))
+    assert digests == CLI_CHAIN_DIGESTS
