@@ -18,14 +18,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "balancer": ("BalancedSubset", "build_balanced_subset"),
     "dataset": ("ARPABET_CODES", "ClassStats", "ColumnLayout", "FeatureRecord",
-                "PhonemeLabel", "SpeakerGroup", "class_statistics", "decode_filename",
-                "encode_filename", "filter_usable", "load_dataset"),
+                "FeatureSetKind", "PhonemeLabel", "SpeakerGroup", "class_statistics",
+                "decode_filename", "encode_filename", "filter_usable", "load_dataset"),
     "ensemble": ("OconModel", "evaluate_ensemble", "infer", "load_ensemble",
                  "retrain_member", "save_ensemble", "train_ensemble"),
     "errors": ("OconError",),
-    "features": ("FeatureMatrix", "FeatureSetKind", "ScalingRecord", "build_feature_matrix",
-                 "fit_minmax", "load_matrix", "normalize_by_f0", "save_matrix",
-                 "speaker_view"),
+    "features": ("FeatureMatrix", "ScalingRecord", "build_feature_matrix", "fit_minmax",
+                 "load_matrix", "normalize_by_f0", "save_matrix", "speaker_view"),
     "metrics": ("ConfusionCounts", "DetMetrics", "RocCurve", "det_metrics", "report_tables",
                 "roc_auc"),
     "mlp": ("MlpConfig", "MlpModel", "MlpParams", "forward", "init_params", "load_model",

@@ -2,14 +2,19 @@
 
 Commands wire the pipeline end to end: ``ingest`` decodes a measurement
 file, ``preprocess`` builds a scaled feature matrix, ``search`` runs a
-heuristic grid stage, ``train`` fits the one-class bank, ``eval`` produces
-the report tables, ``infer`` scores feature vectors, and ``report``
-summarizes run manifests.  Config files use the plain ``key = value``
-grammar; flags override file values, and the merged effective config is
-echoed into the run manifest.
+heuristic grid stage and writes its winner as ``<out>.selected.cfg`` for
+the next stage's ``--inherit``, ``train`` fits the one-class bank, ``eval``
+produces the report tables, ``infer`` scores feature vectors, and
+``report`` summarizes run manifests.  Config files use the plain ``key =
+value`` grammar; flags override file values, and the merged effective
+config is echoed into the run manifest.
 
-Each command imports the modules only it needs (``metrics``, ``search``,
-``training``) in its own body, which keeps the start-up of the others short.
+Each command imports what only it needs in its own body, so it pays the
+start-up of its own work alone: ``ingest`` and ``report`` load ``dataset``,
+``manifest`` and ``configfile`` and no numpy; ``preprocess`` adds numpy and
+``features``; ``train`` and ``infer`` add the model modules (``mlp``,
+``ensemble``, and ``training`` for ``train``); only ``eval`` loads
+``metrics`` and only ``search`` loads ``search``.
 
 Exit codes: 0 success, 1 domain error (the error class name is printed on
 stderr as ``ERROR <Name>: ...``), 2 usage error, 3 missing file.
@@ -17,36 +22,25 @@ stderr as ``ERROR <Name>: ...``), 2 usage error, 3 missing file.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
 
-import numpy as np
-
 from . import __version__
 from .configfile import load_config
 from .dataset import (
+    ClassStats,
     ColumnLayout,
+    FeatureSetKind,
     class_statistics,
     filter_usable,
     load_dataset,
     read_records_csv,
     write_records_csv,
 )
-from .ensemble import infer as ensemble_infer
-from .ensemble import load_ensemble, save_ensemble, train_ensemble
-from .errors import OconError
-from .features import (
-    SPEAKER_CLASS_NAMES,
-    FeatureSetKind,
-    build_feature_matrix,
-    load_matrix,
-    normalize_by_f0,
-    save_matrix,
-    speaker_view,
-)
+from .errors import MalformedRow, OconError
 from .manifest import RunManifest, summarize_manifests
-from .mlp import MlpConfig
 
 _FEATURE_SETS = {kind.value: kind for kind in FeatureSetKind}
 
@@ -80,6 +74,8 @@ def cmd_ingest(args):
 
 
 def cmd_preprocess(args):
+    from .features import build_feature_matrix, save_matrix
+
     kind = _FEATURE_SETS[args.feature_set]
     manifest = RunManifest("preprocess", {
         "records": args.records, "feature_set": args.feature_set,
@@ -92,7 +88,7 @@ def cmd_preprocess(args):
     matrix, dropped = build_feature_matrix(records, kind, f0_mode=args.f0_channel,
                                            zscore=args.zscore)
     save_matrix(matrix, args.out)
-    kept_stats = class_statistics(filter_usable(records, kind)[0])
+    kept_stats = ClassStats.tally(zip(matrix.labels.tolist(), matrix.groups.tolist()))
     stats_path = args.out + ".stats.txt"
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write(f"usable rows: {matrix.n_rows}\ndropped rows: {len(dropped)}\n")
@@ -115,9 +111,10 @@ def cmd_preprocess(args):
 
 def _write_projections(records, prefix):
     """2-D (F1/F0, F2/F0) scatters, one file per scaling variant."""
+    from .features import build_feature_matrix, ratio_matrix
+
     kind = FeatureSetKind.SS3
-    kept, _ = filter_usable(records, kind)
-    raw = np.stack([normalize_by_f0(rec, kind) for rec in kept])
+    raw = ratio_matrix(filter_usable(records, kind)[0], kind)
     matrix, _ = build_feature_matrix(records, kind)
     paths = []
     for tag, points in (("raw", raw[:, :2]), ("scaled", matrix.values[:, :2])):
@@ -144,11 +141,14 @@ def _load_stage(spec_text):
 
 def _task_matrix(args):
     """The matrix file, relabelled by speaker group for ``--task speaker``."""
+    from .features import load_matrix, speaker_view
+
     matrix = load_matrix(args.matrix)
     return speaker_view(matrix) if args.task == "speaker" else matrix
 
 
 def cmd_search(args):
+    from .configfile import save_config
     from .search import desk_scale, run_stage
 
     stage = _load_stage(args.stage)
@@ -163,10 +163,14 @@ def cmd_search(args):
     result = run_stage(matrix, stage, inherited=inherited, seed=args.seed,
                        workers=args.workers)
     result.write_csv(args.out, times_path=args.out + ".times.csv")
-    manifest.add_output(args.out)
-    manifest.add_output(args.out + ".times.csv")
     best = result.selected
+    # the winner in the config grammar, for a later stage's --inherit
+    save_config(best.hps, args.out + ".selected.cfg")
+    for suffix in ("", ".times.csv", ".selected.cfg"):
+        manifest.add_output(args.out + suffix)
     manifest.extra["selected"] = {k: repr(v) for k, v in best.hps.items()}
+    manifest.extra["failed_cells"] = {str(row.index): row.failures
+                                      for row in result.rows if row.failures}
     manifest.extra["selected_accuracy"] = best.mean_accuracy
     manifest.extra["cycles"] = stage.cycle_count(matrix.n_classes)
     _manifest_out(manifest, os.path.dirname(os.path.abspath(args.out)))
@@ -182,6 +186,8 @@ def _check_keys(raw, cls, what):
 
 
 def _mlp_config_from(args, input_dim):
+    from .mlp import MlpConfig
+
     if args.mlp_config:
         raw = load_config(args.mlp_config)
         raw.setdefault("input_dim", input_dim)
@@ -211,6 +217,8 @@ def _train_config_from(args):
 
 
 def cmd_train(args):
+    from .ensemble import save_ensemble, train_ensemble
+
     matrix = _task_matrix(args)
     mlp_cfg = _mlp_config_from(args, matrix.feature_set.dim)
     train_cfg = _train_config_from(args)
@@ -237,6 +245,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    from .ensemble import load_ensemble
+    from .features import SPEAKER_CLASS_NAMES, load_matrix, speaker_view
     from .metrics import report_tables
 
     manifest = RunManifest("eval", {"model": args.model, "matrix": args.matrix},
@@ -258,28 +268,49 @@ def cmd_eval(args):
 
 
 def _read_vectors(args):
-    if args.input_file:
-        rows = []
-        with open(args.input_file, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(t) for t in line.replace(",", " ").split()])
-        return np.array(rows, dtype=np.float64)
-    return np.array([[float(t) for t in args.input.replace(",", " ").split()]])
+    """The ``--input`` vector, or one vector per non-blank line of
+    ``--input-file``.  In the file, a token that is not a finite number, or a
+    row whose width differs from the first row's, raises MalformedRow naming
+    its line."""
+    import numpy as np
+
+    if not args.input_file:
+        return np.array([[float(t) for t in args.input.replace(",", " ").split()]])
+    rows = []
+    with open(args.input_file, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            tokens = line.replace(",", " ").split()
+            if not tokens:
+                continue
+            try:
+                row = [float(t) for t in tokens]
+            except ValueError as err:
+                raise MalformedRow(line_no, str(err)) from None
+            if not all(map(math.isfinite, row)):
+                token = next(t for t, v in zip(tokens, row) if not math.isfinite(v))
+                raise MalformedRow(line_no, f"non-finite value {token!r}")
+            if rows and len(row) != len(rows[0]):
+                raise MalformedRow(line_no, f"{len(row)} values where the first row "
+                                            f"has {len(rows[0])}")
+            rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def cmd_infer(args):
+    import numpy as np
+
+    from .ensemble import infer, load_ensemble
+
     model = load_ensemble(args.model)
-    vectors = _read_vectors(args)
-    logits, predicted = ensemble_infer(model, vectors, scaled=args.scaled)
-    for probs, pred in zip(np.atleast_2d(logits), np.atleast_1d(predicted)):
-        label = model.class_names[int(pred)]
-        if args.format == "jsonl":
-            print(json.dumps({"logits": [float(p) for p in probs],
-                              "predicted": int(pred), "label": label}))
-        else:
-            print(",".join(repr(float(p)) for p in probs) + f",{int(pred)},{label}")
+    logits, predicted = infer(model, _read_vectors(args), scaled=args.scaled)
+    names = model.class_names
+    rows = zip(np.atleast_2d(logits).tolist(), np.atleast_1d(predicted).tolist())
+    if args.format == "jsonl":
+        lines = [json.dumps({"logits": probs, "predicted": pred, "label": names[pred]})
+                 for probs, pred in rows]
+    else:
+        lines = [",".join(map(repr, probs)) + f",{pred},{names[pred]}" for probs, pred in rows]
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

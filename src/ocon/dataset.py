@@ -1,8 +1,10 @@
 """Measurement-file ingestion for the /hVd/ vowel corpus.
 
 Handles filename decoding (speaker group, speaker number, ARPABet phoneme),
-row parsing against a configurable column layout, usable-sample filtering,
-and per-class statistics.  All functions are pure; records are immutable.
+row parsing against a configurable column layout, the feature-set kinds and
+usable-sample filtering by them, and per-class statistics.  All functions
+are pure; records are immutable.  The module needs no numpy, so the
+``ingest`` command does not load it.
 """
 
 import csv
@@ -78,6 +80,44 @@ FEATURE_KEYS = (
     "f2_10", "f2_50", "f2_ss", "f2_80",
     "f3_10", "f3_50", "f3_ss", "f3_80",
 )
+
+_TIMEPOINTS = ("10", "50", "ss", "80")
+
+
+class FeatureSetKind(Enum):
+    """Which feature vector is built from a record.
+
+    - ``SS3``: F1/F0, F2/F0, F3/F0 at the vowel steady state (dim 3).
+    - ``SS4``: SS3 plus a trailing F0 channel, raw Hz or constant 1.0 (dim 4).
+    - ``TT12``: F1..F3/F0 at 10%, 50%, steady state, 80% (dim 12), ordered
+      formant-major: (F1@10, F1@50, F1@SS, F1@80, F2@10, ..., F3@80).
+    """
+
+    SS3 = "ss3"
+    SS4 = "ss4"
+    TT12 = "tt12"
+
+    @property
+    def dim(self):
+        return {"ss3": 3, "ss4": 4, "tt12": 12}[self.value]
+
+    @property
+    def ratio_keys(self):
+        """Formant fields divided by F0, in output-component order."""
+        if self in (FeatureSetKind.SS3, FeatureSetKind.SS4):
+            return ("f1_ss", "f2_ss", "f3_ss")
+        return tuple(f"f{fmt}_{tp}" for fmt in (1, 2, 3) for tp in _TIMEPOINTS)
+
+    @property
+    def required_keys(self):
+        return ("f0_ss",) + self.ratio_keys
+
+    @property
+    def component_names(self):
+        names = [f"{k}/f0" for k in self.ratio_keys]
+        if self is FeatureSetKind.SS4:
+            names.append("f0")
+        return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -300,13 +340,18 @@ class ClassStats:
         )
         return out.getvalue()
 
+    @classmethod
+    def tally(cls, pairs):
+        """Counts of (phoneme label id, speaker-group code) pairs."""
+        counts = [[0] * 4 for _ in ARPABET_CODES]
+        for label_id, group_code in pairs:
+            counts[label_id][group_code] += 1
+        return cls(counts=tuple(tuple(row) for row in counts))
+
 
 def class_statistics(records):
     """Count records per (phoneme, speaker group)."""
-    counts = [[0] * 4 for _ in ARPABET_CODES]
-    for rec in records:
-        counts[rec.phoneme.label_id][rec.group.code] += 1
-    return ClassStats(counts=tuple(tuple(row) for row in counts))
+    return ClassStats.tally((rec.phoneme.label_id, rec.group.code) for rec in records)
 
 
 # --- records file I/O (CLI plumbing) ---

@@ -6,79 +6,52 @@ into [0, 1].  Scaling is fit on the full processed dataset before any split
 (this reproduces the reference pipeline; the train/test leakage this implies
 is deliberate and documented).  Z-score standardization exists behind a flag
 but is off by default since the ratio distributions are strongly skewed.
+``FeatureSetKind`` lives in ``ocon.dataset`` (record filtering needs it
+without numpy) and is re-exported here.
 """
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from . import container
-from .dataset import ARPABET_CODES, filter_usable
+from .dataset import ARPABET_CODES, FeatureSetKind, filter_usable
 from .errors import ConstantColumn, CorruptPayload, DimensionMismatch, UnusableRecord
 from .util import sha256_json
 
 MATRIX_KIND = "feature_matrix"
 MATRIX_VERSION = 1
 
-_TIMEPOINTS = ("10", "50", "ss", "80")
 
+def ratio_matrix(records, kind, f0_mode="raw"):
+    """(N, dim) ratio feature rows of ``records``, in record order.
 
-class FeatureSetKind(Enum):
-    """Which feature vector is built from a record.
-
-    - ``SS3``: F1/F0, F2/F0, F3/F0 at the vowel steady state (dim 3).
-    - ``SS4``: SS3 plus a trailing F0 channel, raw Hz or constant 1.0 (dim 4).
-    - ``TT12``: F1..F3/F0 at 10%, 50%, steady state, 80% (dim 12), ordered
-      formant-major: (F1@10, F1@50, F1@SS, F1@80, F2@10, ..., F3@80).
+    Every component is Fi(t)/F0 with the single steady-state F0, all rows in
+    one numpy division; the SS4 variant appends an F0 channel (raw Hz when
+    ``f0_mode="raw"``, constant 1.0 when ``"unit"``).  Raises UnusableRecord
+    naming the first record with a required field <= 0 or a ratio that is
+    not finite (a tiny but positive F0 such as 1e-320).
     """
-
-    SS3 = "ss3"
-    SS4 = "ss4"
-    TT12 = "tt12"
-
-    @property
-    def dim(self):
-        return {"ss3": 3, "ss4": 4, "tt12": 12}[self.value]
-
-    @property
-    def ratio_keys(self):
-        """Formant fields divided by F0, in output-component order."""
-        if self in (FeatureSetKind.SS3, FeatureSetKind.SS4):
-            return ("f1_ss", "f2_ss", "f3_ss")
-        return tuple(f"f{fmt}_{tp}" for fmt in (1, 2, 3) for tp in _TIMEPOINTS)
-
-    @property
-    def required_keys(self):
-        return ("f0_ss",) + self.ratio_keys
-
-    @property
-    def component_names(self):
-        names = [f"{k}/f0" for k in self.ratio_keys]
-        if self is FeatureSetKind.SS4:
-            names.append("f0")
-        return tuple(names)
+    fields = np.array([[getattr(rec, k) for k in kind.required_keys] for rec in records],
+                      dtype=np.float64)
+    out = np.empty((len(records), kind.dim))
+    ratios = out[:, :len(kind.ratio_keys)]
+    with np.errstate(all="ignore"):  # a zero or tiny F0 is refused below
+        np.divide(fields[:, 1:], fields[:, :1], out=ratios)
+    nonpositive = fields <= 0
+    if nonpositive.any() or not np.isfinite(ratios).all():
+        first = int(np.argmax(nonpositive.any(axis=1) | ~np.isfinite(ratios).all(axis=1)))
+        reason = ("has non-positive required fields" if nonpositive[first].any()
+                  else "has a non-finite F0 ratio")
+        raise UnusableRecord(f"record {records[first].filename} {reason}")
+    if kind is FeatureSetKind.SS4:
+        out[:, -1] = fields[:, 0] if f0_mode == "raw" else 1.0
+    return out
 
 
 def normalize_by_f0(record, kind, f0_mode="raw"):
-    """Ratio feature vector for one record.
-
-    Every component is Fi(t)/F0 with the single steady-state F0; the SS4
-    variant appends an F0 channel (raw Hz when ``f0_mode="raw"``, constant 1.0
-    when ``"unit"``).  Raises UnusableRecord if any required field is <= 0,
-    or if a ratio is not finite (a tiny but positive F0 such as 1e-320).
-    """
-    f0 = record.value("f0_ss")
-    values = [record.value(k) for k in kind.required_keys]
-    if any(v <= 0 for v in values):
-        raise UnusableRecord(f"record {record.filename} has non-positive required fields")
-    out = np.array([record.value(k) / f0 for k in kind.ratio_keys], dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise UnusableRecord(f"record {record.filename} has a non-finite F0 ratio")
-    if kind is FeatureSetKind.SS4:
-        channel = f0 if f0_mode == "raw" else 1.0
-        out = np.append(out, channel)
-    return out
+    """Ratio feature vector for one record: row 0 of ``ratio_matrix``."""
+    return ratio_matrix([record], kind, f0_mode)[0]
 
 
 @dataclass(frozen=True)
@@ -219,7 +192,7 @@ def build_feature_matrix(records, kind, scaling=None, f0_mode="raw", zscore=Fals
     kept, dropped = filter_usable(records, kind)
     if not kept:
         raise ValueError("no usable records for this feature set")
-    raw = np.stack([normalize_by_f0(rec, kind, f0_mode) for rec in kept])
+    raw = ratio_matrix(kept, kind, f0_mode)
     if scaling is None:
         scaling = fit_zscore(raw) if zscore else fit_minmax(raw)
     values = scaling.apply(raw)

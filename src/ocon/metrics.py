@@ -170,11 +170,11 @@ class ReportTables:
             for name, row in zip(self.class_names, self.confusion):
                 writer.writerow([name, *row.tolist()])
         for name, curve in self.curves.items():
+            # one join over Python floats: a float's repr never needs CSV quoting
+            points = zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
             with open(os.path.join(out_dir, f"roc_{name}.csv"), "w", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["threshold", "fpr", "tpr"])
-                for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr):
-                    writer.writerow([repr(float(t)), repr(float(f)), repr(float(tp))])
+                fh.write("threshold,fpr,tpr\n"
+                         + "".join(f"{t!r},{f!r},{tp!r}\n" for t, f, tp in points))
 
 
 def report_tables(model, matrix):

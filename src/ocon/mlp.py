@@ -419,7 +419,16 @@ def forward(params, config, batch, mode="infer", rng=None):
             raise DimensionMismatch(
                 f"a stacked train batch is (members={stack.n_members}, rows, width)")
         buffers = stack.buffers(config, x.shape[1])
+    probs, cache = _forward(stack, config, x, train, rng, buffers)
+    if single:
+        cache.zout, cache.exp_neg_abs = cache.zout[0], cache.exp_neg_abs[0]
+        probs = cache.probs = probs[0]
+    return probs, cache
 
+
+def _forward(stack, config, x, train, rng, buffers):
+    """``forward`` of a stack over a validated batch, with its temporaries
+    in ``buffers`` (``None`` entries allocate)."""
     if train and config.dropout_keep_input < 1:
         keep = config.dropout_keep_input
         kept = _dropout(rng, keep, buffers.inp)
@@ -484,8 +493,6 @@ def forward(params, config, batch, mode="infer", rng=None):
     np.negative(e, out=e)
     np.exp(e, out=e)
     probs = sigmoid(zout, e)
-    if single:
-        zout, e, probs = zout[0], e[0], probs[0]
     cache.zout, cache.exp_neg_abs, cache.probs = zout, e, probs
     return probs, cache
 
@@ -622,6 +629,29 @@ def optimizer_step(params, grads, config):
 
 def predict_proba(params, config, batch):
     probs, _ = forward(params, config, batch, mode="infer")
+    return probs
+
+
+def predict_each(stack, config, batch):
+    """(K, B) infer-mode probabilities of the K members of ``stack`` on one
+    (B, d) batch, bitwise those of one stacked ``forward``, computed one
+    member at a time for batches whose (K, B, width) temporaries would
+    outgrow the CPU cache.  All K reuse one set of (1, B, width) buffers
+    allocated for the call: a fresh temporary that size is above glibc's
+    mmap threshold, so one per operation would be mapped and faulted in
+    anew each time.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != config.input_dim:
+        raise DimensionMismatch(f"batch shape {x.shape} != (rows, {config.input_dim})")
+    rows, hidden = len(x), config.hidden_layers
+    buffers = _Buffers(z=[np.empty((1, rows, w)) for w in hidden],
+                       act=[np.empty((1, rows, w)) if config.batch_norm else None
+                            for w in hidden],
+                       zout=np.empty((1, rows, 1)), e=np.empty((1, rows)))
+    probs = np.empty((stack.n_members, rows))
+    for k in range(stack.n_members):
+        probs[k] = _forward(stack.select(slice(k, k + 1)), config, x, False, None, buffers)[0]
     return probs
 
 

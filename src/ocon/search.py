@@ -21,7 +21,7 @@ import csv
 import io
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .configfile import load_config, parse_config_text
 from .errors import NonNumericHp, OconError
@@ -154,6 +154,9 @@ class CombinationResult:
     mean_time: float
     per_class: dict                 # class name -> (accuracy, time)
     diverged: bool
+    #: class name -> why its cell failed: the OconError class name, or
+    #: "diverged"; not part of the ranked CSV
+    failures: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -214,8 +217,9 @@ def _cell_seedstamp(stage_seed, combo_index, class_id):
 
 def _run_cell(matrix, stage, hps, combo_index, stage_seed, max_batch_sets, early_stop):
     """One grid combination: every class x fold cycle of it, trained by one
-    engine call.  Returns (combo_index, [(accuracy, seconds, failed)] per
-    class id)."""
+    engine call.  Returns (combo_index, [(accuracy, seconds, failure)] per
+    class id); ``failure`` is None, the class name of the OconError that
+    stopped the class's planning, or "diverged"."""
     class_ids = range(matrix.n_classes)
     plans, outcomes = {}, {}
     for class_id in class_ids:
@@ -229,17 +233,18 @@ def _run_cell(matrix, stage, hps, combo_index, stage_seed, max_batch_sets, early
         try:
             plans[class_id] = plan_k_fold(matrix, class_id, mlp_cfg, train_cfg,
                                           k=stage.k_folds)
-        except OconError:
+        except OconError as err:
             # a class the data cannot support (too few samples, hopeless
             # balance) must not kill the stage; it ranks last.  Programming
             # errors propagate.
-            outcomes[class_id] = (float("-inf"), 0.0, True)
+            outcomes[class_id] = (float("-inf"), 0.0, type(err).__name__)
     cycles = [cycle for plan in plans.values() for cycle in plan]
     trained = iter(_run_cycle(matrix, cycles) if cycles else ())
     for class_id, plan in plans.items():
         result = KFoldResult.of([report for _, report in itertools.islice(trained, len(plan))])
         accuracy = float("-inf") if result.diverged else result.mean_accuracy
-        outcomes[class_id] = (accuracy, result.mean_seconds, result.diverged)
+        outcomes[class_id] = (accuracy, result.mean_seconds,
+                              "diverged" if result.diverged else None)
     return combo_index, [outcomes[class_id] for class_id in class_ids]
 
 
@@ -251,7 +256,8 @@ def run_stage(matrix, stage, inherited=None, seed=0, workers=1,
     ``inherited`` carries best estimates from earlier stages; explicit stage
     fixed values override it, grid values override both.  Heuristic cycles
     run a single batch-set of ``stage.epochs`` epochs with no early stopping
-    unless overridden.  Failed cells score -inf instead of aborting.
+    unless overridden.  Failed cells score -inf instead of aborting, and
+    each row's ``failures`` says why.
     Combinations are submitted widest network first (hidden nodes x hidden
     layers, then grid order), so the costliest tasks do not run last and
     alone; rows are assembled in grid order whatever the finishing order.
@@ -285,7 +291,8 @@ def run_stage(matrix, stage, inherited=None, seed=0, workers=1,
             mean_accuracy=float("-inf") if diverged else sum(accs) / len(accs),
             mean_time=sum(times) / len(times),
             per_class={name: (acc, t) for name, acc, t in zip(matrix.class_names, accs, times)},
-            diverged=diverged))
+            diverged=diverged,
+            failures={name: why for name, why in zip(matrix.class_names, failed) if why}))
     return SearchResult(stage_name=stage.name, rows=rows)
 
 

@@ -48,7 +48,12 @@ from .mlp import (
     optimizer_step,
     stack_params,
 )
-from .util import derive_seed, rng_from, sha256_json
+from .util import derive_seed, sha256_json
+
+
+def rng_from(*parts):
+    """Generator seeded via :func:`ocon.util.derive_seed`."""
+    return np.random.default_rng(derive_seed(*parts))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,6 @@
 import hashlib
 import json
 
-import numpy as np
-
 _SEED_MASK = (1 << 63) - 1
 
 
@@ -19,11 +17,6 @@ def derive_seed(*parts):
     enc = "\x1f".join(f"{type(p).__name__}:{p}" for p in parts).encode()
     digest = hashlib.sha256(enc).digest()
     return int.from_bytes(digest[:8], "little") & _SEED_MASK
-
-
-def rng_from(*parts):
-    """Generator seeded via :func:`derive_seed`."""
-    return np.random.default_rng(derive_seed(*parts))
 
 
 def sha256_bytes(data):

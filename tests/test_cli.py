@@ -274,6 +274,67 @@ class TestErrorContract:
         assert "ERROR CorruptPayload" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("body, line", [
+    ("0.5,0.5\n\n0.5,x\n", "line 3: could not convert string to float: 'x'"),
+    ("0.5 0.5\nnan 0.5\n", "line 2: non-finite value 'nan'"),
+    ("0.5,0.5\n0.5,0.5\n\n0.5,0.5,0.5\n", "line 4: 3 values where the first row has 2"),
+])
+def test_malformed_infer_file_names_its_line(pipeline_dir, tmp_path, capsys, body, line):
+    model_dir = train_tiny_model(pipeline_dir, tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(body)
+    capsys.readouterr()
+    assert main(["infer", "--model", model_dir, "--input-file", str(vectors)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ERROR MalformedRow: {line}" in captured.err
+
+
+def search_manifest(directory):
+    [name] = [f for f in os.listdir(directory) if f.startswith("manifest-")]
+    return json.load(open(os.path.join(directory, name)))
+
+
+def test_search_winner_feeds_the_next_stage(pipeline_dir, tmp_path):
+    from ocon.configfile import load_config
+    from ocon.search import SearchStage, run_stage
+
+    matrix_path = str(pipeline_dir / "matrix.ocm")
+    stage1 = tmp_path / "stage1.cfg"
+    stage1.write_text("k_folds = 2\nepochs = 3\nfixed.batch_size = 16\n"
+                      "grid.hidden_nodes = [3, 5]\ngrid.learning_rate = [3e-3, 1e-3]\n")
+    stage2 = tmp_path / "stage2.cfg"
+    stage2.write_text("k_folds = 2\nepochs = 3\ngrid.batch_size = [16]\n")
+    os.makedirs(tmp_path / "s1")
+    ranked = str(tmp_path / "s1" / "ranked.csv")
+    assert main(["search", "--matrix", matrix_path, "--stage", str(stage1),
+                 "--out", ranked, "--seed", "3"]) == 0
+    manifest = search_manifest(tmp_path / "s1")
+    selected = load_config(ranked + ".selected.cfg")
+    assert {k: repr(v) for k, v in selected.items()} == manifest["extra"]["selected"]
+    assert ranked + ".selected.cfg" in [out["path"] for out in manifest["outputs"]]
+    assert manifest["extra"]["failed_cells"] == {}
+
+    second = str(tmp_path / "ranked2.csv")
+    assert main(["search", "--matrix", matrix_path, "--stage", str(stage2),
+                 "--inherit", ranked + ".selected.cfg", "--out", second, "--seed", "3"]) == 0
+    expected = run_stage(load_matrix(matrix_path), SearchStage.from_file(str(stage2)),
+                         inherited=selected, seed=3)
+    assert open(second).read() == expected.to_csv_text()
+
+
+def test_search_manifest_names_failed_cells(pipeline_dir, tmp_path):
+    stage = tmp_path / "stage.cfg"
+    stage.write_text("k_folds = 500\nepochs = 1\ngrid.hidden_nodes = [2]\n")
+    ranked = str(tmp_path / "ranked.csv")
+    assert main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
+                 "--stage", str(stage), "--out", ranked]) == 0
+    names = load_matrix(str(pipeline_dir / "matrix.ocm")).class_names
+    assert search_manifest(tmp_path)["extra"]["failed_cells"] == {
+        "0": {name: "TooFewSamples" for name in names}}
+    assert open(ranked).read().count("-inf") == 1 + len(names)
+
+
 def test_train_reruns_byte_identical(pipeline_dir, tmp_path):
     matrix = str(pipeline_dir / "matrix.ocm")
     train_cfg = tmp_path / "train.cfg"
@@ -318,6 +379,9 @@ class TestStartup:
         "stage_presets", "train_ensemble", "train_one_class")
 
     def run_python(self, code):
+        return self.run_interpreter("-c", code).stdout.strip()
+
+    def run_interpreter(self, *argv):
         import subprocess
         import sys
 
@@ -326,10 +390,22 @@ class TestStartup:
         src = os.path.dirname(os.path.dirname(os.path.abspath(ocon.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
+        return proc
+
+    def test_ingest_and_report_load_no_numpy(self, tmp_path):
+        dat = tmp_path / "synth.dat"
+        write_synth_dat(str(dat), seed=3, men=2, women=2, boys=1, girls=1)
+        for argv in (["ingest", "--data", str(dat), "--out", str(tmp_path / "r.csv")],
+                     ["report", "--dir", str(tmp_path)]):
+            # -X importtime lists every module the command imports, on stderr
+            proc = self.run_interpreter("-X", "importtime", "-m", "ocon.cli", *argv)
+            imported = {line.rsplit("|", 1)[-1].strip()
+                        for line in proc.stderr.splitlines() if line.startswith("import time:")}
+            assert "numpy" not in imported and "ocon.dataset" in imported, argv
+        assert "ingest" in proc.stdout  # report listed the ingest manifest
 
     def test_cli_import_leaves_metrics_search_and_process_pool_unloaded(self):
         loaded = self.run_python(

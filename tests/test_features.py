@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from ocon.features import (
     fit_zscore,
     load_matrix,
     normalize_by_f0,
+    ratio_matrix,
     save_matrix,
 )
 from tests.conftest import hgcw_data_path
@@ -90,6 +92,38 @@ class TestNormalizeByF0:
         a = normalize_by_f0(rec, FeatureSetKind.SS3)
         b = normalize_by_f0(scaled, FeatureSetKind.SS3)
         assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+class TestRatioMatrix:
+    @pytest.mark.parametrize("kind, f0_mode", [
+        (FeatureSetKind.SS3, "raw"), (FeatureSetKind.SS4, "raw"),
+        (FeatureSetKind.SS4, "unit"), (FeatureSetKind.TT12, "raw")])
+    def test_rows_equal_per_record_division(self, synth_corpus, kind, f0_mode):
+        kept, _ = filter_usable(synth_corpus, kind)
+        matrix = ratio_matrix(kept, kind, f0_mode)
+        reference = np.array([[rec.value(k) / rec.f0_ss for k in kind.ratio_keys]
+                              + ([rec.f0_ss if f0_mode == "raw" else 1.0]
+                                 if kind is FeatureSetKind.SS4 else [])
+                              for rec in kept])
+        stacked = np.stack([normalize_by_f0(rec, kind, f0_mode) for rec in kept])
+        for other in (reference, stacked):
+            assert np.array_equal(matrix.view(np.uint64), other.view(np.uint64))
+
+    @pytest.mark.parametrize("bad, reason", [
+        ({"f2_50": 0.0}, "non-positive required fields"),
+        ({"f0_ss": -5.0}, "non-positive required fields"),
+        ({"f0_ss": 1e-320}, "a non-finite F0 ratio"),
+        ({"f0_ss": 5e-324, "f1_10": 0.0}, "non-positive required fields")])
+    def test_first_unusable_record_named_without_warnings(self, bad, reason):
+        records = [make_record(speaker=s) for s in range(1, 6)]
+        records[2] = make_record(speaker=3, **bad)
+        records[4] = make_record(speaker=5, f0_ss=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked RuntimeWarning would raise here
+            with pytest.raises(UnusableRecord, match=f"record m03ae has {reason}"):
+                ratio_matrix(records, FeatureSetKind.TT12)
+            with pytest.raises(UnusableRecord, match=f"record m03ae has {reason}"):
+                normalize_by_f0(records[2], FeatureSetKind.TT12)
 
 
 class TestMinMax:

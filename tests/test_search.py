@@ -163,6 +163,8 @@ class TestRunStage:
         result = run_stage(matrix, tiny_stage(), seed=1)
         assert all(r.mean_accuracy == float("-inf") for r in result.rows)
         assert all(r.diverged for r in result.rows)
+        assert all(r.failures == {name: "diverged" for name in matrix.class_names}
+                   for r in result.rows)
 
     def test_domain_error_in_cell_ranks_last(self, monkeypatch):
         def too_few(*args, **kwargs):
@@ -171,6 +173,27 @@ class TestRunStage:
         result = run_stage(blob_matrix(n_per_class=20, n_classes=2, seed=2),
                            tiny_stage(), seed=1)
         assert all(r.mean_accuracy == float("-inf") and r.diverged for r in result.rows)
+
+    def test_failed_cell_names_its_error_outside_the_csv(self, monkeypatch):
+        plan = search.plan_k_fold
+
+        def too_few_for_class_1(matrix, class_id, *args, **kwargs):
+            if class_id == 1:
+                raise TooFewSamples("no folds")
+            return plan(matrix, class_id, *args, **kwargs)
+        matrix = blob_matrix(n_per_class=20, n_classes=2, seed=2)
+        clean = run_stage(matrix, tiny_stage(), seed=1)
+        monkeypatch.setattr(search, "plan_k_fold", too_few_for_class_1)
+        result = run_stage(matrix, tiny_stage(), seed=1)
+        first, second = matrix.class_names
+        assert [r.failures for r in result.rows] == [{second: "TooFewSamples"}] * 2
+        assert [r.failures for r in clean.rows] == [{}, {}]
+        # the class that planned trains as it does alone; the CSV keeps its columns
+        assert [r.per_class[first][0] for r in result.rows] == \
+            [r.per_class[first][0] for r in clean.rows]
+        header = result.to_csv_text().splitlines()[0]
+        assert header == (f"rank,combo_index,hidden_nodes,learning_rate,mean_accuracy,"
+                          f"diverged,acc_{first},acc_{second}")
 
     def test_widest_combinations_run_first(self, monkeypatch):
         order = []
