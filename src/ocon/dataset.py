@@ -81,7 +81,9 @@ FEATURE_KEYS = (
     "f3_10", "f3_50", "f3_ss", "f3_80",
 )
 
-_TIMEPOINTS = ("10", "50", "ss", "80")
+#: Formant fields of the steady-state sets and of TT12, in component order.
+_SS_RATIO_KEYS = ("f1_ss", "f2_ss", "f3_ss")
+_TT_RATIO_KEYS = tuple(f"f{fmt}_{tp}" for fmt in (1, 2, 3) for tp in ("10", "50", "ss", "80"))
 
 
 class FeatureSetKind(Enum):
@@ -104,9 +106,7 @@ class FeatureSetKind(Enum):
     @property
     def ratio_keys(self):
         """Formant fields divided by F0, in output-component order."""
-        if self in (FeatureSetKind.SS3, FeatureSetKind.SS4):
-            return ("f1_ss", "f2_ss", "f3_ss")
-        return tuple(f"f{fmt}_{tp}" for fmt in (1, 2, 3) for tp in _TIMEPOINTS)
+        return _TT_RATIO_KEYS if self is FeatureSetKind.TT12 else _SS_RATIO_KEYS
 
     @property
     def required_keys(self):

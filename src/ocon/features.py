@@ -32,12 +32,10 @@ def ratio_matrix(records, kind, f0_mode="raw"):
     naming the first record with a required field <= 0 or a ratio that is
     not finite (a tiny but positive F0 such as 1e-320).
     """
-    fields = np.array([[getattr(rec, k) for k in kind.required_keys] for rec in records],
-                      dtype=np.float64)
-    out = np.empty((len(records), kind.dim))
-    ratios = out[:, :len(kind.ratio_keys)]
+    keys = kind.required_keys
+    fields = np.array([[getattr(rec, k) for k in keys] for rec in records], dtype=np.float64)
     with np.errstate(all="ignore"):  # a zero or tiny F0 is refused below
-        np.divide(fields[:, 1:], fields[:, :1], out=ratios)
+        ratios = fields[:, 1:] / fields[:, :1]
     nonpositive = fields <= 0
     if nonpositive.any() or not np.isfinite(ratios).all():
         first = int(np.argmax(nonpositive.any(axis=1) | ~np.isfinite(ratios).all(axis=1)))
@@ -45,8 +43,9 @@ def ratio_matrix(records, kind, f0_mode="raw"):
                   else "has a non-finite F0 ratio")
         raise UnusableRecord(f"record {records[first].filename} {reason}")
     if kind is FeatureSetKind.SS4:
-        out[:, -1] = fields[:, 0] if f0_mode == "raw" else 1.0
-    return out
+        channel = fields[:, :1] if f0_mode == "raw" else np.ones_like(fields[:, :1])
+        ratios = np.concatenate((ratios, channel), axis=1)
+    return ratios
 
 
 def normalize_by_f0(record, kind, f0_mode="raw"):

@@ -33,7 +33,8 @@ row (``params.stacked``).  In infer mode all K members see one (B, d)
 batch; in train mode each has its own (rows, d) block and dropout
 generator, drawn in member order.  Train-mode temporaries live in a
 workspace the stack keeps (``_Workspace``), so a train-mode cache is valid
-until the stack's next step.
+until the stack's next step.  ``predict_each`` runs an infer-mode batch too
+large to stack one member at a time through buffers it allocates once.
 """
 
 import copy
