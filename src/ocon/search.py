@@ -284,15 +284,15 @@ def run_stage(matrix, stage, inherited=None, seed=0, workers=1,
     grid_keys = list(stage.grid)
     rows = []
     for ci, merged in enumerate(combos):
-        accs, times, failed = zip(*cells[ci])
-        diverged = any(failed)
+        accs, times, failures = zip(*cells[ci])
+        diverged = any(failures)
         rows.append(CombinationResult(
             index=ci, hps={k: merged[k] for k in grid_keys},
             mean_accuracy=float("-inf") if diverged else sum(accs) / len(accs),
             mean_time=sum(times) / len(times),
             per_class={name: (acc, t) for name, acc, t in zip(matrix.class_names, accs, times)},
             diverged=diverged,
-            failures={name: why for name, why in zip(matrix.class_names, failed) if why}))
+            failures={name: why for name, why in zip(matrix.class_names, failures) if why}))
     return SearchResult(stage_name=stage.name, rows=rows)
 
 
