@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BalanceToleranceExceeded, EmptyFalseClass, UnknownClass
+from .util import check_class_id
 
 
 class BalanceWarning(UserWarning):
@@ -110,14 +111,6 @@ def _balance_sizes(sizes, avail, n_positive):
         sizes[c] += 1
         total += 1
     return sizes
-
-
-def check_class_id(labelled, class_id):
-    """Raise UnknownClass unless ``class_id`` indexes ``labelled.class_names``
-    (of a matrix or an ensemble)."""
-    k = len(labelled.class_names)
-    if not 0 <= class_id < k:
-        raise UnknownClass(f"label id {class_id} outside 0..{k - 1}")
 
 
 def build_balanced_subset(matrix, true_class, seed, balancing_tolerance=0.01):

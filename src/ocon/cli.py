@@ -45,10 +45,6 @@ from .manifest import RunManifest, summarize_manifests
 _FEATURE_SETS = {kind.value: kind for kind in FeatureSetKind}
 
 
-def _default_workers():
-    return int(os.environ.get("OCON_WORKERS", "1"))
-
-
 def _manifest_out(manifest, directory):
     manifest.finish()
     return manifest.write(directory)
@@ -355,7 +351,7 @@ def build_parser():
     p.add_argument("--stage", required=True,
                    help="preset:stage1..preset:stage4 or a stage file")
     p.add_argument("--inherit", help="config file with inherited best estimates")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--desk-scale", type=int, default=1,
                    help="shrink folds/epochs by this factor")
     p.add_argument("--task", choices=("phoneme", "speaker"), default="phoneme")
@@ -368,7 +364,7 @@ def build_parser():
     p.add_argument("--mlp-config", help="MLP config file (default: tuned setup)")
     p.add_argument("--train-config", help="training config file")
     p.add_argument("--task", choices=("phoneme", "speaker"), default="phoneme")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balancer import check_class_id
 from .errors import (
     DimensionMismatch,
     ManifestMismatch,
@@ -42,7 +41,7 @@ from .mlp import (
     read_checkpoint,
     save_model,
 )
-from .util import derive_seed, sha256_file
+from .util import check_class_id, derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
 MANIFEST_NAME = "ensemble.json"
@@ -115,7 +114,7 @@ class OconModel:
                            self.feature_set, self.f0_mode)
 
 
-def _train_members(matrix, class_ids, mlp_config, train_config):
+def _train_members(matrix, mlp_config, train_config, class_ids):
     """The members of ``class_ids``, trained by one lockstep engine call;
     member seeds derive from (master seed, class id)."""
     from .training import _run_cycle, one_class_cycle
@@ -130,26 +129,16 @@ def train_ensemble(matrix, mlp_config, train_config, workers=1):
     """Train one member per class of ``matrix.class_names``; returns
     (OconModel, reports).
 
-    ``workers`` processes each train one contiguous chunk of the class ids
-    as one lockstep group.  Member seeds derive from (master seed, class
-    id), so any level of parallelism produces identical results.  If any
-    member diverges the whole bank is rejected with PartialEnsemble naming
-    the failures.
+    ``training.fan_out`` cuts the class ids into ``workers`` contiguous runs
+    and trains each run as one lockstep group in its own process.  Member
+    seeds derive from (master seed, class id), so any level of parallelism
+    produces identical results.  If any member diverges the whole bank is
+    rejected with PartialEnsemble naming the failures.
     """
-    class_ids = list(range(matrix.n_classes))
-    n = len(class_ids)
-    chunks = [chunk for chunk in (class_ids[i * n // workers: (i + 1) * n // workers]
-                                  for i in range(max(1, workers))) if chunk]
-    if len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    from .training import fan_out
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_train_members, matrix, chunk, mlp_config, train_config)
-                       for chunk in chunks]
-            outcomes = [outcome for f in futures for outcome in f.result()]
-    else:
-        outcomes = _train_members(matrix, class_ids, mlp_config, train_config)
-
+    [outcomes] = fan_out(_train_members, [(matrix, mlp_config, train_config)],
+                         matrix.n_classes, workers)
     members = [model for model, _ in outcomes]
     reports = [report for _, report in outcomes]
     failures = [r.class_name for r in reports if r.stop_reason == "diverged"]
@@ -181,7 +170,7 @@ def retrain_member(model, matrix, class_id, mlp_config, train_config):
     _check_matrix(model, matrix)
     check_class_id(matrix, class_id)
     model._check_member(model.class_names[class_id], mlp_config)
-    [(member, report)] = _train_members(matrix, [class_id], mlp_config, train_config)
+    [(member, report)] = _train_members(matrix, mlp_config, train_config, [class_id])
     if report.stop_reason == "diverged":
         raise PartialEnsemble([report.class_name], reports=[report])
     model.replace_member(class_id, member)

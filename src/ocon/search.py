@@ -8,25 +8,25 @@ numeric hyperparameter around the current best.  The four preset stages
 mirror the reference experiment ladder: topology/optimizer/learning-rate,
 dropout, batch-norm with a learning-rate recheck, and L2 weight decay.
 
-A search task is one grid combination (``_run_cell``): every class x fold
-cycle of it goes through one lockstep engine call (``training._run_cycle``),
-which steps cycles of equal training-split size together.  Each class is
-planned on its own, so a class the data cannot support scores -inf without
-touching the others.  Each (combination, class) cell derives its own seed
-from (stage seed, combination, class), so results are identical for any
-worker count or scheduling order.
+A search task (``_run_cell``) is one grid combination, or a run of its
+classes when combinations are fewer than workers (``training.fan_out``):
+its class x fold cycles go through one lockstep engine call
+(``training._run_cycle``), which steps cycles of equal training-split size
+together.  Each class is planned on its own, so a class the data cannot
+support scores -inf without touching the others.  Each (combination, class)
+cell derives its own seed from (stage seed, combination, class), so results
+are identical for any worker count or scheduling order.
 """
 
 import csv
 import io
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .configfile import load_config, parse_config_text
 from .errors import NonNumericHp, OconError
 from .mlp import MlpConfig
-from .training import KFoldResult, TrainConfig, _run_cycle, plan_k_fold
+from .training import KFoldResult, TrainConfig, _run_cycle, fan_out, plan_k_fold
 from .util import derive_seed
 
 #: Hyperparameters refined on a log scale; everything else numeric is linear.
@@ -215,20 +215,18 @@ def _cell_seedstamp(stage_seed, combo_index, class_id):
     return derive_seed(stage_seed, "cell", combo_index, class_id)
 
 
-def _run_cell(matrix, stage, hps, combo_index, stage_seed, max_batch_sets, early_stop):
-    """One grid combination: every class x fold cycle of it, trained by one
-    engine call.  Returns (combo_index, [(accuracy, seconds, failure)] per
-    class id); ``failure`` is None, the class name of the OconError that
-    stopped the class's planning, or "diverged"."""
-    class_ids = range(matrix.n_classes)
+def _run_cell(matrix, stage, hps, combo_index, stage_seed, class_ids):
+    """One grid combination on a run of class ids: every class x fold cycle
+    of it, trained by one engine call.  Returns one (accuracy, seconds,
+    failure) per class id; ``failure`` is None, the class name of the
+    OconError that stopped the class's planning, or "diverged"."""
     plans, outcomes = {}, {}
     for class_id in class_ids:
         cell_seed = _cell_seedstamp(stage_seed, combo_index, class_id)
         mlp_cfg = hp_to_mlp_config(hps, matrix.feature_set.dim,
                                    seed=derive_seed(cell_seed, "init"))
         train_cfg = TrainConfig(
-            epochs_per_batch_set=stage.epochs, max_batch_sets=max_batch_sets,
-            early_stop=early_stop, k_folds=stage.k_folds,
+            epochs_per_batch_set=stage.epochs, max_batch_sets=1, k_folds=stage.k_folds,
             seed=derive_seed(cell_seed, "train"), reencode_per_batch_set=False)
         try:
             plans[class_id] = plan_k_fold(matrix, class_id, mlp_cfg, train_cfg,
@@ -245,41 +243,30 @@ def _run_cell(matrix, stage, hps, combo_index, stage_seed, max_batch_sets, early
         accuracy = float("-inf") if result.diverged else result.mean_accuracy
         outcomes[class_id] = (accuracy, result.mean_seconds,
                               "diverged" if result.diverged else None)
-    return combo_index, [outcomes[class_id] for class_id in class_ids]
+    return [outcomes[class_id] for class_id in class_ids]
 
 
-def run_stage(matrix, stage, inherited=None, seed=0, workers=1,
-              max_batch_sets=1, early_stop=None):
+def run_stage(matrix, stage, inherited=None, seed=0, workers=1):
     """Sweep a stage's grid over every class of ``matrix.class_names`` and
     rank the combinations.
 
     ``inherited`` carries best estimates from earlier stages; explicit stage
     fixed values override it, grid values override both.  Heuristic cycles
-    run a single batch-set of ``stage.epochs`` epochs with no early stopping
-    unless overridden.  Failed cells score -inf instead of aborting, and
-    each row's ``failures`` says why.
-    Combinations are submitted widest network first (hidden nodes x hidden
-    layers, then grid order), so the costliest tasks do not run last and
-    alone; rows are assembled in grid order whatever the finishing order.
+    run a single batch-set of ``stage.epochs`` epochs with no early stopping.
+    Failed cells score -inf instead of aborting, and each row's ``failures``
+    says why.  Combinations go to ``training.fan_out`` widest network first
+    (hidden nodes x hidden layers, then grid order), so the costliest tasks
+    do not run last and alone; rows are assembled in grid order whatever
+    the finishing order.
     """
-    base = dict(inherited or {})
-    base.update(stage.fixed)
-    combos = []
-    for hps in stage.combinations():
-        merged = dict(base)
-        merged.update(hps)
-        combos.append(merged)
+    base = {**(inherited or {}), **stage.fixed}
+    combos = [{**base, **hps} for hps in stage.combinations()]
 
     dim = matrix.feature_set.dim
     order = sorted(range(len(combos)),
                    key=lambda ci: (-sum(hp_to_mlp_config(combos[ci], dim).hidden_layers), ci))
-    args = [(matrix, stage, combos[ci], ci, seed, max_batch_sets, early_stop) for ci in order]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, *a) for a in args]
-            cells = dict(fut.result() for fut in futures)
-    else:
-        cells = dict(_run_cell(*a) for a in args)
+    units = [(matrix, stage, combos[ci], ci, seed) for ci in order]
+    cells = dict(zip(order, fan_out(_run_cell, units, matrix.n_classes, workers)))
 
     grid_keys = list(stage.grid)
     rows = []

@@ -25,7 +25,8 @@ that stops early or whose loss is not finite is copied out of the stack
 before the next optimizer step and the group shrinks.  A member's
 ``train_seconds`` is its batch-set 0 fetch plus, for every epoch it took
 part in, the epoch's wall time divided by the members then in the group:
-the shares of a group add up to the group's wall time.
+the shares of a group add up to the group's wall time.  ``fan_out`` spreads
+engine calls over processes, for a bank and a grid search alike.
 """
 
 import math
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .balancer import build_balanced_subset, check_class_id
+from .balancer import build_balanced_subset
 from .errors import TooFewSamples
 from .mlp import (
     STACK_MAX_VALUES,
@@ -48,7 +49,7 @@ from .mlp import (
     optimizer_step,
     stack_params,
 )
-from .util import derive_seed, sha256_json
+from .util import check_class_id, derive_seed, sha256_json
 
 
 def rng_from(*parts):
@@ -388,6 +389,29 @@ def _run_cycle(matrix, cycles):
             _train_group(group[at: at + size], n_train, config, tc)
     scaling_hash = matrix.scaling.content_hash()
     return [m.result(scaling_hash) for m in members]
+
+
+def fan_out(task, units, n_classes, workers):
+    """``task(*unit, class_ids)`` over each unit and contiguous run of its
+    class ids; returns per unit the items of its runs' lists, in class order.
+
+    A unit is a bank or one grid combination.  Its ids are cut into
+    ``ceil(workers / len(units))`` runs, at most one per class.  Tasks run
+    inline when there is one or ``workers <= 1``, else in the caller's unit
+    order on one pool of ``min(workers, tasks)`` processes.
+    """
+    runs = max(1, min(n_classes, -(-workers // len(units))))
+    cuts = [r * n_classes // runs for r in range(runs + 1)]
+    tasks = [(*unit, range(a, b)) for unit in units for a, b in zip(cuts, cuts[1:])]
+    if workers <= 1 or len(tasks) == 1:
+        done = [task(*args) for args in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            done = list(pool.map(task, *zip(*tasks)))
+    return [[item for part in done[u:u + runs] for item in part]
+            for u in range(0, len(done), runs)]
 
 
 def one_class_cycle(matrix, class_id, mlp_config, train_config):

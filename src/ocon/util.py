@@ -1,7 +1,10 @@
-"""Small shared helpers: deterministic seed derivation and content hashing."""
+"""Small shared helpers: deterministic seed derivation, content hashing and
+the class-id check."""
 
 import hashlib
 import json
+
+from .errors import UnknownClass
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -37,3 +40,11 @@ def sha256_file(path, chunk=1 << 20):
 def sha256_json(obj):
     """Hash of the canonical JSON encoding of a plain structure."""
     return sha256_bytes(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
+
+
+def check_class_id(labelled, class_id):
+    """Raise UnknownClass unless ``class_id`` indexes ``labelled.class_names``
+    (of a matrix or an ensemble)."""
+    k = len(labelled.class_names)
+    if not 0 <= class_id < k:
+        raise UnknownClass(f"label id {class_id} outside 0..{k - 1}")

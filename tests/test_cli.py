@@ -381,18 +381,18 @@ class TestStartup:
     def run_python(self, code):
         return self.run_interpreter("-c", code).stdout.strip()
 
-    def run_interpreter(self, *argv):
+    def run_interpreter(self, *argv, env=(), returncode=0):
         import subprocess
         import sys
 
         import ocon
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(ocon.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                               text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == returncode, proc.stderr
         return proc
 
     def test_ingest_and_report_load_no_numpy(self, tmp_path):
@@ -413,6 +413,21 @@ class TestStartup:
             "print([m for m in ('ocon.metrics', 'ocon.search', 'ocon.training',"
             " 'concurrent.futures.process') if m in sys.modules])")
         assert loaded == "[]"
+
+    def test_serving_loads_no_balancer_and_search_no_process_pool(self):
+        loaded = self.run_python(
+            "import sys, ocon.ensemble, ocon.metrics\n"
+            "print('ocon.balancer' in sys.modules)\n"
+            "import ocon.search\n"
+            "print('concurrent.futures.process' in sys.modules)")
+        assert loaded.split() == ["False", "False"]
+
+    def test_workers_environment_variable_is_not_read(self, tmp_path):
+        # --workers defaults to 1; the parser reads no environment default
+        proc = self.run_interpreter("-m", "ocon.cli", "report", "--dir", str(tmp_path),
+                                    env={"OCON_WORKERS": "x"}, returncode=1)
+        assert "ERROR OconError: no manifests given" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_every_package_name_still_imports(self):
         names = ", ".join(self.PACKAGE_NAMES)

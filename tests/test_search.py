@@ -148,6 +148,38 @@ class TestRunStage:
         parallel.write_csv(str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fewer_combinations_than_workers_match_workers_1(self):
+        # one combination on 3 workers: fan_out cuts its classes into 3 runs
+        matrix = blob_matrix(n_per_class=30, n_classes=3, seed=2)
+        stage = tiny_stage(grid={"hidden_nodes": [4]})
+        serial = run_stage(matrix, stage, seed=5, workers=1)
+        parallel = run_stage(matrix, stage, seed=5, workers=3)
+        assert parallel.to_csv_text() == serial.to_csv_text()
+        assert [{name: acc for name, (acc, _) in r.per_class.items()} for r in parallel.rows] == \
+            [{name: acc for name, (acc, _) in r.per_class.items()} for r in serial.rows]
+        assert [r.failures for r in parallel.rows] == [r.failures for r in serial.rows] == [{}]
+
+    def test_failed_class_in_a_class_run_keeps_the_others(self, monkeypatch):
+        import concurrent.futures
+        plan = search.plan_k_fold
+
+        def too_few_for_class_1(matrix, class_id, *args, **kwargs):
+            if class_id == 1:
+                raise TooFewSamples("no folds")
+            return plan(matrix, class_id, *args, **kwargs)
+        matrix = blob_matrix(n_per_class=30, n_classes=3, seed=2)
+        stage = tiny_stage(grid={"hidden_nodes": [4]})
+        clean = run_stage(matrix, stage, seed=5, workers=1)
+        monkeypatch.setattr(search, "plan_k_fold", too_few_for_class_1)
+        # threads stand in for the 3 worker processes, so they see the patch
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            concurrent.futures.ThreadPoolExecutor)
+        [row] = run_stage(matrix, stage, seed=5, workers=3).rows
+        assert row.failures == {"c1": "TooFewSamples"} and row.diverged
+        assert row.per_class["c1"][0] == row.mean_accuracy == float("-inf")
+        assert [row.per_class[c][0] for c in ("c0", "c2")] == \
+            [clean.rows[0].per_class[c][0] for c in ("c0", "c2")]
+
     def test_inherited_values_used_and_overridden(self):
         matrix = blob_matrix(n_per_class=20, n_classes=2, seed=2)
         stage = tiny_stage(fixed={"batch_size": 16},

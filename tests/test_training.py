@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from ocon.training import (
     _run_cycle,
     _SplitData,
     _step_bounds,
+    fan_out,
     k_fold_evaluate,
     one_class_cycle,
     plan_k_fold,
@@ -465,3 +467,45 @@ class TestParallelLockstep:
                 folds = [_run_cycle(matrix, [c])[0][1]
                          for c in plan_k_fold(matrix, cid, mlp, tc, k=stage.k_folds)]
                 assert row.per_class[name][0] == KFoldResult.of(folds).mean_accuracy
+
+
+def report_run(unit, class_ids):
+    """A ``fan_out`` task: for each of its class ids, its unit and run."""
+    return [(unit, tuple(class_ids))] * len(class_ids)
+
+
+class TestFanOut:
+    """The one rule that cuts banks and grid combinations into pool tasks."""
+
+    def tasks(self, monkeypatch, n_units, n_classes, workers):
+        """The (unit, class run) tasks per unit, and the pool sizes asked
+        for, with threads standing in for the worker processes."""
+        sizes = []
+
+        class ThreadPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
+        per_unit = fan_out(report_run, [(u,) for u in range(n_units)], n_classes, workers)
+        assert [[unit for unit, _ in items] for items in per_unit] == \
+            [[u] * n_classes for u in range(n_units)]
+        return [list(dict.fromkeys(run for _, run in items)) for items in per_unit], sizes
+
+    @pytest.mark.parametrize("workers, n_runs, pool", [(1, 1, []), (2, 2, [2]), (3, 3, [3]),
+                                                       (20, 12, [12])])
+    def test_one_bank_is_cut_into_contiguous_runs(self, monkeypatch, workers, n_runs, pool):
+        [runs], sizes = self.tasks(monkeypatch, 1, 12, workers)
+        assert len(runs) == n_runs and sizes == pool
+        assert [cid for run in runs for cid in run] == list(range(12))
+        assert all(run == tuple(range(run[0], run[-1] + 1)) for run in runs)
+        assert max(map(len, runs)) - min(map(len, runs)) <= 1
+
+    def test_units_at_least_workers_keep_one_task_each(self, monkeypatch):
+        runs, sizes = self.tasks(monkeypatch, 18, 12, 2)
+        assert runs == [[tuple(range(12))]] * 18 and sizes == [2]
+
+    def test_units_fewer_than_workers_share_them_out(self, monkeypatch):
+        runs, sizes = self.tasks(monkeypatch, 3, 12, 4)
+        assert runs == [[tuple(range(6)), tuple(range(6, 12))]] * 3 and sizes == [4]
