@@ -21,18 +21,20 @@ stderr as ``ERROR <Name>: ...``), 2 usage error, 3 missing file.
 """
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 from . import __version__
-from .configfile import load_config
+from .configfile import build, load_config
 from .dataset import (
     ClassStats,
     ColumnLayout,
     FeatureSetKind,
+    _read_text,
     class_statistics,
     filter_usable,
     load_dataset,
@@ -175,20 +177,13 @@ def cmd_search(args):
     return 0
 
 
-def _check_keys(raw, cls, what):
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise OconError(f"unknown {what} config keys: {', '.join(unknown)}")
-
-
 def _mlp_config_from(args, input_dim):
     from .mlp import MlpConfig
 
     if args.mlp_config:
         raw = load_config(args.mlp_config)
         raw.setdefault("input_dim", input_dim)
-        _check_keys(raw, MlpConfig, "mlp")
-        cfg = MlpConfig(**raw)
+        cfg = build(MlpConfig, raw, args.mlp_config)
     else:
         cfg = MlpConfig.tuned(input_dim)
     if args.seed is not None:
@@ -201,10 +196,10 @@ def _train_config_from(args):
 
     if args.train_config:
         raw = load_config(args.train_config)
-        _check_keys(raw, TrainConfig, "train")
-        if "early_stop" in raw and isinstance(raw["early_stop"], dict):
-            raw["early_stop"] = EarlyStopRule(**raw["early_stop"])
-        tc = TrainConfig(**raw)
+        if isinstance(raw.get("early_stop"), dict):
+            raw["early_stop"] = build(EarlyStopRule, raw["early_stop"],
+                                      f"{args.train_config} early_stop")
+        tc = build(TrainConfig, raw, args.train_config)
     else:
         tc = TrainConfig(early_stop=EarlyStopRule(0.15, 95.0))
     if args.seed is not None:
@@ -265,30 +260,30 @@ def cmd_eval(args):
 
 def _read_vectors(args):
     """The ``--input`` vector, or one vector per non-blank line of
-    ``--input-file``.  In the file, a token that is not a finite number, or a
-    row whose width differs from the first row's, raises MalformedRow naming
-    its line."""
+    ``--input-file``.  In the file, bytes that are not UTF-8, a token that is
+    not a finite number, or a row whose width differs from the first row's
+    raise MalformedRow naming the line."""
     import numpy as np
 
     if not args.input_file:
         return np.array([[float(t) for t in args.input.replace(",", " ").split()]])
     rows = []
-    with open(args.input_file, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            tokens = line.replace(",", " ").split()
-            if not tokens:
-                continue
-            try:
-                row = [float(t) for t in tokens]
-            except ValueError as err:
-                raise MalformedRow(line_no, str(err)) from None
-            if not all(map(math.isfinite, row)):
-                token = next(t for t, v in zip(tokens, row) if not math.isfinite(v))
-                raise MalformedRow(line_no, f"non-finite value {token!r}")
-            if rows and len(row) != len(rows[0]):
-                raise MalformedRow(line_no, f"{len(row)} values where the first row "
-                                            f"has {len(rows[0])}")
-            rows.append(row)
+    lines = io.StringIO(_read_text(args.input_file), newline=None)
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.replace(",", " ").split()
+        if not tokens:
+            continue
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError as err:
+            raise MalformedRow(line_no, str(err)) from None
+        if not all(map(math.isfinite, row)):
+            token = next(t for t, v in zip(tokens, row) if not math.isfinite(v))
+            raise MalformedRow(line_no, f"non-finite value {token!r}")
+        if rows and len(row) != len(rows[0]):
+            raise MalformedRow(line_no, f"{len(row)} values where the first row "
+                                        f"has {len(rows[0])}")
+        rows.append(row)
     return np.array(rows, dtype=np.float64)
 
 

@@ -10,10 +10,17 @@ Values are parsed as JSON where possible (numbers, booleans, quoted strings,
 lists like ``[1e-3, 1e-4]``); anything else is kept as a bare string, so
 ``optimizer = adam`` and ``optimizer = "adam"`` are equivalent.  Dotted keys
 build nested dictionaries.  The same grammar serves run configs, column
-layouts, and search-stage definitions.
+layouts, and search-stage definitions.  ``build`` makes a config dataclass
+of a parsed dict, refusing a key or value the class does not take.
 """
 
 import json
+from dataclasses import fields
+
+from .errors import OconError
+
+#: what a field of each type accepts besides its own type
+_ALSO = {float: (int,), tuple: (list,)}
 
 
 def parse_value(raw):
@@ -45,6 +52,26 @@ def parse_config_text(text):
                 raise ValueError(f"config line {ln}: {key!r} conflicts with a scalar key")
         node[parts[-1]] = parse_value(raw)
     return out
+
+
+def build(cls, raw, where):
+    """``cls(**raw)``.  A key that is not a field of ``cls``, a value not of
+    its field's type (an int passes for a float, a list for a tuple, None
+    where the default is None) or a value ``cls`` refuses raises OconError
+    naming ``where``, rather than a run on a default or a deep TypeError."""
+    known = {f.name: f for f in fields(cls)}
+    for key, value in raw.items():
+        if key not in known:
+            raise OconError(f"{where}: unknown key {key!r}")
+        want = known[key].type
+        fits = isinstance(value, (want, *_ALSO.get(want, ()))) and (
+            want is bool or not isinstance(value, bool))
+        if not (fits or value is None and known[key].default is None):
+            raise OconError(f"{where}: {key} = {value!r} is not of type {want.__name__}")
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as err:
+        raise OconError(f"{where}: {err}") from None
 
 
 def load_config(path):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .configfile import load_config, save_config
+from .configfile import build, load_config, save_config
 from .errors import (
     MalformedFilename,
     MalformedRow,
@@ -214,7 +214,7 @@ class ColumnLayout:
     def from_file(cls, path):
         raw = load_config(path)
         skip = raw.pop("skip_rows", 0)
-        return cls(columns=raw, skip_rows=skip)
+        return build(cls, {"columns": raw, "skip_rows": skip}, path)
 
     def to_file(self, path):
         save_config({"skip_rows": self.skip_rows, **self.columns}, path)

@@ -116,7 +116,7 @@ class NonNumericHp(OconError):
 # --- ensemble ---
 
 class ManifestMismatch(OconError):
-    """Ensemble directory contents disagree with its manifest."""
+    """A manifest lacks a key, or an ensemble directory disagrees with it."""
 
 
 class MissingMember(OconError):

@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
+from .errors import ManifestMismatch
 from .util import sha256_file, sha256_json
 
 
@@ -65,15 +66,20 @@ def read_manifest(path):
 
 
 def summarize_manifests(paths):
-    """Aggregate table for the report command: one line per manifest."""
+    """Aggregate table for the report command: one line per manifest.  A
+    manifest without a key the table reads raises ManifestMismatch."""
     lines = [f"{'started':<28}{'command':<12}{'seed':<12}{'outputs':<8}hash"]
     for path in sorted(paths):
         m = read_manifest(path)
-        lines.append(f"{m['started']:<28}{m['command']:<12}{m['master_seed']:<12}"
-                     f"{len(m['outputs']):<8}{m['config_hash'][:12]}")
-        for out in m["outputs"]:
-            lines.append(f"    -> {out['path']} ({out['sha256'][:12]})")
-        for key, value in sorted(m.get("extra", {}).items()):
-            if isinstance(value, (int, float, str)):
-                lines.append(f"    {key}: {value}")
+        try:
+            lines.append(f"{m['started']:<28}{m['command']:<12}{m['master_seed']:<12}"
+                         f"{len(m['outputs']):<8}{m['config_hash'][:12]}")
+            for out in m["outputs"]:
+                lines.append(f"    -> {out['path']} ({out['sha256'][:12]})")
+            for key, value in sorted(m.get("extra", {}).items()):
+                if isinstance(value, (int, float, str)):
+                    lines.append(f"    {key}: {value}")
+        except (AttributeError, KeyError, TypeError) as err:
+            raise ManifestMismatch(f"{path}: unreadable run manifest "
+                                   f"({type(err).__name__}: {err})") from None
     return "\n".join(lines)

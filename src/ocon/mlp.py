@@ -27,14 +27,17 @@ Stacked members: a ``StackedParams`` holds K same-topology members as one
 ``_backward`` and ``optimizer_step`` run all K in one set of numpy calls.
 Each member's slice goes through the same matmul, elementwise and row-axis
 reductions as a single-member pass, so its results are bitwise its own.
-Every ``MlpParams`` is a row of a stack -- a K=1 stack of its own, or a
-bank's store (``ensemble.OconModel``) -- and runs as the K=1 view of that
-row (``params.stacked``).  In infer mode all K members see one (B, d)
-batch; in train mode each has its own (rows, d) block and dropout
-generator, drawn in member order.  Train-mode temporaries live in a
-workspace the stack keeps (``_Workspace``), so a train-mode cache is valid
-until the stack's next step.  ``predict_each`` runs an infer-mode batch too
-large to stack one member at a time through buffers it allocates once.
+Every ``MlpParams`` is a row of a stack -- a K=1 stack of its own, a
+lockstep training group (``training``) or a bank's store
+(``ensemble.OconModel``) -- and runs as the K=1 view of that row
+(``params.stacked``); nothing copies members into or out of a stack for a
+step, and ``select`` takes a slice of a stack's rows as views.  In infer
+mode all K members see one (B, d) batch; in train mode each has its own
+(rows, d) block and dropout generator, drawn in member order.  Train-mode
+temporaries live in a workspace the stack keeps (``_Workspace``), so a
+train-mode cache is valid until the stack's next step.  ``predict_each``
+runs an infer-mode batch too large to stack one member at a time through
+buffers it allocates once.
 """
 
 import copy
@@ -180,25 +183,18 @@ class StackedParams:
                                              self.theta.shape[1], self.n_weights)
         return ws.at(self.n_members, rows)
 
-    def select(self, index):
-        """The members at ``index``, sharing the workspace: views of this
-        stack for a slice, copies for a list of indices."""
+    def select(self, rows):
+        """The members at the slice ``rows``, as views of this stack that
+        share its workspace and start from its step count."""
         part = copy.copy(self)
-        part._bind(self.theta[index], [s[index] for s in self.running_mean + self.running_var],
-                   *(a[index] for a in (self.grad, self.opt_m, self.opt_v)), step=self.step)
+        part._bind(self.theta[rows], [s[rows] for s in self.running_mean + self.running_var],
+                   *(a[rows] for a in (self.grad, self.opt_m, self.opt_v)), step=self.step)
         return part
 
     def put(self, k, params):
         """Copy ``MlpParams`` ``params`` into row ``k``."""
         for stacked, mine in zip(self._state(), params._state()):
             stacked[k] = mine
-
-    def copy_out(self, k, params):
-        """Write member ``k``'s parameters, running statistics, moments and
-        step count into the ``MlpParams`` ``params``."""
-        for mine, stacked in zip(params._state(), self._state()):
-            mine[...] = stacked[k]
-        params.step = self.step
 
 
 class MlpParams:
@@ -214,10 +210,9 @@ class MlpParams:
     """
 
     def __init__(self, config, stack=None, k=0):
-        own = stack is None
-        stack = StackedParams(config) if own else stack
+        stack = StackedParams(config) if stack is None else stack
         self.shapes, self.n_layers, self.n_weights = stack.shapes, stack.n_layers, stack.n_weights
-        self.stacked = stack if own else stack.select(slice(k, k + 1))
+        self.stacked = stack.select(slice(k, k + 1))
         self._bind(stack.theta[k], [s[k, 0] for s in stack.running_mean + stack.running_var],
                    *(buf[k] for buf in (stack.grad, stack.opt_m, stack.opt_v)))
         self._config = config
@@ -244,33 +239,17 @@ class MlpParams:
         return copy.deepcopy(self)
 
 
-def init_params(config):
+def init_params(config, stack=None, k=0):
     """Kaiming-He normal weights (std sqrt(2/fan_in)), zero biases, unit
-    batch-norm scale; deterministic for a given config seed."""
+    batch-norm scale; deterministic for a given config seed.  Written into
+    row ``k`` of ``stack`` when given (see ``MlpParams``)."""
     rng = np.random.default_rng(config.seed)
-    params = MlpParams(config)
+    params = MlpParams(config, stack, k)
     for w in params.weights:
         w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
     for g in params.gamma:
         g[:] = 1.0
     return params
-
-
-def stack_params(params_list):
-    """Copy the members' ``theta`` rows, running statistics and optimizer
-    moments into a new stack for lockstep training.  The stack is a
-    snapshot: later edits to a member do not show.  The members must have
-    taken the same number of steps."""
-    first = params_list[0]
-    if any(p.shapes != first.shapes for p in params_list):
-        raise DimensionMismatch("stacked members must share one topology")
-    if any(p.step != first.step for p in params_list):
-        raise ValueError("stacked members must have taken the same number of steps")
-    stack = StackedParams(first._config, len(params_list))
-    for stacked, column in zip(stack._state(), zip(*(p._state() for p in params_list))):
-        stacked[...] = np.reshape(column, stacked.shape)
-    stack.step = first.step
-    return stack
 
 
 class _Buffers:

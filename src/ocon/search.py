@@ -23,7 +23,7 @@ import io
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .configfile import load_config, parse_config_text
+from .configfile import build, load_config, parse_config_text
 from .errors import NonNumericHp, OconError
 from .mlp import MlpConfig
 from .training import KFoldResult, TrainConfig, _run_cycle, fan_out, plan_k_fold
@@ -42,9 +42,6 @@ HP_DOMAINS = {
     "dropout_keep_input": (0.0, 1.0, False),
     "dropout_keep_hidden": (0.0, 1.0, False),
 }
-
-_MLP_KEYS = {"activation", "dropout_keep_input", "dropout_keep_hidden", "batch_norm",
-             "l2_lambda", "optimizer", "learning_rate", "batch_size", "loss"}
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,10 @@ class SearchStage:
 
     @classmethod
     def from_file(cls, path):
-        return cls._from_dict(load_config(path))
+        try:
+            return cls._from_dict(load_config(path))
+        except OconError as err:
+            raise OconError(f"{path}: {err}") from None
 
     @classmethod
     def from_text(cls, text):
@@ -87,10 +87,14 @@ class SearchStage:
 
     @classmethod
     def _from_dict(cls, raw):
+        """The stage; each grid point must make an ``MlpConfig``."""
         grid = {k: (v if isinstance(v, list) else [v]) for k, v in raw.get("grid", {}).items()}
-        return cls(name=raw.get("name", "custom"), fixed=raw.get("fixed", {}),
-                   grid=grid, k_folds=int(raw.get("k_folds", 3)),
-                   epochs=int(raw.get("epochs", 1000)))
+        stage = cls(name=raw.get("name", "custom"), fixed=raw.get("fixed", {}),
+                    grid=grid, k_folds=int(raw.get("k_folds", 3)),
+                    epochs=int(raw.get("epochs", 1000)))
+        for hps in stage.combinations():
+            hp_to_mlp_config({**stage.fixed, **hps}, 1)
+        return stage
 
 
 def desk_scale(stage, factor):
@@ -138,12 +142,16 @@ def stage_presets():
 
 def hp_to_mlp_config(hps, input_dim, seed=0):
     """Flat hp dict -> MlpConfig.  ``hidden_nodes``/``hidden_layers`` expand
-    into the hidden width tuple."""
-    layers = int(hps.get("hidden_layers", 1))
-    nodes = int(hps.get("hidden_nodes", 100))
-    kwargs = {k: v for k, v in hps.items() if k in _MLP_KEYS}
-    return MlpConfig(input_dim=input_dim, hidden_layers=(nodes,) * layers,
-                     seed=seed, **kwargs)
+    into the hidden width tuple; the other keys go to ``configfile.build``,
+    so a misspelt one or a value of the wrong type raises OconError."""
+    raw = {"hidden_layers": 1, "hidden_nodes": 100, **hps}
+    layers, nodes = raw.pop("hidden_layers"), raw.pop("hidden_nodes")
+    if {"input_dim", "seed"} & set(raw):
+        raise OconError("input_dim and seed are not hyperparameters")
+    if type(layers) is not int or type(nodes) is not int:
+        raise OconError(f"hidden_layers {layers!r} and hidden_nodes {nodes!r} must be ints")
+    return build(MlpConfig, {**raw, "input_dim": input_dim, "seed": seed,
+                             "hidden_layers": (nodes,) * layers}, "hyperparameters")
 
 
 @dataclass
@@ -227,10 +235,9 @@ def _run_cell(matrix, stage, hps, combo_index, stage_seed, class_ids):
                                    seed=derive_seed(cell_seed, "init"))
         train_cfg = TrainConfig(
             epochs_per_batch_set=stage.epochs, max_batch_sets=1, k_folds=stage.k_folds,
-            seed=derive_seed(cell_seed, "train"), reencode_per_batch_set=False)
+            seed=derive_seed(cell_seed, "train"))
         try:
-            plans[class_id] = plan_k_fold(matrix, class_id, mlp_cfg, train_cfg,
-                                          k=stage.k_folds)
+            plans[class_id] = plan_k_fold(matrix, class_id, mlp_cfg, train_cfg)
         except OconError as err:
             # a class the data cannot support (too few samples, hopeless
             # balance) must not kill the stage; it ranks last.  Programming

@@ -20,13 +20,14 @@ group, and each minibatch step of a group is one stacked ``loss_and_grads``
 and ``optimizer_step`` over all its members (see ``mlp``), at most
 ``STACK_MAX_VALUES`` values of rows x members x widest layer per group.
 Every member keeps its own shuffle, dropout stream, loss curve, early-stop
-window and held-out checks, so its bits are those of a solo run.  A member
-that stops early or whose loss is not finite is copied out of the stack
-before the next optimizer step and the group shrinks.  A member's
-``train_seconds`` is its batch-set 0 fetch plus, for every epoch it took
-part in, the epoch's wall time divided by the members then in the group:
-the shares of a group add up to the group's wall time.  ``fan_out`` spreads
-engine calls over processes, for a bank and a grid search alike.
+window and held-out checks, so its bits are those of a solo run.  Its
+params are a view of its row of the group's one ``StackedParams``; one that
+stops early or whose loss is not finite (before the next optimizer step)
+moves behind the members still training, and the live stack shrinks.  A
+member's ``train_seconds`` is its batch-set 0 fetch plus, for every epoch
+it took part in, the epoch's wall time divided by the members then in the
+group: the shares of a group add up to the group's wall time.  ``fan_out``
+spreads engine calls over processes, for a bank and a grid search alike.
 """
 
 import math
@@ -42,12 +43,13 @@ from .mlp import (
     STACK_MAX_VALUES,
     MlpConfig,
     MlpModel,
+    MlpParams,
+    StackedParams,
     binary_accuracy,
     config_hash,
     init_params,
     loss_and_grads,
     optimizer_step,
-    stack_params,
 )
 from .util import check_class_id, derive_seed, sha256_json
 
@@ -225,13 +227,11 @@ def _step_bounds(n, config):
 
 class _Member:
     """One cycle inside a lockstep group: its random streams, its report
-    fields, and an ``MlpParams`` that the stack's row is copied into when
-    the member leaves the group or meets a held-out check."""
+    fields, and its ``params``, a view of its row of the group's stack."""
 
     def __init__(self, cycle, first, seconds):
         self.cycle = cycle
         self.config = cycle.mlp_config
-        self.params = init_params(cycle.mlp_config)
         self.dropout_rng = rng_from(cycle.mlp_config.seed, "dropout")
         rule = cycle.train_config.early_stop
         self.window = deque(maxlen=rule.loss_window) if rule else None
@@ -241,8 +241,7 @@ class _Member:
         self.subset_seeds, self.subset_sizes, self.split_sizes = [], [], []
         self.stop_reason = "exhausted_budget"
         self.dev_accuracy = float("nan")
-        self.splits = None
-        self.shuffle_rng = None
+        self.splits = self.shuffle_rng = self.params = None
 
     def start_batch_set(self, bs):
         """Fetch batch-set ``bs``; returns its training split."""
@@ -256,10 +255,9 @@ class _Member:
         self.shuffle_rng = rng_from(self.cycle.train_config.seed, "shuffle", bs)
         return splits[0]
 
-    def end_epoch(self, losses, refresh):
+    def end_epoch(self, losses):
         """Record an epoch's per-sample losses; True when the early-stop
-        escape holds.  ``refresh()`` copies the member's row out of the
-        stack before a held-out check."""
+        escape holds."""
         tc = self.cycle.train_config
         # np.add.reduce(...) / n is how .mean() computes it (same bits)
         self.loss_curve.append(float(np.add.reduce(losses) / len(losses)))
@@ -274,7 +272,6 @@ class _Member:
         if not float(np.mean(self.window)) < rule.loss_threshold:
             return False
         held = self.splits[2] if tc.escape_on_test else self.splits[1]
-        refresh()
         acc = binary_accuracy(self.params, self.config, held.x, held.y)
         if acc < rule.accuracy_threshold:
             return False
@@ -301,65 +298,76 @@ class _Member:
         return model, report
 
 
+def _leave(stack, members, done, rows=()):
+    """Move the live members at positions ``done`` behind the others, with
+    their rows of the stack's state and of ``rows``; returns the stack of
+    those left.  Each takes the step count, and a view of its row if moved."""
+    n = stack.n_members
+    order = [j for j in range(n) if j not in done] + done
+    for a in (*stack._state(), *rows):
+        a[:n] = a[order]
+    members[:n] = [members[j] for j in order]
+    for j in range(n):
+        if order[j] != j:
+            members[j].params = MlpParams(members[j].config, stack, j)
+        members[j].params.step = stack.step
+    return stack.select(slice(0, n - len(done)))
+
+
 def _train_group(members, n_train, config, tc):
-    """Train ``members`` in lockstep: one stacked step per minibatch for all
-    of them, until each has stopped or spent its budget."""
+    """Train ``members`` in lockstep, one stacked step per minibatch, until
+    each has stopped or spent its budget.  They train as the rows of one
+    stack, the live ones always its leading rows (``_leave`` reorders the
+    list ``members`` to match)."""
     steps = _step_bounds(n_train, config)
-    stack = stack_params([m.params for m in members])
+    stack = StackedParams(config, len(members))
     stack.buffers(config, max(stop - start for start, stop in steps))
-    k = len(members)
-    xe = np.empty((k, n_train, config.input_dim))
-    ye = np.empty((k, n_train))
-    losses = np.empty((k, n_train))
-    alive = members
+    for j, m in enumerate(members):
+        m.params = init_params(m.config, stack, j)
+    xe = np.empty((len(members), n_train, config.input_dim))
+    ye = np.empty((len(members), n_train))
+    losses = np.empty((len(members), n_train))
     clock = time.perf_counter()
     for bs in range(tc.max_batch_sets):
-        trains = [m.start_batch_set(bs) for m in alive]
-        if any(len(train.y) != n_train for train in trains):
+        if any([len(m.start_batch_set(bs).y) != n_train for m in members[:stack.n_members]]):
             raise ValueError("a lockstep member's training split changed size")
         for _ in range(tc.epochs_per_batch_set):
-            entered = alive
-            for j, (m, train) in enumerate(zip(alive, trains)):
+            entered = members[:stack.n_members]
+            for j, m in enumerate(entered):
                 order = m.shuffle_rng.permutation(n_train)
-                np.take(train.x, order, axis=0, out=xe[j])
-                np.take(train.y, order, out=ye[j])
-            rngs = [m.dropout_rng for m in alive]
+                np.take(m.splits[0].x, order, axis=0, out=xe[j])
+                np.take(m.splits[0].y, order, out=ye[j])
             for start, stop in steps:
-                k = len(alive)
+                k = stack.n_members
                 loss, _, per_sample = loss_and_grads(
                     stack, config, xe[:k, start:stop], ye[:k, start:stop].ravel(),
-                    rng=rngs, mode="train", return_per_sample=True)
-                finite = np.isfinite(loss)
-                if not finite.all():
+                    rng=[m.dropout_rng for m in members[:k]], mode="train",
+                    return_per_sample=True)
+                if not np.isfinite(loss).all():
                     # a diverged member leaves before the optimizer step; the
                     # others' rows are untouched by its non-finite values
-                    for j in np.flatnonzero(~finite):
-                        alive[j].stop_reason = "diverged"
-                        stack.copy_out(j, alive[j].params)
-                    keep = np.flatnonzero(finite)
-                    stack = stack.select(keep)
-                    alive, trains, rngs = ([seq[j] for j in keep] for seq in (alive, trains, rngs))
-                    for buf in (xe, ye, losses):
-                        buf[:len(keep)] = buf[keep]
-                    per_sample = per_sample[keep]
-                    if not alive:
+                    diverged = np.flatnonzero(~np.isfinite(loss)).tolist()
+                    for j in diverged:
+                        members[j].stop_reason = "diverged"
+                    stack = _leave(stack, members, diverged,
+                                   (stack.grad, per_sample, xe, ye, losses))
+                    k = stack.n_members
+                    if not k:
                         break
                 optimizer_step(stack, stack.grad, config)
-                losses[:len(alive), start:stop] = per_sample
-            stopped = [m.end_epoch(losses[j], lambda j=j, m=m: stack.copy_out(j, m.params))
-                       for j, m in enumerate(alive)]
-            if any(stopped):
-                keep = [j for j, done in enumerate(stopped) if not done]
-                stack = stack.select(keep)
-                alive, trains = [alive[j] for j in keep], [trains[j] for j in keep]
+                losses[:k, start:stop] = per_sample[:k]
+            stopped = [j for j, m in enumerate(members[:stack.n_members])
+                       if m.end_epoch(losses[j])]
+            if stopped:
+                stack = _leave(stack, members, stopped)
             now = time.perf_counter()
             for m in entered:
                 m.seconds += (now - clock) / len(entered)
             clock = now
-            if not alive:
+            if not stack.n_members:
                 return
-    for j, m in enumerate(alive):
-        stack.copy_out(j, m.params)
+    for m in members[:stack.n_members]:
+        m.params.step = stack.step
 
 
 def _run_cycle(matrix, cycles):

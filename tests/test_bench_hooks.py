@@ -6,6 +6,8 @@ would make a ``--trace 1`` run fail or silently lose its per-layer spans.
 """
 
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -71,3 +73,12 @@ def test_install_wraps_the_hooked_functions_and_undo_restores_them(spans):
     assert calls["mlp.forward.train:adam"] > 0
     for ns, attrs in before:
         assert all(vars(ns).get(attr) is value for attr, value in attrs.items()), ns
+
+
+def test_benchmark_selftest_exits_0(tmp_path):
+    """``perfbench/selftest.py`` (span arithmetic, metric names and units,
+    BENCHMARK.json against run.py) passes, run as its README runs it."""
+    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -240,6 +240,70 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert "ERROR OconError" in err and "lerning_rate" in err
 
+    @pytest.mark.parametrize("command, flag, text, named", [
+        ("train", "--train-config", 'epochs_per_batch_set = "x"\n',
+         "epochs_per_batch_set = 'x' is not of type int"),
+        ("train", "--train-config", "early_stop.foo = 1\n", "early_stop: unknown key 'foo'"),
+        ("train", "--mlp-config", 'learning_rate = "x"\n',
+         "learning_rate = 'x' is not of type float"),
+        ("train", "--mlp-config", "batch_norm = 1\n", "batch_norm = 1 is not of type bool"),
+        ("search", "--stage", 'epochs = 1\nk_folds = 2\ngrid.learning_rate = "x"\n',
+         "learning_rate = 'x' is not of type float"),
+        ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.learnin_rate = [0.1, 1e-05]\n",
+         "hyperparameters: unknown key 'learnin_rate'"),
+    ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
+            "stage_lr_str", "stage_misspelt_hp"])
+    def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
+                                             command, flag, text, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = ["--out", str(tmp_path / "r.csv")] if command == "search" else [
+            "--out-dir", str(tmp_path / "m")]
+        code = main([command, "--matrix", str(pipeline_dir / "matrix.ocm"), flag, str(cfg),
+                     *out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"ERROR OconError: {cfg}") and named in err, err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "r.csv") and not os.path.exists(tmp_path / "m")
+
+    @pytest.mark.parametrize("line, named", [
+        ("skip_rows = x", "skip_rows = 'x' is not of type int"),
+        ("f0_ss = 0", "layout indices must be integers"),
+    ], ids=["skip_rows_str", "index_0"])
+    def test_bad_layout_value_names_its_file(self, pipeline_dir, tmp_path, capsys, line, named):
+        from ocon.dataset import FEATURE_KEYS
+        layout = tmp_path / "layout.cfg"
+        layout.write_text("".join(f"{k} = {i + 1}\n" for i, k in enumerate(FEATURE_KEYS))
+                          + line + "\n")
+        code = main(["ingest", "--data", str(pipeline_dir / "synth.dat"), "--layout", str(layout),
+                     "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"ERROR OconError: {layout}: ") and named in err, err
+
+    @pytest.mark.parametrize("key", ["started", "command", "master_seed", "outputs"])
+    def test_report_names_a_missing_manifest_key(self, pipeline_dir, tmp_path, capsys, key):
+        [name, *_] = sorted(f for f in os.listdir(pipeline_dir) if f.startswith("manifest-"))
+        manifest = json.loads((pipeline_dir / name).read_text())
+        del manifest[key]
+        path = tmp_path / name
+        path.write_text(json.dumps(manifest))
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"ERROR ManifestMismatch: {path}: unreadable run manifest "
+                f"(KeyError: '{key}')") in err
+
+    def test_non_utf8_infer_file_names_its_line(self, pipeline_dir, tmp_path, capsys):
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"0.5,0.5\n0.5,\xff0.5\n")
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, "--input-file", str(vectors)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ERROR MalformedRow: line 2: not UTF-8 text" in captured.err
+
     @pytest.mark.parametrize("flags", [["--input", ",".join(["nan"] * 12)],
                                        ["--input", ",".join(["inf"] * 12), "--scaled"]])
     def test_non_finite_infer_input_exit_1(self, pipeline_dir, tmp_path, capsys, flags):

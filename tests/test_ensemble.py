@@ -40,7 +40,6 @@ from ocon.mlp import (
     init_params,
     load_model,
     save_model,
-    stack_params,
 )
 from ocon.training import TrainConfig
 from ocon.util import sha256_file
@@ -183,7 +182,7 @@ class TestInferBitIdentity:
         assert np.array_equal(logits.view(np.uint64), reference.view(np.uint64))
         assert np.array_equal(predicted, np.argmax(reference, axis=1))
         config = model.members[0].config
-        stacked, _ = forward(stack_params([m.params for m in model.members]), config, x)
+        stacked, _ = forward(model.store, config, x)
         assert np.array_equal(stacked.T.view(np.uint64), reference.view(np.uint64))
 
     @pytest.mark.parametrize("bank", ["tuned", "two_layer", "constant"])

@@ -12,6 +12,8 @@ from ocon.mlp import (
     CHECKPOINT_VERSION,
     MlpConfig,
     MlpModel,
+    MlpParams,
+    StackedParams,
     bce_per_sample,
     binary_accuracy,
     forward,
@@ -21,7 +23,6 @@ from ocon.mlp import (
     optimizer_step,
     save_model,
     sigmoid,
-    stack_params,
 )
 
 
@@ -449,6 +450,14 @@ class TestFlatLayout:
             assert all(np.shares_memory(v, twin.grad) for v in twin.d_weights)
 
 
+def stack_of(config, members):
+    """A new stack holding a copy of each member in its row."""
+    stack = StackedParams(config, len(members))
+    for k, params in enumerate(members):
+        stack.put(k, params)
+    return stack
+
+
 class TestStackedParams:
     def members(self, n=3):
         config = small_config(batch_norm=True, hidden_layers=(4, 3))
@@ -461,7 +470,7 @@ class TestStackedParams:
 
     def test_views_carry_a_member_axis(self):
         config, members = self.members()
-        stacked = stack_params(members)
+        stacked = stack_of(config, members)
         assert stacked.theta.shape == (3, members[0].theta.size)
         assert [w.shape for w in stacked.weights] == [(3, 4, 3), (3, 3, 4), (3, 1, 3)]
         assert [b.shape for b in stacked.biases] == [(3, 1, 4), (3, 1, 3), (3, 1, 1)]
@@ -476,7 +485,7 @@ class TestStackedParams:
     def test_stacked_forward_equals_each_member(self):
         config, members = self.members()
         x = np.random.default_rng(2).random((7, 3))
-        probs, _ = forward(stack_params(members), config, x)
+        probs, _ = forward(stack_of(config, members), config, x)
         reference = np.stack([forward(p, config, x)[0] for p in members])
         assert np.array_equal(probs.view(np.uint64), reference.view(np.uint64))
 
@@ -492,7 +501,7 @@ class TestStackedParams:
         n_members, row_counts = 3, (8, 8, 3, 8)
         members = [init_params(replace(config, seed=seed)) for seed in range(n_members)]
         singles = [p.copy() for p in members]
-        stack = stack_params(members)
+        stack = stack_of(config, members)
         stacked_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         single_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         data = np.random.default_rng(7)
@@ -509,10 +518,10 @@ class TestStackedParams:
                 optimizer_step(params, grad, config)
                 assert loss == losses[k]
                 assert np.array_equal(samples.view(np.uint64), per_sample[k].view(np.uint64))
+        assert stack.step == len(row_counts)
         for k, params in enumerate(singles):
-            out = init_params(config)
-            stack.copy_out(k, out)
-            assert out.step == params.step == len(row_counts)
+            out = MlpParams(config, stack, k)
+            assert params.step == len(row_counts)
             for mine, theirs in zip([out.theta, out.opt_m, out.opt_v, *out.running_mean,
                                      *out.running_var],
                                     [params.theta, params.opt_m, params.opt_v,
@@ -524,10 +533,10 @@ class TestStackedParams:
         members = [init_params(replace(config, seed=seed)) for seed in range(3)]
         x = np.random.default_rng(1).random((3, 6, 3))
         y = np.ones(18)
-        clean, _ = loss_and_grads(stack_params(members), config, x, y,
+        clean, _ = loss_and_grads(stack_of(config, members), config, x, y,
                                   rng=[np.random.default_rng(k) for k in range(3)])
         x[1, 2, 0] = np.nan
-        stack = stack_params(members)
+        stack = stack_of(config, members)
         with np.errstate(invalid="ignore"):
             dirty, grads = loss_and_grads(stack, config, x, y,
                                           rng=[np.random.default_rng(k) for k in range(3)])
@@ -538,14 +547,8 @@ class TestStackedParams:
     def test_stacked_train_batch_needs_a_member_axis(self):
         config, members = self.members()
         with pytest.raises(DimensionMismatch, match="members=3"):
-            forward(stack_params(members), config, np.zeros((2, 3)),
+            forward(stack_of(config, members), config, np.zeros((2, 3)),
                     mode="train", rng=[np.random.default_rng(0)] * 3)
-
-    def test_mixed_topology_rejected(self):
-        config, members = self.members()
-        members.append(init_params(small_config(hidden_layers=(4, 3))))
-        with pytest.raises(DimensionMismatch):
-            stack_params(members)
 
 
 class TestAccuracyHelper:

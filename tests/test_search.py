@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ocon import search
-from ocon.errors import NonNumericHp, TooFewSamples
+from ocon.errors import NonNumericHp, OconError, TooFewSamples
 from ocon.mlp import MlpConfig
 from ocon.search import (
     SearchStage,
@@ -240,6 +240,28 @@ class TestRunStage:
         assert order == [3, 1, 2, 0]           # widths 16, 8, 8, 4; ties in grid order
         assert [row.index for row in result.rows] == [0, 1, 2, 3]
         assert [row.hps for row in result.rows] == list(stage.combinations())
+
+    @pytest.mark.parametrize("grid, named", [
+        ({"learnin_rate": [0.1, 1e-5]}, "unknown key 'learnin_rate'"),
+        ({"learning_rate": ["x"]}, "learning_rate = 'x' is not of type float"),
+        ({"batch_norm": ["no"]}, "batch_norm = 'no' is not of type bool"),
+        ({"hidden_nodes": ["4"]}, "hidden_nodes '4' must be ints"),
+        ({"seed": [1, 2]}, "not hyperparameters"),
+    ], ids=["misspelt", "str_rate", "str_flag", "str_nodes", "seed"])
+    def test_bad_hyperparameter_raises_before_any_cell(self, monkeypatch, grid, named):
+        monkeypatch.setattr(search, "_run_cell", lambda *args: pytest.fail("a cell ran"))
+        matrix = blob_matrix(n_per_class=20, n_classes=2, seed=2)
+        with pytest.raises(OconError, match=named):
+            run_stage(matrix, tiny_stage(grid=grid), seed=1)
+        with pytest.raises(OconError, match=named):
+            hp_to_mlp_config({**tiny_stage().fixed, **{k: v[0] for k, v in grid.items()}}, 3)
+
+    def test_stage_file_with_a_bad_hyperparameter_is_refused(self, tmp_path):
+        path = tmp_path / "stage.cfg"
+        path.write_text("grid.hidden_nodes = [4, 8]\ngrid.learnin_rate = [0.1, 1e-05]\n")
+        named = f"{path}: hyperparameters: unknown key 'learnin_rate'"
+        with pytest.raises(OconError, match=named):
+            SearchStage.from_file(str(path))
 
     def test_programming_error_in_cell_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -12,7 +12,7 @@ from ocon.balancer import build_balanced_subset
 from ocon.ensemble import train_ensemble
 from ocon.errors import TooFewSamples, UnknownClass
 from ocon.features import FeatureMatrix, FeatureSetKind, ScalingRecord, speaker_view
-from ocon.mlp import MlpConfig
+from ocon.mlp import MlpConfig, StackedParams
 from ocon.search import hp_to_mlp_config, run_stage
 from ocon.training import (
     Cycle,
@@ -367,6 +367,29 @@ class TestLockstep:
         assert ([digest(*out) for out in trained]
                 == solo(matrix, member_cycles(matrix, range(4), mlp, tc)))
 
+    def test_a_group_trains_in_one_stack_its_members_keep(self, monkeypatch):
+        matrix = blob_matrix(n_per_class=60, n_classes=4, seed=3)
+        mlp = MlpConfig(input_dim=3, hidden_layers=(8,), learning_rate=3e-3,
+                        batch_norm=True, dropout_keep_hidden=0.8, seed=6)
+        tc = TrainConfig(epochs_per_batch_set=15, max_batch_sets=3,
+                         early_stop=EarlyStopRule(0.3, 90.0, loss_window=40), seed=2)
+        stacks = []
+        real_init = StackedParams.__init__
+
+        def counting_init(self, *args, **kwargs):
+            stacks.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StackedParams, "__init__", counting_init)
+        trained = _run_cycle(matrix, member_cycles(matrix, range(4), mlp, tc))
+        assert len(stacks) == 1 and stacks[0].n_members == 4
+        assert "early_stop" in {r.stop_reason for _, r in trained}
+        rows = set()
+        for model, _ in trained:
+            assert np.shares_memory(model.params.theta, stacks[0].theta)
+            rows.add(model.params.theta.__array_interface__["data"][0])
+        assert len(rows) == 4
+
     def test_a_diverging_member_leaves_the_others_unchanged(self, synth_matrix):
         mlp = MlpConfig.tuned(12, seed=8)
         poisoned = replace(synth_matrix, values=synth_matrix.values.copy())
@@ -381,6 +404,35 @@ class TestLockstep:
             reference = solo(synth_matrix, cycles())
         assert [r.stop_reason for _, r in trained] == ["exhausted_budget"] * 3 + [
             "diverged"] + ["exhausted_budget"] * 2
+        assert [digest(*out) for out in trained] == reference
+
+    def test_a_member_diverging_mid_epoch_takes_no_ones_losses(self, synth_matrix,
+                                                               monkeypatch):
+        # this poisoned row first meets a step after the epoch's first, so the
+        # rows the members move hold the losses of earlier steps
+        mlp = MlpConfig.tuned(12, seed=8)
+        poisoned = replace(synth_matrix, values=synth_matrix.values.copy())
+        poisoned.values[np.flatnonzero(synth_matrix.labels == 1)[1]] = np.nan
+
+        def cycles():
+            return member_cycles(synth_matrix, range(4), mlp, TUNED_TC, {1: poisoned})
+
+        finite, real = [], training.loss_and_grads
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            finite.append(bool(np.isfinite(out[0]).all()))
+            return out
+
+        with np.errstate(invalid="ignore"):
+            monkeypatch.setattr(training, "loss_and_grads", spy)
+            trained = _run_cycle(synth_matrix, cycles())
+            monkeypatch.undo()
+            reference = solo(synth_matrix, cycles())
+        steps = len(_step_bounds(trained[0][1].split_sizes[0][0], mlp))
+        assert finite.index(False) % steps > 0
+        assert [r.stop_reason for _, r in trained] == ["exhausted_budget", "diverged"] + [
+            "exhausted_budget"] * 2
         assert [digest(*out) for out in trained] == reference
 
     def test_shares_of_group_time_add_up(self, synth_matrix):
