@@ -87,11 +87,12 @@ class SearchStage:
 
     @classmethod
     def _from_dict(cls, raw):
-        """The stage; each grid point must make an ``MlpConfig``."""
-        grid = {k: (v if isinstance(v, list) else [v]) for k, v in raw.get("grid", {}).items()}
-        stage = cls(name=raw.get("name", "custom"), fixed=raw.get("fixed", {}),
-                    grid=grid, k_folds=int(raw.get("k_folds", 3)),
-                    epochs=int(raw.get("epochs", 1000)))
+        """The stage (``configfile.build``); each grid point must make an
+        ``MlpConfig``."""
+        raw = {"name": "custom", "fixed": {}, "grid": {}, "k_folds": 3, "epochs": 1000, **raw}
+        if isinstance(raw["grid"], dict):
+            raw["grid"] = {k: (v if isinstance(v, list) else [v]) for k, v in raw["grid"].items()}
+        stage = build(cls, raw, "stage")
         for hps in stage.combinations():
             hp_to_mlp_config({**stage.fixed, **hps}, 1)
         return stage

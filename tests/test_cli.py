@@ -251,8 +251,14 @@ class TestErrorContract:
          "learning_rate = 'x' is not of type float"),
         ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.learnin_rate = [0.1, 1e-05]\n",
          "hyperparameters: unknown key 'learnin_rate'"),
+        ("search", "--stage", "k_folds = x\ngrid.hidden_nodes = [4]\n",
+         "stage: k_folds = 'x' is not of type int"),
+        ("search", "--stage", "grid = 5\n", "stage: grid = 5 is not of type dict"),
+        ("search", "--stage", "fixd.hidden_nodes = 4\ngrid.learning_rate = [0.1]\n",
+         "stage: unknown key 'fixd'"),
     ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
-            "stage_lr_str", "stage_misspelt_hp"])
+            "stage_lr_str", "stage_misspelt_hp", "stage_folds_str", "stage_grid_scalar",
+            "stage_misspelt_section"])
     def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
                                              command, flag, text, named):
         cfg = tmp_path / "bad.cfg"
