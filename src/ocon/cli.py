@@ -147,12 +147,17 @@ def _task_matrix(args):
 
 def cmd_search(args):
     from .configfile import save_config
-    from .search import desk_scale, run_stage
+    from .search import desk_scale, hp_to_mlp_config, run_stage
 
     stage = _load_stage(args.stage)
     if args.desk_scale > 1:
         stage = desk_scale(stage, args.desk_scale)
     inherited = load_config(args.inherit) if args.inherit else None
+    if inherited is not None:
+        try:
+            hp_to_mlp_config(inherited, 1)
+        except OconError as err:
+            raise OconError(f"{args.inherit}: {err}") from None
     manifest = RunManifest("search", {
         "matrix": args.matrix, "stage": args.stage, "desk_scale": args.desk_scale,
         "workers": args.workers, "task": args.task}, master_seed=args.seed)

@@ -7,15 +7,10 @@ inference takes the first occurrence of the maximum of the per-class
 probability vector.  Saving writes one checkpoint per member plus a JSON
 manifest, so swapping a single member never touches the others' bytes.
 
-Joint inference has two paths that give bitwise the same probabilities,
-both over the store itself: no copy, and nothing that can go stale.  When
-rows x K x the widest layer is at most ``STACK_MAX_VALUES`` float64 values,
-all K members run in one stacked ``mlp.forward``.  Above that the (K, rows,
-width) temporaries outgrow the CPU cache, so large batches run the members
-one at a time through one set of (1, rows, width) scratch buffers that the
-call allocates and all K reuse (``mlp.predict_each``).  Rows are never
-split into blocks, because BLAS rounds the edge rows of a block whose size
-is not a multiple of its row tile differently.
+Joint inference is one ``mlp.predict_proba`` over the store itself: no
+copy, and nothing that can go stale.  ``predict_proba`` picks the path by
+batch size, one stacked pass or one member at a time, with bitwise the same
+probabilities either way.
 """
 
 import json
@@ -32,15 +27,7 @@ from .errors import (
     PartialEnsemble,
 )
 from .features import FeatureSetKind, ScalingRecord
-from .mlp import (
-    STACK_MAX_VALUES,
-    MlpParams,
-    StackedParams,
-    forward,
-    predict_each,
-    read_checkpoint,
-    save_model,
-)
+from .mlp import MlpParams, StackedParams, predict_proba, read_checkpoint, save_model
 from .util import check_class_id, derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
@@ -197,12 +184,7 @@ def infer(model, vector, scaled=False):
         raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds NaN or inf")
     if not scaled:
         x = model.scaling.apply(x)
-    config = model.members[0].config
-    if len(x) * model.n_classes * max(config.layer_dims) <= STACK_MAX_VALUES:
-        probs, _ = forward(model.store, config, x)
-    else:
-        probs = predict_each(model.store, config, x)
-    logits = probs.T
+    logits = predict_proba(model.store, model.members[0].config, x).T
     predicted = np.argmax(logits, axis=1)  # first occurrence on ties
     if single:
         return logits[0], int(predicted[0])

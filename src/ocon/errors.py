@@ -95,12 +95,6 @@ class BalanceToleranceExceeded(OconError):
     """Even after capping, negatives cannot be brought near the positive count."""
 
 
-# --- MLP engine ---
-
-class NonFiniteLoss(OconError):
-    """Training loss became NaN or infinite; signals divergence."""
-
-
 # --- training orchestration ---
 
 class TooFewSamples(OconError):

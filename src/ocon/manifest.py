@@ -61,8 +61,13 @@ def _utc_now():
 
 
 def read_manifest(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """A manifest's JSON; a file that is not UTF-8 JSON raises ManifestMismatch."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ManifestMismatch(f"{path}: unreadable run manifest "
+                               f"({type(err).__name__}: {err})") from None
 
 
 def summarize_manifests(paths):

@@ -23,9 +23,11 @@ Because the weights come first, the L2 term touches only the prefix
 stay per-layer arrays outside ``theta``.
 
 Stacked members: a ``StackedParams`` holds K same-topology members as one
-(K, P) ``theta`` whose views carry a leading member axis, and ``forward``,
-``_backward`` and ``optimizer_step`` run all K in one set of numpy calls.
-Each member's slice goes through the same matmul, elementwise and row-axis
+(K, P) ``theta`` whose views carry a leading member axis.  ``forward``,
+``loss_and_grads``, ``optimizer_step``, ``predict_proba`` and
+``binary_accuracy`` take only a stack and run all K in one set of numpy
+calls, with member-axis results: (K, B) probabilities, (K,) losses.  Each
+member's slice goes through the same matmul, elementwise and row-axis
 reductions as a single-member pass, so its results are bitwise its own.
 Every ``MlpParams`` is a row of a stack -- a K=1 stack of its own, a
 lockstep training group (``training``) or a bank's store
@@ -35,9 +37,9 @@ step, and ``select`` takes a slice of a stack's rows as views.  In infer
 mode all K members see one (B, d) batch; in train mode each has its own
 (rows, d) block and dropout generator, drawn in member order.  Train-mode
 temporaries live in a workspace the stack keeps (``_Workspace``), so a
-train-mode cache is valid until the stack's next step.  ``predict_each``
-runs an infer-mode batch too large to stack one member at a time through
-buffers it allocates once.
+train-mode cache is valid until the stack's next step.  ``predict_proba``
+picks the infer path: one stacked pass, or for a batch too large to stack
+one member at a time through buffers it allocates once.
 """
 
 import copy
@@ -48,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import container
-from .errors import CorruptPayload, DimensionMismatch, NonFiniteLoss
+from .errors import CorruptPayload, DimensionMismatch
 from .util import sha256_json
 
 ADAM_BETA1 = 0.9
@@ -176,7 +178,8 @@ class StackedParams:
         return len(self.theta)
 
     def buffers(self, config, rows):
-        """Workspace views for one train step of ``rows`` rows per member."""
+        """Workspace views for one train step of ``rows`` rows per member
+        (the optimizer temporaries are the same for every ``rows``)."""
         ws = self.workspace
         if ws is None or not (self.n_members <= ws.members and rows <= ws.rows):
             ws = self.workspace = _Workspace(config, self.n_members, rows,
@@ -205,8 +208,8 @@ class MlpParams:
     ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
     ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
     ``grad``.  ``gamma`` and ``beta`` are empty when batch-norm is off.
-    ``stacked`` is the K=1 view of the row that ``forward``, ``_backward``
-    and ``optimizer_step`` run on.
+    ``stacked`` is the K=1 view of the row, which the module's entry points
+    (``forward``, ``loss_and_grads``, ``optimizer_step``, ...) take.
     """
 
     def __init__(self, config, stack=None, k=0):
@@ -266,19 +269,22 @@ class _Buffers:
             setattr(self, role, roles.get(role))
 
     def cut(self, k, rows):
-        def part(buf, role):
-            if buf is None:
-                return None
-            if isinstance(buf, list):
-                return [part(b, role) for b in buf]
-            return buf[:k, :rows] if role in self.ROW_ROLES else buf[:k]
-        return _Buffers(**{role: part(getattr(self, role), role) for role in self.ROLES})
+        """Leading ``[:k, :rows]`` views of the row roles, ``[:k]`` of the rest
+        (a closure over ``self`` would keep dropped blocks for the cyclic GC)."""
+        return _Buffers(**{role: _cut(getattr(self, role), (slice(k), slice(rows))
+                                      if role in self.ROW_ROLES else slice(k))
+                           for role in self.ROLES})
+
+
+def _cut(buf, at):
+    if isinstance(buf, list):
+        return [_cut(b, at) for b in buf]
+    return None if buf is None else buf[at]
 
 
 @functools.cache
 def _fresh(n_hidden):
-    """Buffers of infer-mode forwards and ``MlpParams`` optimizer steps:
-    ``None`` everywhere, so every operation allocates its result."""
+    """Infer-mode buffers: ``None`` everywhere, so every operation allocates."""
     return _Buffers(**{role: (None,) * n_hidden for role in ("z", "act", "mask", "da",
                                                              "mu", "std", "sum_d", "sum_dz")})
 
@@ -353,7 +359,7 @@ class ForwardCache:
     std: list                     # sqrt(var + eps) per batch-norm layer
     drop_masks: list              # inverted-dropout masks (None when off)
     out_input: np.ndarray         # input to the output affine
-    zout: np.ndarray              # pre-sigmoid output: (B,) for MlpParams, else (K, B)
+    zout: np.ndarray              # pre-sigmoid output, (K, B)
     exp_neg_abs: np.ndarray       # exp(-|zout|), shared by sigmoid and BCE
     probs: np.ndarray
     buffers: _Buffers             # where the step's temporaries live
@@ -369,41 +375,28 @@ def _dropout(rngs, keep, buf):
     return buf
 
 
-def forward(params, config, batch, mode="infer", rng=None):
-    """Run the network on a (B, d) batch.
+def forward(stack, config, batch, mode="infer", rng=None):
+    """Run the K members of ``stack``; returns ((K, B) probabilities, cache).
 
-    Train mode applies dropout (requires ``rng``) and batch statistics,
-    updating the running batch-norm estimates in place; infer mode uses the
-    running statistics and no dropout.  Returns (probabilities, cache).
-
-    ``StackedParams`` of K members give (K, B) probabilities.  In infer mode
-    they all see the same (B, d) batch; in train mode the batch is (K, rows,
-    d), one block per member, and ``rng`` holds one generator per member.
-    An ``MlpParams`` runs as the K=1 stack of its own buffers.
+    Infer mode: all K see one (B, d) batch, with the running batch-norm
+    statistics and no dropout (see ``predict_proba``).  Train mode: the batch
+    is (K, rows, d), one block per member, ``rng`` holds one dropout
+    generator per member, and batch-norm uses batch statistics while
+    updating the running estimates in place.
     """
-    single = isinstance(params, MlpParams)
-    stack = params.stacked if single else params
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.shape[-1] != config.input_dim:
         raise DimensionMismatch(f"batch width {x.shape[-1]} != input dim {config.input_dim}")
     train = mode == "train"
+    if x.ndim != 2 + train or train and len(x) != stack.n_members:
+        raise DimensionMismatch(f"a batch is (rows, width), in train mode "
+                                f"(members={stack.n_members}, rows, width)")
     buffers = _fresh(len(config.hidden_layers))
     if train:
         if rng is None and (config.dropout_keep_input < 1 or config.dropout_keep_hidden < 1):
             raise ValueError("train-mode forward with dropout needs an rng")
-        if single:
-            x, rng = x[None], [rng]
-        elif x.ndim != 3 or len(x) != stack.n_members:
-            raise DimensionMismatch(
-                f"a stacked train batch is (members={stack.n_members}, rows, width)")
         buffers = stack.buffers(config, x.shape[1])
-    probs, cache = _forward(stack, config, x, train, rng, buffers)
-    if single:
-        cache.zout, cache.exp_neg_abs = cache.zout[0], cache.exp_neg_abs[0]
-        probs = cache.probs = probs[0]
-    return probs, cache
+    return _forward(stack, config, x, train, rng, buffers)
 
 
 def _forward(stack, config, x, train, rng, buffers):
@@ -482,7 +475,7 @@ def _backward(stack, config, cache, y):
     ``y`` is (K, rows)."""
     buffers = cache.buffers
     b = y.shape[-1]
-    p = cache.probs.reshape(y.shape)
+    p = cache.probs
     if config.loss == "bce":
         g = (p - y) / b
     else:
@@ -531,55 +524,42 @@ def _backward(stack, config, cache, y):
     return stack.grad
 
 
-def loss_and_grads(params, config, batch, labels, rng=None, mode="train",
-                   return_per_sample=False):
-    """Mean loss (data term plus L2 weight penalty) and its gradients.
+def loss_and_grads(stack, config, batch, labels, rng=None):
+    """Train-mode mean losses (data term plus L2 weight penalty) of the K
+    members of ``stack`` and their gradients.
 
-    The gradients are ``params.grad``, the flat twin of ``params.theta``; the
-    next call overwrites them.  The L2 term covers weight matrices only,
-    never biases or batch-norm scale/shift.  For an ``MlpParams`` the loss is
-    a float and NonFiniteLoss is raised when it diverges.  For
-    ``StackedParams`` the batch is (K, rows, d), ``labels`` are the K x rows
-    labels flat, and the losses come back as a (K,) array for the caller to
-    check; the per-sample losses are (K, rows).
+    ``batch`` is (K, rows, d), ``labels`` the K x rows labels flat and
+    ``rng`` one dropout generator per member.  Returns the (K,) losses, for
+    the caller to check, the gradients ``stack.grad`` (the (K, P) twin of
+    ``stack.theta``, which the next call overwrites) and the (K, rows)
+    per-sample losses.  The L2 term covers weight matrices only, never
+    biases or batch-norm scale/shift.
     """
-    single = isinstance(params, MlpParams)
-    stack = params.stacked if single else params
-    probs, cache = forward(params, config, batch, mode=mode, rng=rng)
+    probs, cache = forward(stack, config, batch, mode="train", rng=rng)
     y = np.asarray(labels, dtype=np.float64).ravel()
     if len(y) != probs.size:
         raise DimensionMismatch("labels length != batch size")
-    y = y.reshape(stack.n_members, -1)
+    y = y.reshape(probs.shape)
     if config.loss == "bce":
-        per_sample = bce_per_sample(cache.zout.reshape(y.shape), y,
-                                    cache.exp_neg_abs.reshape(y.shape))
+        per_sample = bce_per_sample(cache.zout, y, cache.exp_neg_abs)
     else:
-        per_sample = (probs.reshape(y.shape) - y) ** 2
+        per_sample = (probs - y) ** 2
     # np.add.reduce(...) / n is how per_sample.mean() computes it (same bits)
     loss = np.add.reduce(per_sample, axis=-1) / y.shape[1]
     if config.l2_lambda:
         w = stack.theta[:, :stack.n_weights]
         loss += 0.5 * config.l2_lambda * np.vecdot(w, w)
-    if single:
-        loss, per_sample = float(loss[0]), per_sample[0]
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(f"loss became {loss}")
-    grads = _backward(stack, config, cache, y)
-    grads = params.grad if single else grads
-    if return_per_sample:
-        return loss, grads, per_sample
-    return loss, grads
+    return loss, _backward(stack, config, cache, y), per_sample
 
 
-def optimizer_step(params, grads, config):
-    """One in-place Adam (bias-corrected) or RMSProp update of ``theta``
-    from the flat gradient ``grads``; a stack updates all K rows at once."""
-    params.step += 1
-    t = params.step
+def optimizer_step(stack, grads, config):
+    """One in-place Adam (bias-corrected) or RMSProp update of the K rows of
+    ``stack.theta`` from the (K, P) gradient ``grads``."""
+    stack.step += 1
+    t = stack.step
     lr = config.learning_rate
-    m, v = params.opt_m, params.opt_v
-    ws = getattr(params, "workspace", None)     # an MlpParams step allocates
-    buffers = _fresh(0) if ws is None else ws.at(params.n_members, ws.rows)
+    m, v = stack.opt_m, stack.opt_v
+    buffers = stack.buffers(config, 1)
     p1, p2 = buffers.p1, buffers.p2
     if config.optimizer == "adam":
         c1 = 1.0 - ADAM_BETA1 ** t
@@ -603,28 +583,31 @@ def optimizer_step(params, grads, config):
         denom = np.sqrt(v, out=p2)
     denom += OPT_EPS
     update /= denom
-    params.theta -= update
-    return params
+    stack.theta -= update
+    return stack
 
 
-def predict_proba(params, config, batch):
-    probs, _ = forward(params, config, batch, mode="infer")
-    return probs
-
-
-def predict_each(stack, config, batch):
+def predict_proba(stack, config, batch):
     """(K, B) infer-mode probabilities of the K members of ``stack`` on one
-    (B, d) batch, bitwise those of one stacked ``forward``, computed one
-    member at a time for batches whose (K, B, width) temporaries would
-    outgrow the CPU cache.  All K reuse one set of (1, B, width) buffers
-    allocated for the call: a fresh temporary that size is above glibc's
-    mmap threshold, so one per operation would be mapped and faulted in
-    anew each time.
+    (B, d) batch (a 1-D vector is one row).
+
+    Up to ``STACK_MAX_VALUES`` values of rows x K x widest layer run as one
+    stacked ``forward``.  A larger batch, whose (K, B, width) temporaries
+    would outgrow the CPU cache, runs one member at a time, bitwise the same,
+    all K reusing one set of (1, B, width) buffers: a fresh temporary that
+    size is above glibc's mmap threshold, so it would be mapped and faulted
+    in anew per operation.  Rows are never split into blocks, because BLAS
+    rounds the edge rows of a block whose size is not a multiple of its row
+    tile differently.
     """
     x = np.asarray(batch, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    rows, hidden = len(x), config.hidden_layers
+    if rows * stack.n_members * max(config.layer_dims) <= STACK_MAX_VALUES:
+        return forward(stack, config, x)[0]
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise DimensionMismatch(f"batch shape {x.shape} != (rows, {config.input_dim})")
-    rows, hidden = len(x), config.hidden_layers
     buffers = _Buffers(z=[np.empty((1, rows, w)) for w in hidden],
                        act=[np.empty((1, rows, w)) if config.batch_norm else None
                             for w in hidden],
@@ -635,9 +618,10 @@ def predict_each(stack, config, batch):
     return probs
 
 
-def binary_accuracy(params, config, batch, labels, threshold=0.5):
-    """Percent of samples whose thresholded probability matches the label."""
-    probs = predict_proba(params, config, batch)
+def binary_accuracy(stack, config, batch, labels, threshold=0.5):
+    """Percent of the K members' thresholded probabilities on the (B, d)
+    ``batch`` that match the (B,) labels."""
+    probs = predict_proba(stack, config, batch)
     predicted = probs >= threshold
     return 100.0 * float(np.mean(predicted == (np.asarray(labels) == 1)))
 
@@ -652,7 +636,8 @@ class MlpModel:
     manifest_hash: str = ""
 
     def predict_proba(self, batch):
-        return predict_proba(self.params, self.config, batch)
+        """(B,) probabilities of this one member, as served on its own."""
+        return predict_proba(self.params.stacked, self.config, batch)[0]
 
 
 def _checkpoint_arrays(params):

@@ -57,6 +57,8 @@ class SearchStage:
     def __post_init__(self):
         if not self.grid or any(len(v) == 0 for v in self.grid.values()):
             raise ValueError("grid must be non-empty")
+        if self.k_folds < 2 or self.epochs < 1:
+            raise ValueError("a stage needs k_folds >= 2 and epochs >= 1")
 
     @property
     def n_combinations(self):

@@ -272,7 +272,7 @@ class _Member:
         if not float(np.mean(self.window)) < rule.loss_threshold:
             return False
         held = self.splits[2] if tc.escape_on_test else self.splits[1]
-        acc = binary_accuracy(self.params, self.config, held.x, held.y)
+        acc = binary_accuracy(self.params.stacked, self.config, held.x, held.y)
         if acc < rule.accuracy_threshold:
             return False
         self.stop_reason = "early_stop"
@@ -282,10 +282,11 @@ class _Member:
     def result(self, scaling_hash):
         splits, diverged = self.splits, self.stop_reason == "diverged"
         test_accuracy = 0.0 if diverged else binary_accuracy(
-            self.params, self.config, splits[2].x, splits[2].y)
+            self.params.stacked, self.config, splits[2].x, splits[2].y)
         dev_accuracy = self.dev_accuracy
         if math.isnan(dev_accuracy) and not diverged:
-            dev_accuracy = binary_accuracy(self.params, self.config, splits[1].x, splits[1].y)
+            dev_accuracy = binary_accuracy(self.params.stacked, self.config, splits[1].x,
+                                           splits[1].y)
         report = TrainReport(
             class_name=self.cycle.class_name, loss_curve=self.loss_curve,
             batch_set_boundaries=self.boundaries, epochs_run=len(self.loss_curve),
@@ -341,8 +342,7 @@ def _train_group(members, n_train, config, tc):
                 k = stack.n_members
                 loss, _, per_sample = loss_and_grads(
                     stack, config, xe[:k, start:stop], ye[:k, start:stop].ravel(),
-                    rng=[m.dropout_rng for m in members[:k]], mode="train",
-                    return_per_sample=True)
+                    rng=[m.dropout_rng for m in members[:k]])
                 if not np.isfinite(loss).all():
                     # a diverged member leaves before the optimizer step; the
                     # others' rows are untouched by its non-finite values

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import ocon
@@ -24,7 +25,7 @@ from ocon import (
     search,
     training,
 )
-from ocon.mlp import MlpConfig
+from ocon.mlp import STACK_MAX_VALUES, MlpConfig
 from ocon.training import TrainConfig
 from tests.test_search import tiny_stage
 from tests.test_training import blob_matrix
@@ -73,6 +74,27 @@ def test_install_wraps_the_hooked_functions_and_undo_restores_them(spans):
     assert calls["mlp.forward.train:adam"] > 0
     for ns, attrs in before:
         assert all(vars(ns).get(attr) is value for attr, value in attrs.items()), ns
+
+
+def test_traced_infer_opens_one_predict_proba_span_per_call(spans):
+    """Serving reaches ``mlp.predict_proba`` on either infer path, a single
+    vector (one stacked pass) and a batch above ``STACK_MAX_VALUES`` (one
+    member at a time), so ``mlp.forward_infer_us`` sees it."""
+    matrix = blob_matrix(n_per_class=20, n_classes=2, seed=2)
+    mlp_cfg = MlpConfig(input_dim=3, hidden_layers=(4,), seed=1)
+    tc = TrainConfig(epochs_per_batch_set=2, max_batch_sets=1, k_folds=2, seed=2)
+    model, _ = ensemble.train_ensemble(matrix, mlp_cfg, tc, workers=1)
+    rows = STACK_MAX_VALUES // (model.n_classes * max(mlp_cfg.layer_dims)) + 1
+    for batch in (matrix.values[0], np.resize(matrix.values, (rows, 3))):
+        rec = spans.Recorder()
+        patches = spans.install(rec)
+        try:
+            ensemble.infer(model, batch, scaled=True)
+        finally:
+            patches.undo()
+        table = rec.table()
+        calls = Counter(table.names[i] for i in table.name_id)
+        assert calls["mlp.predict_proba"] == 1, (batch.shape, calls)
 
 
 def test_benchmark_selftest_exits_0(tmp_path):

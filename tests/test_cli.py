@@ -256,9 +256,13 @@ class TestErrorContract:
         ("search", "--stage", "grid = 5\n", "stage: grid = 5 is not of type dict"),
         ("search", "--stage", "fixd.hidden_nodes = 4\ngrid.learning_rate = [0.1]\n",
          "stage: unknown key 'fixd'"),
+        ("search", "--stage", "epochs = 1\nk_folds = 1\ngrid.hidden_nodes = [4]\n",
+         "stage: a stage needs k_folds >= 2"),
+        ("search", "--stage", "epochs = 0\nk_folds = 2\ngrid.hidden_nodes = [4]\n",
+         "stage: a stage needs k_folds >= 2 and epochs >= 1"),
     ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
             "stage_lr_str", "stage_misspelt_hp", "stage_folds_str", "stage_grid_scalar",
-            "stage_misspelt_section"])
+            "stage_misspelt_section", "stage_one_fold", "stage_no_epochs"])
     def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
                                              command, flag, text, named):
         cfg = tmp_path / "bad.cfg"
@@ -272,6 +276,18 @@ class TestErrorContract:
         assert err.startswith(f"ERROR OconError: {cfg}") and named in err, err
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "r.csv") and not os.path.exists(tmp_path / "m")
+
+    def test_bad_inherit_value_names_its_file(self, pipeline_dir, tmp_path, capsys):
+        inherit = tmp_path / "inherit.cfg"
+        inherit.write_text("lerning_rate = 0.1\n")
+        code = main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
+                     "--stage", "preset:stage1", "--inherit", str(inherit),
+                     "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(
+            f"ERROR OconError: {inherit}: hyperparameters: unknown key 'lerning_rate'"), err
+        assert not os.path.exists(tmp_path / "r.csv")
 
     @pytest.mark.parametrize("line, named", [
         ("skip_rows = x", "skip_rows = 'x' is not of type int"),
@@ -299,6 +315,17 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert (f"ERROR ManifestMismatch: {path}: unreadable run manifest "
                 f"(KeyError: '{key}')") in err
+
+    @pytest.mark.parametrize("content, error", [(b'{"command": "train"', "JSONDecodeError"),
+                                                (b'{"command": "\xff"}', "UnicodeDecodeError")],
+                             ids=["not_json", "not_utf8"])
+    def test_report_names_an_unreadable_manifest(self, tmp_path, capsys, content, error):
+        path = tmp_path / "manifest-bad.json"
+        path.write_bytes(content)
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR ManifestMismatch: {path}: unreadable run manifest "
+                              f"({error}: "), err
 
     def test_non_utf8_infer_file_names_its_line(self, pipeline_dir, tmp_path, capsys):
         model_dir = train_tiny_model(pipeline_dir, tmp_path)

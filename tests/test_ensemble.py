@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ocon.ensemble import (
-    STACK_MAX_VALUES,
     OconModel,
     evaluate_ensemble,
     infer,
@@ -33,6 +32,7 @@ from ocon.metrics import report_tables
 from ocon.mlp import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
+    STACK_MAX_VALUES,
     MlpConfig,
     MlpModel,
     StackedParams,

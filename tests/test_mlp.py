@@ -1,12 +1,14 @@
+import gc
 import math
 import pickle
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from ocon import container
-from ocon.errors import CorruptPayload, DimensionMismatch, NonFiniteLoss, VersionMismatch
+from ocon.errors import CorruptPayload, DimensionMismatch, VersionMismatch
 from ocon.mlp import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
@@ -21,6 +23,7 @@ from ocon.mlp import (
     load_model,
     loss_and_grads,
     optimizer_step,
+    predict_proba,
     save_model,
     sigmoid,
 )
@@ -41,7 +44,7 @@ def rand_batch(rng, n, d):
 def numerical_loss(params, config, batch, labels):
     """Loss recomputed from a plain forward pass (no gradient machinery)."""
     y = np.asarray(labels, dtype=np.float64)
-    probs, cache = forward(params, config, batch, mode="train")
+    probs, cache = forward(params.stacked, config, batch[None], mode="train")
     if config.loss == "bce":
         data = bce_per_sample(cache.zout, y).mean()
     else:
@@ -88,18 +91,18 @@ class TestGradients:
         for arr in params.trainables():
             arr += rng.normal(0, 0.05, size=arr.shape)
         x, y = rand_batch(rng, int(rng.integers(3, 9)), config.input_dim)
-        _, grads = loss_and_grads(params, config, x, y)
+        _, grads, _ = loss_and_grads(params.stacked, config, x[None], y)
         numeric = finite_difference_grads(params, config, x, y)
-        assert max_relative_error(grads, numeric) < 1e-4
+        assert max_relative_error(grads[0], numeric) < 1e-4
 
     def test_mse_flag_gradients(self):
         rng = np.random.default_rng(7)
         config = small_config(loss="mse", batch_norm=True, hidden_layers=(3, 3))
         params = init_params(config)
         x, y = rand_batch(rng, 6, 3)
-        _, grads = loss_and_grads(params, config, x, y)
+        _, grads, _ = loss_and_grads(params.stacked, config, x[None], y)
         numeric = finite_difference_grads(params, config, x, y)
-        assert max_relative_error(grads, numeric) < 1e-4
+        assert max_relative_error(grads[0], numeric) < 1e-4
 
 
 class TestInit:
@@ -134,15 +137,15 @@ class TestForward:
         params = init_params(config)
         for w in params.weights:
             w[:] = 0.0
-        probs, _ = forward(params, config, np.random.rand(5, 3))
+        probs, _ = forward(params.stacked, config, np.random.rand(5, 3))
         assert np.all(probs == 0.5)
 
     def test_train_equals_infer_without_dropout_bn(self):
         config = small_config()
         params = init_params(config)
         x = np.random.default_rng(0).random((8, 3))
-        train_probs, _ = forward(params, config, x, mode="train")
-        infer_probs, _ = forward(params, config, x, mode="infer")
+        train_probs, _ = forward(params.stacked, config, x[None], mode="train")
+        infer_probs, _ = forward(params.stacked, config, x, mode="infer")
         assert np.array_equal(train_probs, infer_probs)
 
     def test_single_linear_unit_closed_form(self):
@@ -150,13 +153,16 @@ class TestForward:
         params = init_params(config)
         params.weights[0][:] = 1.0
         params.biases[0][:] = 0.0
-        probs, _ = forward(params, config, np.array([[5.0, 15.0, 25.0]]))
-        assert abs(probs[0] - 1.0) < 1e-15  # sigmoid(45)
+        probs, _ = forward(params.stacked, config, np.array([[5.0, 15.0, 25.0]]))
+        assert abs(probs[0, 0] - 1.0) < 1e-15  # sigmoid(45)
 
     def test_dimension_mismatch(self):
+        # a vector is one row to predict_proba, but forward takes only (B, d)
         config = small_config()
-        with pytest.raises(DimensionMismatch):
-            forward(init_params(config), config, np.zeros((2, 5)))
+        for batch in (np.zeros((2, 5)), np.zeros(3)):
+            with pytest.raises(DimensionMismatch):
+                forward(init_params(config).stacked, config, batch)
+        assert predict_proba(init_params(config).stacked, config, np.zeros(3)).shape == (1, 1)
 
     def test_bn_infer_uses_running_stats(self):
         config = small_config(batch_norm=True)
@@ -164,11 +170,11 @@ class TestForward:
         rng = np.random.default_rng(3)
         x = rng.random((16, 3)) * 5
         before = [m.copy() for m in params.running_mean]
-        forward(params, config, x, mode="train", rng=rng)
+        forward(params.stacked, config, x[None], mode="train", rng=[rng])
         after = params.running_mean
         assert not np.array_equal(before[0], after[0])
-        probs1, _ = forward(params, config, x, mode="infer")
-        probs2, _ = forward(params, config, x, mode="infer")
+        probs1, _ = forward(params.stacked, config, x, mode="infer")
+        probs2, _ = forward(params.stacked, config, x, mode="infer")
         assert np.array_equal(probs1, probs2)  # infer never mutates state
 
     def test_one_row_batch_norm_step_is_degenerate(self):
@@ -178,7 +184,7 @@ class TestForward:
         config = small_config(batch_norm=True)
         params = init_params(config)
         x = np.random.default_rng(0).random((1, 3))
-        loss_and_grads(params, config, x, np.ones(1))
+        loss_and_grads(params.stacked, config, x[None], np.ones(1))
         assert np.array_equal(params.running_var[0], np.full(4, 0.9))
         assert not params.d_weights[0].any() and not params.d_gamma[0].any()
         assert not params.d_beta[0].any()
@@ -194,14 +200,14 @@ class TestForward:
         for b in params.biases:
             b[:] = 1.0
         x = rng.uniform(0.5, 1.5, size=(1, 3))
-        _, infer_cache = forward(params, config, x, mode="infer")
+        _, infer_cache = forward(params.stacked, config, x, mode="infer")
         total = 0.0
         n_masks = 10_000
         for _ in range(n_masks):
-            _, cache = forward(params, config, x, mode="train", rng=rng)
-            total += cache.zout[0]
+            _, cache = forward(params.stacked, config, x[None], mode="train", rng=[rng])
+            total += cache.zout[0, 0]
         mean = total / n_masks
-        ref = infer_cache.zout[0]
+        ref = infer_cache.zout[0, 0]
         assert abs(mean - ref) < 1e-2 * max(1.0, abs(ref))
 
 
@@ -212,7 +218,7 @@ class TestLoss:
         params.weights[0][:] = 40.0
         x = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
         y = np.array([1.0, 0.0])
-        loss, _ = loss_and_grads(params, config, x, y)
+        [loss], _, _ = loss_and_grads(params.stacked, config, x[None], y)
         assert loss < 1e-12
 
     def test_half_probability_gives_ln2(self):
@@ -221,7 +227,7 @@ class TestLoss:
         for w in params.weights:
             w[:] = 0.0
         x, y = rand_batch(np.random.default_rng(0), 10, 3)
-        loss, _ = loss_and_grads(params, config, x, y)
+        [loss], _, _ = loss_and_grads(params.stacked, config, x[None], y)
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_l2_increases_loss_unless_weights_zero(self):
@@ -229,46 +235,48 @@ class TestLoss:
         x, y = rand_batch(rng, 6, 3)
         base, reg = small_config(l2_lambda=0.0), small_config(l2_lambda=1e-2)
         params = init_params(base)
-        plain, _ = loss_and_grads(params.copy(), base, x, y)
-        penalized, _ = loss_and_grads(params.copy(), reg, x, y)
+        [plain], _, _ = loss_and_grads(params.copy().stacked, base, x[None], y)
+        [penalized], _, _ = loss_and_grads(params.copy().stacked, reg, x[None], y)
         assert penalized > plain
         for w in params.weights:
             w[:] = 0.0
-        plain, _ = loss_and_grads(params.copy(), base, x, y)
-        penalized, _ = loss_and_grads(params.copy(), reg, x, y)
+        [plain], _, _ = loss_and_grads(params.copy().stacked, base, x[None], y)
+        [penalized], _, _ = loss_and_grads(params.copy().stacked, reg, x[None], y)
         assert penalized == plain
 
-    def test_non_finite_loss_raises(self):
+    def test_non_finite_loss_is_returned(self):
+        # divergence is the caller's to check: the training engine takes a
+        # member whose loss is not finite out before the optimizer step
         config = small_config()
         params = init_params(config)
         params.weights[0][0, 0] = np.nan
         x, y = rand_batch(np.random.default_rng(0), 4, 3)
-        with pytest.raises(NonFiniteLoss):
-            loss_and_grads(params, config, x, y)
+        with np.errstate(invalid="ignore"):
+            loss, _, _ = loss_and_grads(params.stacked, config, x[None], y)
+        assert loss.shape == (1,) and np.isnan(loss[0])
 
     def test_per_sample_losses_returned(self):
         config = small_config()
         params = init_params(config)
         x, y = rand_batch(np.random.default_rng(2), 6, 3)
-        loss, _, per_sample = loss_and_grads(params, config, x, y,
-                                             return_per_sample=True)
-        assert per_sample.shape == (6,)
+        [loss], _, per_sample = loss_and_grads(params.stacked, config, x[None], y)
+        assert per_sample.shape == (1, 6)
         assert abs(per_sample.mean() - loss) < 1e-15  # l2 is zero here
 
 
 class TestOptimizers:
     def zero_grads(self, params):
-        """The flat gradient buffer, zeroed; ``params.d_weights`` etc. are
-        views into it."""
+        """The (1, P) gradient of the member's stack, zeroed;
+        ``params.d_weights`` etc. are views into it."""
         params.grad[:] = 0.0
-        return params.grad
+        return params.stacked.grad
 
     @pytest.mark.parametrize("optimizer", ["adam", "rmsprop"])
     def test_zero_gradient_leaves_params(self, optimizer):
         config = small_config(optimizer=optimizer)
         params = init_params(config)
         before = [a.copy() for a in params.trainables()]
-        optimizer_step(params, self.zero_grads(params), config)
+        optimizer_step(params.stacked, self.zero_grads(params), config)
         for a, b in zip(params.trainables(), before):
             assert np.array_equal(a, b)
 
@@ -281,10 +289,10 @@ class TestOptimizers:
         start = params.weights[0][0, 0]
         grads = self.zero_grads(params)
         params.d_weights[0][:] = 1.0
-        optimizer_step(params, grads, config)
+        optimizer_step(params.stacked, grads, config)
         delta = params.weights[0][0, 0] - start
         assert np.isclose(delta, -lr, rtol=1e-7)
-        assert params.step == 1
+        assert params.stacked.step == 1
 
     def test_rmsprop_first_step_closed_form(self):
         # v = 0.1, step = -lr * 1 / (sqrt(0.1) + eps)
@@ -295,7 +303,7 @@ class TestOptimizers:
         start = params.weights[0][0, 0]
         grads = self.zero_grads(params)
         params.d_weights[0][:] = 1.0
-        optimizer_step(params, grads, config)
+        optimizer_step(params.stacked, grads, config)
         delta = params.weights[0][0, 0] - start
         assert np.isclose(delta, -lr / (math.sqrt(0.1) + 1e-8), rtol=1e-12)
 
@@ -305,7 +313,7 @@ class TestOptimizers:
         before = [a.copy() for a in params.trainables()]
         grads = self.zero_grads(params)
         grads[:] = 1.0
-        optimizer_step(params, grads, config)
+        optimizer_step(params.stacked, grads, config)
         for a, b in zip(params.trainables(), before):
             assert np.array_equal(a, b)
 
@@ -318,7 +326,7 @@ class TestOptimizers:
         params.weights[0][:] = 1.0
         grads = self.zero_grads(params)
         params.d_weights[0][:] = 2.0 * params.weights[0][0, 0]
-        optimizer_step(params, grads, config)
+        optimizer_step(params.stacked, grads, config)
         assert 0 < params.weights[0][0, 0] < 1.0
 
 
@@ -326,14 +334,15 @@ class TestDeterminismAndCheckpoints:
     def run_steps(self, seed=4):
         config = small_config(batch_norm=True, dropout_keep_hidden=0.7, seed=seed)
         params = init_params(config)
-        rng = np.random.default_rng(999)
+        stack, rngs = params.stacked, [np.random.default_rng(999)]
         data_rng = np.random.default_rng(5)
         losses = []
         for _ in range(5):
             x, y = rand_batch(data_rng, 8, 3)
-            loss, grads = loss_and_grads(params, config, x, y, rng=rng)
-            optimizer_step(params, grads, config)
+            [loss], grads, _ = loss_and_grads(stack, config, x[None], y, rng=rngs)
+            optimizer_step(stack, grads, config)
             losses.append(loss)
+        params.step = stack.step        # as the training engine hands it back
         return config, params, losses
 
     def test_bitwise_repeatable(self):
@@ -486,7 +495,7 @@ class TestStackedParams:
         config, members = self.members()
         x = np.random.default_rng(2).random((7, 3))
         probs, _ = forward(stack_of(config, members), config, x)
-        reference = np.stack([forward(p, config, x)[0] for p in members])
+        reference = np.concatenate([forward(p.stacked, config, x)[0] for p in members])
         assert np.array_equal(probs.view(np.uint64), reference.view(np.uint64))
 
     @pytest.mark.parametrize("config", [
@@ -509,19 +518,19 @@ class TestStackedParams:
             x = data.random((n_members, rows, config.input_dim))
             y = (data.random((n_members, rows)) < 0.5).astype(np.float64)
             losses, grads, per_sample = loss_and_grads(
-                stack, config, x, y.ravel(), rng=stacked_rngs, return_per_sample=True)
+                stack, config, x, y.ravel(), rng=stacked_rngs)
             optimizer_step(stack, grads, config)
             assert losses.shape == (n_members,) and per_sample.shape == (n_members, rows)
             for k, params in enumerate(singles):
-                loss, grad, samples = loss_and_grads(params, config, x[k], y[k],
-                                                     rng=single_rngs[k], return_per_sample=True)
-                optimizer_step(params, grad, config)
+                [loss], grad, [samples] = loss_and_grads(params.stacked, config, x[k][None],
+                                                         y[k], rng=[single_rngs[k]])
+                optimizer_step(params.stacked, grad, config)
                 assert loss == losses[k]
                 assert np.array_equal(samples.view(np.uint64), per_sample[k].view(np.uint64))
         assert stack.step == len(row_counts)
         for k, params in enumerate(singles):
             out = MlpParams(config, stack, k)
-            assert params.step == len(row_counts)
+            assert params.stacked.step == len(row_counts)
             for mine, theirs in zip([out.theta, out.opt_m, out.opt_v, *out.running_mean,
                                      *out.running_var],
                                     [params.theta, params.opt_m, params.opt_v,
@@ -533,16 +542,28 @@ class TestStackedParams:
         members = [init_params(replace(config, seed=seed)) for seed in range(3)]
         x = np.random.default_rng(1).random((3, 6, 3))
         y = np.ones(18)
-        clean, _ = loss_and_grads(stack_of(config, members), config, x, y,
-                                  rng=[np.random.default_rng(k) for k in range(3)])
+        clean, _, _ = loss_and_grads(stack_of(config, members), config, x, y,
+                                     rng=[np.random.default_rng(k) for k in range(3)])
         x[1, 2, 0] = np.nan
         stack = stack_of(config, members)
         with np.errstate(invalid="ignore"):
-            dirty, grads = loss_and_grads(stack, config, x, y,
-                                          rng=[np.random.default_rng(k) for k in range(3)])
+            dirty, grads, _ = loss_and_grads(stack, config, x, y,
+                                             rng=[np.random.default_rng(k) for k in range(3)])
         assert np.isnan(dirty[1]) and np.isfinite(dirty[[0, 2]]).all()
         assert dirty[0] == clean[0] and dirty[2] == clean[2]
         assert np.isfinite(grads[[0, 2]]).all()
+
+    def test_dropped_stack_frees_its_workspace_without_the_cycle_collector(self):
+        config = MlpConfig.tuned(3)
+        gc.disable()
+        try:
+            stack = StackedParams(config, 2)
+            views = stack.buffers(config, 8)
+            block = weakref.ref(views.z[0].base)
+            del stack, views
+            assert block() is None
+        finally:
+            gc.enable()
 
     def test_stacked_train_batch_needs_a_member_axis(self):
         config, members = self.members()
@@ -557,7 +578,7 @@ class TestAccuracyHelper:
         params = init_params(config)
         params.weights[0][:] = 40.0
         x = np.array([[1.0, 1, 1], [-1, -1, -1], [1, 1, 1]])
-        assert binary_accuracy(params, config, x, np.array([1, 0, 0])) == pytest.approx(
+        assert binary_accuracy(params.stacked, config, x, np.array([1, 0, 0])) == pytest.approx(
             100.0 * 2 / 3)
 
 
