@@ -27,7 +27,7 @@ _EXPORTS = {
                  "load_matrix", "normalize_by_f0", "save_matrix", "speaker_view"),
     "metrics": ("ConfusionCounts", "DetMetrics", "RocCurve", "det_metrics", "report_tables",
                 "roc_auc"),
-    "mlp": ("MlpConfig", "MlpModel", "MlpParams", "forward", "init_params", "load_model",
+    "mlp": ("MlpConfig", "MlpModel", "forward", "init_params", "load_model",
             "loss_and_grads", "optimizer_step", "save_model"),
     "search": ("SearchStage", "desk_scale", "narrow_grid", "run_stage", "stage_presets"),
     "training": ("EarlyStopRule", "KFoldResult", "TrainConfig", "TrainReport",

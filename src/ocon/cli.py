@@ -34,7 +34,6 @@ from .dataset import (
     ClassStats,
     ColumnLayout,
     FeatureSetKind,
-    _read_text,
     class_statistics,
     filter_usable,
     load_dataset,
@@ -43,6 +42,7 @@ from .dataset import (
 )
 from .errors import MalformedRow, OconError
 from .manifest import RunManifest, summarize_manifests
+from .util import read_text
 
 _FEATURE_SETS = {kind.value: kind for kind in FeatureSetKind}
 
@@ -203,7 +203,7 @@ def _train_config_from(args):
         raw = load_config(args.train_config)
         if isinstance(raw.get("early_stop"), dict):
             raw["early_stop"] = build(EarlyStopRule, raw["early_stop"],
-                                      f"{args.train_config} early_stop")
+                                      f"{args.train_config}: early_stop")
         tc = build(TrainConfig, raw, args.train_config)
     else:
         tc = TrainConfig(early_stop=EarlyStopRule(0.15, 95.0))
@@ -273,7 +273,7 @@ def _read_vectors(args):
     if not args.input_file:
         return np.array([[float(t) for t in args.input.replace(",", " ").split()]])
     rows = []
-    lines = io.StringIO(_read_text(args.input_file), newline=None)
+    lines = io.StringIO(read_text(args.input_file), newline=None)
     for line_no, line in enumerate(lines, start=1):
         tokens = line.replace(",", " ").split()
         if not tokens:

@@ -18,6 +18,7 @@ import json
 from dataclasses import fields
 
 from .errors import OconError
+from .util import read_text
 
 #: what a field of each type accepts besides its own type
 _ALSO = {float: (int,), tuple: (list,)}
@@ -27,29 +28,30 @@ def parse_value(raw):
     raw = raw.strip()
     try:
         return json.loads(raw)
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):     # RecursionError: nesting too deep
         return raw
 
 
 def parse_config_text(text):
-    """Parse config text into a (possibly nested) dict."""
+    """Parse config text into a (possibly nested) dict; a malformed line
+    raises OconError naming it."""
     out = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"config line {ln}: expected 'key = value', got {line!r}")
+            raise OconError(f"line {ln}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if not key:
-            raise ValueError(f"config line {ln}: empty key")
+            raise OconError(f"line {ln}: empty key")
         node = out
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ValueError(f"config line {ln}: {key!r} conflicts with a scalar key")
+                raise OconError(f"line {ln}: {key!r} conflicts with a scalar key")
         node[parts[-1]] = parse_value(raw)
     return out
 
@@ -70,13 +72,17 @@ def build(cls, raw, where):
             raise OconError(f"{where}: {key} = {value!r} is not of type {want.__name__}")
     try:
         return cls(**raw)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise OconError(f"{where}: {err}") from None
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The config file at ``path``, parsed; bytes that are not UTF-8 or a
+    malformed line raise OconError naming the file and the line."""
+    try:
+        return parse_config_text(read_text(path))
+    except OconError as err:
+        raise OconError(f"{path}: {err}") from None
 
 
 def format_config(config, prefix=""):

@@ -23,6 +23,7 @@ from .errors import (
     UnknownGroupChar,
     UnknownPhonemeCode,
 )
+from .util import read_text
 
 #: ARPABet vowel codes in label-id order (ids 0..11).
 ARPABET_CODES = ("ae", "ah", "aw", "eh", "er", "ei", "ih", "iy", "oa", "oo", "uh", "uw")
@@ -191,9 +192,12 @@ class ColumnLayout:
         missing = [k for k in FEATURE_KEYS if k not in self.columns]
         if missing:
             raise ValueError(f"layout missing columns for: {', '.join(missing)}")
-        bad = {k: v for k, v in self.columns.items() if not isinstance(v, int) or v < 1}
+        bad = {k: v for k, v in self.columns.items()
+               if not isinstance(v, int) or isinstance(v, bool) or v < 1}
         if bad:
             raise ValueError(f"layout indices must be integers >= 1: {bad}")
+        if self.skip_rows < 0:
+            raise ValueError(f"skip_rows must be >= 0, got {self.skip_rows}")
 
     @classmethod
     def hgcw_bigdata(cls):
@@ -226,17 +230,6 @@ def _split_row(line):
     return line.split()
 
 
-def _read_text(path):
-    """A file's text; bytes that are not UTF-8 raise MalformedRow naming
-    their line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise MalformedRow(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
-
-
 def _cell(token, key, line_no):
     """One frequency cell: a finite, non-negative number, else MalformedRow."""
     try:
@@ -262,7 +255,7 @@ def load_dataset(path, layout=None):
     if layout is None:
         layout = ColumnLayout.hgcw_bigdata()
     records = []
-    lines = io.StringIO(_read_text(path), newline=None)
+    lines = io.StringIO(read_text(path), newline=None)
     for line_no, line in enumerate(lines, start=1):
         if line_no <= layout.skip_rows:
             continue
@@ -375,7 +368,7 @@ def read_records_csv(path):
     """Read a records CSV.  A missing header column, a short row, a bad
     group, speaker or phoneme cell, or a cell ``load_dataset`` would refuse
     raises MalformedRow with the 1-based line number."""
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     records = []
     try:
         missing = [c for c in ("group", "speaker", "phoneme") + FEATURE_KEYS

@@ -27,7 +27,7 @@ from .errors import (
     PartialEnsemble,
 )
 from .features import FeatureSetKind, ScalingRecord
-from .mlp import MlpParams, StackedParams, predict_proba, read_checkpoint, save_model
+from .mlp import StackedParams, predict_proba, read_checkpoint, save_model
 from .util import check_class_id, derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
@@ -39,10 +39,10 @@ class OconModel:
 
     The bank owns its members' buffers: ``store`` is one (K, P) training
     ``StackedParams``, and each member of the immutable ``members`` tuple is
-    an ``MlpModel`` whose params are row views of it, so an edit through a
-    member shows in ``infer`` at once.  Building the model copies each
-    member into its row (``params=None`` leaves the row for the caller to
-    fill); ``replace_member`` copies a new one in.
+    an ``MlpModel`` whose params are the K=1 ``select`` of its row, so an
+    edit through a member shows in ``infer`` at once.  Building the model
+    copies each member into its row (``params=None`` leaves the row for the
+    caller to fill); ``replace_member`` copies a new one in.
     """
 
     def __init__(self, class_names, members, scaling, feature_set, f0_mode="raw"):
@@ -74,7 +74,7 @@ class OconModel:
 
     def _adopt(self, k, member):
         """``member`` copied into row ``k``, as a view of the row."""
-        params = MlpParams(member.config, self.store, k)
+        params = self.store.select(slice(k, k + 1))
         if member.params is not None:
             self.store.put(k, member.params)
             params.step = member.params.step

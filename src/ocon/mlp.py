@@ -11,29 +11,26 @@ inference needs no rescaling.  Batch-norm normalizes with batch statistics in
 train mode while updating running statistics (momentum 0.1, biased variance)
 used verbatim in infer mode.
 
-Flat parameter layout: every trainable lives in one contiguous float64
-vector ``MlpParams.theta`` -- all weight matrices (row-major, W[l] shaped
-(fan_out, fan_in)), then all biases, then the batch-norm scales and shifts.
-``weights``/``biases``/``gamma``/``beta`` are reshaped views into it.  The
-gradient ``grad`` and the optimizer moments ``opt_m``/``opt_v`` are flat
-twins of ``theta``: backprop writes straight into views of ``grad``, and an
-Adam or RMSProp update is a fixed handful of ufunc calls on whole vectors.
-Because the weights come first, the L2 term touches only the prefix
-``theta[:n_weights]``.  Batch-norm running statistics are not trained and
+Flat parameter layout: a ``StackedParams`` holds K same-topology members,
+each one row of a (K, P) float64 ``theta`` -- all weight matrices
+(row-major, W[l] shaped (fan_out, fan_in)), then all biases, then the
+batch-norm scales and shifts.  ``weights``/``biases``/``gamma``/``beta`` are
+reshaped views into it with a leading member axis.  The gradient ``grad``
+and the optimizer moments ``opt_m``/``opt_v`` are (K, P) twins of ``theta``:
+backprop writes straight into views of ``grad``, and an Adam or RMSProp
+update is a fixed handful of ufunc calls on whole arrays.  Because the
+weights come first, the L2 term touches only the prefix
+``theta[:, :n_weights]``.  Batch-norm running statistics are not trained and
 stay per-layer arrays outside ``theta``.
 
-Stacked members: a ``StackedParams`` holds K same-topology members as one
-(K, P) ``theta`` whose views carry a leading member axis.  ``forward``,
-``loss_and_grads``, ``optimizer_step``, ``predict_proba`` and
-``binary_accuracy`` take only a stack and run all K in one set of numpy
-calls, with member-axis results: (K, B) probabilities, (K,) losses.  Each
-member's slice goes through the same matmul, elementwise and row-axis
-reductions as a single-member pass, so its results are bitwise its own.
-Every ``MlpParams`` is a row of a stack -- a K=1 stack of its own, a
-lockstep training group (``training``) or a bank's store
-(``ensemble.OconModel``) -- and runs as the K=1 view of that row
-(``params.stacked``); nothing copies members into or out of a stack for a
-step, and ``select`` takes a slice of a stack's rows as views.  In infer
+``forward``, ``loss_and_grads``, ``optimizer_step``, ``predict_proba`` and
+``binary_accuracy`` run all K members of a stack in one set of numpy calls,
+with member-axis results: (K, B) probabilities, (K,) losses.  Each member's
+slice goes through the same matmul, elementwise and row-axis reductions as a
+single-member pass, so its results are bitwise its own.  One member is the
+K=1 ``select`` of its row of a stack -- a stack of its own, a lockstep
+training group (``training``) or a bank's store (``ensemble.OconModel``) --
+so nothing copies members into or out of a stack for a step.  In infer
 mode all K members see one (B, d) batch; in train mode each has its own
 (rows, d) block and dropout generator, drawn in member order.  Train-mode
 temporaries live in a workspace the stack keeps (``_Workspace``), so a
@@ -45,6 +42,7 @@ one member at a time through buffers it allocates once.
 import copy
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -88,14 +86,17 @@ class MlpConfig:
     loss: str = "bce"
 
     def __post_init__(self):
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                   for w in self.hidden_layers):
+            raise ValueError(f"layer widths must be integers, got {self.hidden_layers!r}")
         object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
         if self.input_dim < 1 or any(w < 1 for w in self.hidden_layers):
             raise ValueError("layer widths must be >= 1")
         if not 0 < self.dropout_keep_input <= 1 or not 0 < self.dropout_keep_hidden <= 1:
             raise ValueError("keep probabilities must be in (0, 1]")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must not be negative")
-        if self.l2_lambda < 0:
+        if not self.learning_rate >= 0:             # NaN too
+            raise ValueError("learning rate must be >= 0")
+        if not self.l2_lambda >= 0:
             raise ValueError("l2_lambda must be >= 0")
         if self.activation != "relu":
             raise ValueError(f"unsupported activation {self.activation!r}")
@@ -141,10 +142,15 @@ class StackedParams:
 
     ``theta`` is (K, P), one member's flat parameters per row; weight views
     are (K, out, in), vector views and running statistics (K, 1, width).
+    ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
+    ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
+    ``grad``; ``gamma`` and ``beta`` are empty when batch-norm is off.
     ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins, and ``step`` counts
     the optimizer steps all K members took together.  A new stack holds
     zeros, unit running variances.  Train-mode steps write their temporaries
-    into ``workspace``, which the stack keeps between steps.
+    into ``workspace``, which the stack keeps between steps.  A stack that
+    ``select`` cut from another writes through to it; pickling or copying
+    one carries only its values, into buffers of its own.
     """
 
     def __init__(self, config, n_members=1):
@@ -189,51 +195,27 @@ class StackedParams:
     def select(self, rows):
         """The members at the slice ``rows``, as views of this stack that
         share its workspace and start from its step count."""
-        part = copy.copy(self)
+        part = object.__new__(StackedParams)
+        part.__dict__.update(self.__dict__)
         part._bind(self.theta[rows], [s[rows] for s in self.running_mean + self.running_var],
                    *(a[rows] for a in (self.grad, self.opt_m, self.opt_v)), step=self.step)
         return part
 
     def put(self, k, params):
-        """Copy ``MlpParams`` ``params`` into row ``k``."""
+        """Copy the K=1 stack ``params`` into row ``k``."""
         for stacked, mine in zip(self._state(), params._state()):
-            stacked[k] = mine
-
-
-class MlpParams:
-    """One member's trainables in a flat ``theta``, with its gradient and
-    moment twins: row ``k`` of a training ``stack`` (by default a K=1 stack
-    of its own), so a write through either shows in both.
-
-    ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
-    ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
-    ``grad``.  ``gamma`` and ``beta`` are empty when batch-norm is off.
-    ``stacked`` is the K=1 view of the row, which the module's entry points
-    (``forward``, ``loss_and_grads``, ``optimizer_step``, ...) take.
-    """
-
-    def __init__(self, config, stack=None, k=0):
-        stack = StackedParams(config) if stack is None else stack
-        self.shapes, self.n_layers, self.n_weights = stack.shapes, stack.n_layers, stack.n_weights
-        self.stacked = stack.select(slice(k, k + 1))
-        self._bind(stack.theta[k], [s[k, 0] for s in stack.running_mean + stack.running_var],
-                   *(buf[k] for buf in (stack.grad, stack.opt_m, stack.opt_v)))
-        self._config = config
-
-    _bind, _state = StackedParams._bind, StackedParams._state
+            stacked[k] = mine[0]
 
     def trainables(self):
         """Views of the parameter arrays in ``theta`` order."""
         return self.weights + self.biases + self.gamma + self.beta
 
-    # pickling and copying carry only the values; the buffers are rebuilt as
-    # a stack of their own, with views that keep sharing memory with them
     def __getstate__(self):
-        return self._config, self._state(), self.step
+        return self.config, self._state(), self.step
 
     def __setstate__(self, state):
         config, values, step = state
-        self.__init__(config)
+        self.__init__(config, len(values[0]))
         for mine, saved in zip(self._state(), values):
             mine[...] = saved
         self.step = step
@@ -244,12 +226,12 @@ class MlpParams:
 
 def init_params(config, stack=None, k=0):
     """Kaiming-He normal weights (std sqrt(2/fan_in)), zero biases, unit
-    batch-norm scale; deterministic for a given config seed.  Written into
-    row ``k`` of ``stack`` when given (see ``MlpParams``)."""
+    batch-norm scale; deterministic for a given config seed.  Returns a
+    K=1 stack of its own, or the K=1 ``select`` of row ``k`` of ``stack``."""
     rng = np.random.default_rng(config.seed)
-    params = MlpParams(config, stack, k)
+    params = StackedParams(config) if stack is None else stack.select(slice(k, k + 1))
     for w in params.weights:
-        w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+        w[:] = rng.normal(0.0, np.sqrt(2.0 / w.shape[-1]), size=w.shape)
     for g in params.gamma:
         g[:] = 1.0
     return params
@@ -631,24 +613,25 @@ class MlpModel:
     """Trained parameters together with the config that produced them."""
 
     config: MlpConfig
-    params: MlpParams
+    params: StackedParams         # K=1
     scaling_hash: str = ""
     manifest_hash: str = ""
 
     def predict_proba(self, batch):
         """(B,) probabilities of this one member, as served on its own."""
-        return predict_proba(self.params.stacked, self.config, batch)[0]
+        return predict_proba(self.params, self.config, batch)[0]
 
 
 def _checkpoint_arrays(params):
-    """(name, array) pairs of a checkpoint: trainables in ``theta`` order,
-    then the running statistics."""
+    """(name, array) pairs of a checkpoint of the K=1 stack ``params``:
+    trainables in ``theta`` order, then the running statistics, as views of
+    its row shaped as one member's arrays."""
     n, n_bn = params.n_layers, len(params.gamma)
     trainable = ([f"w{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
                  + [f"gamma{i}" for i in range(n_bn)] + [f"beta{i}" for i in range(n_bn)])
     stats = [f"rmean{i}" for i in range(n_bn)] + [f"rvar{i}" for i in range(n_bn)]
-    return (list(zip(trainable, params.trainables()))
-            + list(zip(stats, params.running_mean + params.running_var)))
+    return (list(zip(trainable, sum(_split(params.shapes, n, params.theta[0]), [])))
+            + list(zip(stats, [s[0, 0] for s in params.running_mean + params.running_var])))
 
 
 def save_model(model, path):
@@ -693,7 +676,7 @@ def read_checkpoint(path):
 def load_model(path):
     """Read a checkpoint into new buffers (see ``read_checkpoint``)."""
     model, fill = read_checkpoint(path)
-    model.params = fill(MlpParams(model.config))
+    model.params = fill(StackedParams(model.config))
     return model
 
 

@@ -78,8 +78,9 @@ class SearchStage:
 
     @classmethod
     def from_file(cls, path):
+        raw = load_config(path)
         try:
-            return cls._from_dict(load_config(path))
+            return cls._from_dict(raw)
         except OconError as err:
             raise OconError(f"{path}: {err}") from None
 
@@ -153,6 +154,8 @@ def hp_to_mlp_config(hps, input_dim, seed=0):
         raise OconError("input_dim and seed are not hyperparameters")
     if type(layers) is not int or type(nodes) is not int:
         raise OconError(f"hidden_layers {layers!r} and hidden_nodes {nodes!r} must be ints")
+    if not 0 <= layers <= 64:       # a typo must not expand into a huge width tuple
+        raise OconError(f"hidden_layers = {layers} is not in 0..64")
     return build(MlpConfig, {**raw, "input_dim": input_dim, "seed": seed,
                              "hidden_layers": (nodes,) * layers}, "hyperparameters")
 

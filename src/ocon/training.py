@@ -21,7 +21,7 @@ and ``optimizer_step`` over all its members (see ``mlp``), at most
 ``STACK_MAX_VALUES`` values of rows x members x widest layer per group.
 Every member keeps its own shuffle, dropout stream, loss curve, early-stop
 window and held-out checks, so its bits are those of a solo run.  Its
-params are a view of its row of the group's one ``StackedParams``; one that
+params are the K=1 ``select`` of its row of the group's one stack; one that
 stops early or whose loss is not finite (before the next optimizer step)
 moves behind the members still training, and the live stack shrinks.  A
 member's ``train_seconds`` is its batch-set 0 fetch plus, for every epoch
@@ -43,7 +43,6 @@ from .mlp import (
     STACK_MAX_VALUES,
     MlpConfig,
     MlpModel,
-    MlpParams,
     StackedParams,
     binary_accuracy,
     config_hash,
@@ -93,8 +92,10 @@ class TrainConfig:
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
         if len(self.fractions) != 3 or abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must be a 3-tuple summing to 1")
-        if any(f < 0 for f in self.fractions):
-            raise ValueError("fractions must be non-negative")
+        if not all(f > 0 for f in self.fractions):
+            # every split is read; an empty one reads a NaN accuracy, which
+            # the early-stop escape would take for a pass
+            raise ValueError("fractions must all be > 0")
         if self.epochs_per_batch_set < 1 or self.max_batch_sets < 1:
             raise ValueError("epoch and batch-set budgets must be >= 1")
 
@@ -272,7 +273,7 @@ class _Member:
         if not float(np.mean(self.window)) < rule.loss_threshold:
             return False
         held = self.splits[2] if tc.escape_on_test else self.splits[1]
-        acc = binary_accuracy(self.params.stacked, self.config, held.x, held.y)
+        acc = binary_accuracy(self.params, self.config, held.x, held.y)
         if acc < rule.accuracy_threshold:
             return False
         self.stop_reason = "early_stop"
@@ -282,10 +283,10 @@ class _Member:
     def result(self, scaling_hash):
         splits, diverged = self.splits, self.stop_reason == "diverged"
         test_accuracy = 0.0 if diverged else binary_accuracy(
-            self.params.stacked, self.config, splits[2].x, splits[2].y)
+            self.params, self.config, splits[2].x, splits[2].y)
         dev_accuracy = self.dev_accuracy
         if math.isnan(dev_accuracy) and not diverged:
-            dev_accuracy = binary_accuracy(self.params.stacked, self.config, splits[1].x,
+            dev_accuracy = binary_accuracy(self.params, self.config, splits[1].x,
                                            splits[1].y)
         report = TrainReport(
             class_name=self.cycle.class_name, loss_curve=self.loss_curve,
@@ -310,7 +311,7 @@ def _leave(stack, members, done, rows=()):
     members[:n] = [members[j] for j in order]
     for j in range(n):
         if order[j] != j:
-            members[j].params = MlpParams(members[j].config, stack, j)
+            members[j].params = stack.select(slice(j, j + 1))
         members[j].params.step = stack.step
     return stack.select(slice(0, n - len(done)))
 

@@ -1,10 +1,10 @@
-"""Small shared helpers: deterministic seed derivation, content hashing and
-the class-id check."""
+"""Small shared helpers: deterministic seed derivation, content hashing,
+text reading and the class-id check."""
 
 import hashlib
 import json
 
-from .errors import UnknownClass
+from .errors import MalformedRow, UnknownClass
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -40,6 +40,17 @@ def sha256_file(path, chunk=1 << 20):
 def sha256_json(obj):
     """Hash of the canonical JSON encoding of a plain structure."""
     return sha256_bytes(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
+
+
+def read_text(path):
+    """A file's text; bytes that are not UTF-8 raise MalformedRow naming
+    their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise MalformedRow(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
 
 
 def check_class_id(labelled, class_id):

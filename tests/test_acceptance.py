@@ -172,7 +172,7 @@ def test_c07_gradient_correctness():
             arr += rng.normal(0, 0.05, size=arr.shape)
         x = rng.random((int(rng.integers(3, 9)), config.input_dim))
         y = (rng.random(len(x)) < 0.5).astype(np.float64)
-        _, grads, _ = ocon.loss_and_grads(params.stacked, config, x[None], y)
+        _, grads, _ = ocon.loss_and_grads(params, config, x[None], y)
         numeric = finite_difference_grads(params, config, x, y)
         err = max_relative_error(grads[0], numeric)
         assert err < 1e-4, f"case {case}: relative error {err:.2e}"

@@ -1,12 +1,24 @@
+import contextlib
+import io
 import json
 import os
+import re
+from argparse import Namespace
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocon.cli import main
+from ocon import errors
+from ocon.cli import _load_stage, _mlp_config_from, _train_config_from, main
+from ocon.dataset import FEATURE_KEYS, ColumnLayout
 from ocon.features import MATRIX_KIND, load_matrix
+from ocon.mlp import MlpConfig
+from ocon.search import SearchStage
 from ocon.synth import write_synth_dat
+from ocon.training import EarlyStopRule, TrainConfig
 from tests.test_container import MALFORMED_HEADERS, PAYLOAD, write_raw
 
 
@@ -164,6 +176,21 @@ def test_infer_all_half_vector_prints_12_logits(pipeline_dir, tmp_path, capsys):
     assert len(out.split(",")) == 14
 
 
+#: every flag that reads a config file
+CONFIG_FLAGS = ("--mlp-config", "--train-config", "--layout", "--stage", "--inherit")
+
+
+def config_flag_argv(flag, cfg, matrix, dat, out):
+    """A CLI run that reads the config file ``cfg`` through ``flag``."""
+    if flag == "--layout":
+        return ["ingest", "--data", str(dat), "--layout", cfg, "--out", str(out)]
+    if flag in ("--stage", "--inherit"):
+        stage = cfg if flag == "--stage" else "preset:stage1"
+        extra = ["--inherit", cfg] if flag == "--inherit" else []
+        return ["search", "--matrix", str(matrix), "--stage", stage, *extra, "--out", str(out)]
+    return ["train", "--matrix", str(matrix), flag, cfg, "--out-dir", str(out)]
+
+
 class TestErrorContract:
     def test_missing_file_exit_3(self, capsys):
         code = main(["ingest", "--data", "/nonexistent.dat", "--out", "/tmp/x.csv"])
@@ -260,9 +287,28 @@ class TestErrorContract:
          "stage: a stage needs k_folds >= 2"),
         ("search", "--stage", "epochs = 0\nk_folds = 2\ngrid.hidden_nodes = [4]\n",
          "stage: a stage needs k_folds >= 2 and epochs >= 1"),
+        ("train", "--mlp-config", "hidden_layers = [1.5]\n", "layer widths must be integers"),
+        ("train", "--mlp-config", "hidden_layers = [true, 2]\n",
+         "layer widths must be integers"),
+        ("train", "--mlp-config", 'hidden_layers = ["7"]\n', "layer widths must be integers"),
+        ("train", "--train-config",
+         "fractions = [0.85, 0.15, 0.0]\nepochs_per_batch_set = 1\nmax_batch_sets = 1\n",
+         "fractions must all be > 0"),
+        ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.hidden_layers = [-1]\n",
+         "hidden_layers = -1 is not in 0..64"),
+        ("search", "--stage", f"epochs = 1\nk_folds = 2\ngrid.hidden_layers = [{2 ** 62}]\n",
+         f"hidden_layers = {2 ** 62} is not in 0..64"),
+        ("train", "--train-config", "early_stop.loss_threshold = 1" + "0" * 400 + "\n"
+         "early_stop.accuracy_threshold = 90\n", "int too large to convert to float"),
+        ("train", "--mlp-config", "learning_rate = NaN\n", "learning rate must be >= 0"),
+        ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.l2_lambda = [NaN]\n",
+         "l2_lambda must be >= 0"),
     ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
             "stage_lr_str", "stage_misspelt_hp", "stage_folds_str", "stage_grid_scalar",
-            "stage_misspelt_section", "stage_one_fold", "stage_no_epochs"])
+            "stage_misspelt_section", "stage_one_fold", "stage_no_epochs",
+            "mlp_width_float", "mlp_width_bool", "mlp_width_str", "train_zero_fraction",
+            "stage_negative_layers", "stage_huge_layers", "early_stop_huge_int",
+            "mlp_lr_nan", "stage_l2_nan"])
     def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
                                              command, flag, text, named):
         cfg = tmp_path / "bad.cfg"
@@ -292,7 +338,9 @@ class TestErrorContract:
     @pytest.mark.parametrize("line, named", [
         ("skip_rows = x", "skip_rows = 'x' is not of type int"),
         ("f0_ss = 0", "layout indices must be integers"),
-    ], ids=["skip_rows_str", "index_0"])
+        ("f0_ss = true", "layout indices must be integers"),
+        ("skip_rows = -1", "skip_rows must be >= 0"),
+    ], ids=["skip_rows_str", "index_0", "index_bool", "skip_rows_negative"])
     def test_bad_layout_value_names_its_file(self, pipeline_dir, tmp_path, capsys, line, named):
         from ocon.dataset import FEATURE_KEYS
         layout = tmp_path / "layout.cfg"
@@ -303,6 +351,23 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"ERROR OconError: {layout}: ") and named in err, err
+
+    @pytest.mark.parametrize("flag", CONFIG_FLAGS)
+    @pytest.mark.parametrize("content, named", [
+        (b"nonsense line\n", "line 1: expected 'key = value', got 'nonsense line'"),
+        (b"# a comment\na = 1\na.b = 2\n", "line 3: 'a.b' conflicts with a scalar key"),
+        (b"a = 1\n = 2\n", "line 2: empty key"),
+        (b"a = 1\nb = \xff\n", "line 2: not UTF-8 text"),
+    ], ids=["not_key_value", "key_under_scalar", "empty_key", "not_utf8"])
+    def test_unparsable_config_file_names_its_file_and_line(self, pipeline_dir, tmp_path,
+                                                             capsys, flag, content, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        code = main(config_flag_argv(flag, str(cfg), pipeline_dir / "matrix.ocm",
+                                     pipeline_dir / "synth.dat", tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"ERROR OconError: {cfg}: {named}\n"
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("key", ["started", "command", "master_seed", "outputs"])
     def test_report_names_a_missing_manifest_key(self, pipeline_dir, tmp_path, capsys, key):
@@ -369,6 +434,73 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code == 1
         assert "ERROR CorruptPayload" in err and "Traceback" not in err
+
+
+class TestConfigFuzz:
+    """Config text through the loader of every config-reading flag, without
+    training: each returns, or raises an OconError whose message starts
+    with the file's path; nothing else escapes."""
+
+    KEYS = st.sampled_from(sorted(
+        {f.name for cls in (MlpConfig, TrainConfig, EarlyStopRule, SearchStage)
+         for f in fields(cls)}
+        | set(FEATURE_KEYS)
+        | {"skip_rows", "hidden_nodes", "early_stop.loss_threshold", "early_stop.loss_window",
+           "grid.hidden_nodes", "grid.hidden_layers", "grid.learning_rate",
+           "fixed.batch_size", "fixed.optimizer"}))
+    SCALARS = st.one_of(st.integers(-3, 5), st.sampled_from([10 ** 400, -2 ** 63]),
+                        st.floats(), st.booleans(), st.none(), st.text(max_size=4))
+    VALUES = st.one_of(
+        st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3),
+                     max_leaves=6).map(json.dumps),
+        st.text(max_size=8), st.just("[" * 5000))
+    LINES = st.one_of(st.tuples(st.one_of(KEYS, st.text(max_size=6)), VALUES).map(" = ".join),
+                      st.text(max_size=12))
+    CONTENT = st.one_of(st.lists(LINES, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+                        st.binary(max_size=24))
+    #: a valid start, so the fuzzed lines also reach the checks behind parsing
+    BASES = {"--layout": "".join(f"{k} = {i + 1}\n" for i, k in enumerate(FEATURE_KEYS)),
+             "--stage": "epochs = 1\nk_folds = 2\ngrid.hidden_nodes = [4]\n"}
+
+    @staticmethod
+    def load(flag, path, workdir):
+        if flag == "--mlp-config":
+            return _mlp_config_from(Namespace(mlp_config=path, seed=None), 12)
+        if flag == "--train-config":
+            return _train_config_from(Namespace(train_config=path, seed=None))
+        if flag == "--layout":
+            return ColumnLayout.from_file(path)
+        if flag == "--stage":
+            return _load_stage(path)
+        # the matrix is missing, so a search whose configs pass exits 3
+        # before it trains
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(config_flag_argv(flag, path, workdir / "missing.ocm", None,
+                                         workdir / "r.csv"))
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        if code == 3:
+            assert err.startswith("ERROR FileNotFoundError: "), err
+            return None
+        assert code == 1, err
+        match = re.match(rf"ERROR (\w+): {re.escape(path)}: ", err)
+        assert match and issubclass(getattr(errors, match[1]), errors.OconError), err
+        return None
+
+    @pytest.mark.parametrize("flag", CONFIG_FLAGS)
+    @settings(max_examples=120, deadline=None)
+    @given(content=CONTENT, with_base=st.booleans())
+    def test_loader_returns_or_names_the_file(self, tmp_path_factory, flag, content,
+                                              with_base):
+        workdir = tmp_path_factory.getbasetemp()
+        path = str(workdir / "fuzz.cfg")
+        with open(path, "wb") as fh:
+            fh.write(self.BASES.get(flag, "").encode() * with_base + content)
+        try:
+            self.load(flag, path, workdir)
+        except errors.OconError as err:
+            assert str(err).startswith(f"{path}: "), err
 
 
 @pytest.mark.parametrize("body, line", [
@@ -464,7 +596,7 @@ class TestStartup:
     PACKAGE_NAMES = (
         "ARPABET_CODES", "BalancedSubset", "ClassStats", "ColumnLayout", "ConfusionCounts",
         "DetMetrics", "EarlyStopRule", "FeatureMatrix", "FeatureRecord", "FeatureSetKind",
-        "KFoldResult", "MlpConfig", "MlpModel", "MlpParams", "OconError", "OconModel",
+        "KFoldResult", "MlpConfig", "MlpModel", "OconError", "OconModel",
         "PhonemeLabel", "RocCurve", "ScalingRecord", "SearchStage", "SpeakerGroup",
         "TrainConfig", "TrainReport", "build_balanced_subset", "build_feature_matrix",
         "class_statistics", "decode_filename", "desk_scale", "det_metrics",

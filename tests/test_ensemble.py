@@ -223,7 +223,7 @@ def assert_members_alias_store(model):
         for mine, stacked in zip(params.running_mean + params.running_var,
                                  store.running_mean + store.running_var):
             assert np.shares_memory(mine, stacked[k])
-        assert np.array_equal(store.theta[k], params.theta)
+        assert np.array_equal(store.theta[k], params.theta[0])
 
 
 def bn_configs(seed=0):

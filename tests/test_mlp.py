@@ -14,7 +14,6 @@ from ocon.mlp import (
     CHECKPOINT_VERSION,
     MlpConfig,
     MlpModel,
-    MlpParams,
     StackedParams,
     bce_per_sample,
     binary_accuracy,
@@ -44,7 +43,7 @@ def rand_batch(rng, n, d):
 def numerical_loss(params, config, batch, labels):
     """Loss recomputed from a plain forward pass (no gradient machinery)."""
     y = np.asarray(labels, dtype=np.float64)
-    probs, cache = forward(params.stacked, config, batch[None], mode="train")
+    probs, cache = forward(params, config, batch[None], mode="train")
     if config.loss == "bce":
         data = bce_per_sample(cache.zout, y).mean()
     else:
@@ -54,8 +53,8 @@ def numerical_loss(params, config, batch, labels):
 
 
 def finite_difference_grads(params, config, batch, labels, h=1e-5):
-    """Central differences over every entry of the flat ``params.theta``."""
-    theta = params.theta
+    """Central differences over every entry of the (1, P) ``params.theta``."""
+    theta = params.theta[0]
     grads = np.zeros_like(theta)
     for i in range(theta.size):
         keep = theta[i]
@@ -91,7 +90,7 @@ class TestGradients:
         for arr in params.trainables():
             arr += rng.normal(0, 0.05, size=arr.shape)
         x, y = rand_batch(rng, int(rng.integers(3, 9)), config.input_dim)
-        _, grads, _ = loss_and_grads(params.stacked, config, x[None], y)
+        _, grads, _ = loss_and_grads(params, config, x[None], y)
         numeric = finite_difference_grads(params, config, x, y)
         assert max_relative_error(grads[0], numeric) < 1e-4
 
@@ -100,7 +99,7 @@ class TestGradients:
         config = small_config(loss="mse", batch_norm=True, hidden_layers=(3, 3))
         params = init_params(config)
         x, y = rand_batch(rng, 6, 3)
-        _, grads, _ = loss_and_grads(params.stacked, config, x[None], y)
+        _, grads, _ = loss_and_grads(params, config, x[None], y)
         numeric = finite_difference_grads(params, config, x, y)
         assert max_relative_error(grads[0], numeric) < 1e-4
 
@@ -115,7 +114,7 @@ class TestInit:
     def test_kaiming_shape_and_std(self):
         config = MlpConfig(input_dim=3, hidden_layers=(100,), seed=0)
         params = init_params(config)
-        w = params.weights[0]
+        w = params.weights[0][0]
         assert w.shape == (100, 3)
         target = math.sqrt(2.0 / 3.0)
         # sample std over 300 draws within 3 standard errors of the target
@@ -137,15 +136,15 @@ class TestForward:
         params = init_params(config)
         for w in params.weights:
             w[:] = 0.0
-        probs, _ = forward(params.stacked, config, np.random.rand(5, 3))
+        probs, _ = forward(params, config, np.random.rand(5, 3))
         assert np.all(probs == 0.5)
 
     def test_train_equals_infer_without_dropout_bn(self):
         config = small_config()
         params = init_params(config)
         x = np.random.default_rng(0).random((8, 3))
-        train_probs, _ = forward(params.stacked, config, x[None], mode="train")
-        infer_probs, _ = forward(params.stacked, config, x, mode="infer")
+        train_probs, _ = forward(params, config, x[None], mode="train")
+        infer_probs, _ = forward(params, config, x, mode="infer")
         assert np.array_equal(train_probs, infer_probs)
 
     def test_single_linear_unit_closed_form(self):
@@ -153,7 +152,7 @@ class TestForward:
         params = init_params(config)
         params.weights[0][:] = 1.0
         params.biases[0][:] = 0.0
-        probs, _ = forward(params.stacked, config, np.array([[5.0, 15.0, 25.0]]))
+        probs, _ = forward(params, config, np.array([[5.0, 15.0, 25.0]]))
         assert abs(probs[0, 0] - 1.0) < 1e-15  # sigmoid(45)
 
     def test_dimension_mismatch(self):
@@ -161,8 +160,8 @@ class TestForward:
         config = small_config()
         for batch in (np.zeros((2, 5)), np.zeros(3)):
             with pytest.raises(DimensionMismatch):
-                forward(init_params(config).stacked, config, batch)
-        assert predict_proba(init_params(config).stacked, config, np.zeros(3)).shape == (1, 1)
+                forward(init_params(config), config, batch)
+        assert predict_proba(init_params(config), config, np.zeros(3)).shape == (1, 1)
 
     def test_bn_infer_uses_running_stats(self):
         config = small_config(batch_norm=True)
@@ -170,11 +169,11 @@ class TestForward:
         rng = np.random.default_rng(3)
         x = rng.random((16, 3)) * 5
         before = [m.copy() for m in params.running_mean]
-        forward(params.stacked, config, x[None], mode="train", rng=[rng])
+        forward(params, config, x[None], mode="train", rng=[rng])
         after = params.running_mean
         assert not np.array_equal(before[0], after[0])
-        probs1, _ = forward(params.stacked, config, x, mode="infer")
-        probs2, _ = forward(params.stacked, config, x, mode="infer")
+        probs1, _ = forward(params, config, x, mode="infer")
+        probs2, _ = forward(params, config, x, mode="infer")
         assert np.array_equal(probs1, probs2)  # infer never mutates state
 
     def test_one_row_batch_norm_step_is_degenerate(self):
@@ -184,8 +183,8 @@ class TestForward:
         config = small_config(batch_norm=True)
         params = init_params(config)
         x = np.random.default_rng(0).random((1, 3))
-        loss_and_grads(params.stacked, config, x[None], np.ones(1))
-        assert np.array_equal(params.running_var[0], np.full(4, 0.9))
+        loss_and_grads(params, config, x[None], np.ones(1))
+        assert np.array_equal(params.running_var[0][0, 0], np.full(4, 0.9))
         assert not params.d_weights[0].any() and not params.d_gamma[0].any()
         assert not params.d_beta[0].any()
 
@@ -200,11 +199,11 @@ class TestForward:
         for b in params.biases:
             b[:] = 1.0
         x = rng.uniform(0.5, 1.5, size=(1, 3))
-        _, infer_cache = forward(params.stacked, config, x, mode="infer")
+        _, infer_cache = forward(params, config, x, mode="infer")
         total = 0.0
         n_masks = 10_000
         for _ in range(n_masks):
-            _, cache = forward(params.stacked, config, x[None], mode="train", rng=[rng])
+            _, cache = forward(params, config, x[None], mode="train", rng=[rng])
             total += cache.zout[0, 0]
         mean = total / n_masks
         ref = infer_cache.zout[0, 0]
@@ -218,7 +217,7 @@ class TestLoss:
         params.weights[0][:] = 40.0
         x = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
         y = np.array([1.0, 0.0])
-        [loss], _, _ = loss_and_grads(params.stacked, config, x[None], y)
+        [loss], _, _ = loss_and_grads(params, config, x[None], y)
         assert loss < 1e-12
 
     def test_half_probability_gives_ln2(self):
@@ -227,7 +226,7 @@ class TestLoss:
         for w in params.weights:
             w[:] = 0.0
         x, y = rand_batch(np.random.default_rng(0), 10, 3)
-        [loss], _, _ = loss_and_grads(params.stacked, config, x[None], y)
+        [loss], _, _ = loss_and_grads(params, config, x[None], y)
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_l2_increases_loss_unless_weights_zero(self):
@@ -235,13 +234,13 @@ class TestLoss:
         x, y = rand_batch(rng, 6, 3)
         base, reg = small_config(l2_lambda=0.0), small_config(l2_lambda=1e-2)
         params = init_params(base)
-        [plain], _, _ = loss_and_grads(params.copy().stacked, base, x[None], y)
-        [penalized], _, _ = loss_and_grads(params.copy().stacked, reg, x[None], y)
+        [plain], _, _ = loss_and_grads(params.copy(), base, x[None], y)
+        [penalized], _, _ = loss_and_grads(params.copy(), reg, x[None], y)
         assert penalized > plain
         for w in params.weights:
             w[:] = 0.0
-        [plain], _, _ = loss_and_grads(params.copy().stacked, base, x[None], y)
-        [penalized], _, _ = loss_and_grads(params.copy().stacked, reg, x[None], y)
+        [plain], _, _ = loss_and_grads(params.copy(), base, x[None], y)
+        [penalized], _, _ = loss_and_grads(params.copy(), reg, x[None], y)
         assert penalized == plain
 
     def test_non_finite_loss_is_returned(self):
@@ -249,17 +248,17 @@ class TestLoss:
         # member whose loss is not finite out before the optimizer step
         config = small_config()
         params = init_params(config)
-        params.weights[0][0, 0] = np.nan
+        params.weights[0][0, 0, 0] = np.nan
         x, y = rand_batch(np.random.default_rng(0), 4, 3)
         with np.errstate(invalid="ignore"):
-            loss, _, _ = loss_and_grads(params.stacked, config, x[None], y)
+            loss, _, _ = loss_and_grads(params, config, x[None], y)
         assert loss.shape == (1,) and np.isnan(loss[0])
 
     def test_per_sample_losses_returned(self):
         config = small_config()
         params = init_params(config)
         x, y = rand_batch(np.random.default_rng(2), 6, 3)
-        [loss], _, per_sample = loss_and_grads(params.stacked, config, x[None], y)
+        [loss], _, per_sample = loss_and_grads(params, config, x[None], y)
         assert per_sample.shape == (1, 6)
         assert abs(per_sample.mean() - loss) < 1e-15  # l2 is zero here
 
@@ -269,14 +268,14 @@ class TestOptimizers:
         """The (1, P) gradient of the member's stack, zeroed;
         ``params.d_weights`` etc. are views into it."""
         params.grad[:] = 0.0
-        return params.stacked.grad
+        return params.grad
 
     @pytest.mark.parametrize("optimizer", ["adam", "rmsprop"])
     def test_zero_gradient_leaves_params(self, optimizer):
         config = small_config(optimizer=optimizer)
         params = init_params(config)
         before = [a.copy() for a in params.trainables()]
-        optimizer_step(params.stacked, self.zero_grads(params), config)
+        optimizer_step(params, self.zero_grads(params), config)
         for a, b in zip(params.trainables(), before):
             assert np.array_equal(a, b)
 
@@ -286,13 +285,13 @@ class TestOptimizers:
         config = MlpConfig(input_dim=1, hidden_layers=(), learning_rate=lr,
                            optimizer="adam", seed=0)
         params = init_params(config)
-        start = params.weights[0][0, 0]
+        start = params.weights[0][0, 0, 0]
         grads = self.zero_grads(params)
         params.d_weights[0][:] = 1.0
-        optimizer_step(params.stacked, grads, config)
-        delta = params.weights[0][0, 0] - start
+        optimizer_step(params, grads, config)
+        delta = params.weights[0][0, 0, 0] - start
         assert np.isclose(delta, -lr, rtol=1e-7)
-        assert params.stacked.step == 1
+        assert params.step == 1
 
     def test_rmsprop_first_step_closed_form(self):
         # v = 0.1, step = -lr * 1 / (sqrt(0.1) + eps)
@@ -300,11 +299,11 @@ class TestOptimizers:
         config = MlpConfig(input_dim=1, hidden_layers=(), learning_rate=lr,
                            optimizer="rmsprop", seed=0)
         params = init_params(config)
-        start = params.weights[0][0, 0]
+        start = params.weights[0][0, 0, 0]
         grads = self.zero_grads(params)
         params.d_weights[0][:] = 1.0
-        optimizer_step(params.stacked, grads, config)
-        delta = params.weights[0][0, 0] - start
+        optimizer_step(params, grads, config)
+        delta = params.weights[0][0, 0, 0] - start
         assert np.isclose(delta, -lr / (math.sqrt(0.1) + 1e-8), rtol=1e-12)
 
     def test_zero_learning_rate_freezes_params(self):
@@ -313,7 +312,7 @@ class TestOptimizers:
         before = [a.copy() for a in params.trainables()]
         grads = self.zero_grads(params)
         grads[:] = 1.0
-        optimizer_step(params.stacked, grads, config)
+        optimizer_step(params, grads, config)
         for a, b in zip(params.trainables(), before):
             assert np.array_equal(a, b)
 
@@ -325,24 +324,22 @@ class TestOptimizers:
         params = init_params(config)
         params.weights[0][:] = 1.0
         grads = self.zero_grads(params)
-        params.d_weights[0][:] = 2.0 * params.weights[0][0, 0]
-        optimizer_step(params.stacked, grads, config)
-        assert 0 < params.weights[0][0, 0] < 1.0
+        params.d_weights[0][:] = 2.0 * params.weights[0][0, 0, 0]
+        optimizer_step(params, grads, config)
+        assert 0 < params.weights[0][0, 0, 0] < 1.0
 
 
 class TestDeterminismAndCheckpoints:
     def run_steps(self, seed=4):
         config = small_config(batch_norm=True, dropout_keep_hidden=0.7, seed=seed)
-        params = init_params(config)
-        stack, rngs = params.stacked, [np.random.default_rng(999)]
+        params, rngs = init_params(config), [np.random.default_rng(999)]
         data_rng = np.random.default_rng(5)
         losses = []
         for _ in range(5):
             x, y = rand_batch(data_rng, 8, 3)
-            [loss], grads, _ = loss_and_grads(stack, config, x[None], y, rng=rngs)
-            optimizer_step(stack, grads, config)
+            [loss], grads, _ = loss_and_grads(params, config, x[None], y, rng=rngs)
+            optimizer_step(params, grads, config)
             losses.append(loss)
-        params.step = stack.step        # as the training engine hands it back
         return config, params, losses
 
     def test_bitwise_repeatable(self):
@@ -375,11 +372,12 @@ class TestDeterminismAndCheckpoints:
     def write_v1_checkpoint(self, path, model):
         """A checkpoint in the version-1 layout, optimizer moments included."""
         p = model.params
-        arrays = {f"w{i}": w for i, w in enumerate(p.weights)}
-        arrays.update({f"b{i}": b for i, b in enumerate(p.biases)})
+        arrays = {f"w{i}": w[0] for i, w in enumerate(p.weights)}
+        arrays.update({f"b{i}": b[0, 0] for i, b in enumerate(p.biases)})
         for i in range(len(p.gamma)):
-            arrays.update({f"gamma{i}": p.gamma[i], f"beta{i}": p.beta[i],
-                           f"rmean{i}": p.running_mean[i], f"rvar{i}": p.running_var[i]})
+            arrays.update({f"gamma{i}": p.gamma[i][0, 0], f"beta{i}": p.beta[i][0, 0],
+                           f"rmean{i}": p.running_mean[i][0, 0],
+                           f"rvar{i}": p.running_var[i][0, 0]})
         for i, t in enumerate(p.trainables()):
             arrays.update({f"m{i}": np.full_like(t, 0.25), f"v{i}": np.full_like(t, 0.5)})
         meta = {"config": asdict(model.config), "step": p.step,
@@ -415,10 +413,10 @@ class TestDeterminismAndCheckpoints:
     @pytest.mark.parametrize("damage", ["drop_b1", "drop_rvar0", "reshape_w0", "drop_config"])
     def test_incomplete_checkpoint_is_corrupt(self, tmp_path, damage):
         config, params, _ = self.run_steps()
-        arrays = {"w0": params.weights[0], "w1": params.weights[1],
-                  "b0": params.biases[0], "b1": params.biases[1],
-                  "gamma0": params.gamma[0], "beta0": params.beta[0],
-                  "rmean0": params.running_mean[0], "rvar0": params.running_var[0]}
+        arrays = {"w0": params.weights[0][0], "w1": params.weights[1][0],
+                  "b0": params.biases[0][0, 0], "b1": params.biases[1][0, 0],
+                  "gamma0": params.gamma[0][0, 0], "beta0": params.beta[0][0, 0],
+                  "rmean0": params.running_mean[0][0, 0], "rvar0": params.running_var[0][0, 0]}
         meta = {"config": asdict(config), "step": params.step,
                 "scaling_hash": "", "manifest_hash": ""}
         if damage == "reshape_w0":
@@ -438,7 +436,7 @@ class TestFlatLayout:
         config = small_config(batch_norm=True, hidden_layers=(4, 3))
         params = init_params(config)
         flat = np.concatenate([a.ravel() for a in params.trainables()])
-        assert np.array_equal(flat, params.theta)
+        assert np.array_equal(flat, params.theta[0])
         assert params.n_weights == 3 * 4 + 4 * 3 + 3 * 1
         for view in params.trainables():
             assert np.shares_memory(view, params.theta)
@@ -446,7 +444,7 @@ class TestFlatLayout:
         assert [g.shape for g in grad_views] == [a.shape for a in params.trainables()]
         params.d_gamma[1][:] = 7.0
         offset = sum(a.size for a in params.trainables()[:-3])
-        assert np.all(params.grad[offset: offset + 3] == 7.0)
+        assert np.all(params.grad[0, offset: offset + 3] == 7.0)
 
     def test_pickle_and_copy_keep_views_on_fresh_buffers(self):
         config, params, _ = TestDeterminismAndCheckpoints().run_steps()
@@ -495,7 +493,7 @@ class TestStackedParams:
         config, members = self.members()
         x = np.random.default_rng(2).random((7, 3))
         probs, _ = forward(stack_of(config, members), config, x)
-        reference = np.concatenate([forward(p.stacked, config, x)[0] for p in members])
+        reference = np.concatenate([forward(p, config, x)[0] for p in members])
         assert np.array_equal(probs.view(np.uint64), reference.view(np.uint64))
 
     @pytest.mark.parametrize("config", [
@@ -522,15 +520,15 @@ class TestStackedParams:
             optimizer_step(stack, grads, config)
             assert losses.shape == (n_members,) and per_sample.shape == (n_members, rows)
             for k, params in enumerate(singles):
-                [loss], grad, [samples] = loss_and_grads(params.stacked, config, x[k][None],
+                [loss], grad, [samples] = loss_and_grads(params, config, x[k][None],
                                                          y[k], rng=[single_rngs[k]])
-                optimizer_step(params.stacked, grad, config)
+                optimizer_step(params, grad, config)
                 assert loss == losses[k]
                 assert np.array_equal(samples.view(np.uint64), per_sample[k].view(np.uint64))
         assert stack.step == len(row_counts)
         for k, params in enumerate(singles):
-            out = MlpParams(config, stack, k)
-            assert params.stacked.step == len(row_counts)
+            out = stack.select(slice(k, k + 1))
+            assert params.step == len(row_counts)
             for mine, theirs in zip([out.theta, out.opt_m, out.opt_v, *out.running_mean,
                                      *out.running_var],
                                     [params.theta, params.opt_m, params.opt_v,
@@ -578,7 +576,7 @@ class TestAccuracyHelper:
         params = init_params(config)
         params.weights[0][:] = 40.0
         x = np.array([[1.0, 1, 1], [-1, -1, -1], [1, 1, 1]])
-        assert binary_accuracy(params.stacked, config, x, np.array([1, 0, 0])) == pytest.approx(
+        assert binary_accuracy(params, config, x, np.array([1, 0, 0])) == pytest.approx(
             100.0 * 2 / 3)
 
 

@@ -97,6 +97,14 @@ class TestSplitDataset:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
+    @pytest.mark.parametrize("fractions", [(0.85, 0.15, 0.0), (0.85, 0.0, 0.15),
+                                           (float("nan"), 0.5, 0.5)])
+    def test_train_config_needs_every_split(self, fractions):
+        # an empty dev split reads a NaN accuracy, which passed the
+        # early-stop escape after one epoch
+        with pytest.raises(ValueError, match="fractions must all be > 0"):
+            TrainConfig(fractions=fractions)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=4, max_value=400),
            st.integers(min_value=4, max_value=400),
