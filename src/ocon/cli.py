@@ -77,14 +77,12 @@ def cmd_preprocess(args):
     kind = _FEATURE_SETS[args.feature_set]
     manifest = RunManifest("preprocess", {
         "records": args.records, "feature_set": args.feature_set,
-        "exclude_children": args.exclude_children, "zscore": args.zscore,
-        "f0_channel": args.f0_channel}, master_seed=0)
+        "exclude_children": args.exclude_children, "zscore": args.zscore}, master_seed=0)
     manifest.add_input(args.records)
     records = read_records_csv(args.records)
     if args.exclude_children:
         records = [r for r in records if r.group.value in ("m", "w")]
-    matrix, dropped = build_feature_matrix(records, kind, f0_mode=args.f0_channel,
-                                           zscore=args.zscore)
+    matrix, dropped = build_feature_matrix(records, kind, zscore=args.zscore)
     save_matrix(matrix, args.out)
     kept_stats = ClassStats.tally(zip(matrix.labels.tolist(), matrix.groups.tolist()))
     stats_path = args.out + ".stats.txt"
@@ -265,13 +263,17 @@ def cmd_eval(args):
 
 def _read_vectors(args):
     """The ``--input`` vector, or one vector per non-blank line of
-    ``--input-file``.  In the file, bytes that are not UTF-8, a token that is
-    not a finite number, or a row whose width differs from the first row's
-    raise MalformedRow naming the line."""
+    ``--input-file``.  A token that is not a number raises MalformedRow
+    naming the line (line 1 for ``--input``); in the file, so do bytes that
+    are not UTF-8, a non-finite token, or a row whose width differs from the
+    first row's."""
     import numpy as np
 
     if not args.input_file:
-        return np.array([[float(t) for t in args.input.replace(",", " ").split()]])
+        try:  # nan and inf parse, and infer refuses them as NonFiniteInput
+            return np.array([[float(t) for t in args.input.replace(",", " ").split()]])
+        except ValueError as err:
+            raise MalformedRow(1, str(err)) from None
     rows = []
     lines = io.StringIO(read_text(args.input_file), newline=None)
     for line_no, line in enumerate(lines, start=1):
@@ -341,7 +343,6 @@ def build_parser():
     p.add_argument("--exclude-children", action="store_true")
     p.add_argument("--zscore", action="store_true",
                    help="standardize instead of min-max scaling")
-    p.add_argument("--f0-channel", choices=("raw", "unit"), default="raw")
     p.add_argument("--projection", help="prefix for 2-D projection CSVs")
     p.add_argument("--out", required=True, help="matrix file path")
     p.set_defaults(func=cmd_preprocess)

@@ -91,7 +91,7 @@ class FeatureSetKind(Enum):
     """Which feature vector is built from a record.
 
     - ``SS3``: F1/F0, F2/F0, F3/F0 at the vowel steady state (dim 3).
-    - ``SS4``: SS3 plus a trailing F0 channel, raw Hz or constant 1.0 (dim 4).
+    - ``SS4``: SS3 plus the raw steady-state F0 in Hz as a fourth component (dim 4).
     - ``TT12``: F1..F3/F0 at 10%, 50%, steady state, 80% (dim 12), ordered
       formant-major: (F1@10, F1@50, F1@SS, F1@80, F2@10, ..., F3@80).
     """

@@ -45,9 +45,9 @@ class OconModel:
     caller to fill); ``replace_member`` copies a new one in.
     """
 
-    def __init__(self, class_names, members, scaling, feature_set, f0_mode="raw"):
+    def __init__(self, class_names, members, scaling, feature_set):
         self.class_names = tuple(class_names)
-        self.scaling, self.feature_set, self.f0_mode = scaling, feature_set, f0_mode
+        self.scaling, self.feature_set = scaling, feature_set
         if not members or len(members) != len(self.class_names):
             raise ManifestMismatch("one member required per class, and at least one")
         self._members, bank_hash = tuple(members), scaling.content_hash()
@@ -97,8 +97,7 @@ class OconModel:
 
     def __reduce__(self):
         # members pickle as standalone copies, put into the new model's store
-        return OconModel, (self.class_names, self._members, self.scaling,
-                           self.feature_set, self.f0_mode)
+        return OconModel, (self.class_names, self._members, self.scaling, self.feature_set)
 
 
 def _train_members(matrix, mlp_config, train_config, class_ids):
@@ -132,8 +131,7 @@ def train_ensemble(matrix, mlp_config, train_config, workers=1):
     if failures:
         raise PartialEnsemble(failures, reports=reports)
     model = OconModel(class_names=tuple(matrix.class_names), members=members,
-                      scaling=matrix.scaling, feature_set=matrix.feature_set,
-                      f0_mode=matrix.f0_mode)
+                      scaling=matrix.scaling, feature_set=matrix.feature_set)
     return model, reports
 
 
@@ -167,18 +165,18 @@ def retrain_member(model, matrix, class_id, mlp_config, train_config):
 def infer(model, vector, scaled=False):
     """Per-class probability vector and the first-max predicted label.
 
-    ``vector`` may be one feature vector or a (B, d) batch; raw inputs are
-    passed through the shared scaling (clamped) unless ``scaled=True``.
+    ``vector`` must be one feature vector or a (B, d) batch, else
+    DimensionMismatch names its shape; raw inputs are passed through the
+    shared scaling (clamped) unless ``scaled=True``.
     NaN or infinite entries raise NonFiniteInput: arg-max over NaN would
     name class 0 and clamping would turn an infinity into a valid value.
     """
-    x = np.asarray(vector, dtype=np.float64)
+    x, d = np.asarray(vector, dtype=np.float64), model.feature_set.dim
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise DimensionMismatch(f"input shape {x.shape} is neither ({d},) nor (B, {d})")
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != model.feature_set.dim:
-        raise DimensionMismatch(
-            f"input width {x.shape[1]} != feature dim {model.feature_set.dim}")
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds NaN or inf")
@@ -240,7 +238,7 @@ def save_ensemble(model, dirpath):
         "version": ENSEMBLE_VERSION,
         "class_names": list(model.class_names),
         "feature_set": model.feature_set.value,
-        "f0_mode": model.f0_mode,
+        "f0_mode": "raw",  # v1 format key: the SS4 F0 channel is always raw Hz
         "scaling": model.scaling.to_dict(),
         "scaling_hash": model.scaling.content_hash(),
         "members": entries,
@@ -305,7 +303,7 @@ def load_ensemble(dirpath):
 
     model = OconModel(class_names=tuple(manifest["class_names"]),
                       members=[member for member, _ in checkpoints],
-                      scaling=scaling, feature_set=feature_set, f0_mode=manifest["f0_mode"])
+                      scaling=scaling, feature_set=feature_set)
     for member, (_, fill) in zip(model.members, checkpoints):
         fill(member.params)
     return model

@@ -16,21 +16,21 @@ import numpy as np
 
 from . import container
 from .dataset import ARPABET_CODES, FeatureSetKind, filter_usable
-from .errors import ConstantColumn, CorruptPayload, DimensionMismatch, UnusableRecord
+from .errors import (ConstantColumn, CorruptPayload, DimensionMismatch, TooFewSamples,
+                     UnusableRecord)
 from .util import sha256_json
 
 MATRIX_KIND = "feature_matrix"
 MATRIX_VERSION = 1
 
 
-def ratio_matrix(records, kind, f0_mode="raw"):
+def ratio_matrix(records, kind):
     """(N, dim) ratio feature rows of ``records``, in record order.
 
     Every component is Fi(t)/F0 with the single steady-state F0, all rows in
-    one numpy division; the SS4 variant appends an F0 channel (raw Hz when
-    ``f0_mode="raw"``, constant 1.0 when ``"unit"``).  Raises UnusableRecord
-    naming the first record with a required field <= 0 or a ratio that is
-    not finite (a tiny but positive F0 such as 1e-320).
+    one numpy division; the SS4 variant appends the raw F0 in Hz.  Raises
+    UnusableRecord naming the first record with a required field <= 0 or a
+    ratio that is not finite (a tiny but positive F0 such as 1e-320).
     """
     keys = kind.required_keys
     fields = np.array([[getattr(rec, k) for k in keys] for rec in records], dtype=np.float64)
@@ -43,14 +43,13 @@ def ratio_matrix(records, kind, f0_mode="raw"):
                   else "has a non-finite F0 ratio")
         raise UnusableRecord(f"record {records[first].filename} {reason}")
     if kind is FeatureSetKind.SS4:
-        channel = fields[:, :1] if f0_mode == "raw" else np.ones_like(fields[:, :1])
-        ratios = np.concatenate((ratios, channel), axis=1)
+        ratios = np.concatenate((ratios, fields[:, :1]), axis=1)
     return ratios
 
 
-def normalize_by_f0(record, kind, f0_mode="raw"):
+def normalize_by_f0(record, kind):
     """Ratio feature vector for one record: row 0 of ``ratio_matrix``."""
-    return ratio_matrix([record], kind, f0_mode)[0]
+    return ratio_matrix([record], kind)[0]
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def fit_minmax(matrix):
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise ValueError("min-max fit needs a 2-D matrix with at least 2 rows")
+        raise TooFewSamples("min-max fit needs a 2-D matrix with at least 2 rows")
     lo = matrix.min(axis=0)
     hi = matrix.max(axis=0)
     flat = np.flatnonzero(hi <= lo)
@@ -112,7 +111,7 @@ def fit_zscore(matrix):
     """Per-column (mean, std).  Off the default path; see module docstring."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise ValueError("z-score fit needs a 2-D matrix with at least 2 rows")
+        raise TooFewSamples("z-score fit needs a 2-D matrix with at least 2 rows")
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     flat = np.flatnonzero(std == 0)
@@ -140,7 +139,6 @@ class FeatureMatrix:
     scaling: ScalingRecord
     feature_set: FeatureSetKind
     class_names: tuple = ARPABET_CODES
-    f0_mode: str = "raw"
 
     def __post_init__(self):
         n, d = self.values.shape
@@ -181,7 +179,7 @@ def speaker_view(matrix):
     return replace(matrix, labels=mapping[matrix.groups], class_names=SPEAKER_CLASS_NAMES)
 
 
-def build_feature_matrix(records, kind, scaling=None, f0_mode="raw", zscore=False):
+def build_feature_matrix(records, kind, scaling=None, zscore=False):
     """Filter, normalize, scale, and stack records into a FeatureMatrix.
 
     When ``scaling`` is given it is applied as-is (inference path); otherwise
@@ -190,8 +188,8 @@ def build_feature_matrix(records, kind, scaling=None, f0_mode="raw", zscore=Fals
     """
     kept, dropped = filter_usable(records, kind)
     if not kept:
-        raise ValueError("no usable records for this feature set")
-    raw = ratio_matrix(kept, kind, f0_mode)
+        raise UnusableRecord(f"no usable records for feature set {kind.value}")
+    raw = ratio_matrix(kept, kind)
     if scaling is None:
         scaling = fit_zscore(raw) if zscore else fit_minmax(raw)
     values = scaling.apply(raw)
@@ -202,7 +200,7 @@ def build_feature_matrix(records, kind, scaling=None, f0_mode="raw", zscore=Fals
     labels = np.array([rec.phoneme.label_id for rec in kept], dtype=np.int64)
     groups = np.array([rec.group.code for rec in kept], dtype=np.int64)
     matrix = FeatureMatrix(values=values, labels=labels, groups=groups,
-                           scaling=scaling, feature_set=kind, f0_mode=f0_mode)
+                           scaling=scaling, feature_set=kind)
     return matrix, dropped
 
 
@@ -210,7 +208,7 @@ def save_matrix(matrix, path):
     """Write a matrix file; the round-trip is bit-exact."""
     meta = {
         "feature_set": matrix.feature_set.value,
-        "f0_mode": matrix.f0_mode,
+        "f0_mode": "raw",  # v1 format key: the SS4 F0 channel is always raw Hz
         "class_names": list(matrix.class_names),
         "scaling_mode": matrix.scaling.mode,
         "rows": int(matrix.n_rows),
@@ -239,7 +237,6 @@ def load_matrix(path):
             scaling=scaling,
             feature_set=FeatureSetKind(meta["feature_set"]),
             class_names=tuple(meta["class_names"]),
-            f0_mode=meta["f0_mode"],
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err

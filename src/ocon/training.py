@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("fractions must all be > 0")
         if self.epochs_per_batch_set < 1 or self.max_batch_sets < 1:
             raise ValueError("epoch and batch-set budgets must be >= 1")
+        if not self.balancing_tolerance >= 0:  # NaN would silence every BalanceWarning
+            raise ValueError("balancing_tolerance must be >= 0")
 
 
 @dataclass

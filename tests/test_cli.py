@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from ocon import errors
 from ocon.cli import _load_stage, _mlp_config_from, _train_config_from, main
-from ocon.dataset import FEATURE_KEYS, ColumnLayout
-from ocon.features import MATRIX_KIND, load_matrix
+from ocon.dataset import FEATURE_KEYS, ColumnLayout, filter_usable, read_records_csv
+from ocon.features import MATRIX_KIND, FeatureSetKind, load_matrix
 from ocon.mlp import MlpConfig
 from ocon.search import SearchStage
 from ocon.synth import write_synth_dat
@@ -154,9 +154,9 @@ def test_train_speaker_task(pipeline_dir, tmp_path):
     assert counts.sum() == load_matrix(matrix).n_rows
 
 
-def train_tiny_model(pipeline_dir, tmp_path):
+def train_tiny_model(pipeline_dir, tmp_path, matrix_name="matrix.ocm"):
     """A one-epoch, 2-unit ensemble trained through the CLI; returns its dir."""
-    matrix = str(pipeline_dir / "matrix.ocm")
+    matrix = str(pipeline_dir / matrix_name)
     mlp_cfg = tmp_path / "mlp.cfg"
     mlp_cfg.write_text("hidden_layers = [2]\nlearning_rate = 1e-3\nseed = 0\n")
     train_cfg = tmp_path / "train.cfg"
@@ -174,6 +174,25 @@ def test_infer_all_half_vector_prints_12_logits(pipeline_dir, tmp_path, capsys):
     assert main(["infer", "--model", model_dir, "--input", vec, "--scaled"]) == 0
     out = capsys.readouterr().out.strip()
     assert len(out.split(",")) == 14
+
+
+def test_ss4_preprocess_train_infer(pipeline_dir, tmp_path, capsys):
+    records = str(pipeline_dir / "records.csv")
+    assert main(["preprocess", "--records", records, "--feature-set", "ss4",
+                 "--out", str(tmp_path / "ss4.ocm")]) == 0
+    matrix = load_matrix(str(tmp_path / "ss4.ocm"))
+    assert matrix.values.shape[1] == 4
+    kept, _ = filter_usable(read_records_csv(records), FeatureSetKind.SS4)
+    f0 = np.array([rec.f0_ss for rec in kept])
+    assert np.array_equal(matrix.values[:, 3], (f0 - f0.min()) / (f0.max() - f0.min()))
+    model_dir = train_tiny_model(tmp_path, tmp_path, "ss4.ocm")
+    capsys.readouterr()
+    assert main(["infer", "--model", model_dir, "--input", "5,15,25,120"]) == 0
+    assert len(capsys.readouterr().out.strip().split(",")) == 14
+    with pytest.raises(SystemExit) as err:
+        main(["preprocess", "--records", records, "--feature-set", "ss4",
+              "--f0-channel", "unit", "--out", str(tmp_path / "unit.ocm")])
+    assert err.value.code == 2
 
 
 #: every flag that reads a config file
@@ -233,6 +252,23 @@ class TestErrorContract:
         assert code == 1
         assert f"ERROR UnusableRecord: record {cells[0]} has a non-finite F0 ratio" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, flags, named", [
+        (1, [], "TooFewSamples: min-max fit needs a 2-D matrix with at least 2 rows"),
+        (1, ["--zscore"], "TooFewSamples: z-score fit needs a 2-D matrix with at least 2 rows"),
+        (0, [], "UnusableRecord: no usable records for feature set tt12"),
+    ], ids=["one_row", "one_row_zscore", "header_only"])
+    def test_too_few_usable_rows_named(self, pipeline_dir, tmp_path, capsys, rows, flags,
+                                       named):
+        lines = (pipeline_dir / "records.csv").read_text().splitlines()
+        usable = [line for line in lines[1:] if "0.0" not in line.split(",")[5:]]
+        records = tmp_path / "few.csv"
+        records.write_text("\n".join(lines[:1] + usable[:rows]) + "\n")
+        out = tmp_path / "m.ocm"
+        code = main(["preprocess", "--records", str(records), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"ERROR {named}\n"
         assert not out.exists()
 
     def test_domain_error_named_on_stderr(self, tmp_path, capsys):
@@ -303,12 +339,16 @@ class TestErrorContract:
         ("train", "--mlp-config", "learning_rate = NaN\n", "learning rate must be >= 0"),
         ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.l2_lambda = [NaN]\n",
          "l2_lambda must be >= 0"),
+        ("train", "--train-config", "balancing_tolerance = -1\n",
+         "balancing_tolerance must be >= 0"),
+        ("train", "--train-config", "balancing_tolerance = NaN\n",
+         "balancing_tolerance must be >= 0"),
     ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
             "stage_lr_str", "stage_misspelt_hp", "stage_folds_str", "stage_grid_scalar",
             "stage_misspelt_section", "stage_one_fold", "stage_no_epochs",
             "mlp_width_float", "mlp_width_bool", "mlp_width_str", "train_zero_fraction",
             "stage_negative_layers", "stage_huge_layers", "early_stop_huge_int",
-            "mlp_lr_nan", "stage_l2_nan"])
+            "mlp_lr_nan", "stage_l2_nan", "train_tolerance_negative", "train_tolerance_nan"])
     def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
                                              command, flag, text, named):
         cfg = tmp_path / "bad.cfg"
@@ -411,6 +451,15 @@ class TestErrorContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ERROR NonFiniteInput" in captured.err
+
+    def test_non_numeric_infer_input_is_malformed_row(self, pipeline_dir, tmp_path, capsys):
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, "--input", "0.5," * 11 + "x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ERROR MalformedRow: line 1: could not convert string "
+                                "to float: 'x'\n")
 
     def test_manifest_missing_key_named(self, pipeline_dir, tmp_path, capsys):
         model_dir = train_tiny_model(pipeline_dir, tmp_path)

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import pickle
+import re
 import shutil
 from dataclasses import replace
 
@@ -114,6 +115,13 @@ class TestInfer:
         model = two_class_model(matrix)
         with pytest.raises(DimensionMismatch):
             infer(model, np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(), (1, 1, 3), (3, 1), (2, 4)])
+    def test_input_of_another_shape_named(self, shape):
+        model = two_class_model(blob_matrix(n_per_class=5))
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"input shape {shape} is neither (3,) nor (B, 3)")):
+            infer(model, np.full(shape, 0.5))
 
     @pytest.mark.parametrize("scaled", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -79,10 +79,8 @@ class TestNormalizeByF0:
 
     def test_ss4_appends_f0_channel(self):
         rec = make_record(f0_ss=100.0, f1_ss=500.0, f2_ss=1500.0, f3_ss=2500.0)
-        raw = normalize_by_f0(rec, FeatureSetKind.SS4, f0_mode="raw")
+        raw = normalize_by_f0(rec, FeatureSetKind.SS4)
         assert raw.tolist() == [5.0, 15.0, 25.0, 100.0]
-        unit = normalize_by_f0(rec, FeatureSetKind.SS4, f0_mode="unit")
-        assert unit.tolist() == [5.0, 15.0, 25.0, 1.0]
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, c):
@@ -95,17 +93,14 @@ class TestNormalizeByF0:
 
 
 class TestRatioMatrix:
-    @pytest.mark.parametrize("kind, f0_mode", [
-        (FeatureSetKind.SS3, "raw"), (FeatureSetKind.SS4, "raw"),
-        (FeatureSetKind.SS4, "unit"), (FeatureSetKind.TT12, "raw")])
-    def test_rows_equal_per_record_division(self, synth_corpus, kind, f0_mode):
+    @pytest.mark.parametrize("kind", list(FeatureSetKind))
+    def test_rows_equal_per_record_division(self, synth_corpus, kind):
         kept, _ = filter_usable(synth_corpus, kind)
-        matrix = ratio_matrix(kept, kind, f0_mode)
+        matrix = ratio_matrix(kept, kind)
         reference = np.array([[rec.value(k) / rec.f0_ss for k in kind.ratio_keys]
-                              + ([rec.f0_ss if f0_mode == "raw" else 1.0]
-                                 if kind is FeatureSetKind.SS4 else [])
+                              + ([rec.f0_ss] if kind is FeatureSetKind.SS4 else [])
                               for rec in kept])
-        stacked = np.stack([normalize_by_f0(rec, kind, f0_mode) for rec in kept])
+        stacked = np.stack([normalize_by_f0(rec, kind) for rec in kept])
         for other in (reference, stacked):
             assert np.array_equal(matrix.view(np.uint64), other.view(np.uint64))
 
