@@ -72,24 +72,24 @@ def cmd_ingest(args):
 
 
 def cmd_preprocess(args):
-    from .features import build_feature_matrix, save_matrix
+    from .features import SCALING_MODE, build_feature_matrix, save_matrix
 
     kind = _FEATURE_SETS[args.feature_set]
     manifest = RunManifest("preprocess", {
         "records": args.records, "feature_set": args.feature_set,
-        "exclude_children": args.exclude_children, "zscore": args.zscore}, master_seed=0)
+        "exclude_children": args.exclude_children}, master_seed=0)
     manifest.add_input(args.records)
     records = read_records_csv(args.records)
     if args.exclude_children:
         records = [r for r in records if r.group.value in ("m", "w")]
-    matrix, dropped = build_feature_matrix(records, kind, zscore=args.zscore)
+    matrix, dropped = build_feature_matrix(records, kind)
     save_matrix(matrix, args.out)
     kept_stats = ClassStats.tally(zip(matrix.labels.tolist(), matrix.groups.tolist()))
     stats_path = args.out + ".stats.txt"
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write(f"usable rows: {matrix.n_rows}\ndropped rows: {len(dropped)}\n")
         fh.write(f"feature set: {kind.value} (dim {kind.dim})\n")
-        fh.write(f"scaling mode: {matrix.scaling.mode}\n")
+        fh.write(f"scaling mode: {SCALING_MODE}\n")
         for i, name in enumerate(kind.component_names):
             fh.write(f"  {name}: lo={matrix.scaling.lo[i]!r} hi={matrix.scaling.hi[i]!r}\n")
         fh.write("\n" + kept_stats.format_table())
@@ -266,7 +266,7 @@ def _read_vectors(args):
     ``--input-file``.  A token that is not a number raises MalformedRow
     naming the line (line 1 for ``--input``); in the file, so do bytes that
     are not UTF-8, a non-finite token, or a row whose width differs from the
-    first row's."""
+    first row's, and a file with no vector raises OconError naming it."""
     import numpy as np
 
     if not args.input_file:
@@ -291,6 +291,8 @@ def _read_vectors(args):
             raise MalformedRow(line_no, f"{len(row)} values where the first row "
                                         f"has {len(rows[0])}")
         rows.append(row)
+    if not rows:
+        raise OconError(f"{args.input_file} holds no feature vector")
     return np.array(rows, dtype=np.float64)
 
 
@@ -341,8 +343,6 @@ def build_parser():
     p.add_argument("--records", required=True)
     p.add_argument("--feature-set", choices=sorted(_FEATURE_SETS), default="tt12")
     p.add_argument("--exclude-children", action="store_true")
-    p.add_argument("--zscore", action="store_true",
-                   help="standardize instead of min-max scaling")
     p.add_argument("--projection", help="prefix for 2-D projection CSVs")
     p.add_argument("--out", required=True, help="matrix file path")
     p.set_defaults(func=cmd_preprocess)

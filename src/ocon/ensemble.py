@@ -136,8 +136,11 @@ def train_ensemble(matrix, mlp_config, train_config, workers=1):
 
 
 def _check_matrix(model, matrix):
-    """A matrix must carry the bank's scaling and label table (e.g.
-    ``speaker_view`` for a speaker-group bank)."""
+    """A matrix must carry the bank's feature set, scaling and label table
+    (e.g. ``speaker_view`` for a speaker-group bank)."""
+    if matrix.feature_set is not model.feature_set:
+        raise ManifestMismatch(f"matrix feature set {matrix.feature_set.value} differs from "
+                               f"the ensemble's {model.feature_set.value}")
     if model.scaling.content_hash() != matrix.scaling.content_hash():
         raise ManifestMismatch("matrix scaling differs from the ensemble's")
     if tuple(matrix.class_names) != tuple(model.class_names):
@@ -148,9 +151,10 @@ def _check_matrix(model, matrix):
 def retrain_member(model, matrix, class_id, mlp_config, train_config):
     """Retrain a single member in place; other members are untouched.
 
-    A matrix of another scaling or label table, or a config whose topology
-    differs from the bank's, raises ManifestMismatch (an unknown class id
-    UnknownClass) before any training, and the model is left as it was.
+    A matrix of another feature set, scaling or label table, or a config
+    whose topology differs from the bank's, raises ManifestMismatch (an
+    unknown class id UnknownClass) before any training, and the model is
+    left as it was.
     """
     _check_matrix(model, matrix)
     check_class_id(matrix, class_id)
@@ -204,7 +208,7 @@ class EnsembleEvaluation:
 def evaluate_ensemble(model, matrix):
     """Whole-dataset evaluation: per-member accuracy at threshold 0.5,
     joint first-max accuracy, and the K x K confusion matrix.  A matrix of
-    another scaling or label table raises ManifestMismatch.
+    another feature set, scaling or label table raises ManifestMismatch.
     """
     _check_matrix(model, matrix)
     labels = matrix.labels

@@ -4,8 +4,8 @@ The pipeline is ratio-first: each formant frequency is divided by the
 utterance's steady-state F0, then the whole feature set is min-max scaled
 into [0, 1].  Scaling is fit on the full processed dataset before any split
 (this reproduces the reference pipeline; the train/test leakage this implies
-is deliberate and documented).  Z-score standardization exists behind a flag
-but is off by default since the ratio distributions are strongly skewed.
+is deliberate and documented).  Min-max is the only scaling: the files
+still record it as ``"minmax"`` and refuse any other mode.
 ``FeatureSetKind`` lives in ``ocon.dataset`` (record filtering needs it
 without numpy) and is re-exported here.
 """
@@ -22,6 +22,8 @@ from .util import sha256_json
 
 MATRIX_KIND = "feature_matrix"
 MATRIX_VERSION = 1
+#: The scaling mode matrix files and scaling records carry (v1 format key).
+SCALING_MODE = "minmax"
 
 
 def ratio_matrix(records, kind):
@@ -54,16 +56,12 @@ def normalize_by_f0(record, kind):
 
 @dataclass(frozen=True)
 class ScalingRecord:
-    """Per-column affine scaling actually used to produce a matrix.
-
-    ``mode="minmax"``: lo/hi are the fitted per-column min and max, and
-    application clamps into [0, 1].  ``mode="zscore"``: lo/hi hold mean and
-    standard deviation, and application does not clamp.
-    """
+    """Per-column min-max scaling actually used to produce a matrix: lo/hi
+    are the fitted per-column min and max, and application clamps into
+    [0, 1]."""
 
     lo: np.ndarray
     hi: np.ndarray
-    mode: str = "minmax"
 
     @property
     def dim(self):
@@ -73,18 +71,19 @@ class ScalingRecord:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"expected {self.dim} columns, got {x.shape[-1]}")
-        if self.mode == "minmax":
-            scaled = (x - self.lo) / (self.hi - self.lo)
-            return np.clip(scaled, 0.0, 1.0)
-        return (x - self.lo) / self.hi
+        scaled = (x - self.lo) / (self.hi - self.lo)
+        return np.clip(scaled, 0.0, 1.0)
 
     def to_dict(self):
-        return {"mode": self.mode, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
+        return {"mode": SCALING_MODE, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
     @classmethod
     def from_dict(cls, d):
+        """The record of ``to_dict``; another mode raises ValueError."""
+        if d["mode"] != SCALING_MODE:
+            raise ValueError(f"scaling mode {d['mode']!r} is not {SCALING_MODE!r}")
         return cls(np.asarray(d["lo"], dtype=np.float64),
-                   np.asarray(d["hi"], dtype=np.float64), d["mode"])
+                   np.asarray(d["hi"], dtype=np.float64))
 
     def content_hash(self):
         return sha256_json(self.to_dict())
@@ -104,20 +103,7 @@ def fit_minmax(matrix):
     flat = np.flatnonzero(hi <= lo)
     if flat.size:
         raise ConstantColumn(int(flat[0]))
-    return ScalingRecord(lo=lo, hi=hi, mode="minmax")
-
-
-def fit_zscore(matrix):
-    """Per-column (mean, std).  Off the default path; see module docstring."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise TooFewSamples("z-score fit needs a 2-D matrix with at least 2 rows")
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    flat = np.flatnonzero(std == 0)
-    if flat.size:
-        raise ConstantColumn(int(flat[0]))
-    return ScalingRecord(lo=mean, hi=std, mode="zscore")
+    return ScalingRecord(lo=lo, hi=hi)
 
 
 #: Label table for the speaker-group task (children = boys + girls).
@@ -179,7 +165,7 @@ def speaker_view(matrix):
     return replace(matrix, labels=mapping[matrix.groups], class_names=SPEAKER_CLASS_NAMES)
 
 
-def build_feature_matrix(records, kind, scaling=None, zscore=False):
+def build_feature_matrix(records, kind, scaling=None):
     """Filter, normalize, scale, and stack records into a FeatureMatrix.
 
     When ``scaling`` is given it is applied as-is (inference path); otherwise
@@ -191,7 +177,7 @@ def build_feature_matrix(records, kind, scaling=None, zscore=False):
         raise UnusableRecord(f"no usable records for feature set {kind.value}")
     raw = ratio_matrix(kept, kind)
     if scaling is None:
-        scaling = fit_zscore(raw) if zscore else fit_minmax(raw)
+        scaling = fit_minmax(raw)
     values = scaling.apply(raw)
     # the one finiteness check of the matrix path: ScalingRecord.apply also
     # serves single-vector infer, which checks its input before scaling
@@ -210,7 +196,7 @@ def save_matrix(matrix, path):
         "feature_set": matrix.feature_set.value,
         "f0_mode": "raw",  # v1 format key: the SS4 F0 channel is always raw Hz
         "class_names": list(matrix.class_names),
-        "scaling_mode": matrix.scaling.mode,
+        "scaling_mode": SCALING_MODE,
         "rows": int(matrix.n_rows),
         "dim": int(matrix.feature_set.dim),
     }
@@ -224,12 +210,12 @@ def save_matrix(matrix, path):
 
 
 def load_matrix(path):
-    """Read a matrix file; a missing or ill-typed array or metadata key
-    raises CorruptPayload."""
+    """Read a matrix file; a missing or ill-typed array or metadata key, or
+    a scaling mode other than min-max, raises CorruptPayload."""
     _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
     try:
-        scaling = ScalingRecord(lo=arrays["scaling_lo"], hi=arrays["scaling_hi"],
-                                mode=meta["scaling_mode"])
+        scaling = ScalingRecord.from_dict({"mode": meta["scaling_mode"],
+                                           "lo": arrays["scaling_lo"], "hi": arrays["scaling_hi"]})
         return FeatureMatrix(
             values=arrays["values"],
             labels=arrays["labels"],

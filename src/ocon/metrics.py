@@ -35,10 +35,11 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
     @classmethod
-    def from_scores(cls, scores, labels, threshold=0.5):
+    def from_scores(cls, scores, labels):
+        """Counts of ``scores`` thresholded at 0.5 against the 0/1 ``labels``."""
         scores = np.asarray(scores, dtype=np.float64)
         truth = np.asarray(labels).astype(bool)
-        predicted = scores >= threshold
+        predicted = scores >= 0.5
         return cls(tp=int(np.sum(predicted & truth)),
                    fp=int(np.sum(predicted & ~truth)),
                    tn=int(np.sum(~predicted & ~truth)),

@@ -1,7 +1,6 @@
 """From-scratch MLP: forward, backprop, dropout, batch-norm, Adam/RMSProp.
 
-Single sigmoid output node trained with binary cross-entropy (mean squared
-error is available behind the ``loss="mse"`` flag for ablation).  Hidden
+Single sigmoid output node trained with binary cross-entropy.  Hidden
 layers run affine -> batch-norm (optional) -> ReLU -> inverted dropout.
 Everything is float64 numpy; a fixed seed gives a bitwise-reproducible run.
 
@@ -67,14 +66,18 @@ CHECKPOINT_KIND = "mlp_checkpoint"
 #: v2 dropped the optimizer moments (``m*``/``v*``); v1 files still load.
 CHECKPOINT_VERSION = 2
 
+#: Config keys of the checkpoint format and ``config_hash`` that are fixed:
+#: every hidden layer is ReLU and every loss binary cross-entropy.
+FIXED_CONFIG = {"activation": "relu", "loss": "bce"}
+
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Architecture plus learning hyperparameters for one binary classifier."""
+    """Architecture plus learning hyperparameters for one binary classifier
+    (ReLU hidden layers and the BCE loss are fixed, see ``FIXED_CONFIG``)."""
 
     input_dim: int
     hidden_layers: tuple = (100,)
-    activation: str = "relu"
     dropout_keep_input: float = 1.0
     dropout_keep_hidden: float = 1.0
     batch_norm: bool = False
@@ -83,7 +86,6 @@ class MlpConfig:
     learning_rate: float = 1e-4
     batch_size: int = 32
     seed: int = 0
-    loss: str = "bce"
 
     def __post_init__(self):
         if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
@@ -98,12 +100,8 @@ class MlpConfig:
             raise ValueError("learning rate must be >= 0")
         if not self.l2_lambda >= 0:
             raise ValueError("l2_lambda must be >= 0")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if self.optimizer not in ("adam", "rmsprop"):
             raise ValueError(f"unsupported optimizer {self.optimizer!r}")
-        if self.loss not in ("bce", "mse"):
-            raise ValueError(f"unsupported loss {self.loss!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -457,12 +455,7 @@ def _backward(stack, config, cache, y):
     ``y`` is (K, rows)."""
     buffers = cache.buffers
     b = y.shape[-1]
-    p = cache.probs
-    if config.loss == "bce":
-        g = (p - y) / b
-    else:
-        g = 2.0 * (p - y) * p * (1.0 - p) / b
-    g = g[..., None]
+    g = ((cache.probs - y) / b)[..., None]
 
     np.matmul(g.mT, cache.out_input, out=stack.d_weights[-1])
     np.add.reduce(g, axis=-2, keepdims=True, out=stack.d_biases[-1])
@@ -522,10 +515,7 @@ def loss_and_grads(stack, config, batch, labels, rng=None):
     if len(y) != probs.size:
         raise DimensionMismatch("labels length != batch size")
     y = y.reshape(probs.shape)
-    if config.loss == "bce":
-        per_sample = bce_per_sample(cache.zout, y, cache.exp_neg_abs)
-    else:
-        per_sample = (probs - y) ** 2
+    per_sample = bce_per_sample(cache.zout, y, cache.exp_neg_abs)
     # np.add.reduce(...) / n is how per_sample.mean() computes it (same bits)
     loss = np.add.reduce(per_sample, axis=-1) / y.shape[1]
     if config.l2_lambda:
@@ -600,11 +590,11 @@ def predict_proba(stack, config, batch):
     return probs
 
 
-def binary_accuracy(stack, config, batch, labels, threshold=0.5):
-    """Percent of the K members' thresholded probabilities on the (B, d)
-    ``batch`` that match the (B,) labels."""
+def binary_accuracy(stack, config, batch, labels):
+    """Percent of the K members' probabilities on the (B, d) ``batch``,
+    thresholded at 0.5, that match the (B,) labels."""
     probs = predict_proba(stack, config, batch)
-    predicted = probs >= threshold
+    predicted = probs >= 0.5
     return 100.0 * float(np.mean(predicted == (np.asarray(labels) == 1)))
 
 
@@ -638,7 +628,7 @@ def save_model(model, path):
     """Versioned binary checkpoint; round-trips bit-exactly.  Optimizer
     moments are not written: retraining always starts fresh."""
     meta = {
-        "config": asdict(model.config),
+        "config": _config_dict(model.config),
         "step": model.params.step,
         "scaling_hash": model.scaling_hash,
         "manifest_hash": model.manifest_hash,
@@ -651,10 +641,15 @@ def read_checkpoint(path):
     """A v1 or v2 checkpoint (v1 optimizer moments are ignored) as its
     ``MlpModel`` with ``params=None`` and ``fill(params)``, which writes the
     arrays and step into params of that config and returns them.  Metadata
-    or arrays that do not fit the recorded config raise CorruptPayload."""
+    or arrays that do not fit the recorded config, and a config whose
+    ``FIXED_CONFIG`` keys hold other values, raise CorruptPayload."""
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     try:
-        config = MlpConfig(**meta["config"])
+        raw = dict(meta["config"])
+        fixed = {key: raw.pop(key, value) for key, value in FIXED_CONFIG.items()}
+        if fixed != FIXED_CONFIG:
+            raise ValueError(f"config holds {fixed}, not {FIXED_CONFIG}")
+        config = MlpConfig(**raw)
         step, scaling_hash, manifest_hash = (
             meta["step"], meta["scaling_hash"], meta["manifest_hash"])
     except (KeyError, TypeError, ValueError) as err:
@@ -680,5 +675,9 @@ def load_model(path):
     return model
 
 
+def _config_dict(config):
+    return {**asdict(config), **FIXED_CONFIG}
+
+
 def config_hash(config):
-    return sha256_json(asdict(config))
+    return sha256_json(_config_dict(config))

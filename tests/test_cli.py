@@ -254,19 +254,17 @@ class TestErrorContract:
             capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("rows, flags, named", [
-        (1, [], "TooFewSamples: min-max fit needs a 2-D matrix with at least 2 rows"),
-        (1, ["--zscore"], "TooFewSamples: z-score fit needs a 2-D matrix with at least 2 rows"),
-        (0, [], "UnusableRecord: no usable records for feature set tt12"),
-    ], ids=["one_row", "one_row_zscore", "header_only"])
-    def test_too_few_usable_rows_named(self, pipeline_dir, tmp_path, capsys, rows, flags,
-                                       named):
+    @pytest.mark.parametrize("rows, named", [
+        (1, "TooFewSamples: min-max fit needs a 2-D matrix with at least 2 rows"),
+        (0, "UnusableRecord: no usable records for feature set tt12"),
+    ], ids=["one_row", "header_only"])
+    def test_too_few_usable_rows_named(self, pipeline_dir, tmp_path, capsys, rows, named):
         lines = (pipeline_dir / "records.csv").read_text().splitlines()
         usable = [line for line in lines[1:] if "0.0" not in line.split(",")[5:]]
         records = tmp_path / "few.csv"
         records.write_text("\n".join(lines[:1] + usable[:rows]) + "\n")
         out = tmp_path / "m.ocm"
-        code = main(["preprocess", "--records", str(records), *flags, "--out", str(out)])
+        code = main(["preprocess", "--records", str(records), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"ERROR {named}\n"
         assert not out.exists()
@@ -287,6 +285,26 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as err:
             main(["preprocess"])  # missing required flags
         assert err.value.code == 2
+
+    def test_retired_zscore_flag_exit_2(self, pipeline_dir, tmp_path):
+        out = tmp_path / "m.ocm"
+        with pytest.raises(SystemExit) as err:
+            main(["preprocess", "--records", str(pipeline_dir / "records.csv"), "--zscore",
+                  "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_eval_on_another_feature_set_names_both(self, pipeline_dir, tmp_path, capsys):
+        assert main(["preprocess", "--records", str(pipeline_dir / "records.csv"),
+                     "--feature-set", "ss3", "--out", str(tmp_path / "ss3.ocm")]) == 0
+        model_dir = train_tiny_model(tmp_path, tmp_path, "ss3.ocm")
+        capsys.readouterr()
+        assert main(["eval", "--model", model_dir,
+                     "--matrix", str(pipeline_dir / "matrix.ocm")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ERROR ManifestMismatch: matrix feature set tt12 differs "
+                                "from the ensemble's ss3\n")
 
     def test_unknown_preset(self, pipeline_dir, tmp_path, capsys):
         code = main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
@@ -343,12 +361,17 @@ class TestErrorContract:
          "balancing_tolerance must be >= 0"),
         ("train", "--train-config", "balancing_tolerance = NaN\n",
          "balancing_tolerance must be >= 0"),
+        ("train", "--mlp-config", 'loss = "mse"\n', "unknown key 'loss'"),
+        ("train", "--mlp-config", 'activation = "relu"\n', "unknown key 'activation'"),
+        ("search", "--stage", 'epochs = 1\nk_folds = 2\ngrid.loss = ["bce", "mse"]\n',
+         "hyperparameters: unknown key 'loss'"),
     ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
             "stage_lr_str", "stage_misspelt_hp", "stage_folds_str", "stage_grid_scalar",
             "stage_misspelt_section", "stage_one_fold", "stage_no_epochs",
             "mlp_width_float", "mlp_width_bool", "mlp_width_str", "train_zero_fraction",
             "stage_negative_layers", "stage_huge_layers", "early_stop_huge_int",
-            "mlp_lr_nan", "stage_l2_nan", "train_tolerance_negative", "train_tolerance_nan"])
+            "mlp_lr_nan", "stage_l2_nan", "train_tolerance_negative", "train_tolerance_nan",
+            "mlp_retired_loss", "mlp_retired_activation", "stage_retired_loss"])
     def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
                                              command, flag, text, named):
         cfg = tmp_path / "bad.cfg"
@@ -566,6 +589,18 @@ def test_malformed_infer_file_names_its_line(pipeline_dir, tmp_path, capsys, bod
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"ERROR MalformedRow: {line}" in captured.err
+
+
+@pytest.mark.parametrize("body", ["", "\n  \n\t\n"], ids=["empty", "blank_lines"])
+def test_infer_file_without_vector_named(pipeline_dir, tmp_path, capsys, body):
+    model_dir = train_tiny_model(pipeline_dir, tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(body)
+    capsys.readouterr()
+    assert main(["infer", "--model", model_dir, "--input-file", str(vectors)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR OconError: {vectors} holds no feature vector\n"
 
 
 def search_manifest(directory):

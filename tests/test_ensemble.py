@@ -43,7 +43,7 @@ from ocon.mlp import (
     save_model,
 )
 from ocon.training import TrainConfig
-from ocon.util import sha256_file
+from ocon.util import sha256_file, sha256_json
 from tests.test_training import blob_matrix
 
 
@@ -547,6 +547,18 @@ class TestSaveLoad:
         path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
         edit_manifest(path, lambda m: m.__setitem__(key, value))
         with pytest.raises(ManifestMismatch):
+            load_ensemble(path)
+
+    def test_zscore_scaling_is_refused(self, saved_ensemble, tmp_path):
+        # the record matches its hash, so only the mode tells the bank apart
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+
+        def to_zscore(manifest):
+            manifest["scaling"]["mode"] = "zscore"
+            manifest["scaling_hash"] = sha256_json(manifest["scaling"])
+
+        edit_manifest(path, to_zscore)
+        with pytest.raises(ManifestMismatch, match="zscore"):
             load_ensemble(path)
 
     def test_member_entry_without_hash(self, saved_ensemble, tmp_path):

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocon import container
 from ocon.dataset import ColumnLayout, filter_usable, load_dataset
 from ocon.errors import ConstantColumn, CorruptPayload, DimensionMismatch, UnusableRecord, VersionMismatch
 from ocon.features import (
+    MATRIX_KIND,
+    MATRIX_VERSION,
     FeatureSetKind,
     ScalingRecord,
     build_feature_matrix,
     fit_minmax,
-    fit_zscore,
     load_matrix,
     normalize_by_f0,
     ratio_matrix,
@@ -173,15 +175,6 @@ class TestMinMax:
         assert np.all(matrix.scaling.lo > 0)
 
 
-class TestZscore:
-    def test_fit_and_apply(self):
-        data = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 20.0]])
-        scaling = fit_zscore(data)
-        out = scaling.apply(data)
-        assert np.allclose(out.mean(axis=0), 0.0)
-        assert np.allclose(out.std(axis=0), 1.0)
-
-
 class TestBuildFeatureMatrix:
     def test_labels_groups_and_unit_range(self, synth_corpus):
         matrix, dropped = build_feature_matrix(synth_corpus, FeatureSetKind.TT12)
@@ -213,18 +206,6 @@ class TestBuildFeatureMatrix:
             build_feature_matrix(synth_corpus, FeatureSetKind.SS3,
                                  scaling=ScalingRecord(lo=matrix.scaling.lo, hi=hi))
 
-    def test_zscore_overflow_raises(self, synth_corpus):
-        # finite ratios near 1e305 overflow the variance, so the fitted
-        # standard deviation is inf and every scaled cell of the column is 0
-        kept, _ = filter_usable(synth_corpus, FeatureSetKind.SS3)
-        records = list(synth_corpus)
-        for rec in kept[:2]:
-            records[records.index(rec)] = replace(rec, f0_ss=1e-5, f1_ss=1e300)
-        assert build_feature_matrix(records, FeatureSetKind.SS3)[0].n_rows == len(kept)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(UnusableRecord, match="not finite"):
-            build_feature_matrix(records, FeatureSetKind.SS3, zscore=True)
-
     def test_take_slices_rows_and_keeps_provenance(self, synth_matrix):
         rows = np.array([3, 5, 8, 13])
         part = synth_matrix.take(rows)
@@ -245,9 +226,19 @@ class TestMatrixSerialization:
         assert np.array_equal(back.labels, synth_matrix.labels)
         assert np.array_equal(back.groups, synth_matrix.groups)
         assert back.feature_set is synth_matrix.feature_set
-        assert back.scaling.mode == synth_matrix.scaling.mode
         assert np.array_equal(back.scaling.lo.view(np.uint64),
                               synth_matrix.scaling.lo.view(np.uint64))
+
+    def test_other_scaling_mode_is_corrupt(self, tmp_path, synth_matrix):
+        # a z-score matrix read as min-max would be scaled silently wrong
+        path = str(tmp_path / "matrix.ocm")
+        save_matrix(synth_matrix, path)
+        _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
+        assert meta["scaling_mode"] == "minmax"
+        container.write_container(path, MATRIX_KIND, MATRIX_VERSION,
+                                  {**meta, "scaling_mode": "zscore"}, arrays)
+        with pytest.raises(CorruptPayload, match="zscore"):
+            load_matrix(path)
 
     def test_truncated_file(self, tmp_path, synth_matrix):
         path = tmp_path / "matrix.ocm"

@@ -92,6 +92,8 @@ CLI_CHAIN_DIGESTS = {
     "records.csv.stats.txt": "cfd5b118d363fd4262fb425b8b2ed7b96d029dc09499961f06a1f535182dfcea",
     "matrix.ocm": "44fc230893008ca4e89c58ecc4e1a757efa479348f0461bce42f9a38a4cfd768",
     "matrix.ocm.stats.txt": "80d1d9755b4bd3b99ab56cad903030a8291c03210b524ecee97e884ffaafdfb6",
+    "model/ensemble.json": "2ae20dc614495992a95a2d050f33634ed99065ec80067611b88b9aa9cd5b120f",
+    "model/member_ae.ocmdl": "2b17449037fddd831f203ebd75b5dad5af6dfcf221ba413364d99859b6109e83",
     "eval/det.csv": "1e0d12385ff69c3b3047682a4bd04874937c5bb3d1856b2b3e94c5a34b31ca1e",
     "eval/roc_ae.csv": "57635a71f7a1d0fbbb0ae617f4c2941fb802b4d19bdf302e0bc0f1192f8bbe81",
     "infer.csv": "b36a81a868c74f14b023f3d713d4b36b4b4a2bd63fe4d7ede437f7e438b13e79",
@@ -105,7 +107,8 @@ CLI_TRAIN_CONFIG = "epochs_per_batch_set = 3\nmax_batch_sets = 1\nearly_stop = n
 def test_cli_chain_is_byte_identical(tmp_path, capsys):
     """ingest -> preprocess -> train -> eval -> infer on a small corpus with
     the tuned 12-member bank: sha256 of the records and matrix files with
-    their stats sidecars, ``det.csv`` and one ROC point file, and the
+    their stats sidecars, the bank's manifest and one member checkpoint,
+    ``det.csv`` and one ROC point file, and the
     ``infer`` csv and jsonl output.  Eval and the file infer score more rows
     than one stacked forward takes (``STACK_MAX_VALUES``), the single-vector
     infer fewer, so both infer paths are pinned."""
@@ -140,6 +143,7 @@ def test_cli_chain_is_byte_identical(tmp_path, capsys):
     assert main(["infer", "--model", model, "--input", vectors.read_text().split()[0]]) == 0
     digests["infer_single.csv"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     for name in ("records.csv", "records.csv.stats.txt", "matrix.ocm", "matrix.ocm.stats.txt",
-                 "eval/det.csv", "eval/roc_ae.csv"):
+                 "model/ensemble.json", "model/member_ae.ocmdl", "eval/det.csv",
+                 "eval/roc_ae.csv"):
         digests[name] = sha256_file(str(tmp_path / name))
     assert digests == CLI_CHAIN_DIGESTS

@@ -43,11 +43,8 @@ def rand_batch(rng, n, d):
 def numerical_loss(params, config, batch, labels):
     """Loss recomputed from a plain forward pass (no gradient machinery)."""
     y = np.asarray(labels, dtype=np.float64)
-    probs, cache = forward(params, config, batch[None], mode="train")
-    if config.loss == "bce":
-        data = bce_per_sample(cache.zout, y).mean()
-    else:
-        data = ((probs - y) ** 2).mean()
+    _, cache = forward(params, config, batch[None], mode="train")
+    data = bce_per_sample(cache.zout, y).mean()
     l2 = 0.5 * config.l2_lambda * sum(np.sum(w * w) for w in params.weights)
     return float(data + l2)
 
@@ -90,15 +87,6 @@ class TestGradients:
         for arr in params.trainables():
             arr += rng.normal(0, 0.05, size=arr.shape)
         x, y = rand_batch(rng, int(rng.integers(3, 9)), config.input_dim)
-        _, grads, _ = loss_and_grads(params, config, x[None], y)
-        numeric = finite_difference_grads(params, config, x, y)
-        assert max_relative_error(grads[0], numeric) < 1e-4
-
-    def test_mse_flag_gradients(self):
-        rng = np.random.default_rng(7)
-        config = small_config(loss="mse", batch_norm=True, hidden_layers=(3, 3))
-        params = init_params(config)
-        x, y = rand_batch(rng, 6, 3)
         _, grads, _ = loss_and_grads(params, config, x[None], y)
         numeric = finite_difference_grads(params, config, x, y)
         assert max_relative_error(grads[0], numeric) < 1e-4
@@ -410,7 +398,8 @@ class TestDeterminismAndCheckpoints:
         x = np.random.default_rng(1).random((5, 3))
         assert np.array_equal(back.predict_proba(x), model.predict_proba(x))
 
-    @pytest.mark.parametrize("damage", ["drop_b1", "drop_rvar0", "reshape_w0", "drop_config"])
+    @pytest.mark.parametrize("damage", ["drop_b1", "drop_rvar0", "reshape_w0", "drop_config",
+                                        "mse_loss"])
     def test_incomplete_checkpoint_is_corrupt(self, tmp_path, damage):
         config, params, _ = self.run_steps()
         arrays = {"w0": params.weights[0][0], "w1": params.weights[1][0],
@@ -423,6 +412,8 @@ class TestDeterminismAndCheckpoints:
             arrays["w0"] = arrays["w0"].T
         elif damage == "drop_config":
             del meta["config"]
+        elif damage == "mse_loss":                  # a loss this code no longer trains
+            meta["config"]["loss"] = "mse"
         else:
             del arrays[damage[len("drop_"):]]
         path = str(tmp_path / "bad.ocmdl")
@@ -500,9 +491,8 @@ class TestStackedParams:
         MlpConfig.tuned(3, seed=0),
         small_config(hidden_layers=(5, 4), batch_norm=True, dropout_keep_input=0.9,
                      dropout_keep_hidden=0.7, l2_lambda=1e-3, optimizer="rmsprop"),
-        small_config(hidden_layers=(6,), loss="mse"),
         small_config(hidden_layers=()),
-    ], ids=["tuned", "two_layer_bn_rmsprop", "mse", "no_hidden"])
+    ], ids=["tuned", "two_layer_bn_rmsprop", "no_hidden"])
     def test_stacked_train_steps_equal_member_steps(self, config):
         # full 8-row steps, then a 3-row tail through [:, :rows] workspace views
         n_members, row_counts = 3, (8, 8, 3, 8)
