@@ -14,6 +14,7 @@ probabilities either way.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -27,7 +28,7 @@ from .errors import (
     PartialEnsemble,
 )
 from .features import FeatureSetKind, ScalingRecord
-from .mlp import StackedParams, predict_proba, read_checkpoint, save_model
+from .mlp import StackedParams, accuracy_pct, predict_proba, read_checkpoint, save_model
 from .util import check_class_id, derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
@@ -172,25 +173,28 @@ def infer(model, vector, scaled=False):
     ``vector`` must be one feature vector or a (B, d) batch, else
     DimensionMismatch names its shape; raw inputs are passed through the
     shared scaling (clamped) unless ``scaled=True``.
-    NaN or infinite entries raise NonFiniteInput: arg-max over NaN would
-    name class 0 and clamping would turn an infinity into a valid value.
+    NaN or infinite entries raise NonFiniteInput naming the first such row:
+    arg-max over NaN would name class 0 and clamping would turn an infinity
+    into a valid value.  This is where serving input is checked, once; the
+    scaling and the stacked pass behind it only compute.
     """
-    x, d = np.asarray(vector, dtype=np.float64), model.feature_set.dim
+    config = model.store.config
+    x, d = np.asarray(vector, dtype=np.float64), config.input_dim
     if x.ndim not in (1, 2) or x.shape[-1] != d:
         raise DimensionMismatch(f"input shape {x.shape} is neither ({d},) nor (B, {d})")
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds NaN or inf")
+    # one reduction: a NaN or an infinity makes the sum non-finite, and so
+    # does a sum of finite rows that overflows, which the row check passes
+    if not math.isfinite(np.add.reduce(x, axis=None)):
+        finite = np.isfinite(x).all(axis=-1)
+        if not finite.all():
+            raise NonFiniteInput(f"input row {int(np.argmin(finite))} holds NaN or inf")
     if not scaled:
         x = model.scaling.apply(x)
-    logits = predict_proba(model.store, model.members[0].config, x).T
-    predicted = np.argmax(logits, axis=1)  # first occurrence on ties
-    if single:
-        return logits[0], int(predicted[0])
-    return logits, predicted
+    probs = predict_proba(model.store, config, x)
+    if x.ndim == 1:
+        return probs[:, 0], int(probs[:, 0].argmax())   # first occurrence on ties
+    logits = probs.T
+    return logits, logits.argmax(axis=1)
 
 
 @dataclass
@@ -206,7 +210,7 @@ class EnsembleEvaluation:
 
 
 def evaluate_ensemble(model, matrix):
-    """Whole-dataset evaluation: per-member accuracy at threshold 0.5,
+    """Whole-dataset evaluation: per-member accuracy (``mlp.accuracy_pct``),
     joint first-max accuracy, and the K x K confusion matrix.  A matrix of
     another feature set, scaling or label table raises ManifestMismatch.
     """
@@ -215,11 +219,8 @@ def evaluate_ensemble(model, matrix):
     scores, predicted = infer(model, matrix.values, scaled=True)
     k = model.n_classes
 
-    per_class = {}
-    for c, name in enumerate(model.class_names):
-        truth = labels == c
-        hit = (scores[:, c] >= 0.5) == truth
-        per_class[name] = 100.0 * float(np.mean(hit))
+    per_class = {name: accuracy_pct(scores[:, c], labels == c)
+                 for c, name in enumerate(model.class_names)}
 
     argmax_accuracy = 100.0 * float(np.mean(predicted == labels))
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -10,7 +10,7 @@ still record it as ``"minmax"`` and refuse any other mode.
 without numpy) and is re-exported here.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,10 +58,15 @@ def normalize_by_f0(record, kind):
 class ScalingRecord:
     """Per-column min-max scaling actually used to produce a matrix: lo/hi
     are the fitted per-column min and max, and application clamps into
-    [0, 1]."""
+    [0, 1].  ``span`` is ``hi - lo``, computed once when the record is
+    built."""
 
     lo: np.ndarray
     hi: np.ndarray
+    span: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "span", self.hi - self.lo)
 
     @property
     def dim(self):
@@ -71,8 +76,10 @@ class ScalingRecord:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"expected {self.dim} columns, got {x.shape[-1]}")
-        scaled = (x - self.lo) / (self.hi - self.lo)
-        return np.clip(scaled, 0.0, 1.0)
+        scaled = x - self.lo
+        scaled /= self.span
+        # the method skips np.clip's dispatch; same ufunc, so -0.0 stays -0.0
+        return scaled.clip(0.0, 1.0, out=scaled)
 
     def to_dict(self):
         return {"mode": SCALING_MODE, "lo": self.lo.tolist(), "hi": self.hi.tolist()}

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import EmptyEvaluationSet, SingleClassInput
 from .ensemble import evaluate_ensemble
+from .mlp import decide
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,10 @@ class ConfusionCounts:
 
     @classmethod
     def from_scores(cls, scores, labels):
-        """Counts of ``scores`` thresholded at 0.5 against the 0/1 ``labels``."""
-        scores = np.asarray(scores, dtype=np.float64)
+        """Counts of the ``mlp.decide`` answers on ``scores`` against the 0/1
+        ``labels``."""
         truth = np.asarray(labels).astype(bool)
-        predicted = scores >= 0.5
+        predicted = decide(np.asarray(scores, dtype=np.float64))
         return cls(tp=int(np.sum(predicted & truth)),
                    fp=int(np.sum(predicted & ~truth)),
                    tn=int(np.sum(~predicted & ~truth)),

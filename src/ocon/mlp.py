@@ -36,13 +36,20 @@ temporaries live in a workspace the stack keeps (``_Workspace``), so a
 train-mode cache is valid until the stack's next step.  ``predict_proba``
 picks the infer path: one stacked pass, or for a batch too large to stack
 one member at a time through buffers it allocates once.
+
+Input is converted and checked once, by the entry point it arrives at
+(``forward`` or ``predict_proba``, with ``ensemble.infer`` in front for
+served queries).  The one pass behind them, ``_forward``, only computes; it
+fills a ``ForwardCache`` for backprop when ``forward`` hands it one, and
+``predict_proba`` hands it none.  Every accuracy and confusion count
+thresholds probabilities through ``decide``.
 """
 
 import copy
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -314,12 +321,15 @@ class _Workspace:
 
 
 def sigmoid(z, e=None):
-    """Logistic function without overflow: both branches use ``e = exp(-|z|)``,
-    which a caller that already has it may pass in."""
+    """Logistic function without overflow: ``1 / (1 + e)`` for ``z >= 0``
+    and ``e / (1 + e)`` below, with ``e = exp(-|z|)``, which a caller that
+    already has it may pass in.  The numerator is picked before the one
+    division, so each entry is still one of those two quotients."""
     if e is None:
         e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    probs = np.where(z >= 0, 1.0, e)
+    probs /= 1.0 + e
+    return probs
 
 
 def bce_per_sample(zout, y, e=None):
@@ -334,15 +344,15 @@ def bce_per_sample(zout, y, e=None):
 class ForwardCache:
     """Intermediate values needed by backpropagation, with a member axis."""
 
-    layer_inputs: list            # input to each hidden affine (after dropout)
-    zhat: list                    # batch-norm normalized (None entries when off)
-    std: list                     # sqrt(var + eps) per batch-norm layer
-    drop_masks: list              # inverted-dropout masks (None when off)
-    out_input: np.ndarray         # input to the output affine
-    zout: np.ndarray              # pre-sigmoid output, (K, B)
-    exp_neg_abs: np.ndarray       # exp(-|zout|), shared by sigmoid and BCE
-    probs: np.ndarray
     buffers: _Buffers             # where the step's temporaries live
+    layer_inputs: list = field(default_factory=list)  # input to each hidden affine
+    zhat: list = field(default_factory=list)    # batch-norm normalized (None when off)
+    std: list = field(default_factory=list)     # sqrt(var + eps) per batch-norm layer
+    drop_masks: list = field(default_factory=list)  # inverted-dropout masks (None when off)
+    out_input: np.ndarray = None  # input to the output affine
+    zout: np.ndarray = None       # pre-sigmoid output, (K, B)
+    exp_neg_abs: np.ndarray = None  # exp(-|zout|), shared by sigmoid and BCE
+    probs: np.ndarray = None
 
 
 def _dropout(rngs, keep, buf):
@@ -359,10 +369,10 @@ def forward(stack, config, batch, mode="infer", rng=None):
     """Run the K members of ``stack``; returns ((K, B) probabilities, cache).
 
     Infer mode: all K see one (B, d) batch, with the running batch-norm
-    statistics and no dropout (see ``predict_proba``).  Train mode: the batch
-    is (K, rows, d), one block per member, ``rng`` holds one dropout
-    generator per member, and batch-norm uses batch statistics while
-    updating the running estimates in place.
+    statistics and no dropout (``predict_proba`` serves this mode without
+    the cache).  Train mode: the batch is (K, rows, d), one block per
+    member, ``rng`` holds one dropout generator per member, and batch-norm
+    uses batch statistics while updating the running estimates in place.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[-1] != config.input_dim:
@@ -376,12 +386,14 @@ def forward(stack, config, batch, mode="infer", rng=None):
         if rng is None and (config.dropout_keep_input < 1 or config.dropout_keep_hidden < 1):
             raise ValueError("train-mode forward with dropout needs an rng")
         buffers = stack.buffers(config, x.shape[1])
-    return _forward(stack, config, x, train, rng, buffers)
+    cache = ForwardCache(buffers)
+    return _forward(stack, config, x, train, rng, buffers, cache), cache
 
 
-def _forward(stack, config, x, train, rng, buffers):
-    """``forward`` of a stack over a validated batch, with its temporaries
-    in ``buffers`` (``None`` entries allocate)."""
+def _forward(stack, config, x, train, rng, buffers, cache=None):
+    """(K, B) probabilities of a stack over a validated batch, with its
+    temporaries in ``buffers`` (``None`` entries allocate).  What
+    backpropagation reads goes into ``cache`` when one is given."""
     if train and config.dropout_keep_input < 1:
         keep = config.dropout_keep_input
         kept = _dropout(rng, keep, buffers.inp)
@@ -389,13 +401,10 @@ def _forward(stack, config, x, train, rng, buffers):
         kept /= keep
         x = kept
 
-    cache = ForwardCache(layer_inputs=[], zhat=[], std=[], drop_masks=[],
-                         out_input=None, zout=None, exp_neg_abs=None, probs=None,
-                         buffers=buffers)
     a = x
     n = x.shape[-2]
     for l in range(len(config.hidden_layers)):
-        cache.layer_inputs.append(a)
+        layer_input, zhat, std, mask = a, None, None, None
         z = np.matmul(a, stack.weights[l].mT, out=buffers.z[l])
         z += stack.biases[l]
         if config.batch_norm:
@@ -420,34 +429,31 @@ def _forward(stack, config, x, train, rng, buffers):
                 z -= stack.running_mean[l]
                 std = np.sqrt(stack.running_var[l] + BN_EPS)
             z /= std
-            cache.zhat.append(z)
-            cache.std.append(std)
+            zhat = z
             pre_act = np.multiply(stack.gamma[l], z, out=buffers.act[l])
             pre_act += stack.beta[l]
         else:
-            cache.zhat.append(None)
-            cache.std.append(None)
             pre_act = z
         a = np.maximum(pre_act, 0.0, out=pre_act)
         if train and config.dropout_keep_hidden < 1:
-            keep = config.dropout_keep_hidden
-            mask = _dropout(rng, keep, buffers.mask[l])
-            mask /= keep
+            mask = _dropout(rng, config.dropout_keep_hidden, buffers.mask[l])
+            mask *= 1.0 / config.dropout_keep_hidden   # 0 or 1/keep, as / keep gives
             a *= mask
+        if cache is not None:
+            cache.layer_inputs.append(layer_input)
+            cache.zhat.append(zhat)
+            cache.std.append(std)
             cache.drop_masks.append(mask)
-        else:
-            cache.drop_masks.append(None)
 
-    cache.out_input = a
     zout = np.matmul(a, stack.weights[-1].mT, out=buffers.zout)
     zout += stack.biases[-1]
     zout = zout[..., 0]
-    e = np.abs(zout, out=buffers.e)
-    np.negative(e, out=e)
+    e = np.copysign(zout, -1.0, out=buffers.e)       # -|zout|, exactly
     np.exp(e, out=e)
     probs = sigmoid(zout, e)
-    cache.zout, cache.exp_neg_abs, cache.probs = zout, e, probs
-    return probs, cache
+    if cache is not None:
+        cache.out_input, cache.zout, cache.exp_neg_abs, cache.probs = a, zout, e, probs
+    return probs
 
 
 def _backward(stack, config, cache, y):
@@ -461,7 +467,9 @@ def _backward(stack, config, cache, y):
     np.add.reduce(g, axis=-2, keepdims=True, out=stack.d_biases[-1])
     n_hidden = len(config.hidden_layers)
     if n_hidden:
-        da = np.matmul(g, stack.weights[-1], out=buffers.da[-1])
+        # the outer product g (x) w_out: one product per entry, as a k=1
+        # matmul computes it, without the BLAS call
+        da = np.multiply(g, stack.weights[-1], out=buffers.da[-1])
 
     activations = cache.layer_inputs[1:] + [cache.out_input]
     for l in range(n_hidden - 1, -1, -1):
@@ -563,39 +571,51 @@ def predict_proba(stack, config, batch):
     """(K, B) infer-mode probabilities of the K members of ``stack`` on one
     (B, d) batch (a 1-D vector is one row).
 
+    The batch is converted and its shape checked here, once; the pass
+    itself (``_forward``) only computes and keeps nothing for backprop.
     Up to ``STACK_MAX_VALUES`` values of rows x K x widest layer run as one
-    stacked ``forward``.  A larger batch, whose (K, B, width) temporaries
-    would outgrow the CPU cache, runs one member at a time, bitwise the same,
-    all K reusing one set of (1, B, width) buffers: a fresh temporary that
-    size is above glibc's mmap threshold, so it would be mapped and faulted
-    in anew per operation.  Rows are never split into blocks, because BLAS
+    stacked pass.  A larger batch, whose (K, B, width) temporaries would
+    outgrow the CPU cache, runs one member at a time, bitwise the same, all
+    K reusing one set of (1, B, width) buffers: a fresh temporary that size
+    is above glibc's mmap threshold, so it would be mapped and faulted in
+    anew per operation.  Rows are never split into blocks, because BLAS
     rounds the edge rows of a block whose size is not a multiple of its row
     tile differently.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    rows, hidden = len(x), config.hidden_layers
-    if rows * stack.n_members * max(config.layer_dims) <= STACK_MAX_VALUES:
-        return forward(stack, config, x)[0]
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise DimensionMismatch(f"batch shape {x.shape} != (rows, {config.input_dim})")
+    rows, hidden = len(x), config.hidden_layers
+    if rows * stack.n_members * max(config.layer_dims) <= STACK_MAX_VALUES:
+        return _forward(stack, config, x, False, None, _fresh(len(hidden)))
     buffers = _Buffers(z=[np.empty((1, rows, w)) for w in hidden],
                        act=[np.empty((1, rows, w)) if config.batch_norm else None
                             for w in hidden],
                        zout=np.empty((1, rows, 1)), e=np.empty((1, rows)))
     probs = np.empty((stack.n_members, rows))
     for k in range(stack.n_members):
-        probs[k] = _forward(stack.select(slice(k, k + 1)), config, x, False, None, buffers)[0]
+        probs[k] = _forward(stack.select(slice(k, k + 1)), config, x, False, None, buffers)
     return probs
 
 
+def decide(probs):
+    """A member's yes/no answers: its probabilities at or above the fixed
+    0.5 decision threshold.  Every accuracy and confusion count uses it."""
+    return probs >= 0.5
+
+
+def accuracy_pct(probs, labels):
+    """Percent of the ``decide`` answers on ``probs`` that match the 0/1
+    ``labels`` (broadcast against them)."""
+    return 100.0 * float(np.mean(decide(probs) == (np.asarray(labels) == 1)))
+
+
 def binary_accuracy(stack, config, batch, labels):
-    """Percent of the K members' probabilities on the (B, d) ``batch``,
-    thresholded at 0.5, that match the (B,) labels."""
-    probs = predict_proba(stack, config, batch)
-    predicted = probs >= 0.5
-    return 100.0 * float(np.mean(predicted == (np.asarray(labels) == 1)))
+    """``accuracy_pct`` of the K members' probabilities on the (B, d)
+    ``batch`` against the (B,) labels."""
+    return accuracy_pct(predict_proba(stack, config, batch), labels)
 
 
 @dataclass
