@@ -193,41 +193,37 @@ class TestInferBitIdentity:
         stacked, _ = forward(model.store, config, x)
         assert np.array_equal(stacked.T.view(np.uint64), reference.view(np.uint64))
 
-    @pytest.mark.parametrize("scaled", [True, False])
     @pytest.mark.parametrize("bank", ["tuned", "two_layer", "constant"])
-    def test_single_vectors(self, banks, bank, scaled):
-        """A single vector gives bitwise what each member gives on it, and
-        the label of its row of the batch call.  Raw vectors go through the
-        clamp: entries below ``lo``, above ``hi`` and -0.0 (which stays -0.0
-        where ``lo`` is 0, as in ``np.clip``)."""
+    def test_single_vectors(self, banks, bank):
+        """A single vector, scaled or raw, gives bitwise what each member
+        gives on it, and the label of its row of the batch call.  Raw vectors
+        go through the clamp: entries below ``lo``, above ``hi`` and -0.0
+        (which stays -0.0 where ``lo`` is 0, as in ``np.clip``)."""
         model, values = banks[bank]
-        vectors = values[:40]
-        if not scaled:
-            scaling = model.scaling
-            vectors = scaling.lo + vectors * scaling.span
-            vectors[0, 0] = scaling.lo[0] - 1.0
-            vectors[1, 1] = scaling.hi[1] + 1.0
-            vectors[2] = scaling.lo - scaling.span
-            vectors[3] = scaling.hi + scaling.span
-            vectors[4, :2] = -0.0
-        batch_logits, batch_labels = infer(model, vectors, scaled=scaled)
-        batch_inputs = vectors if scaled else model.scaling.apply(vectors)
-        for vector, batch_input, row, batch_label in zip(vectors, batch_inputs, batch_logits,
-                                                          batch_labels):
-            x = vector if scaled else model.scaling.apply(vector)
-            assert np.array_equal(x.view(np.uint64), batch_input.view(np.uint64))
-            reference = np.array([m.predict_proba(x)[0] for m in model.members])
-            logits, label = infer(model, vector, scaled=scaled)
-            assert np.array_equal(logits.view(np.uint64), reference.view(np.uint64))
-            assert label == int(np.argmax(reference)) == batch_label
-            # BLAS may round a one-row product apart from a 40-row one
-            np.testing.assert_allclose(logits, row, rtol=1e-13, atol=0)
-        if not scaled:
-            clamped = model.scaling.apply(vectors[:5])
-            assert clamped[0, 0] == 0.0 and clamped[1, 1] == 1.0
-            assert not clamped[2].any() and (clamped[3] == 1.0).all()
-            zero_lo = model.scaling.lo[:2] == 0.0
-            assert np.array_equal(np.signbit(clamped[4, :2]), zero_lo)
+        scaling = model.scaling
+        raw = scaling.lo + values[:40] * scaling.span
+        raw[0, 0] = scaling.lo[0] - 1.0
+        raw[1, 1] = scaling.hi[1] + 1.0
+        raw[2] = scaling.lo - scaling.span
+        raw[3] = scaling.hi + scaling.span
+        raw[4, :2] = -0.0
+        for scaled, vectors in ((True, values[:40]), (False, raw)):
+            batch_logits, batch_labels = infer(model, vectors, scaled=scaled)
+            batch_inputs = vectors if scaled else scaling.apply(vectors)
+            for vector, batch_input, row, batch_label in zip(vectors, batch_inputs,
+                                                              batch_logits, batch_labels):
+                x = vector if scaled else scaling.apply(vector)
+                assert np.array_equal(x.view(np.uint64), batch_input.view(np.uint64))
+                reference = np.array([m.predict_proba(x)[0] for m in model.members])
+                logits, label = infer(model, vector, scaled=scaled)
+                assert np.array_equal(logits.view(np.uint64), reference.view(np.uint64))
+                assert label == int(np.argmax(reference)) == batch_label
+                # BLAS may round a one-row product apart from a 40-row one
+                np.testing.assert_allclose(logits, row, rtol=1e-13, atol=0)
+        clamped = scaling.apply(raw[:5])
+        assert clamped[0, 0] == 0.0 and clamped[1, 1] == 1.0
+        assert not clamped[2].any() and (clamped[3] == 1.0).all()
+        assert np.array_equal(np.signbit(clamped[4, :2]), scaling.lo[:2] == 0.0)
 
     def test_both_paths_covered(self, banks):
         model, values = banks["tuned"]
