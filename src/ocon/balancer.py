@@ -16,9 +16,9 @@ zero, with two refinements:
 Per-class sizes therefore never differ pairwise by more than 1 (before
 availability capping on toy data).
 
-The relative balancing tolerance (default 0.01) is a reporting target only:
-exceeding it sets a flag and emits a BalanceWarning, it never fails the
-build.
+The relative balancing tolerance (``BALANCE_TOLERANCE``, 0.01) is a
+reporting target only: exceeding it sets a flag and emits a BalanceWarning,
+it never fails the build.
 """
 
 import math
@@ -29,6 +29,10 @@ import numpy as np
 
 from .errors import BalanceToleranceExceeded, EmptyFalseClass, UnknownClass
 from .util import check_class_id
+
+
+#: Relative |positives - negatives| / positives above which a subset is flagged.
+BALANCE_TOLERANCE = 0.01
 
 
 class BalanceWarning(UserWarning):
@@ -113,7 +117,7 @@ def _balance_sizes(sizes, avail, n_positive):
     return sizes
 
 
-def build_balanced_subset(matrix, true_class, seed, balancing_tolerance=0.01):
+def build_balanced_subset(matrix, true_class, seed):
     """Balanced binary subset of a labeled matrix for one true class.
 
     Deterministic given (matrix, true_class, seed); sampling is without
@@ -144,7 +148,7 @@ def build_balanced_subset(matrix, true_class, seed, balancing_tolerance=0.01):
         negatives[c] = np.sort(rng.choice(by_class[c], size=sizes[c], replace=False))
 
     n_neg = sum(sizes.values())
-    tolerance_flag = abs(n_pos - n_neg) / n_pos > balancing_tolerance
+    tolerance_flag = abs(n_pos - n_neg) / n_pos > BALANCE_TOLERANCE
     if tolerance_flag:
         warnings.warn(
             f"subset for {class_names[true_class]} misses the relative balance "

@@ -297,14 +297,12 @@ def _read_vectors(args):
 
 
 def cmd_infer(args):
-    import numpy as np
-
     from .ensemble import infer, load_ensemble
 
     model = load_ensemble(args.model)
     logits, predicted = infer(model, _read_vectors(args), scaled=args.scaled)
     names = model.class_names
-    rows = zip(np.atleast_2d(logits).tolist(), np.atleast_1d(predicted).tolist())
+    rows = zip(logits.tolist(), predicted.tolist())
     if args.format == "jsonl":
         lines = [json.dumps({"logits": probs, "predicted": pred, "label": names[pred]})
                  for probs, pred in rows]

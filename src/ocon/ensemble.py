@@ -271,8 +271,8 @@ def load_ensemble(dirpath):
     ``OconModel`` constructor checks the topology).  Each member's arrays
     are read straight into its row of the model's store.
 
-    A manifest that is not JSON, or lacks or mistypes a key, raises
-    ManifestMismatch.
+    A manifest that is not JSON, lacks or mistypes a key, or lists a
+    member entry at another class's position, raises ManifestMismatch.
     """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -296,9 +296,15 @@ def load_ensemble(dirpath):
     if scaling.content_hash() != manifest["scaling_hash"]:
         raise ManifestMismatch("scaling record does not match its recorded hash")
 
-    checkpoints = []
     for entry in manifest["members"]:
         _require_keys(entry, _MEMBER_KEYS, f"{MANIFEST_NAME} member entry")
+    classes = [entry["class"] for entry in manifest["members"]]
+    if classes != manifest["class_names"]:
+        # a swapped entry would serve one class's member as another's
+        raise ManifestMismatch(f"{MANIFEST_NAME}: member classes {classes} differ from "
+                               f"class_names {manifest['class_names']}")
+    checkpoints = []
+    for entry in manifest["members"]:
         path = os.path.join(dirpath, entry["file"])
         if not os.path.exists(path):
             raise MissingMember(entry["class"])

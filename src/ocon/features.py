@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import container
-from .dataset import ARPABET_CODES, FeatureSetKind, filter_usable
+from .dataset import ARPABET_CODES, FeatureSetKind, SpeakerGroup, filter_usable
 from .errors import (ConstantColumn, CorruptPayload, DimensionMismatch, TooFewSamples,
                      UnusableRecord)
 from .util import sha256_json
@@ -172,19 +172,16 @@ def speaker_view(matrix):
     return replace(matrix, labels=mapping[matrix.groups], class_names=SPEAKER_CLASS_NAMES)
 
 
-def build_feature_matrix(records, kind, scaling=None):
-    """Filter, normalize, scale, and stack records into a FeatureMatrix.
-
-    When ``scaling`` is given it is applied as-is (inference path); otherwise
-    it is fit on these rows.  Returns (matrix, dropped_records).  A record
-    or scaling that gives a non-finite value raises UnusableRecord.
+def build_feature_matrix(records, kind):
+    """Filter, normalize, and stack records into a FeatureMatrix, min-max
+    scaled by a fit on these rows.  Returns (matrix, dropped_records).  A
+    record that gives a non-finite value raises UnusableRecord.
     """
     kept, dropped = filter_usable(records, kind)
     if not kept:
         raise UnusableRecord(f"no usable records for feature set {kind.value}")
     raw = ratio_matrix(kept, kind)
-    if scaling is None:
-        scaling = fit_minmax(raw)
+    scaling = fit_minmax(raw)
     values = scaling.apply(raw)
     # the one finiteness check of the matrix path: ScalingRecord.apply also
     # serves single-vector infer, which checks its input before scaling
@@ -217,13 +214,14 @@ def save_matrix(matrix, path):
 
 
 def load_matrix(path):
-    """Read a matrix file; a missing or ill-typed array or metadata key, or
-    a scaling mode other than min-max, raises CorruptPayload."""
+    """Read a matrix file; a missing or ill-typed array or metadata key, a
+    label or group code out of range, or a scaling mode other than min-max,
+    raises CorruptPayload."""
     _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
     try:
         scaling = ScalingRecord.from_dict({"mode": meta["scaling_mode"],
                                            "lo": arrays["scaling_lo"], "hi": arrays["scaling_hi"]})
-        return FeatureMatrix(
+        matrix = FeatureMatrix(
             values=arrays["values"],
             labels=arrays["labels"],
             groups=arrays["groups"],
@@ -233,4 +231,11 @@ def load_matrix(path):
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err
+    for name, n_codes in (("labels", matrix.n_classes), ("groups", len(SpeakerGroup))):
+        codes = getattr(matrix, name)
+        # a label past the class table would index out of it, a negative one wrap
+        if not (np.issubdtype(codes.dtype, np.integer) and codes.ndim == 1
+                and (not codes.size or 0 <= codes.min() <= codes.max() < n_codes)):
+            raise CorruptPayload(f"{path}: {name} must be integers in 0..{n_codes - 1}")
+    return matrix
 

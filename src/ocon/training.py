@@ -58,6 +58,10 @@ def rng_from(*parts):
     return np.random.default_rng(derive_seed(*parts))
 
 
+#: The (train, dev, test) shares of every re-split, as in the paper.
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
+
+
 @dataclass(frozen=True)
 class EarlyStopRule:
     """2-variable escape: rolling training loss below ``loss_threshold`` AND
@@ -78,28 +82,17 @@ class EarlyStopRule:
 class TrainConfig:
     """Budget and protocol knobs for one training cycle."""
 
-    fractions: tuple = (0.70, 0.15, 0.15)
     epochs_per_batch_set: int = 1000
     max_batch_sets: int = 30
     early_stop: EarlyStopRule = None
     k_folds: int = 3
-    balancing_tolerance: float = 0.01
     seed: int = 0
     reencode_per_batch_set: bool = True
     escape_on_test: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
-        if len(self.fractions) != 3 or abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError("fractions must be a 3-tuple summing to 1")
-        if not all(f > 0 for f in self.fractions):
-            # every split is read; an empty one reads a NaN accuracy, which
-            # the early-stop escape would take for a pass
-            raise ValueError("fractions must all be > 0")
         if self.epochs_per_batch_set < 1 or self.max_batch_sets < 1:
             raise ValueError("epoch and batch-set budgets must be >= 1")
-        if not self.balancing_tolerance >= 0:  # NaN would silence every BalanceWarning
-            raise ValueError("balancing_tolerance must be >= 0")
 
 
 @dataclass
@@ -229,8 +222,9 @@ def _step_bounds(n, config):
 
 
 class _Member:
-    """One cycle inside a lockstep group: its random streams, its report
-    fields, and its ``params``, a view of its row of the group's stack."""
+    """One cycle inside a lockstep group: its random streams, its
+    ``report``, filled in place as it trains, and its ``params``, a view of
+    its row of the group's stack."""
 
     def __init__(self, cycle, first, seconds):
         self.cycle = cycle
@@ -239,11 +233,11 @@ class _Member:
         rule = cycle.train_config.early_stop
         self.window = deque(maxlen=rule.loss_window) if rule else None
         self.first = first                # the provider's batch-set 0
-        self.seconds = seconds
-        self.loss_curve, self.boundaries = [], []
-        self.subset_seeds, self.subset_sizes, self.split_sizes = [], [], []
-        self.stop_reason = "exhausted_budget"
-        self.dev_accuracy = float("nan")
+        self.report = TrainReport(
+            class_name=cycle.class_name, loss_curve=[], batch_set_boundaries=[],
+            epochs_run=0, test_accuracy=0.0, dev_accuracy=float("nan"),
+            train_seconds=seconds, stop_reason="exhausted_budget", subset_seeds=[],
+            subset_sizes=[], split_sizes=[], mlp_config_hash=config_hash(self.config))
         self.splits = self.shuffle_rng = self.params = None
 
     def start_batch_set(self, bs):
@@ -251,10 +245,10 @@ class _Member:
         splits, seed_used, sizes = self.first if bs == 0 else self.cycle.provider(bs)
         self.first = None
         self.splits = splits
-        self.subset_seeds.append(seed_used)
-        self.subset_sizes.append(sizes)
-        self.split_sizes.append(tuple(len(part.y) for part in splits))
-        self.boundaries.append(len(self.loss_curve))
+        self.report.subset_seeds.append(seed_used)
+        self.report.subset_sizes.append(sizes)
+        self.report.split_sizes.append(tuple(len(part.y) for part in splits))
+        self.report.batch_set_boundaries.append(len(self.report.loss_curve))
         self.shuffle_rng = rng_from(self.cycle.train_config.seed, "shuffle", bs)
         return splits[0]
 
@@ -263,7 +257,7 @@ class _Member:
         escape holds."""
         tc = self.cycle.train_config
         # np.add.reduce(...) / n is how .mean() computes it (same bits)
-        self.loss_curve.append(float(np.add.reduce(losses) / len(losses)))
+        self.report.loss_curve.append(float(np.add.reduce(losses) / len(losses)))
         rule = tc.early_stop
         if rule is None:
             return False
@@ -278,28 +272,20 @@ class _Member:
         acc = binary_accuracy(self.params, self.config, held.x, held.y)
         if acc < rule.accuracy_threshold:
             return False
-        self.stop_reason = "early_stop"
-        self.dev_accuracy = acc
+        self.report.stop_reason = "early_stop"
+        self.report.dev_accuracy = acc
         return True
 
     def result(self, scaling_hash):
-        splits, diverged = self.splits, self.stop_reason == "diverged"
-        test_accuracy = 0.0 if diverged else binary_accuracy(
-            self.params, self.config, splits[2].x, splits[2].y)
-        dev_accuracy = self.dev_accuracy
-        if math.isnan(dev_accuracy) and not diverged:
-            dev_accuracy = binary_accuracy(self.params, self.config, splits[1].x,
-                                           splits[1].y)
-        report = TrainReport(
-            class_name=self.cycle.class_name, loss_curve=self.loss_curve,
-            batch_set_boundaries=self.boundaries, epochs_run=len(self.loss_curve),
-            test_accuracy=test_accuracy, dev_accuracy=dev_accuracy,
-            train_seconds=self.seconds, stop_reason=self.stop_reason,
-            subset_seeds=self.subset_seeds, subset_sizes=self.subset_sizes,
-            split_sizes=self.split_sizes, mlp_config_hash=config_hash(self.config))
+        r, (_, dev, test) = self.report, self.splits
+        r.epochs_run = len(r.loss_curve)
+        if r.stop_reason != "diverged":
+            r.test_accuracy = binary_accuracy(self.params, self.config, test.x, test.y)
+            if math.isnan(r.dev_accuracy):
+                r.dev_accuracy = binary_accuracy(self.params, self.config, dev.x, dev.y)
         model = MlpModel(config=self.config, params=self.params, scaling_hash=scaling_hash,
-                         manifest_hash=report.manifest_hash())
-        return model, report
+                         manifest_hash=r.manifest_hash())
+        return model, r
 
 
 def _leave(stack, members, done, rows=()):
@@ -351,7 +337,7 @@ def _train_group(members, n_train, config, tc):
                     # others' rows are untouched by its non-finite values
                     diverged = np.flatnonzero(~np.isfinite(loss)).tolist()
                     for j in diverged:
-                        members[j].stop_reason = "diverged"
+                        members[j].report.stop_reason = "diverged"
                     stack = _leave(stack, members, diverged,
                                    (stack.grad, per_sample, xe, ye, losses))
                     k = stack.n_members
@@ -365,7 +351,7 @@ def _train_group(members, n_train, config, tc):
                 stack = _leave(stack, members, stopped)
             now = time.perf_counter()
             for m in entered:
-                m.seconds += (now - clock) / len(entered)
+                m.report.train_seconds += (now - clock) / len(entered)
             clock = now
             if not stack.n_members:
                 return
@@ -435,13 +421,13 @@ def one_class_cycle(matrix, class_id, mlp_config, train_config):
     def provider(bs):
         if bs == 0 or tc.reencode_per_batch_set:
             seed = derive_seed(tc.seed, "subset", bs)
-            subset = build_balanced_subset(matrix, class_id, seed, tc.balancing_tolerance)
+            subset = build_balanced_subset(matrix, class_id, seed)
             pos_mask[:] = False
             pos_mask[subset.positives] = True
             state["subset"] = subset
             state["seed"] = seed
         subset = state["subset"]
-        parts = split_dataset(subset, tc.fractions, derive_seed(tc.seed, "split", bs))
+        parts = split_dataset(subset, SPLIT_FRACTIONS, derive_seed(tc.seed, "split", bs))
         splits = tuple(_gather(matrix, pos_mask, idx) for idx in parts)
         return splits, state["seed"], (subset.n_positive, subset.n_negative)
 
@@ -480,7 +466,7 @@ def _fold_assignment(n_pos, n_neg, k, rng):
     return pos_folds, neg_folds
 
 
-def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None):
+def plan_k_fold(matrix, class_id, mlp_config, train_config):
     """The k fold ``Cycle``s of one k-fold evaluation, for ``_run_cycle``.
 
     The balanced subset is built once per evaluation (so folds stay fixed);
@@ -489,10 +475,8 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None):
     touching the held-out fold.  A class the data cannot support raises its
     ``OconError`` here, before any training.
     """
-    tc = train_config
-    k = tc.k_folds if k is None else k
-    subset = build_balanced_subset(matrix, class_id, derive_seed(tc.seed, "kfold-subset"),
-                                   tc.balancing_tolerance)
+    tc, k = train_config, train_config.k_folds
+    subset = build_balanced_subset(matrix, class_id, derive_seed(tc.seed, "kfold-subset"))
     n = subset.n_positive + subset.n_negative
     if k < 2 or k > n:
         raise TooFewSamples(f"k={k} folds impossible with {n} samples")
@@ -503,7 +487,7 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None):
     pos_mask = np.zeros(matrix.n_rows, dtype=bool)
     pos_mask[positives] = True
 
-    frac = tc.fractions
+    frac = SPLIT_FRACTIONS
     inner = (frac[0] / (frac[0] + frac[1]), frac[1] / (frac[0] + frac[1]), 0.0)
     name = matrix.class_names[class_id]
 
@@ -531,6 +515,8 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config, k=None):
 
 def k_fold_evaluate(matrix, class_id, mlp_config, train_config, k=None):
     """Average accuracy and training time over k held-out folds, all folds
-    trained by one engine call (see ``plan_k_fold``)."""
-    cycles = plan_k_fold(matrix, class_id, mlp_config, train_config, k=k)
+    trained by one engine call (see ``plan_k_fold``); ``k`` overrides
+    ``train_config.k_folds``."""
+    tc = train_config if k is None else replace(train_config, k_folds=k)
+    cycles = plan_k_fold(matrix, class_id, mlp_config, tc)
     return KFoldResult.of([report for _, report in _run_cycle(matrix, cycles)])

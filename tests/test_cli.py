@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from ocon import errors
 from ocon.cli import _load_stage, _mlp_config_from, _train_config_from, main
 from ocon.dataset import FEATURE_KEYS, ColumnLayout, filter_usable, read_records_csv
-from ocon.features import MATRIX_KIND, FeatureSetKind, load_matrix
+from ocon.container import read_container, write_container
+from ocon.ensemble import load_ensemble
+from ocon.features import MATRIX_KIND, MATRIX_VERSION, FeatureSetKind, load_matrix
 from ocon.mlp import MlpConfig
 from ocon.search import SearchStage
 from ocon.synth import write_synth_dat
@@ -347,7 +349,7 @@ class TestErrorContract:
         ("train", "--mlp-config", 'hidden_layers = ["7"]\n', "layer widths must be integers"),
         ("train", "--train-config",
          "fractions = [0.85, 0.15, 0.0]\nepochs_per_batch_set = 1\nmax_batch_sets = 1\n",
-         "fractions must all be > 0"),
+         "unknown key 'fractions'"),
         ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.hidden_layers = [-1]\n",
          "hidden_layers = -1 is not in 0..64"),
         ("search", "--stage", f"epochs = 1\nk_folds = 2\ngrid.hidden_layers = [{2 ** 62}]\n",
@@ -358,9 +360,9 @@ class TestErrorContract:
         ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.l2_lambda = [NaN]\n",
          "l2_lambda must be >= 0"),
         ("train", "--train-config", "balancing_tolerance = -1\n",
-         "balancing_tolerance must be >= 0"),
+         "unknown key 'balancing_tolerance'"),
         ("train", "--train-config", "balancing_tolerance = NaN\n",
-         "balancing_tolerance must be >= 0"),
+         "unknown key 'balancing_tolerance'"),
         ("train", "--mlp-config", 'loss = "mse"\n', "unknown key 'loss'"),
         ("train", "--mlp-config", 'activation = "relu"\n', "unknown key 'activation'"),
         ("search", "--stage", 'epochs = 1\nk_folds = 2\ngrid.loss = ["bce", "mse"]\n',
@@ -495,6 +497,47 @@ class TestErrorContract:
         capsys.readouterr()
         assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
         assert "ERROR ManifestMismatch" in capsys.readouterr().err
+
+    def test_swapped_member_entries_exit_1(self, pipeline_dir, tmp_path, capsys):
+        # each entry is intact, so only its position names the wrong class
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        manifest_path = os.path.join(model_dir, "ensemble.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        members = manifest["members"]
+        members[0], members[1] = members[1], members[0]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(errors.ManifestMismatch, match=r"member classes \['ah', 'ae'"):
+            load_ensemble(model_dir)
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ERROR ManifestMismatch" in captured.err
+
+    @pytest.mark.parametrize("name, value, dtype", [
+        ("labels", 12, np.int64), ("labels", -1, np.int64), ("labels", 3, np.float64),
+        ("groups", 4, np.int64), ("groups", -1, np.int64),
+    ], ids=["label_past_classes", "label_negative", "label_float", "group_past_codes",
+            "group_negative"])
+    def test_out_of_range_codes_exit_1(self, pipeline_dir, tmp_path, capsys, name, value,
+                                       dtype):
+        # the file's CRC is valid: only the code of row 7 (or its dtype) is wrong
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        _, meta, arrays = read_container(str(pipeline_dir / "matrix.ocm"), MATRIX_KIND,
+                                         MATRIX_VERSION)
+        arrays[name] = arrays[name].astype(dtype)
+        arrays[name][7] = value
+        crafted = str(tmp_path / "crafted.ocm")
+        write_container(crafted, MATRIX_KIND, MATRIX_VERSION, meta, arrays)
+        for argv in (["eval", "--model", model_dir, "--out-dir", str(tmp_path / "eval")],
+                     ["train", "--out-dir", str(tmp_path / "m")]):
+            capsys.readouterr()
+            assert main([*argv, "--matrix", crafted]) == 1
+            err = capsys.readouterr().err
+            assert f"ERROR CorruptPayload: {crafted}: {name} must be integers" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["no_arrays", "header_is_a_list", "unknown_dtype",
                                       "negative_offset", "no_matrix_arrays"])

@@ -584,6 +584,12 @@ class TestSaveLoad:
         with pytest.raises(ManifestMismatch, match="zscore"):
             load_ensemble(path)
 
+    def test_extra_member_entry(self, saved_ensemble, tmp_path):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        edit_manifest(path, lambda m: m["members"].append(dict(m["members"][0])))
+        with pytest.raises(ManifestMismatch, match="member classes"):
+            load_ensemble(path)
+
     def test_member_entry_without_hash(self, saved_ensemble, tmp_path):
         path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
         edit_manifest(path, lambda m: m["members"][1].pop("sha256"))

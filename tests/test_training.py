@@ -97,14 +97,6 @@ class TestSplitDataset:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
-    @pytest.mark.parametrize("fractions", [(0.85, 0.15, 0.0), (0.85, 0.0, 0.15),
-                                           (float("nan"), 0.5, 0.5)])
-    def test_train_config_needs_every_split(self, fractions):
-        # an empty dev split reads a NaN accuracy, which passed the
-        # early-stop escape after one epoch
-        with pytest.raises(ValueError, match="fractions must all be > 0"):
-            TrainConfig(fractions=fractions)
-
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=4, max_value=400),
            st.integers(min_value=4, max_value=400),
@@ -217,12 +209,12 @@ class TestClassIdAndEscapeOnTest:
             one_class_cycle(matrix, class_id, cfg, tc)
 
     def test_escape_on_test_checks_the_test_split(self, monkeypatch):
-        # dev (30 rows) and test (18 rows) differ in size, so the row count
+        # dev (19 rows) and test (18 rows) differ in size, so the row count
         # of every held-out check names the split it read
-        matrix = blob_matrix(n_per_class=60, separation=1.5, seed=3)
+        matrix = blob_matrix(n_per_class=62, separation=1.5, seed=3)
         cfg = MlpConfig(input_dim=3, hidden_layers=(8,), learning_rate=3e-3, seed=0)
-        tc = TrainConfig(fractions=(0.6, 0.25, 0.15), epochs_per_batch_set=40,
-                         max_batch_sets=3, early_stop=EarlyStopRule(0.6, 85.0), seed=0)
+        tc = TrainConfig(epochs_per_batch_set=40, max_batch_sets=3,
+                         early_stop=EarlyStopRule(0.6, 85.0), seed=0)
         checked = []
         original = training.binary_accuracy
 
@@ -234,9 +226,9 @@ class TestClassIdAndEscapeOnTest:
         _, on_dev = train_one_class(matrix, 0, cfg, tc)
         dev_checks, checked[:] = checked[:], []
         _, on_test = train_one_class(matrix, 0, cfg, replace(tc, escape_on_test=True))
-        assert on_dev.split_sizes[0] == on_test.split_sizes[0] == (72, 30, 18)
+        assert on_dev.split_sizes[0] == on_test.split_sizes[0] == (87, 19, 18)
         # held-out checks, then the final test-accuracy pass
-        assert set(dev_checks[:-1]) == {30} and dev_checks[-1] == 18
+        assert set(dev_checks[:-1]) == {19} and dev_checks[-1] == 18
         assert set(checked) == {18} and len(checked) >= 2
         assert on_dev.stop_reason == on_test.stop_reason == "early_stop"
         assert on_dev.epochs_run != on_test.epochs_run
@@ -356,7 +348,7 @@ class TestLockstep:
         tc = replace(TUNED_TC, reencode_per_batch_set=False)
 
         def cycles():
-            return [c for cid in (0, 4) for c in plan_k_fold(synth_matrix, cid, mlp, tc, k=3)]
+            return [c for cid in (0, 4) for c in plan_k_fold(synth_matrix, cid, mlp, tc)]
 
         trained = _run_cycle(synth_matrix, cycles())
         assert len({r.split_sizes[0][0] for _, r in trained}) > 1
@@ -525,7 +517,7 @@ class TestParallelLockstep:
                                  seed=derive_seed(cell_seed, "train"),
                                  reencode_per_batch_set=False)
                 folds = [_run_cycle(matrix, [c])[0][1]
-                         for c in plan_k_fold(matrix, cid, mlp, tc, k=stage.k_folds)]
+                         for c in plan_k_fold(matrix, cid, mlp, tc)]
                 assert row.per_class[name][0] == KFoldResult.of(folds).mean_accuracy
 
 
