@@ -21,7 +21,7 @@ print(f"\ntrue class iy: {subset.n_positive} positives, "
       f"{subset.n_negative} negatives "
       f"(|diff| = {abs(subset.n_positive - subset.n_negative)})")
 print("per-false-class draw sizes:",
-      {matrix.class_name(c): len(rows)
+      {matrix.class_names[c]: len(rows)
        for c, rows in subset.negatives_by_class.items()})
 
 # Deterministic per seed: the same seed always reproduces the same subset.

@@ -11,7 +11,7 @@ import warnings
 
 from ocon.balancer import BalanceWarning
 from ocon.features import FeatureSetKind, build_feature_matrix
-from ocon.search import desk_scale, narrow_grid, run_stage, stage_presets
+from ocon.search import desk_scale, run_stage, stage_presets
 from ocon.synth import synth_records
 
 warnings.simplefilter("ignore", BalanceWarning)
@@ -36,6 +36,4 @@ for row in result.ranked[:5]:
 
 best = result.selected
 print(f"\nselected: {best.hps} at {best.mean_accuracy:.2f}% mean accuracy")
-print("narrowed learning-rate grid:",
-      narrow_grid(result, "learning_rate", factor=2))
 print("\nthe winning values would be inherited as the next stage's fixed HPs")

@@ -29,7 +29,7 @@ _EXPORTS = {
                 "roc_auc"),
     "mlp": ("MlpConfig", "MlpModel", "forward", "init_params", "load_model",
             "loss_and_grads", "optimizer_step", "save_model"),
-    "search": ("SearchStage", "desk_scale", "narrow_grid", "run_stage", "stage_presets"),
+    "search": ("SearchStage", "desk_scale", "run_stage", "stage_presets"),
     "training": ("EarlyStopRule", "KFoldResult", "TrainConfig", "TrainReport",
                  "k_fold_evaluate", "split_dataset", "train_one_class"),
 }

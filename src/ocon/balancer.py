@@ -66,13 +66,6 @@ class BalancedSubset:
         return np.concatenate([self.positives, self.negatives])
 
     @property
-    def binary_labels(self):
-        return np.concatenate([
-            np.ones(len(self.positives), dtype=np.int64),
-            np.zeros(len(self.negatives), dtype=np.int64),
-        ])
-
-    @property
     def n_positive(self):
         return len(self.positives)
 

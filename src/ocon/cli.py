@@ -60,7 +60,7 @@ def cmd_ingest(args):
     records = load_dataset(args.data, layout)
     write_records_csv(records, args.out)
     stats = class_statistics(records)
-    stats_path = args.stats or args.out + ".stats.txt"
+    stats_path = args.out + ".stats.txt"
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write(f"rows: {len(records)}\n\n")
         fh.write(stats.format_table())
@@ -147,9 +147,7 @@ def cmd_search(args):
     from .configfile import save_config
     from .search import desk_scale, hp_to_mlp_config, run_stage
 
-    stage = _load_stage(args.stage)
-    if args.desk_scale > 1:
-        stage = desk_scale(stage, args.desk_scale)
+    stage = desk_scale(_load_stage(args.stage), args.desk_scale)
     inherited = load_config(args.inherit) if args.inherit else None
     if inherited is not None:
         try:
@@ -334,7 +332,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--layout", help="column layout config (default: public distribution)")
     p.add_argument("--out", required=True, help="records CSV path")
-    p.add_argument("--stats", help="stats sidecar path")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="build a scaled feature matrix")

@@ -6,20 +6,20 @@ Layout (all integers little-endian)::
     kind      16 bytes   ASCII tag, NUL padded (e.g. "feature_matrix")
     version    1 byte
     header    u32 length + UTF-8 JSON metadata (includes the array index)
-    payload    raw array bytes, C order, little-endian dtypes
+    payload    raw array bytes, C order, little-endian float64 or int64
     crc32      u32 over everything above
 
 The header is ``{"meta": {...}, "arrays": [entry, ...]}``; each entry names
-an array's dtype (bool, integer, float or complex), shape, and byte offset
-and length within the payload.  Round-trips are bit-exact for float64
-payloads.  Truncation, corruption, or a header whose entries do not describe
-arrays lying wholly inside the payload raises CorruptPayload; a version byte
-newer than the reader raises VersionMismatch.
+an array's dtype ("f8" or "i8", the only two that matrix and checkpoint
+files hold), shape, and byte offset and length within the payload.
+Round-trips are bit-exact.  Truncation, corruption, another dtype, or a
+header whose entries do not describe arrays lying wholly inside the payload
+raises CorruptPayload; a version byte newer than the reader raises
+VersionMismatch.
 """
 
 import json
 import math
-import re
 import struct
 import zlib
 
@@ -29,16 +29,17 @@ from .errors import CorruptPayload, VersionMismatch
 
 MAGIC = b"OCONBIN\x00"
 _KIND_LEN = 16
-#: Array dtypes a container holds: bool, signed or unsigned integer, float
-#: or complex, written without byte-order mark (e.g. "f8", "i8", "b1").
-_DTYPE = re.compile(r"[biufc][0-9]{1,2}")
+#: Array dtypes a container holds, written without byte-order mark: float64
+#: and int64.
+_DTYPES = ("f8", "i8")
 
 
 def write_container(path, kind, version, meta, arrays):
     """Write metadata plus named arrays to ``path``.
 
     ``meta`` must be JSON-serializable; ``arrays`` is an ordered mapping of
-    name -> ndarray.  Dtypes are preserved (stored little-endian).
+    name -> float64 or int64 ndarray, stored little-endian; another dtype
+    raises ValueError.
     """
     index = []
     chunks = []
@@ -46,7 +47,7 @@ def write_container(path, kind, version, meta, arrays):
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         dtype = arr.dtype.str.lstrip("<>=|")
-        if not _DTYPE.fullmatch(dtype):
+        if dtype not in _DTYPES:
             raise ValueError(f"array {name!r}: unsupported dtype {arr.dtype}")
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         raw = le.tobytes()
@@ -89,12 +90,9 @@ def _read_array(path, entry, body, payload_at):
             and all(_is_count(n) for n in shape)
             and _is_count(offset) and _is_count(nbytes)):
         raise CorruptPayload(f"{path}: malformed index entry for array {name!r}")
-    if not (isinstance(dtype, str) and _DTYPE.fullmatch(dtype)):
+    if dtype not in _DTYPES:
         raise CorruptPayload(f"{path}: array {name!r} has unsupported dtype {dtype!r}")
-    try:
-        dtype = np.dtype(dtype).newbyteorder("<")
-    except TypeError as err:
-        raise CorruptPayload(f"{path}: array {name!r} has unsupported dtype ({err})") from err
+    dtype = np.dtype("<" + dtype)
     if math.prod(shape) * dtype.itemsize != nbytes:
         raise CorruptPayload(f"{path}: array {name!r} shape {shape} does not fit {nbytes} bytes")
     start = payload_at + offset

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .configfile import build, load_config, save_config
+from .configfile import build, load_config
 from .errors import (
     MalformedFilename,
     MalformedRow,
@@ -219,9 +219,6 @@ class ColumnLayout:
         raw = load_config(path)
         skip = raw.pop("skip_rows", 0)
         return build(cls, {"columns": raw, "skip_rows": skip}, path)
-
-    def to_file(self, path):
-        save_config({"skip_rows": self.skip_rows, **self.columns}, path)
 
 
 def _split_row(line):

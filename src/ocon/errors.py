@@ -101,12 +101,6 @@ class TooFewSamples(OconError):
     """Requested split or fold structure would leave a part empty."""
 
 
-# --- hyperparameter search ---
-
-class NonNumericHp(OconError):
-    """Grid narrowing requested on a non-numeric hyperparameter."""
-
-
 # --- ensemble ---
 
 class ManifestMismatch(OconError):

@@ -151,19 +151,6 @@ class FeatureMatrix:
     def n_classes(self):
         return len(self.class_names)
 
-    def class_name(self, label_id):
-        return self.class_names[label_id]
-
-    def take(self, indices):
-        """Row-sliced matrix sharing this one's scaling and provenance.
-
-        Lets any evaluation run on a subset (e.g. a held-out split) instead
-        of the whole dataset.
-        """
-        indices = np.asarray(indices)
-        return replace(self, values=self.values[indices], labels=self.labels[indices],
-                       groups=self.groups[indices])
-
 
 def speaker_view(matrix):
     """The same rows labelled by speaker group: male = men, female = women,
@@ -214,9 +201,9 @@ def save_matrix(matrix, path):
 
 
 def load_matrix(path):
-    """Read a matrix file; a missing or ill-typed array or metadata key, a
-    label or group code out of range, or a scaling mode other than min-max,
-    raises CorruptPayload."""
+    """Read a matrix file; a missing or ill-typed array or metadata key,
+    ``values`` that are not float64, a label or group code out of range, or a
+    scaling mode other than min-max, raises CorruptPayload."""
     _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
     try:
         scaling = ScalingRecord.from_dict({"mode": meta["scaling_mode"],
@@ -231,6 +218,8 @@ def load_matrix(path):
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err
+    if matrix.values.dtype != np.float64:
+        raise CorruptPayload(f"{path}: values must be float64, not {matrix.values.dtype}")
     for name, n_codes in (("labels", matrix.n_classes), ("groups", len(SpeakerGroup))):
         codes = getattr(matrix, name)
         # a label past the class table would index out of it, a negative one wrap

@@ -59,11 +59,6 @@ class DetMetrics:
     for_: float
     npv: float
 
-    @property
-    def undefined(self):
-        names = {"er": self.er, "fdr": self.fdr, "for": self.for_, "npv": self.npv}
-        return tuple(k for k, v in names.items() if v is None)
-
 
 def det_metrics(counts):
     """DET rates from confusion counts; undefined fields stay None."""
@@ -106,9 +101,7 @@ def roc_auc(scores, labels):
     cum_tp = np.cumsum(sorted_truth)
     cum_fp = np.cumsum(~sorted_truth)
     # one operating point after each distinct score value
-    boundary = np.flatnonzero(np.diff(sorted_scores)) if len(sorted_scores) > 1 \
-        else np.empty(0, dtype=np.int64)
-    cut = np.append(boundary, len(sorted_scores) - 1)
+    cut = np.append(np.flatnonzero(np.diff(sorted_scores)), len(sorted_scores) - 1)
 
     tpr = np.concatenate([[0.0], cum_tp[cut] / n_pos])
     fpr = np.concatenate([[0.0], cum_fp[cut] / n_neg])

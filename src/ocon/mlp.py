@@ -54,7 +54,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import container
-from .errors import CorruptPayload, DimensionMismatch
+from .configfile import build
+from .errors import CorruptPayload, DimensionMismatch, OconError
 from .util import sha256_json
 
 ADAM_BETA1 = 0.9
@@ -661,25 +662,27 @@ def read_checkpoint(path):
     """A v1 or v2 checkpoint (v1 optimizer moments are ignored) as its
     ``MlpModel`` with ``params=None`` and ``fill(params)``, which writes the
     arrays and step into params of that config and returns them.  Metadata
-    or arrays that do not fit the recorded config, and a config whose
-    ``FIXED_CONFIG`` keys hold other values, raise CorruptPayload."""
+    or arrays that do not fit the recorded config, a config that
+    ``configfile.build`` refuses, and a config whose ``FIXED_CONFIG`` keys
+    hold other values, raise CorruptPayload."""
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     try:
         raw = dict(meta["config"])
         fixed = {key: raw.pop(key, value) for key, value in FIXED_CONFIG.items()}
         if fixed != FIXED_CONFIG:
             raise ValueError(f"config holds {fixed}, not {FIXED_CONFIG}")
-        config = MlpConfig(**raw)
+        config = build(MlpConfig, raw, "config")
         step, scaling_hash, manifest_hash = (
             meta["step"], meta["scaling_hash"], meta["manifest_hash"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OconError) as err:
         raise CorruptPayload(f"{path}: bad checkpoint metadata ({err!r})") from err
 
     def fill(params):
         for name, target in _checkpoint_arrays(params):
             stored = arrays.get(name)
-            if stored is None or stored.shape != target.shape:
-                raise CorruptPayload(f"{path}: array {name!r} missing or of the wrong shape")
+            if stored is None or stored.shape != target.shape or stored.dtype != target.dtype:
+                raise CorruptPayload(
+                    f"{path}: array {name!r} missing or of the wrong shape or dtype")
             target[...] = stored
         params.step = step
         return params

@@ -3,10 +3,11 @@
 Each stage fixes part of the configuration, sweeps a small grid over the
 rest, scores every combination on every class with k-fold validation, and
 ranks by mean accuracy (ties: lower mean training time, then grid order).
-The winning values are inherited by later stages; ``narrow_grid`` refines a
-numeric hyperparameter around the current best.  The four preset stages
-mirror the reference experiment ladder: topology/optimizer/learning-rate,
-dropout, batch-norm with a learning-rate recheck, and L2 weight decay.
+The winning values are inherited by later stages: ``ocon search`` writes
+them to ``<out>.selected.cfg``, which the next stage reads with
+``--inherit``.  The four preset stages mirror the reference experiment
+ladder: topology/optimizer/learning-rate, dropout, batch-norm with a
+learning-rate recheck, and L2 weight decay.
 
 A search task (``_run_cell``) is one grid combination, or a run of its
 classes when combinations are fewer than workers (``training.fan_out``):
@@ -23,25 +24,11 @@ import io
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .configfile import build, load_config, parse_config_text
-from .errors import NonNumericHp, OconError
+from .configfile import build, load_config
+from .errors import OconError
 from .mlp import MlpConfig
 from .training import KFoldResult, TrainConfig, _run_cycle, fan_out, plan_k_fold
 from .util import derive_seed
-
-#: Hyperparameters refined on a log scale; everything else numeric is linear.
-GEOMETRIC_HPS = frozenset({"learning_rate", "l2_lambda"})
-
-#: Valid domains for narrowable hyperparameters: (low, high, integer?).
-HP_DOMAINS = {
-    "learning_rate": (0.0, None, False),
-    "l2_lambda": (0.0, None, False),
-    "hidden_nodes": (1, None, True),
-    "hidden_layers": (1, None, True),
-    "batch_size": (1, None, True),
-    "dropout_keep_input": (0.0, 1.0, False),
-    "dropout_keep_hidden": (0.0, 1.0, False),
-}
 
 
 @dataclass(frozen=True)
@@ -83,10 +70,6 @@ class SearchStage:
             return cls._from_dict(raw)
         except OconError as err:
             raise OconError(f"{path}: {err}") from None
-
-    @classmethod
-    def from_text(cls, text):
-        return cls._from_dict(parse_config_text(text))
 
     @classmethod
     def _from_dict(cls, raw):
@@ -294,34 +277,3 @@ def run_stage(matrix, stage, inherited=None, seed=0, workers=1):
             diverged=diverged,
             failures={name: why for name, why in zip(matrix.class_names, failures) if why}))
     return SearchResult(stage_name=stage.name, rows=rows)
-
-
-def narrow_grid(result, hp, factor):
-    """New candidate list centered on the winning value of ``hp``.
-
-    Learning-rate-like HPs refine geometrically ({best/f, best, best*f});
-    counts and rates refine arithmetically with step ``factor``.  Values are
-    clipped to the hyperparameter's valid domain and deduplicated.
-    """
-    best = result.selected.hps.get(hp)
-    if not isinstance(best, (int, float)) or isinstance(best, bool):
-        raise NonNumericHp(f"hyperparameter {hp!r} has non-numeric value {best!r}")
-    if hp in GEOMETRIC_HPS:
-        raw = [best / factor, best, best * factor]
-    else:
-        raw = [best - factor, best, best + factor]
-
-    low, high, integer = HP_DOMAINS.get(hp, (None, None, False))
-    out = []
-    for v in raw:
-        if integer:
-            v = int(round(v))
-        if low is not None and v <= low and not integer:
-            continue
-        if integer and low is not None and v < low:
-            continue
-        if high is not None and v > high:
-            v = high
-        if v not in out:
-            out.append(v)
-    return out or [best]

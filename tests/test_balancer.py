@@ -53,8 +53,6 @@ class TestPhonemeSubsets:
         subset = build_balanced_subset(reference_matrix, 3, seed=1)
         idx = subset.indices
         assert len(np.unique(idx)) == len(idx)
-        y = subset.binary_labels
-        assert y.sum() == subset.n_positive
         assert np.all(reference_matrix.labels[subset.positives] == 3)
         for c, rows in subset.negatives_by_class.items():
             assert np.all(reference_matrix.labels[rows] == c)

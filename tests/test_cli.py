@@ -17,10 +17,11 @@ from ocon.dataset import FEATURE_KEYS, ColumnLayout, filter_usable, read_records
 from ocon.container import read_container, write_container
 from ocon.ensemble import load_ensemble
 from ocon.features import MATRIX_KIND, MATRIX_VERSION, FeatureSetKind, load_matrix
-from ocon.mlp import MlpConfig
+from ocon.mlp import CHECKPOINT_KIND, CHECKPOINT_VERSION, MlpConfig
 from ocon.search import SearchStage
 from ocon.synth import write_synth_dat
 from ocon.training import EarlyStopRule, TrainConfig
+from ocon.util import sha256_file
 from tests.test_container import MALFORMED_HEADERS, PAYLOAD, write_raw
 
 
@@ -275,9 +276,7 @@ class TestErrorContract:
         bad = tmp_path / "bad.dat"
         bad.write_text("zzzzz 1 2 3\n")
         layout = tmp_path / "layout.cfg"
-        from ocon.dataset import ColumnLayout, FEATURE_KEYS
-        ColumnLayout(columns={k: i + 1 for i, k in enumerate(FEATURE_KEYS)}).to_file(
-            str(layout))
+        layout.write_text("".join(f"{k} = {i + 1}\n" for i, k in enumerate(FEATURE_KEYS)))
         code = main(["ingest", "--data", str(bad), "--layout", str(layout),
                      "--out", str(tmp_path / "r.csv")])
         assert code == 1
@@ -295,6 +294,14 @@ class TestErrorContract:
                   "--out", str(out)])
         assert err.value.code == 2
         assert not out.exists()
+
+    def test_retired_stats_flag_exit_2(self, tmp_path):
+        stats = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            main(["ingest", "--data", str(tmp_path / "x.dat"), "--out", str(tmp_path / "r.csv"),
+                  "--stats", str(stats)])
+        assert err.value.code == 2
+        assert not stats.exists()
 
     def test_eval_on_another_feature_set_names_both(self, pipeline_dir, tmp_path, capsys):
         assert main(["preprocess", "--records", str(pipeline_dir / "records.csv"),
@@ -550,6 +557,51 @@ class TestErrorContract:
         assert code == 1
         assert "ERROR CorruptPayload" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_, np.complex128])
+    def test_matrix_values_not_float64_exit_1(self, pipeline_dir, tmp_path, capsys, dtype):
+        # built by hand with a valid CRC, since the writer refuses most of these dtypes
+        _, meta, arrays = read_container(str(pipeline_dir / "matrix.ocm"), MATRIX_KIND,
+                                         MATRIX_VERSION)
+        arrays["values"] = arrays["values"].astype(dtype)
+        index, offset = [], 0
+        for name, arr in arrays.items():
+            index.append({"name": name, "dtype": arr.dtype.str.lstrip("<>=|"),
+                          "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
+            offset += arr.nbytes
+        crafted = str(tmp_path / "crafted.ocm")
+        write_raw(crafted, {"meta": meta, "arrays": index},
+                  b"".join(arr.tobytes() for arr in arrays.values()),
+                  kind=MATRIX_KIND.encode(), version=MATRIX_VERSION)
+        code = main(["train", "--matrix", crafted, "--out-dir", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"ERROR CorruptPayload: {crafted}:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("input_dim", 3.0), ("batch_norm", "yes"), ("batch_size", 32.5), ("seed", "x"),
+    ])
+    def test_checkpoint_config_of_wrong_type_exit_1(self, pipeline_dir, tmp_path, capsys,
+                                                    key, value):
+        # the member's sha256 in ensemble.json is updated, so only its config is wrong
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        manifest_path = os.path.join(model_dir, "ensemble.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        entry = manifest["members"][0]
+        member = os.path.join(model_dir, entry["file"])
+        _, meta, arrays = read_container(member, CHECKPOINT_KIND, CHECKPOINT_VERSION)
+        meta["config"][key] = value
+        write_container(member, CHECKPOINT_KIND, CHECKPOINT_VERSION, meta, arrays)
+        entry["sha256"] = sha256_file(member)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ERROR CorruptPayload: {member}:")
+        assert key in captured.err and "Traceback" not in captured.err
+
 
 class TestConfigFuzz:
     """Config text through the loader of every config-reading flag, without
@@ -729,7 +781,7 @@ class TestStartup:
         "class_statistics", "decode_filename", "desk_scale", "det_metrics",
         "encode_filename", "evaluate_ensemble", "filter_usable", "fit_minmax", "forward",
         "infer", "init_params", "k_fold_evaluate", "load_dataset", "load_ensemble",
-        "load_matrix", "load_model", "loss_and_grads", "narrow_grid", "normalize_by_f0",
+        "load_matrix", "load_model", "loss_and_grads", "normalize_by_f0",
         "optimizer_step", "report_tables", "retrain_member", "roc_auc", "run_stage",
         "save_ensemble", "save_matrix", "save_model", "speaker_view", "split_dataset",
         "stage_presets", "train_ensemble", "train_one_class")

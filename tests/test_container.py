@@ -16,14 +16,12 @@ def test_roundtrip_preserves_dtypes_and_bits(tmp_path):
     arrays = {
         "f": np.array([[1.5, -0.0], [np.pi, 1e-300]]),
         "i": np.arange(7, dtype=np.int64),
-        "b": np.array([True, False]),
     }
     write_container(path, "unit_test", 2, {"answer": 42}, arrays)
     version, meta, back = read_container(path, "unit_test", 2)
     assert version == 2 and meta == {"answer": 42}
     assert np.array_equal(back["f"].view(np.uint64), arrays["f"].view(np.uint64))
-    assert back["i"].dtype == np.int64
-    assert np.array_equal(back["b"], arrays["b"])
+    assert back["i"].dtype == np.int64 and np.array_equal(back["i"], arrays["i"])
 
 
 def test_wrong_kind(tmp_path):
@@ -130,6 +128,20 @@ def test_kind_that_is_not_text_is_corrupt(tmp_path):
     write_raw(path, {"meta": {}, "arrays": []}, kind=b"\xff" * 8)
     with pytest.raises(CorruptPayload):
         read_container(path, "alpha", 1)
+
+
+def test_only_float64_and_int64_arrays(tmp_path):
+    """An index entry of any other dtype is corrupt even when its bytes fit
+    the payload, and the writer refuses such an array."""
+    path = str(tmp_path / "blob.bin")
+    for dtype in ("b1", "u1", "c16", "f4"):
+        entry = {**GOOD_ENTRY, "dtype": dtype, "nbytes": 4 * np.dtype(dtype).itemsize}
+        write_raw(path, {"meta": {}, "arrays": [entry]}, bytes(64))
+        with pytest.raises(CorruptPayload, match="unsupported dtype"):
+            read_container(path, "alpha", 1)
+    for arr in (np.array([True, False]), np.zeros(3, dtype=np.float32)):
+        with pytest.raises(ValueError, match="dtype"):
+            write_container(path, "alpha", 1, {}, {"x": arr})
 
 
 def test_writer_rejects_object_arrays(tmp_path):

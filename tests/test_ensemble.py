@@ -638,3 +638,15 @@ class TestSaveLoad:
         edit_manifest(path, lambda m: m["members"][1].update(sha256=sha256_file(str(member))))
         with pytest.raises(CorruptPayload, match="w0"):
             load_ensemble(path)
+
+    def test_member_with_int64_array_is_corrupt(self, saved_ensemble, tmp_path):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        member = path / "member_c1.ocmdl"
+        _, meta, arrays = container.read_container(str(member), CHECKPOINT_KIND,
+                                                   CHECKPOINT_VERSION)
+        arrays["b0"] = arrays["b0"].astype(np.int64)
+        container.write_container(str(member), CHECKPOINT_KIND, CHECKPOINT_VERSION,
+                                  meta, arrays)
+        edit_manifest(path, lambda m: m["members"][1].update(sha256=sha256_file(str(member))))
+        with pytest.raises(CorruptPayload, match="b0.*dtype"):
+            load_ensemble(path)

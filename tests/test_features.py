@@ -200,15 +200,6 @@ class TestBuildFeatureMatrix:
         with np.errstate(invalid="ignore"), pytest.raises(UnusableRecord, match="not finite"):
             build_feature_matrix(records, FeatureSetKind.SS4)
 
-    def test_take_slices_rows_and_keeps_provenance(self, synth_matrix):
-        rows = np.array([3, 5, 8, 13])
-        part = synth_matrix.take(rows)
-        assert part.n_rows == 4
-        assert np.array_equal(part.values, synth_matrix.values[rows])
-        assert np.array_equal(part.labels, synth_matrix.labels[rows])
-        assert part.scaling is synth_matrix.scaling
-        assert part.feature_set is synth_matrix.feature_set
-
 
 class TestMatrixSerialization:
     def test_roundtrip_bitwise(self, tmp_path, synth_matrix):

@@ -7,7 +7,8 @@ per-element arithmetic of forward, backward or the optimizer moves a digest,
 so a refactor that claims identical training is held to it.  The early-stop
 case keeps a rolling loss window of 500 samples, about 2.5 epochs, so the
 stop epoch also pins how the window carries losses across epochs and
-batch-sets.
+batch-sets.  The desk-scaled stage-1 ranked search CSV is pinned at one and
+two workers, so its bytes hold for any worker count.
 
 The digests are float64 results of this numpy and its BLAS; a different BLAS
 kernel can round a matmul differently.  Re-pin only after the parent commit
@@ -23,6 +24,7 @@ from ocon.ensemble import save_ensemble, train_ensemble
 from ocon.features import speaker_view
 from ocon.metrics import report_tables
 from ocon.mlp import MlpConfig
+from ocon.search import desk_scale, run_stage, stage_presets
 from ocon.training import EarlyStopRule, TrainConfig, train_one_class
 from ocon.util import sha256_file
 
@@ -147,3 +149,14 @@ def test_cli_chain_is_byte_identical(tmp_path, capsys):
                  "eval/roc_ae.csv"):
         digests[name] = sha256_file(str(tmp_path / name))
     assert digests == CLI_CHAIN_DIGESTS
+
+
+#: sha256 of the stage-1 ranked CSV at desk scale 100 on the seed-11 corpus
+STAGE1_CSV_DIGEST = "6c172ec4cb88db4dfcf40679b8383c55b8f0b7fb75bc541dd2041133c9410a16"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stage1_ranked_csv_is_byte_identical(synth_matrix, workers):
+    result = run_stage(synth_matrix, desk_scale(stage_presets()[0], 100), seed=0,
+                       workers=workers)
+    assert hashlib.sha256(result.to_csv_text().encode()).hexdigest() == STAGE1_CSV_DIGEST

@@ -35,7 +35,7 @@ class TestDetMetrics:
         det = det_metrics(ConfusionCounts(tp=50, fp=0, tn=50, fn=0))
         assert det.er == 0.0 and det.fdr == 0.0
         assert det.for_ == 0.0 and det.npv == 1.0
-        assert det.undefined == ()
+        assert all(v is not None for v in (det.er, det.fdr, det.for_, det.npv))
 
     def test_worked_example(self):
         # TP=8 FP=2 TN=85 FN=5, N=100
@@ -60,7 +60,7 @@ class TestDetMetrics:
     def test_undefined_denominators_not_zeroed(self):
         det = det_metrics(ConfusionCounts(tp=0, fp=0, tn=3, fn=2))
         assert det.fdr is None
-        assert "fdr" in det.undefined
+        assert det.er is not None and det.for_ is not None and det.npv is not None
         det = det_metrics(ConfusionCounts(tp=5, fp=1, tn=0, fn=0))
         assert det.for_ is None and det.npv is None
 

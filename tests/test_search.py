@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from ocon import search
-from ocon.errors import NonNumericHp, OconError, TooFewSamples
+from ocon.errors import OconError, TooFewSamples
 from ocon.mlp import MlpConfig
 from ocon.search import (
     SearchStage,
     desk_scale,
     hp_to_mlp_config,
-    narrow_grid,
     run_stage,
     stage_presets,
 )
@@ -85,7 +84,7 @@ class TestPresets:
 
 
 class TestStageFiles:
-    def test_parse_stage_text(self):
+    def test_parse_stage_text(self, tmp_path):
         text = """
         name = custom_stage
         k_folds = 4
@@ -95,7 +94,9 @@ class TestStageFiles:
         grid.hidden_nodes = [10, 20]
         grid.learning_rate = [1e-3, 1e-4]
         """
-        stage = SearchStage.from_text(text)
+        path = tmp_path / "stage.cfg"
+        path.write_text(text)
+        stage = SearchStage.from_file(str(path))
         assert stage.name == "custom_stage"
         assert stage.k_folds == 4 and stage.epochs == 250
         assert stage.fixed == {"hidden_layers": 1, "optimizer": "adam"}
@@ -282,33 +283,3 @@ class TestRunStage:
         assert result.selected.index == 2  # best acc, best time, lowest index
         # persisted ranking ignores wall-clock so files are reproducible
         assert [r.index for r in result.ranked] == [1, 2, 3, 0]
-
-
-class TestNarrowGrid:
-    def result_with(self, hps):
-        from ocon.search import CombinationResult, SearchResult
-        return SearchResult(stage_name="t",
-                            rows=[CombinationResult(0, hps, 90.0, 1.0, {}, False)])
-
-    def test_geometric_learning_rate(self):
-        result = self.result_with({"learning_rate": 1e-4})
-        assert narrow_grid(result, "learning_rate", 2) == [5e-5, 1e-4, 2e-4]
-
-    def test_arithmetic_keep_probability(self):
-        result = self.result_with({"dropout_keep_hidden": 0.5})
-        got = narrow_grid(result, "dropout_keep_hidden", 0.05)
-        assert got == pytest.approx([0.45, 0.5, 0.55])
-
-    def test_clip_at_domain_edge(self):
-        result = self.result_with({"dropout_keep_hidden": 1.0})
-        got = narrow_grid(result, "dropout_keep_hidden", 0.05)
-        assert got == pytest.approx([0.95, 1.0])
-
-    def test_arithmetic_hidden_nodes(self):
-        result = self.result_with({"hidden_nodes": 100})
-        assert narrow_grid(result, "hidden_nodes", 25) == [75, 100, 125]
-
-    def test_non_numeric_hp(self):
-        result = self.result_with({"optimizer": "adam"})
-        with pytest.raises(NonNumericHp):
-            narrow_grid(result, "optimizer", 2)
