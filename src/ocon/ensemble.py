@@ -177,6 +177,9 @@ def infer(model, vector, scaled=False):
     arg-max over NaN would name class 0 and clamping would turn an infinity
     into a valid value.  This is where serving input is checked, once; the
     scaling and the stacked pass behind it only compute.
+    A vector served alone and the same vector inside a batch can differ by a
+    few ulps, because BLAS rounds one-row and many-row products differently;
+    at a near-tie between two classes their labels can then differ too.
     """
     config = model.store.config
     x, d = np.asarray(vector, dtype=np.float64), config.input_dim

@@ -663,8 +663,9 @@ def read_checkpoint(path):
     ``MlpModel`` with ``params=None`` and ``fill(params)``, which writes the
     arrays and step into params of that config and returns them.  Metadata
     or arrays that do not fit the recorded config, a config that
-    ``configfile.build`` refuses, and a config whose ``FIXED_CONFIG`` keys
-    hold other values, raise CorruptPayload."""
+    ``configfile.build`` refuses, a config whose ``FIXED_CONFIG`` keys hold
+    other values, a step that is not a non-negative int and hashes that are
+    not strings raise CorruptPayload."""
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     try:
         raw = dict(meta["config"])
@@ -674,6 +675,11 @@ def read_checkpoint(path):
         config = build(MlpConfig, raw, "config")
         step, scaling_hash, manifest_hash = (
             meta["step"], meta["scaling_hash"], meta["manifest_hash"])
+        if type(step) is not int or step < 0:
+            raise ValueError(f"step {step!r} is not a non-negative int")
+        if not (isinstance(scaling_hash, str) and isinstance(manifest_hash, str)):
+            raise ValueError(f"scaling_hash {scaling_hash!r} and manifest_hash "
+                             f"{manifest_hash!r} must be strings")
     except (KeyError, TypeError, ValueError, OconError) as err:
         raise CorruptPayload(f"{path}: bad checkpoint metadata ({err!r})") from err
 

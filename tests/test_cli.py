@@ -577,12 +577,11 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith(f"ERROR CorruptPayload: {crafted}:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("key, value", [
-        ("input_dim", 3.0), ("batch_norm", "yes"), ("batch_size", 32.5), ("seed", "x"),
-    ])
-    def test_checkpoint_config_of_wrong_type_exit_1(self, pipeline_dir, tmp_path, capsys,
-                                                    key, value):
-        # the member's sha256 in ensemble.json is updated, so only its config is wrong
+    @staticmethod
+    def _infer_with_edited_member(pipeline_dir, tmp_path, capsys, edit):
+        """``ocon infer`` on a tiny bank whose first member's header ``edit``
+        changed; the member's sha256 in ensemble.json is updated, so only the
+        header is wrong.  Returns the member's path and the captured output."""
         model_dir = train_tiny_model(pipeline_dir, tmp_path)
         manifest_path = os.path.join(model_dir, "ensemble.json")
         with open(manifest_path) as fh:
@@ -590,14 +589,34 @@ class TestErrorContract:
         entry = manifest["members"][0]
         member = os.path.join(model_dir, entry["file"])
         _, meta, arrays = read_container(member, CHECKPOINT_KIND, CHECKPOINT_VERSION)
-        meta["config"][key] = value
+        edit(meta)
         write_container(member, CHECKPOINT_KIND, CHECKPOINT_VERSION, meta, arrays)
         entry["sha256"] = sha256_file(member)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         capsys.readouterr()
         assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
-        captured = capsys.readouterr()
+        return member, capsys.readouterr()
+
+    @pytest.mark.parametrize("key, value", [
+        ("input_dim", 3.0), ("batch_norm", "yes"), ("batch_size", 32.5), ("seed", "x"),
+    ])
+    def test_checkpoint_config_of_wrong_type_exit_1(self, pipeline_dir, tmp_path, capsys,
+                                                    key, value):
+        member, captured = self._infer_with_edited_member(
+            pipeline_dir, tmp_path, capsys, lambda meta: meta["config"].update({key: value}))
+        assert captured.out == ""
+        assert captured.err.startswith(f"ERROR CorruptPayload: {member}:")
+        assert key in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", "x"), ("step", -3), ("step", True), ("step", 7.0),
+        ("manifest_hash", [1]), ("scaling_hash", 7), ("scaling_hash", None),
+    ])
+    def test_checkpoint_header_of_wrong_type_exit_1(self, pipeline_dir, tmp_path, capsys,
+                                                    key, value):
+        member, captured = self._infer_with_edited_member(
+            pipeline_dir, tmp_path, capsys, lambda meta: meta.update({key: value}))
         assert captured.out == ""
         assert captured.err.startswith(f"ERROR CorruptPayload: {member}:")
         assert key in captured.err and "Traceback" not in captured.err
