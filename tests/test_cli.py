@@ -578,10 +578,11 @@ class TestErrorContract:
         assert err.startswith(f"ERROR CorruptPayload: {crafted}:") and "Traceback" not in err
 
     @staticmethod
-    def _infer_with_edited_member(pipeline_dir, tmp_path, capsys, edit):
+    def _assert_edited_member_is_corrupt(pipeline_dir, tmp_path, capsys, edit, key):
         """``ocon infer`` on a tiny bank whose first member's header ``edit``
-        changed; the member's sha256 in ensemble.json is updated, so only the
-        header is wrong.  Returns the member's path and the captured output."""
+        changed exits 1 with a CorruptPayload naming the member and ``key``;
+        the member's sha256 in ensemble.json is updated, so only the header
+        is wrong."""
         model_dir = train_tiny_model(pipeline_dir, tmp_path)
         manifest_path = os.path.join(model_dir, "ensemble.json")
         with open(manifest_path) as fh:
@@ -596,18 +597,18 @@ class TestErrorContract:
             json.dump(manifest, fh)
         capsys.readouterr()
         assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
-        return member, capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ERROR CorruptPayload: {member}:")
+        assert key in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("key, value", [
         ("input_dim", 3.0), ("batch_norm", "yes"), ("batch_size", 32.5), ("seed", "x"),
     ])
     def test_checkpoint_config_of_wrong_type_exit_1(self, pipeline_dir, tmp_path, capsys,
                                                     key, value):
-        member, captured = self._infer_with_edited_member(
-            pipeline_dir, tmp_path, capsys, lambda meta: meta["config"].update({key: value}))
-        assert captured.out == ""
-        assert captured.err.startswith(f"ERROR CorruptPayload: {member}:")
-        assert key in captured.err and "Traceback" not in captured.err
+        self._assert_edited_member_is_corrupt(
+            pipeline_dir, tmp_path, capsys, lambda meta: meta["config"].update({key: value}), key)
 
     @pytest.mark.parametrize("key, value", [
         ("step", "x"), ("step", -3), ("step", True), ("step", 7.0),
@@ -615,11 +616,8 @@ class TestErrorContract:
     ])
     def test_checkpoint_header_of_wrong_type_exit_1(self, pipeline_dir, tmp_path, capsys,
                                                     key, value):
-        member, captured = self._infer_with_edited_member(
-            pipeline_dir, tmp_path, capsys, lambda meta: meta.update({key: value}))
-        assert captured.out == ""
-        assert captured.err.startswith(f"ERROR CorruptPayload: {member}:")
-        assert key in captured.err and "Traceback" not in captured.err
+        self._assert_edited_member_is_corrupt(
+            pipeline_dir, tmp_path, capsys, lambda meta: meta.update({key: value}), key)
 
 
 class TestConfigFuzz:
