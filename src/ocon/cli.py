@@ -2,8 +2,8 @@
 
 Commands wire the pipeline end to end: ``ingest`` decodes a measurement
 file, ``preprocess`` builds a scaled feature matrix, ``search`` runs a
-heuristic grid stage and writes its winner as ``<out>.selected.cfg`` for
-the next stage's ``--inherit``, ``train`` fits the one-class bank, ``eval``
+heuristic grid stage and writes the winners so far as ``<out>.selected.cfg``
+for the next stage's ``--inherit``, ``train`` fits the one-class bank, ``eval``
 produces the report tables, ``infer`` scores feature vectors, and
 ``report`` summarizes run manifests.  Config files use the plain ``key =
 value`` grammar; flags override file values, and the merged effective
@@ -148,26 +148,30 @@ def cmd_search(args):
     from .search import desk_scale, hp_to_mlp_config, run_stage
 
     stage = desk_scale(_load_stage(args.stage), args.desk_scale)
-    inherited = load_config(args.inherit) if args.inherit else None
-    if inherited is not None:
-        try:
-            hp_to_mlp_config(inherited, 1)
-        except OconError as err:
-            raise OconError(f"{args.inherit}: {err}") from None
     manifest = RunManifest("search", {
-        "matrix": args.matrix, "stage": args.stage, "desk_scale": args.desk_scale,
-        "workers": args.workers, "task": args.task}, master_seed=args.seed)
-    manifest.add_input(args.matrix)
+        "matrix": args.matrix, "stage": args.stage, "inherit": args.inherit,
+        "desk_scale": args.desk_scale, "workers": args.workers, "task": args.task},
+        master_seed=args.seed)
+    inherited = load_config(args.inherit) if args.inherit else {}
+    try:
+        hp_to_mlp_config(inherited, 1)
+    except OconError as err:
+        raise OconError(f"{args.inherit}: {err}") from None
+    # grid > inherited > stage fixed > defaults
+    stage = replace(stage, fixed={**stage.fixed, **inherited})
+    stage_file = None if args.stage.startswith("preset:") else args.stage
+    for path in filter(None, (args.inherit, stage_file, args.matrix)):
+        manifest.add_input(path)
     matrix = _task_matrix(args)
-    result = run_stage(matrix, stage, inherited=inherited, seed=args.seed,
-                       workers=args.workers)
-    result.write_csv(args.out, times_path=args.out + ".times.csv")
+    result = run_stage(matrix, stage, seed=args.seed, workers=args.workers)
+    result.write_csv(args.out)
     best = result.selected
-    # the winner in the config grammar, for a later stage's --inherit
-    save_config(best.hps, args.out + ".selected.cfg")
+    # everything chosen so far, in the config grammar, for the next --inherit
+    selected = {**inherited, **best.hps}
+    save_config(selected, args.out + ".selected.cfg")
     for suffix in ("", ".times.csv", ".selected.cfg"):
         manifest.add_output(args.out + suffix)
-    manifest.extra["selected"] = {k: repr(v) for k, v in best.hps.items()}
+    manifest.extra["selected"] = {k: repr(v) for k, v in selected.items()}
     manifest.extra["failed_cells"] = {str(row.index): row.failures
                                       for row in result.rows if row.failures}
     manifest.extra["selected_accuracy"] = best.mean_accuracy

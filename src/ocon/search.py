@@ -3,11 +3,12 @@
 Each stage fixes part of the configuration, sweeps a small grid over the
 rest, scores every combination on every class with k-fold validation, and
 ranks by mean accuracy (ties: lower mean training time, then grid order).
-The winning values are inherited by later stages: ``ocon search`` writes
-them to ``<out>.selected.cfg``, which the next stage reads with
-``--inherit``.  The four preset stages mirror the reference experiment
-ladder: topology/optimizer/learning-rate, dropout, batch-norm with a
-learning-rate recheck, and L2 weight decay.
+The four preset stages mirror the reference experiment ladder:
+topology/optimizer/learning-rate, dropout, batch-norm with a learning-rate
+recheck, and L2 weight decay.  ``run_stage`` runs the stage it is given;
+``ocon search --inherit`` overlays earlier winners onto its fixed values
+(grid > inherited > stage fixed > defaults) and writes them, updated by the
+stage's winner, to ``<out>.selected.cfg`` for the next stage.
 
 A search task (``_run_cell``) is one grid combination, or a run of its
 classes when combinations are fewer than workers (``training.fan_out``):
@@ -65,22 +66,18 @@ class SearchStage:
 
     @classmethod
     def from_file(cls, path):
-        raw = load_config(path)
-        try:
-            return cls._from_dict(raw)
-        except OconError as err:
-            raise OconError(f"{path}: {err}") from None
-
-    @classmethod
-    def _from_dict(cls, raw):
-        """The stage (``configfile.build``); each grid point must make an
+        """The stage file (``configfile.build``); each grid point must make an
         ``MlpConfig``."""
-        raw = {"name": "custom", "fixed": {}, "grid": {}, "k_folds": 3, "epochs": 1000, **raw}
+        raw = {"name": "custom", "fixed": {}, "grid": {}, "k_folds": 3, "epochs": 1000,
+               **load_config(path)}
         if isinstance(raw["grid"], dict):
             raw["grid"] = {k: (v if isinstance(v, list) else [v]) for k, v in raw["grid"].items()}
-        stage = build(cls, raw, "stage")
-        for hps in stage.combinations():
-            hp_to_mlp_config({**stage.fixed, **hps}, 1)
+        try:
+            stage = build(cls, raw, "stage")
+            for hps in stage.combinations():
+                hp_to_mlp_config({**stage.fixed, **hps}, 1)
+        except OconError as err:
+            raise OconError(f"{path}: {err}") from None
         return stage
 
 
@@ -150,10 +147,13 @@ class CombinationResult:
     mean_accuracy: float            # -inf when any cell diverged
     mean_time: float
     per_class: dict                 # class name -> (accuracy, time)
-    diverged: bool
     #: class name -> why its cell failed: the OconError class name, or
     #: "diverged"; not part of the ranked CSV
     failures: dict = field(default_factory=dict)
+
+    @property
+    def diverged(self):
+        return bool(self.failures)
 
 
 @dataclass
@@ -200,33 +200,29 @@ class SearchResult:
             writer.writerow([row.index, repr(row.mean_time)])
         return out.getvalue()
 
-    def write_csv(self, path, times_path=None):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
-        if times_path:
-            with open(times_path, "w", encoding="utf-8") as fh:
-                fh.write(self.times_csv_text())
+    def write_csv(self, path):
+        """The ranked CSV at ``path`` and the times CSV at ``<path>.times.csv``."""
+        for target, text in ((path, self.to_csv_text()),
+                             (path + ".times.csv", self.times_csv_text())):
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
-def _cell_seedstamp(stage_seed, combo_index, class_id):
-    return derive_seed(stage_seed, "cell", combo_index, class_id)
-
-
-def _run_cell(matrix, stage, hps, combo_index, stage_seed, class_ids):
-    """One grid combination on a run of class ids: every class x fold cycle
-    of it, trained by one engine call.  Returns one (accuracy, seconds,
-    failure) per class id; ``failure`` is None, the class name of the
-    OconError that stopped the class's planning, or "diverged"."""
+def _run_cell(matrix, stage, mlp_cfg, combo_index, stage_seed, class_ids):
+    """One grid combination's ``MlpConfig`` on a run of class ids: every
+    class x fold cycle of it, trained by one engine call.  Returns one
+    (accuracy, seconds, failure) per class id; ``failure`` is None, the class
+    name of the OconError that stopped the class's planning, or "diverged"."""
     plans, outcomes = {}, {}
     for class_id in class_ids:
-        cell_seed = _cell_seedstamp(stage_seed, combo_index, class_id)
-        mlp_cfg = hp_to_mlp_config(hps, matrix.feature_set.dim,
-                                   seed=derive_seed(cell_seed, "init"))
+        cell_seed = derive_seed(stage_seed, "cell", combo_index, class_id)
         train_cfg = TrainConfig(
             epochs_per_batch_set=stage.epochs, max_batch_sets=1, k_folds=stage.k_folds,
             seed=derive_seed(cell_seed, "train"))
         try:
-            plans[class_id] = plan_k_fold(matrix, class_id, mlp_cfg, train_cfg)
+            plans[class_id] = plan_k_fold(
+                matrix, class_id, replace(mlp_cfg, seed=derive_seed(cell_seed, "init")),
+                train_cfg)
         except OconError as err:
             # a class the data cannot support (too few samples, hopeless
             # balance) must not kill the stage; it ranks last.  Programming
@@ -242,38 +238,33 @@ def _run_cell(matrix, stage, hps, combo_index, stage_seed, class_ids):
     return [outcomes[class_id] for class_id in class_ids]
 
 
-def run_stage(matrix, stage, inherited=None, seed=0, workers=1):
+def run_stage(matrix, stage, seed=0, workers=1):
     """Sweep a stage's grid over every class of ``matrix.class_names`` and
     rank the combinations.
 
-    ``inherited`` carries best estimates from earlier stages; explicit stage
-    fixed values override it, grid values override both.  Heuristic cycles
-    run a single batch-set of ``stage.epochs`` epochs with no early stopping.
-    Failed cells score -inf instead of aborting, and each row's ``failures``
-    says why.  Combinations go to ``training.fan_out`` widest network first
-    (hidden nodes x hidden layers, then grid order), so the costliest tasks
-    do not run last and alone; rows are assembled in grid order whatever
-    the finishing order.
+    Each combination is ``stage.fixed`` updated by its grid point, built
+    into an ``MlpConfig`` once (earlier winners arrive in ``fixed``).
+    Heuristic cycles run a single batch-set of ``stage.epochs`` epochs with
+    no early stopping.  Failed cells score -inf instead of aborting, and each
+    row's ``failures`` says why.  Combinations go to ``training.fan_out``
+    widest network first (hidden nodes x hidden layers, then grid order), so
+    the costliest tasks do not run last and alone; rows are assembled in
+    grid order whatever the finishing order.
     """
-    base = {**(inherited or {}), **stage.fixed}
-    combos = [{**base, **hps} for hps in stage.combinations()]
-
-    dim = matrix.feature_set.dim
-    order = sorted(range(len(combos)),
-                   key=lambda ci: (-sum(hp_to_mlp_config(combos[ci], dim).hidden_layers), ci))
-    units = [(matrix, stage, combos[ci], ci, seed) for ci in order]
+    points = list(stage.combinations())
+    configs = [hp_to_mlp_config({**stage.fixed, **hps}, matrix.feature_set.dim)
+               for hps in points]
+    order = sorted(range(len(configs)), key=lambda ci: (-sum(configs[ci].hidden_layers), ci))
+    units = [(matrix, stage, configs[ci], ci, seed) for ci in order]
     cells = dict(zip(order, fan_out(_run_cell, units, matrix.n_classes, workers)))
 
-    grid_keys = list(stage.grid)
     rows = []
-    for ci, merged in enumerate(combos):
+    for ci, hps in enumerate(points):
         accs, times, failures = zip(*cells[ci])
-        diverged = any(failures)
         rows.append(CombinationResult(
-            index=ci, hps={k: merged[k] for k in grid_keys},
-            mean_accuracy=float("-inf") if diverged else sum(accs) / len(accs),
+            index=ci, hps=hps,
+            mean_accuracy=float("-inf") if any(failures) else sum(accs) / len(accs),
             mean_time=sum(times) / len(times),
             per_class={name: (acc, t) for name, acc, t in zip(matrix.class_names, accs, times)},
-            diverged=diverged,
             failures={name: why for name, why in zip(matrix.class_names, failures) if why}))
     return SearchResult(stage_name=stage.name, rows=rows)

@@ -48,8 +48,9 @@ def synth_records(seed=0, men=45, women=48, boys=27, girls=19, zero_rate=0.0):
     ``exp(sigma * z)`` of a standard normal z, as numpy's own draw computes it."""
     counts = {SpeakerGroup.MAN: men, SpeakerGroup.WOMAN: women,
               SpeakerGroup.BOY: boys, SpeakerGroup.GIRL: girls}
-    if min(counts.values()) < 0 or not 0.0 <= zero_rate <= 1.0:
-        raise ValueError(f"counts {[*counts.values()]} < 0 or zero_rate {zero_rate} not in [0, 1]")
+    if not 0 <= min(counts.values()) <= max(counts.values()) <= 99 or not 0.0 <= zero_rate <= 1.0:
+        raise ValueError(f"counts {[*counts.values()]} not in 0..99 (2-digit speaker "
+                         f"numbers) or zero_rate {zero_rate} not in [0, 1]")
     rng = np.random.default_rng(seed)
     speakers = [(group, no) for group, n in counts.items() for no in range(1, n + 1)]
     speaker_z = np.empty((len(speakers), 2))
@@ -94,7 +95,8 @@ def write_synth_dat(path, seed=0, zero_rate=0.0, **counts):
 
 def records_to_dat(records, path, seed=0):
     """Serialize records into the public distribution's column layout.  Cells
-    round half to even; NaN raises ``ValueError`` and infinity ``OverflowError``."""
+    round half to even; NaN raises ``ValueError``, infinity ``OverflowError``
+    and an unwritable name ``MalformedFilename``, before the file is opened."""
     rng = np.random.default_rng(seed)
     durations = np.maximum(80, rng.normal(250, 40, size=len(records)).astype(np.int64))
     col = {key: np.fromiter(map(attrgetter(key), records), np.float64, len(records))
@@ -108,8 +110,9 @@ def records_to_dat(records, path, seed=0):
         cols.append(col[f"{fmt}_{known[frac]}"] if frac in known
                     else np.where((a == 0) | (b == 0), 0.0, (1 - w) * a + w * b))
     table = np.rint(np.column_stack(cols))
+    lines = [f"{rec.filename} {duration} {' '.join(map(str, map(int, row.tolist())))}\n"
+             for rec, duration, row in zip(records, durations.tolist(), table)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("Synthetic /hVd/ measurement table\n" + "#\n" * 42)
-        for rec, duration, row in zip(records, durations.tolist(), table):
-            fh.write(f"{rec.filename} {duration} {' '.join(map(str, map(int, row.tolist())))}\n")
+        fh.writelines(lines)
     return records

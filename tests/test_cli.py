@@ -4,7 +4,7 @@ import json
 import os
 import re
 from argparse import Namespace
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -740,12 +740,76 @@ def test_search_winner_feeds_the_next_stage(pipeline_dir, tmp_path):
     assert ranked + ".selected.cfg" in [out["path"] for out in manifest["outputs"]]
     assert manifest["extra"]["failed_cells"] == {}
 
+    assert manifest["config"]["inherit"] is None
+    assert [(i["path"], i["sha256"]) for i in manifest["inputs"]] == [
+        (str(stage1), sha256_file(str(stage1))), (matrix_path, sha256_file(matrix_path))]
+
     second = str(tmp_path / "ranked2.csv")
     assert main(["search", "--matrix", matrix_path, "--stage", str(stage2),
                  "--inherit", ranked + ".selected.cfg", "--out", second, "--seed", "3"]) == 0
-    expected = run_stage(load_matrix(matrix_path), SearchStage.from_file(str(stage2)),
-                         inherited=selected, seed=3)
+    stage = SearchStage.from_file(str(stage2))
+    expected = run_stage(load_matrix(matrix_path),
+                         replace(stage, fixed={**stage.fixed, **selected}), seed=3)
     assert open(second).read() == expected.to_csv_text()
+    manifest = search_manifest(tmp_path)
+    assert manifest["config"]["inherit"] == ranked + ".selected.cfg"
+    assert [i["path"] for i in manifest["inputs"]] == [
+        ranked + ".selected.cfg", str(stage2), matrix_path]
+    assert load_config(second + ".selected.cfg") == {**selected, **expected.selected.hps}
+
+
+def test_inherit_overrides_the_stage_fixed_values(pipeline_dir, tmp_path):
+    """grid > inherited > stage fixed: an inherited optimizer retrains
+    preset:stage2, and an inherited value of one of its grid keys does not."""
+    from ocon.search import desk_scale, run_stage, stage_presets
+
+    matrix_path = str(pipeline_dir / "matrix.ocm")
+
+    def ranked_csv(name, inherit_text=None):
+        out = tmp_path / f"{name}.csv"
+        inherit = []
+        if inherit_text is not None:
+            (tmp_path / f"{name}.cfg").write_text(inherit_text)
+            inherit = ["--inherit", str(tmp_path / f"{name}.cfg")]
+        assert main(["search", "--matrix", matrix_path, "--stage", "preset:stage2",
+                     "--desk-scale", "1000", *inherit, "--out", str(out)]) == 0
+        return out.read_text()
+
+    plain = ranked_csv("plain")
+    rmsprop = ranked_csv("rmsprop", "optimizer = rmsprop\n")
+    assert rmsprop != plain
+    stage = desk_scale(stage_presets()[1], 1000)
+    overlaid = replace(stage, fixed={**stage.fixed, "optimizer": "rmsprop"})
+    assert rmsprop == run_stage(load_matrix(matrix_path), overlaid).to_csv_text()
+    assert ranked_csv("grid_key", "dropout_keep_hidden = 0.5\n") == plain
+
+
+def test_preset_ladder_passes_every_winner_on(pipeline_dir, tmp_path):
+    from ocon.configfile import load_config
+    from ocon.search import hp_to_mlp_config, stage_presets
+
+    matrix_path = str(pipeline_dir / "matrix.ocm")
+    chosen, inherit = {}, []
+    for n, stage in enumerate(stage_presets(), start=1):
+        os.makedirs(tmp_path / f"s{n}")
+        out = str(tmp_path / f"s{n}" / "ranked.csv")
+        assert main(["search", "--matrix", matrix_path, "--stage", f"preset:stage{n}",
+                     "--desk-scale", "300", *inherit, "--out", out]) == 0
+        selected = load_config(out + ".selected.cfg")
+        # earlier winners off this stage's grid pass on unchanged
+        assert set(selected) == set(chosen) | set(stage.grid)
+        assert {k: selected[k] for k in chosen if k not in stage.grid} == \
+            {k: v for k, v in chosen.items() if k not in stage.grid}
+        chosen, inherit = selected, ["--inherit", out + ".selected.cfg"]
+    assert set(chosen) == {"hidden_nodes", "optimizer", "learning_rate", "dropout_keep_input",
+                           "dropout_keep_hidden", "batch_norm", "l2_lambda"}
+    cfg = hp_to_mlp_config(chosen, 12)
+    assert isinstance(cfg, MlpConfig) and cfg.hidden_layers == (chosen["hidden_nodes"],)
+    assert (cfg.optimizer, cfg.l2_lambda) == (chosen["optimizer"], chosen["l2_lambda"])
+    # a preset stage is not a file: the last run hashed its --inherit file and the matrix
+    manifest = search_manifest(tmp_path / "s4")
+    assert [i["path"] for i in manifest["inputs"]] == [
+        str(tmp_path / "s3" / "ranked.csv.selected.cfg"), matrix_path]
 
 
 def test_search_manifest_names_failed_cells(pipeline_dir, tmp_path):

@@ -181,14 +181,23 @@ class TestRunStage:
         assert [row.per_class[c][0] for c in ("c0", "c2")] == \
             [clean.rows[0].per_class[c][0] for c in ("c0", "c2")]
 
-    def test_inherited_values_used_and_overridden(self):
-        matrix = blob_matrix(n_per_class=20, n_classes=2, seed=2)
-        stage = tiny_stage(fixed={"batch_size": 16},
-                           grid={"hidden_nodes": [4]})
-        inherited = {"optimizer": "rmsprop", "batch_size": 64,
-                     "learning_rate": 2e-3}
-        result = run_stage(matrix, stage, inherited=inherited, seed=1)
-        assert len(result.rows) == 1  # stage fixed wins over inherited
+    def test_each_combination_builds_one_config(self, monkeypatch):
+        builds, handed = [], []
+        build, run_cell = search.hp_to_mlp_config, search._run_cell
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        def recording(matrix, stage, mlp_cfg, *args):
+            handed.append(mlp_cfg)
+            return run_cell(matrix, stage, mlp_cfg, *args)
+        monkeypatch.setattr(search, "hp_to_mlp_config", counting)
+        monkeypatch.setattr(search, "_run_cell", recording)
+        stage = tiny_stage(grid={"hidden_nodes": [4, 8], "learning_rate": [3e-3, 1e-3]})
+        run_stage(blob_matrix(n_per_class=20, n_classes=3, seed=2), stage, seed=1, workers=1)
+        assert len(builds) == stage.n_combinations == 4     # not 1 + n_classes each
+        assert len(handed) == 4 and all(isinstance(cfg, MlpConfig) for cfg in handed)
 
     def test_diverged_cell_scores_neg_inf(self):
         matrix = blob_matrix(n_per_class=20, n_classes=2, seed=2)

@@ -11,6 +11,8 @@ import math
 
 import pytest
 
+from ocon import synth
+from ocon.errors import MalformedFilename
 from ocon.synth import records_to_dat, synth_records, write_synth_dat
 from ocon.util import sha256_file
 
@@ -72,3 +74,24 @@ def test_non_finite_cell_raises(tmp_path, field, value, error):
 def test_bad_arguments_are_refused(kwargs):
     with pytest.raises(ValueError):
         synth_records(seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(men=100), dict(girls=250)])
+def test_unwritable_speaker_count_is_refused_before_any_draw(monkeypatch, tmp_path, kwargs):
+    monkeypatch.setattr(synth.np.random, "default_rng", lambda seed: pytest.fail("drew"))
+    with pytest.raises(ValueError, match="not in 0..99"):
+        write_synth_dat(str(tmp_path / "big.dat"), seed=1, **kwargs)
+    assert not (tmp_path / "big.dat").exists()
+
+
+@pytest.mark.parametrize("change, error", [
+    (dict(f2_50=math.nan), ValueError), (dict(f3_80=-math.inf), OverflowError),
+    (dict(speaker_no=100), MalformedFilename),
+], ids=["nan", "inf", "speaker_no"])
+def test_unwritable_record_leaves_no_file(tmp_path, change, error):
+    records = synth_records(seed=4, men=1, women=0, boys=0, girls=0)
+    records[-1] = dataclasses.replace(records[-1], **change)
+    path = tmp_path / "bad.dat"
+    with pytest.raises(error):
+        records_to_dat(records, str(path))
+    assert not path.exists()
