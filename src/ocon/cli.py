@@ -325,6 +325,14 @@ def cmd_report(args):
     return 0
 
 
+def _positive_int(text):
+    """argparse type of a count or factor of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ocon",
@@ -351,8 +359,8 @@ def build_parser():
     p.add_argument("--stage", required=True,
                    help="preset:stage1..preset:stage4 or a stage file")
     p.add_argument("--inherit", help="config file with inherited best estimates")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--desk-scale", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--desk-scale", type=_positive_int, default=1,
                    help="shrink folds/epochs by this factor")
     p.add_argument("--task", choices=("phoneme", "speaker"), default="phoneme")
     p.add_argument("--seed", type=int, default=0)
@@ -364,7 +372,7 @@ def build_parser():
     p.add_argument("--mlp-config", help="MLP config file (default: tuned setup)")
     p.add_argument("--train-config", help="training config file")
     p.add_argument("--task", choices=("phoneme", "speaker"), default="phoneme")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)

@@ -32,24 +32,24 @@ training group (``training``) or a bank's store (``ensemble.OconModel``) --
 so nothing copies members into or out of a stack for a step.  In infer
 mode all K members see one (B, d) batch; in train mode each has its own
 (rows, d) block and dropout generator, drawn in member order.  Train-mode
-temporaries live in a workspace the stack keeps (``_Workspace``), so a
-train-mode cache is valid until the stack's next step.  ``predict_proba``
+temporaries live in a workspace the stack keeps (``_Workspace``), and
+backprop reads the values it needs from the blocks the forward pass left
+them in, so they are valid until the stack's next step.  ``predict_proba``
 picks the infer path: one stacked pass, or for a batch too large to stack
 one member at a time through buffers it allocates once.
 
 Input is converted and checked once, by the entry point it arrives at
 (``forward`` or ``predict_proba``, with ``ensemble.infer`` in front for
-served queries).  The one pass behind them, ``_forward``, only computes; it
-fills a ``ForwardCache`` for backprop when ``forward`` hands it one, and
-``predict_proba`` hands it none.  Every accuracy and confusion count
-thresholds probabilities through ``decide``.
+served queries).  The one pass behind them, ``_forward``, only computes.
+Every accuracy and confusion count thresholds probabilities through
+``decide``.
 """
 
 import copy
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -341,21 +341,6 @@ def bce_per_sample(zout, y, e=None):
     return np.maximum(zout, 0.0) + np.log1p(e) - y * zout
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate values needed by backpropagation, with a member axis."""
-
-    buffers: _Buffers             # where the step's temporaries live
-    layer_inputs: list = field(default_factory=list)  # input to each hidden affine
-    zhat: list = field(default_factory=list)    # batch-norm normalized (None when off)
-    std: list = field(default_factory=list)     # sqrt(var + eps) per batch-norm layer
-    drop_masks: list = field(default_factory=list)  # inverted-dropout masks (None when off)
-    out_input: np.ndarray = None  # input to the output affine
-    zout: np.ndarray = None       # pre-sigmoid output, (K, B)
-    exp_neg_abs: np.ndarray = None  # exp(-|zout|), shared by sigmoid and BCE
-    probs: np.ndarray = None
-
-
 def _dropout(rngs, keep, buf):
     """Keep indicators (1.0 where a uniform draw is below ``keep``, else 0.0)
     in ``buf``, one draw per member from its own generator, in member order,
@@ -367,13 +352,15 @@ def _dropout(rngs, keep, buf):
 
 
 def forward(stack, config, batch, mode="infer", rng=None):
-    """Run the K members of ``stack``; returns ((K, B) probabilities, cache).
+    """Run the K members of ``stack``; returns the (K, B) probabilities and
+    pre-sigmoid outputs.
 
     Infer mode: all K see one (B, d) batch, with the running batch-norm
-    statistics and no dropout (``predict_proba`` serves this mode without
-    the cache).  Train mode: the batch is (K, rows, d), one block per
-    member, ``rng`` holds one dropout generator per member, and batch-norm
-    uses batch statistics while updating the running estimates in place.
+    statistics and no dropout.  Train mode: the batch is (K, rows, d), one
+    block per member, ``rng`` holds one dropout generator per member, and
+    batch-norm uses batch statistics while updating the running estimates
+    in place; the pre-sigmoid outputs are then a view of the stack's
+    workspace, valid until its next step.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[-1] != config.input_dim:
@@ -387,14 +374,13 @@ def forward(stack, config, batch, mode="infer", rng=None):
         if rng is None and (config.dropout_keep_input < 1 or config.dropout_keep_hidden < 1):
             raise ValueError("train-mode forward with dropout needs an rng")
         buffers = stack.buffers(config, x.shape[1])
-    cache = ForwardCache(buffers)
-    return _forward(stack, config, x, train, rng, buffers, cache), cache
+    return _forward(stack, config, x, train, rng, buffers)
 
 
-def _forward(stack, config, x, train, rng, buffers, cache=None):
-    """(K, B) probabilities of a stack over a validated batch, with its
-    temporaries in ``buffers`` (``None`` entries allocate).  What
-    backpropagation reads goes into ``cache`` when one is given."""
+def _forward(stack, config, x, train, rng, buffers):
+    """(K, B) probabilities and pre-sigmoid outputs of a stack over a
+    validated batch, with its temporaries in ``buffers`` (``None`` entries
+    allocate), where a train step's backprop reads them (``_backward``)."""
     if train and config.dropout_keep_input < 1:
         keep = config.dropout_keep_input
         kept = _dropout(rng, keep, buffers.inp)
@@ -405,7 +391,6 @@ def _forward(stack, config, x, train, rng, buffers, cache=None):
     a = x
     n = x.shape[-2]
     for l in range(len(config.hidden_layers)):
-        layer_input, zhat, std, mask = a, None, None, None
         z = np.matmul(a, stack.weights[l].mT, out=buffers.z[l])
         z += stack.biases[l]
         if config.batch_norm:
@@ -430,7 +415,6 @@ def _forward(stack, config, x, train, rng, buffers, cache=None):
                 z -= stack.running_mean[l]
                 std = np.sqrt(stack.running_var[l] + BN_EPS)
             z /= std
-            zhat = z
             pre_act = np.multiply(stack.gamma[l], z, out=buffers.act[l])
             pre_act += stack.beta[l]
         else:
@@ -440,31 +424,27 @@ def _forward(stack, config, x, train, rng, buffers, cache=None):
             mask = _dropout(rng, config.dropout_keep_hidden, buffers.mask[l])
             mask *= 1.0 / config.dropout_keep_hidden   # 0 or 1/keep, as / keep gives
             a *= mask
-        if cache is not None:
-            cache.layer_inputs.append(layer_input)
-            cache.zhat.append(zhat)
-            cache.std.append(std)
-            cache.drop_masks.append(mask)
 
     zout = np.matmul(a, stack.weights[-1].mT, out=buffers.zout)
     zout += stack.biases[-1]
     zout = zout[..., 0]
     e = np.copysign(zout, -1.0, out=buffers.e)       # -|zout|, exactly
     np.exp(e, out=e)
-    probs = sigmoid(zout, e)
-    if cache is not None:
-        cache.out_input, cache.zout, cache.exp_neg_abs, cache.probs = a, zout, e, probs
-    return probs
+    return sigmoid(zout, e), zout
 
 
-def _backward(stack, config, cache, y):
-    """Gradients of each member's mean loss, written into ``stack.grad``;
-    ``y`` is (K, rows)."""
-    buffers = cache.buffers
+def _backward(stack, config, x, buffers, probs, y):
+    """Gradients of each member's mean loss on the (K, rows, d) batch ``x``
+    and (K, rows) labels ``y``, written into ``stack.grad``.  It reads what
+    ``_forward`` left in ``buffers``: each hidden layer's output (``act``
+    under batch-norm, else ``z``, as ReLU ran in place), normalized batch
+    (``z``), ``std`` and dropout ``mask``, and the dropped-out input ``inp``."""
     b = y.shape[-1]
-    g = ((cache.probs - y) / b)[..., None]
+    g = ((probs - y) / b)[..., None]
+    outputs = buffers.act if config.batch_norm else buffers.z
+    inputs = [buffers.inp if config.dropout_keep_input < 1 else x, *outputs]
 
-    np.matmul(g.mT, cache.out_input, out=stack.d_weights[-1])
+    np.matmul(g.mT, inputs[-1], out=stack.d_weights[-1])
     np.add.reduce(g, axis=-2, keepdims=True, out=stack.d_biases[-1])
     n_hidden = len(config.hidden_layers)
     if n_hidden:
@@ -472,22 +452,21 @@ def _backward(stack, config, cache, y):
         # matmul computes it, without the BLAS call
         da = np.multiply(g, stack.weights[-1], out=buffers.da[-1])
 
-    activations = cache.layer_inputs[1:] + [cache.out_input]
     for l in range(n_hidden - 1, -1, -1):
-        if cache.drop_masks[l] is not None:
-            da *= cache.drop_masks[l]
+        if config.dropout_keep_hidden < 1:
+            da *= buffers.mask[l]
         # a > 0 exactly where the ReLU input was: dropout scales by 1/keep
         # >= 1 or zeroes entries whose gradient it already zeroed.  The
         # activation is dead after this, so its block becomes scratch.
-        scratch = np.greater(activations[l], 0, out=activations[l])
+        scratch = np.greater(outputs[l], 0, out=outputs[l])
         da *= scratch
         if config.batch_norm:
-            zhat = cache.zhat[l]
+            zhat = buffers.z[l]
             np.add.reduce(np.multiply(da, zhat, out=scratch), axis=-2, keepdims=True,
                           out=stack.d_gamma[l])
             np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_beta[l])
             da *= stack.gamma[l]                      # now d loss / d zhat
-            inv_std = np.divide(1.0, cache.std[l], out=buffers.mu[l])
+            inv_std = np.divide(1.0, buffers.std[l], out=buffers.mu[l])
             sum_d = np.add.reduce(da, axis=-2, keepdims=True, out=buffers.sum_d[l])
             sum_dz = np.add.reduce(np.multiply(da, zhat, out=scratch), axis=-2,
                                    keepdims=True, out=buffers.sum_dz[l])
@@ -496,7 +475,7 @@ def _backward(stack, config, cache, y):
             da -= np.multiply(zhat, sum_dz, out=scratch)
             inv_std /= b
             da *= inv_std                             # now d loss / d z
-        np.matmul(da.mT, cache.layer_inputs[l], out=stack.d_weights[l])
+        np.matmul(da.mT, inputs[l], out=stack.d_weights[l])
         np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_biases[l])
         if l:
             da = np.matmul(da, stack.weights[l], out=buffers.da[l - 1])
@@ -519,18 +498,20 @@ def loss_and_grads(stack, config, batch, labels, rng=None):
     per-sample losses.  The L2 term covers weight matrices only, never
     biases or batch-norm scale/shift.
     """
-    probs, cache = forward(stack, config, batch, mode="train", rng=rng)
+    x = np.asarray(batch, dtype=np.float64)
+    probs, zout = forward(stack, config, x, mode="train", rng=rng)
     y = np.asarray(labels, dtype=np.float64).ravel()
     if len(y) != probs.size:
         raise DimensionMismatch("labels length != batch size")
     y = y.reshape(probs.shape)
-    per_sample = bce_per_sample(cache.zout, y, cache.exp_neg_abs)
+    buffers = stack.buffers(config, y.shape[1])
+    per_sample = bce_per_sample(zout, y, buffers.e)
     # np.add.reduce(...) / n is how per_sample.mean() computes it (same bits)
     loss = np.add.reduce(per_sample, axis=-1) / y.shape[1]
     if config.l2_lambda:
         w = stack.theta[:, :stack.n_weights]
         loss += 0.5 * config.l2_lambda * np.vecdot(w, w)
-    return loss, _backward(stack, config, cache, y), per_sample
+    return loss, _backward(stack, config, x, buffers, probs, y), per_sample
 
 
 def optimizer_step(stack, grads, config):
@@ -573,7 +554,7 @@ def predict_proba(stack, config, batch):
     (B, d) batch (a 1-D vector is one row).
 
     The batch is converted and its shape checked here, once; the pass
-    itself (``_forward``) only computes and keeps nothing for backprop.
+    itself (``_forward``) only computes.
     Up to ``STACK_MAX_VALUES`` values of rows x K x widest layer run as one
     stacked pass.  A larger batch, whose (K, B, width) temporaries would
     outgrow the CPU cache, runs one member at a time, bitwise the same, all
@@ -590,14 +571,15 @@ def predict_proba(stack, config, batch):
         raise DimensionMismatch(f"batch shape {x.shape} != (rows, {config.input_dim})")
     rows, hidden = len(x), config.hidden_layers
     if rows * stack.n_members * max(config.layer_dims) <= STACK_MAX_VALUES:
-        return _forward(stack, config, x, False, None, _fresh(len(hidden)))
+        return _forward(stack, config, x, False, None, _fresh(len(hidden)))[0]
     buffers = _Buffers(z=[np.empty((1, rows, w)) for w in hidden],
                        act=[np.empty((1, rows, w)) if config.batch_norm else None
                             for w in hidden],
                        zout=np.empty((1, rows, 1)), e=np.empty((1, rows)))
     probs = np.empty((stack.n_members, rows))
     for k in range(stack.n_members):
-        probs[k] = _forward(stack.select(slice(k, k + 1)), config, x, False, None, buffers)
+        probs[k] = _forward(stack.select(slice(k, k + 1)), config, x, False, None,
+                            buffers)[0]
     return probs
 
 

@@ -82,8 +82,11 @@ class SearchStage:
 
 
 def desk_scale(stage, factor):
-    """Shrink folds and epochs by ``factor`` for desk-scale runs (CI, demos)."""
-    if factor <= 1:
+    """Shrink folds and epochs by ``factor`` for desk-scale runs (CI, demos);
+    a factor below 1 raises ValueError."""
+    if factor < 1:
+        raise ValueError(f"desk-scale factor must be >= 1, got {factor}")
+    if factor == 1:
         return stage
     return replace(stage, k_folds=max(2, stage.k_folds // factor),
                    epochs=max(1, stage.epochs // factor))

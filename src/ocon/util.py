@@ -1,6 +1,7 @@
 """Small shared helpers: deterministic seed derivation, content hashing,
 text reading and the class-id check."""
 
+import codecs
 import hashlib
 import json
 
@@ -43,10 +44,10 @@ def sha256_json(obj):
 
 
 def read_text(path):
-    """A file's text; bytes that are not UTF-8 raise MalformedRow naming
-    their line."""
+    """A file's text without a leading UTF-8 byte-order mark; bytes that are
+    not UTF-8 raise MalformedRow naming their line."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

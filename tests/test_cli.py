@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -287,6 +288,20 @@ class TestErrorContract:
             main(["preprocess"])  # missing required flags
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command, flag", [("search", "--desk-scale"),
+                                               ("search", "--workers"), ("train", "--workers")])
+    def test_non_positive_count_exit_2(self, pipeline_dir, tmp_path, capsys,
+                                       command, flag, value):
+        out = tmp_path / "out"
+        argv = (["--stage", "preset:stage1", "--out", str(out)] if command == "search"
+                else ["--out-dir", str(out)])
+        with pytest.raises(SystemExit) as err:
+            main([command, "--matrix", str(pipeline_dir / "matrix.ocm"), *argv, flag, value])
+        assert err.value.code == 2
+        assert f"{flag}: must be a positive integer, got {value}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_retired_zscore_flag_exit_2(self, pipeline_dir, tmp_path):
         out = tmp_path / "m.ocm"
         with pytest.raises(SystemExit) as err:
@@ -464,15 +479,20 @@ class TestErrorContract:
         assert err.startswith(f"ERROR ManifestMismatch: {path}: unreadable run manifest "
                               f"({error}: "), err
 
-    def test_non_utf8_infer_file_names_its_line(self, pipeline_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("bom, body, line", [
+        (b"", b"0.5,0.5\n0.5,\xff0.5\n", 2),
+        (codecs.BOM_UTF8, b"0.5,0.5\n0.5,0.5\n0.5,\xff0.5\n", 3),
+    ], ids=["plain", "after_bom"])
+    def test_non_utf8_infer_file_names_its_line(self, pipeline_dir, tmp_path, capsys,
+                                                bom, body, line):
         model_dir = train_tiny_model(pipeline_dir, tmp_path)
         vectors = tmp_path / "vectors.txt"
-        vectors.write_bytes(b"0.5,0.5\n0.5,\xff0.5\n")
+        vectors.write_bytes(bom + body)
         capsys.readouterr()
         assert main(["infer", "--model", model_dir, "--input-file", str(vectors)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "ERROR MalformedRow: line 2: not UTF-8 text" in captured.err
+        assert f"ERROR MalformedRow: line {line}: not UTF-8 text" in captured.err
 
     @pytest.mark.parametrize("flags", [["--input", ",".join(["nan"] * 12)],
                                        ["--input", ",".join(["inf"] * 12), "--scaled"]])
@@ -713,6 +733,34 @@ def test_infer_file_without_vector_named(pipeline_dir, tmp_path, capsys, body):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ERROR OconError: {vectors} holds no feature vector\n"
+
+
+def test_byte_order_mark_is_skipped(pipeline_dir, tmp_path, capsys):
+    """Config, measurement and vector files saved with a UTF-8 byte-order
+    mark read as the same files without one."""
+    def run(bom):
+        out = tmp_path / ("bom" if bom else "plain")
+        out.mkdir()
+        files = {"mlp.cfg": "hidden_layers = [2]\nlearning_rate = 1e-3\nseed = 0\n",
+                 "train.cfg": "epochs_per_batch_set = 1\nmax_batch_sets = 1\nseed = 0\n",
+                 "vectors.txt": "0.5," * 11 + "0.5\n" + "0.25," * 11 + "0.75\n",
+                 "synth.dat": (pipeline_dir / "synth.dat").read_text()}
+        for name, text in files.items():
+            (out / name).write_bytes(bom + text.encode())
+        assert main(["ingest", "--data", str(out / "synth.dat"),
+                     "--out", str(out / "records.csv")]) == 0
+        assert main(["train", "--matrix", str(pipeline_dir / "matrix.ocm"),
+                     "--mlp-config", str(out / "mlp.cfg"), "--train-config",
+                     str(out / "train.cfg"), "--out-dir", str(out / "model")]) == 0
+        capsys.readouterr()
+        assert main(["infer", "--model", str(out / "model"), "--scaled",
+                     "--input-file", str(out / "vectors.txt")]) == 0
+        members = sorted(f for f in os.listdir(out / "model") if f.endswith(".ocmdl"))
+        return ((out / "records.csv").read_bytes(), capsys.readouterr().out,
+                [sha256_file(str(out / "model" / f)) for f in members])
+
+    plain, bom = run(b""), run(codecs.BOM_UTF8)
+    assert plain[2] and bom == plain
 
 
 def search_manifest(directory):

@@ -43,8 +43,8 @@ def rand_batch(rng, n, d):
 def numerical_loss(params, config, batch, labels):
     """Loss recomputed from a plain forward pass (no gradient machinery)."""
     y = np.asarray(labels, dtype=np.float64)
-    _, cache = forward(params, config, batch[None], mode="train")
-    data = bce_per_sample(cache.zout, y).mean()
+    _, zout = forward(params, config, batch[None], mode="train")
+    data = bce_per_sample(zout, y).mean()
     l2 = 0.5 * config.l2_lambda * sum(np.sum(w * w) for w in params.weights)
     return float(data + l2)
 
@@ -187,14 +187,14 @@ class TestForward:
         for b in params.biases:
             b[:] = 1.0
         x = rng.uniform(0.5, 1.5, size=(1, 3))
-        _, infer_cache = forward(params, config, x, mode="infer")
+        _, infer_zout = forward(params, config, x, mode="infer")
         total = 0.0
         n_masks = 10_000
         for _ in range(n_masks):
-            _, cache = forward(params, config, x[None], mode="train", rng=[rng])
-            total += cache.zout[0, 0]
+            _, zout = forward(params, config, x[None], mode="train", rng=[rng])
+            total += zout[0, 0]
         mean = total / n_masks
-        ref = infer_cache.zout[0, 0]
+        ref = infer_zout[0, 0]
         assert abs(mean - ref) < 1e-2 * max(1.0, abs(ref))
 
 
@@ -494,31 +494,44 @@ class TestStackedParams:
         small_config(hidden_layers=()),
     ], ids=["tuned", "two_layer_bn_rmsprop", "no_hidden"])
     def test_stacked_train_steps_equal_member_steps(self, config):
-        # full 8-row steps, then a 3-row tail through [:, :rows] workspace views
-        n_members, row_counts = 3, (8, 8, 3, 8)
+        # full 8-row steps, then a 3-row tail through [:, :rows] workspace
+        # views; then the first two members go on alone in a select that
+        # shares the 3-member workspace, as a lockstep group that lost a
+        # member does, through [:2, :rows] views
+        n_members, row_counts, shrunk_row_counts = 3, (8, 8, 3, 8), (8, 5)
         members = [init_params(replace(config, seed=seed)) for seed in range(n_members)]
         singles = [p.copy() for p in members]
         stack = stack_of(config, members)
         stacked_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         single_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         data = np.random.default_rng(7)
-        for rows in row_counts:
-            x = data.random((n_members, rows, config.input_dim))
-            y = (data.random((n_members, rows)) < 0.5).astype(np.float64)
+
+        def step_both(stack, rows):
+            k_members = stack.n_members
+            x = data.random((k_members, rows, config.input_dim))
+            y = (data.random((k_members, rows)) < 0.5).astype(np.float64)
             losses, grads, per_sample = loss_and_grads(
-                stack, config, x, y.ravel(), rng=stacked_rngs)
+                stack, config, x, y.ravel(), rng=stacked_rngs[:k_members])
             optimizer_step(stack, grads, config)
-            assert losses.shape == (n_members,) and per_sample.shape == (n_members, rows)
-            for k, params in enumerate(singles):
+            assert losses.shape == (k_members,) and per_sample.shape == (k_members, rows)
+            for k, params in enumerate(singles[:k_members]):
                 [loss], grad, [samples] = loss_and_grads(params, config, x[k][None],
                                                          y[k], rng=[single_rngs[k]])
                 optimizer_step(params, grad, config)
                 assert loss == losses[k]
                 assert np.array_equal(samples.view(np.uint64), per_sample[k].view(np.uint64))
+
+        for rows in row_counts:
+            step_both(stack, rows)
         assert stack.step == len(row_counts)
+        shrunk = stack.select(slice(0, 2))
+        for rows in shrunk_row_counts:
+            step_both(shrunk, rows)
+        assert shrunk.workspace is stack.workspace
+        assert shrunk.step == len(row_counts) + len(shrunk_row_counts)
         for k, params in enumerate(singles):
-            out = stack.select(slice(k, k + 1))
-            assert params.step == len(row_counts)
+            out = (shrunk if k < 2 else stack).select(slice(k, k + 1))
+            assert params.step == out.step
             for mine, theirs in zip([out.theta, out.opt_m, out.opt_v, *out.running_mean,
                                      *out.running_var],
                                     [params.theta, params.opt_m, params.opt_v,

@@ -82,6 +82,11 @@ class TestPresets:
         assert small.k_folds == 2 and small.epochs == 1000
         assert small.grid == s2.grid
 
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_desk_scale_refuses_a_factor_below_1(self, factor):
+        with pytest.raises(ValueError, match="desk-scale factor must be >= 1"):
+            desk_scale(stage_presets()[0], factor)
+
 
 class TestStageFiles:
     def test_parse_stage_text(self, tmp_path):
