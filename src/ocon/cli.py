@@ -327,7 +327,10 @@ def cmd_report(args):
 
 def _positive_int(text):
     """argparse type of a count or factor of at least 1."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value

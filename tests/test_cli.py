@@ -22,7 +22,7 @@ from ocon.mlp import CHECKPOINT_KIND, CHECKPOINT_VERSION, MlpConfig
 from ocon.search import SearchStage
 from ocon.synth import write_synth_dat
 from ocon.training import EarlyStopRule, TrainConfig
-from ocon.util import sha256_file
+from ocon.util import read_text, sha256_file
 from tests.test_container import MALFORMED_HEADERS, PAYLOAD, write_raw
 
 
@@ -288,11 +288,10 @@ class TestErrorContract:
             main(["preprocess"])  # missing required flags
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
     @pytest.mark.parametrize("command, flag", [("search", "--desk-scale"),
                                                ("search", "--workers"), ("train", "--workers")])
-    def test_non_positive_count_exit_2(self, pipeline_dir, tmp_path, capsys,
-                                       command, flag, value):
+    def test_bad_count_exit_2(self, pipeline_dir, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
         argv = (["--stage", "preset:stage1", "--out", str(out)] if command == "search"
                 else ["--out-dir", str(out)])
@@ -479,20 +478,23 @@ class TestErrorContract:
         assert err.startswith(f"ERROR ManifestMismatch: {path}: unreadable run manifest "
                               f"({error}: "), err
 
-    @pytest.mark.parametrize("bom, body, line", [
-        (b"", b"0.5,0.5\n0.5,\xff0.5\n", 2),
-        (codecs.BOM_UTF8, b"0.5,0.5\n0.5,0.5\n0.5,\xff0.5\n", 3),
-    ], ids=["plain", "after_bom"])
-    def test_non_utf8_infer_file_names_its_line(self, pipeline_dir, tmp_path, capsys,
-                                                bom, body, line):
+    def test_non_utf8_infer_file_names_its_line(self, pipeline_dir, tmp_path, capsys):
         model_dir = train_tiny_model(pipeline_dir, tmp_path)
         vectors = tmp_path / "vectors.txt"
-        vectors.write_bytes(bom + body)
+        vectors.write_bytes(b"0.5,0.5\n0.5,\xff0.5\n")
         capsys.readouterr()
         assert main(["infer", "--model", model_dir, "--input-file", str(vectors)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"ERROR MalformedRow: line {line}: not UTF-8 text" in captured.err
+        assert "ERROR MalformedRow: line 2: not UTF-8 text" in captured.err
+
+    def test_non_utf8_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        # the bad byte opens line 3: offsets counted after the mark (as
+        # "utf-8-sig" gives them) would place it on line 2
+        path.write_bytes(codecs.BOM_UTF8 + b"0.5,0.5\n0.5,0.5\n\xff0.5\n")
+        with pytest.raises(errors.MalformedRow, match="^line 3: not UTF-8 text$"):
+            read_text(str(path))
 
     @pytest.mark.parametrize("flags", [["--input", ",".join(["nan"] * 12)],
                                        ["--input", ",".join(["inf"] * 12), "--scaled"]])
