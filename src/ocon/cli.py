@@ -3,9 +3,9 @@
 Commands wire the pipeline end to end: ``ingest`` decodes a measurement
 file, ``preprocess`` builds a scaled feature matrix, ``search`` runs a
 heuristic grid stage and writes the winners so far as ``<out>.selected.cfg``
-for the next stage's ``--inherit``, ``train`` fits the one-class bank, ``eval``
-produces the report tables, ``infer`` scores feature vectors, and
-``report`` summarizes run manifests.  Config files use the plain ``key =
+(for the next ``--inherit``, or ``train --mlp-config``), ``train`` fits the
+bank, ``eval`` produces the report tables, ``infer`` scores feature vectors,
+and ``report`` summarizes run manifests.  Config files use the plain ``key =
 value`` grammar; flags override file values, and the merged effective
 config is echoed into the run manifest.
 
@@ -145,7 +145,7 @@ def _task_matrix(args):
 
 def cmd_search(args):
     from .configfile import save_config
-    from .search import desk_scale, hp_to_mlp_config, run_stage
+    from .search import desk_scale, run_stage
 
     stage = desk_scale(_load_stage(args.stage), args.desk_scale)
     manifest = RunManifest("search", {
@@ -153,12 +153,10 @@ def cmd_search(args):
         "desk_scale": args.desk_scale, "workers": args.workers, "task": args.task},
         master_seed=args.seed)
     inherited = load_config(args.inherit) if args.inherit else {}
-    try:
-        hp_to_mlp_config(inherited, 1)
-    except OconError as err:
-        raise OconError(f"{args.inherit}: {err}") from None
     # grid > inherited > stage fixed > defaults
     stage = replace(stage, fixed={**stage.fixed, **inherited})
+    if args.inherit:
+        stage.configs(1, f"{args.inherit}: hyperparameters")
     stage_file = None if args.stage.startswith("preset:") else args.stage
     for path in filter(None, (args.inherit, stage_file, args.matrix)):
         manifest.add_input(path)
@@ -185,15 +183,9 @@ def cmd_search(args):
 def _mlp_config_from(args, input_dim):
     from .mlp import MlpConfig
 
-    if args.mlp_config:
-        raw = load_config(args.mlp_config)
-        raw.setdefault("input_dim", input_dim)
-        cfg = build(MlpConfig, raw, args.mlp_config)
-    else:
-        cfg = MlpConfig.tuned(input_dim)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    cfg = (MlpConfig.from_hps(load_config(args.mlp_config), input_dim, args.mlp_config)
+           if args.mlp_config else MlpConfig.tuned(input_dim))
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _train_config_from(args):

@@ -101,6 +101,10 @@ class TooFewSamples(OconError):
     """Requested split or fold structure would leave a part empty."""
 
 
+class SearchFailed(OconError):
+    """Every combination of a search stage has a failed cell: no winner."""
+
+
 # --- ensemble ---
 
 class ManifestMismatch(OconError):

@@ -114,6 +114,29 @@ class MlpConfig:
             raise ValueError("batch_size must be >= 1")
 
     @classmethod
+    def from_hps(cls, hps, input_dim, where):
+        """The config of a flat key-value dict (an MLP config file, a search
+        point): the fields but ``input_dim``, which the matrix fixes, plus
+        ``hidden_nodes``.  ``hidden_layers`` is a list of widths, or a count
+        0..64 of ``hidden_nodes``-wide layers (default one of 100).  A key or
+        value the config does not take raises OconError naming ``where``."""
+        raw = {"hidden_layers": 1, **hps}
+        layers = raw.pop("hidden_layers")
+        if "input_dim" in raw:
+            raise OconError(f"{where}: input_dim is not a key; the matrix fixes it")
+        if not isinstance(layers, (list, tuple)):
+            nodes = raw.pop("hidden_nodes", 100)
+            if type(layers) is not int or type(nodes) is not int:
+                raise OconError(f"{where}: hidden_layers {layers!r} and hidden_nodes "
+                                f"{nodes!r} must be ints")
+            if not 0 <= layers <= 64:   # a typo must not expand into a huge width list
+                raise OconError(f"{where}: hidden_layers = {layers} is not in 0..64")
+            layers = [nodes] * layers
+        elif "hidden_nodes" in raw:
+            raise OconError(f"{where}: hidden_nodes needs a count of hidden_layers, not widths")
+        return build(cls, {**raw, "input_dim": input_dim, "hidden_layers": layers}, where)
+
+    @classmethod
     def tuned(cls, input_dim, seed=0):
         """The search-selected one-class setup: 1x100 hidden, Adam at 1e-4,
         keep 0.8/0.5 dropout, batch-norm, L2 1e-4, batches of 32."""

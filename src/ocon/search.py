@@ -2,8 +2,8 @@
 
 Each stage fixes part of the configuration, sweeps a small grid over the
 rest, scores every combination on every class with k-fold validation, and
-ranks by mean accuracy (ties: lower mean training time, then grid order).
-The four preset stages mirror the reference experiment ladder:
+ranks by mean accuracy, ties in grid order; rank 1 wins (SearchFailed if
+no combination scored).  The four preset stages mirror the reference ladder:
 topology/optimizer/learning-rate, dropout, batch-norm with a learning-rate
 recheck, and L2 weight decay.  ``run_stage`` runs the stage it is given;
 ``ocon search --inherit`` overlays earlier winners onto its fixed values
@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .configfile import build, load_config
-from .errors import OconError
+from .errors import OconError, SearchFailed
 from .mlp import MlpConfig
 from .training import KFoldResult, TrainConfig, _run_cycle, fan_out, plan_k_fold
 from .util import derive_seed
@@ -50,10 +50,7 @@ class SearchStage:
 
     @property
     def n_combinations(self):
-        n = 1
-        for values in self.grid.values():
-            n *= len(values)
-        return n
+        return len(list(self.combinations()))
 
     def cycle_count(self, n_classes):
         return self.n_combinations * n_classes * self.k_folds
@@ -64,18 +61,25 @@ class SearchStage:
         for values in itertools.product(*(self.grid[k] for k in keys)):
             yield dict(zip(keys, values))
 
+    def configs(self, input_dim, where="hyperparameters"):
+        """``MlpConfig.from_hps`` of ``fixed`` updated by each grid point, in
+        grid order; ``seed`` is refused, because each cell derives its own."""
+        if "seed" in {**self.fixed, **self.grid}:
+            raise OconError(f"{where}: seed is derived per cell; seeds are not hyperparameters")
+        return [MlpConfig.from_hps({**self.fixed, **hps}, input_dim, where)
+                for hps in self.combinations()]
+
     @classmethod
     def from_file(cls, path):
         """The stage file (``configfile.build``); each grid point must make an
-        ``MlpConfig``."""
+        ``MlpConfig`` (``configs``)."""
         raw = {"name": "custom", "fixed": {}, "grid": {}, "k_folds": 3, "epochs": 1000,
                **load_config(path)}
         if isinstance(raw["grid"], dict):
             raw["grid"] = {k: (v if isinstance(v, list) else [v]) for k, v in raw["grid"].items()}
         try:
             stage = build(cls, raw, "stage")
-            for hps in stage.combinations():
-                hp_to_mlp_config({**stage.fixed, **hps}, 1)
+            stage.configs(1)
         except OconError as err:
             raise OconError(f"{path}: {err}") from None
         return stage
@@ -86,8 +90,6 @@ def desk_scale(stage, factor):
     a factor below 1 raises ValueError."""
     if factor < 1:
         raise ValueError(f"desk-scale factor must be >= 1, got {factor}")
-    if factor == 1:
-        return stage
     return replace(stage, k_folds=max(2, stage.k_folds // factor),
                    epochs=max(1, stage.epochs // factor))
 
@@ -127,22 +129,6 @@ def stage_presets():
     return (stage1, stage2, stage3, stage4)
 
 
-def hp_to_mlp_config(hps, input_dim, seed=0):
-    """Flat hp dict -> MlpConfig.  ``hidden_nodes``/``hidden_layers`` expand
-    into the hidden width tuple; the other keys go to ``configfile.build``,
-    so a misspelt one or a value of the wrong type raises OconError."""
-    raw = {"hidden_layers": 1, "hidden_nodes": 100, **hps}
-    layers, nodes = raw.pop("hidden_layers"), raw.pop("hidden_nodes")
-    if {"input_dim", "seed"} & set(raw):
-        raise OconError("input_dim and seed are not hyperparameters")
-    if type(layers) is not int or type(nodes) is not int:
-        raise OconError(f"hidden_layers {layers!r} and hidden_nodes {nodes!r} must be ints")
-    if not 0 <= layers <= 64:       # a typo must not expand into a huge width tuple
-        raise OconError(f"hidden_layers = {layers} is not in 0..64")
-    return build(MlpConfig, {**raw, "input_dim": input_dim, "seed": seed,
-                             "hidden_layers": (nodes,) * layers}, "hyperparameters")
-
-
 @dataclass
 class CombinationResult:
     index: int
@@ -175,9 +161,13 @@ class SearchResult:
 
     @property
     def selected(self):
-        """Winning combination: best accuracy, ties by lower mean training
-        time, then grid order."""
-        return min(self.rows, key=lambda r: (-r.mean_accuracy, r.mean_time, r.index))
+        """The winner, rank 1 of ``ranked``; SearchFailed when every
+        combination has a failed cell, naming why the cells failed."""
+        best = self.ranked[0]
+        if best.diverged:
+            why = sorted({reason for row in self.rows for reason in row.failures.values()})
+            raise SearchFailed(f"stage {self.stage_name}: no combination scored ({', '.join(why)})")
+        return best
 
     def to_csv_text(self):
         """Ranked CSV of the deterministic columns (no wall-clock values)."""
@@ -255,8 +245,7 @@ def run_stage(matrix, stage, seed=0, workers=1):
     grid order whatever the finishing order.
     """
     points = list(stage.combinations())
-    configs = [hp_to_mlp_config({**stage.fixed, **hps}, matrix.feature_set.dim)
-               for hps in points]
+    configs = stage.configs(matrix.feature_set.dim)
     order = sorted(range(len(configs)), key=lambda ci: (-sum(configs[ci].hidden_layers), ci))
     units = [(matrix, stage, configs[ci], ci, seed) for ci in order]
     cells = dict(zip(order, fan_out(_run_cell, units, matrix.n_classes, workers)))

@@ -388,13 +388,19 @@ class TestErrorContract:
         ("train", "--mlp-config", 'activation = "relu"\n', "unknown key 'activation'"),
         ("search", "--stage", 'epochs = 1\nk_folds = 2\ngrid.loss = ["bce", "mse"]\n',
          "hyperparameters: unknown key 'loss'"),
+        ("train", "--mlp-config", "input_dim = 5\n", "input_dim is not a key; the matrix fixes it"),
+        ("train", "--mlp-config", "hidden_layers = [100]\nhidden_nodes = 4\n",
+         "hidden_nodes needs a count of hidden_layers, not widths"),
+        ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.input_dim = [5]\n",
+         "hyperparameters: input_dim is not a key"),
     ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
             "stage_lr_str", "stage_misspelt_hp", "stage_folds_str", "stage_grid_scalar",
             "stage_misspelt_section", "stage_one_fold", "stage_no_epochs",
             "mlp_width_float", "mlp_width_bool", "mlp_width_str", "train_zero_fraction",
             "stage_negative_layers", "stage_huge_layers", "early_stop_huge_int",
             "mlp_lr_nan", "stage_l2_nan", "train_tolerance_negative", "train_tolerance_nan",
-            "mlp_retired_loss", "mlp_retired_activation", "stage_retired_loss"])
+            "mlp_retired_loss", "mlp_retired_activation", "stage_retired_loss",
+            "mlp_input_dim", "mlp_widths_with_nodes", "stage_input_dim"])
     def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
                                              command, flag, text, named):
         cfg = tmp_path / "bad.cfg"
@@ -420,6 +426,22 @@ class TestErrorContract:
         assert err.startswith(
             f"ERROR OconError: {inherit}: hyperparameters: unknown key 'lerning_rate'"), err
         assert not os.path.exists(tmp_path / "r.csv")
+
+    @pytest.mark.parametrize("text, named", [
+        ("hidden_layers = [100]\n", "hidden_nodes needs a count of hidden_layers, not widths"),
+        ("seed = 3\n", "seed is derived per cell; seeds are not hyperparameters"),
+    ], ids=["widths_under_a_nodes_grid", "seed"])
+    def test_inherited_value_the_stage_refuses_names_its_file(self, pipeline_dir, tmp_path,
+                                                              capsys, text, named):
+        # preset:stage1 sweeps hidden_nodes, which a list of widths cannot take
+        inherit = tmp_path / "inherit.cfg"
+        inherit.write_text(text)
+        code = main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
+                     "--stage", "preset:stage1", "--inherit", str(inherit),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"ERROR OconError: {inherit}: hyperparameters: {named}\n"
+        assert os.listdir(tmp_path) == ["inherit.cfg"]
 
     @pytest.mark.parametrize("line, named", [
         ("skip_rows = x", "skip_rows = 'x' is not of type int"),
@@ -836,7 +858,7 @@ def test_inherit_overrides_the_stage_fixed_values(pipeline_dir, tmp_path):
 
 def test_preset_ladder_passes_every_winner_on(pipeline_dir, tmp_path):
     from ocon.configfile import load_config
-    from ocon.search import hp_to_mlp_config, stage_presets
+    from ocon.search import stage_presets
 
     matrix_path = str(pipeline_dir / "matrix.ocm")
     chosen, inherit = {}, []
@@ -853,25 +875,83 @@ def test_preset_ladder_passes_every_winner_on(pipeline_dir, tmp_path):
         chosen, inherit = selected, ["--inherit", out + ".selected.cfg"]
     assert set(chosen) == {"hidden_nodes", "optimizer", "learning_rate", "dropout_keep_input",
                            "dropout_keep_hidden", "batch_norm", "l2_lambda"}
-    cfg = hp_to_mlp_config(chosen, 12)
-    assert isinstance(cfg, MlpConfig) and cfg.hidden_layers == (chosen["hidden_nodes"],)
-    assert (cfg.optimizer, cfg.l2_lambda) == (chosen["optimizer"], chosen["l2_lambda"])
     # a preset stage is not a file: the last run hashed its --inherit file and the matrix
     manifest = search_manifest(tmp_path / "s4")
     assert [i["path"] for i in manifest["inputs"]] == [
         str(tmp_path / "s3" / "ranked.csv.selected.cfg"), matrix_path]
+    # the whole selected setup trains as it is
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("epochs_per_batch_set = 2\nmax_batch_sets = 1\n")
+    model_dir = tmp_path / "model"
+    assert main(["train", "--matrix", matrix_path, "--mlp-config", out + ".selected.cfg",
+                 "--train-config", str(train_cfg), "--out-dir", str(model_dir)]) == 0
+    member = load_ensemble(str(model_dir)).members[0].config    # its seed is derived
+    assert replace(member, seed=0) == MlpConfig(
+        input_dim=12, hidden_layers=(chosen.pop("hidden_nodes"),), **chosen)
 
 
-def test_search_manifest_names_failed_cells(pipeline_dir, tmp_path):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the diverging learning rate
+def test_search_manifest_names_failed_cells(pipeline_dir, tmp_path, capsys):
+    """A diverged combination ranks last and the manifest names its cells;
+    a stage where no combination scored exits 1 and selects nothing."""
+    from ocon.configfile import load_config
     stage = tmp_path / "stage.cfg"
-    stage.write_text("k_folds = 500\nepochs = 1\ngrid.hidden_nodes = [2]\n")
+    stage.write_text("k_folds = 2\nepochs = 2\nfixed.batch_size = 16\n"
+                     "grid.hidden_nodes = [3]\ngrid.learning_rate = [3e-3, 1e300]\n")
     ranked = str(tmp_path / "ranked.csv")
     assert main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
                  "--stage", str(stage), "--out", ranked]) == 0
+    [failed] = search_manifest(tmp_path)["extra"]["failed_cells"].items()
+    assert failed[0] == "1" and set(failed[1].values()) == {"diverged"}
+    assert load_config(ranked + ".selected.cfg") == {"hidden_nodes": 3, "learning_rate": 3e-3}
+
+    os.makedirs(tmp_path / "none")
+    stage.write_text("k_folds = 500\nepochs = 1\ngrid.hidden_nodes = [2, 3]\n")
+    ranked = str(tmp_path / "none" / "ranked.csv")
+    capsys.readouterr()
+    assert main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
+                 "--stage", str(stage), "--out", ranked]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR SearchFailed: stage custom: no combination scored (TooFewSamples)\n")
+    # the ranked CSV shows which cells failed; nothing is selected, and no
+    # JSON with -Infinity is written
     names = load_matrix(str(pipeline_dir / "matrix.ocm")).class_names
-    assert search_manifest(tmp_path)["extra"]["failed_cells"] == {
-        "0": {name: "TooFewSamples" for name in names}}
-    assert open(ranked).read().count("-inf") == 1 + len(names)
+    assert open(ranked).read().count("-inf") == 2 * (1 + len(names))
+    assert sorted(os.listdir(tmp_path / "none")) == ["ranked.csv", "ranked.csv.times.csv"]
+
+
+def test_selected_config_trains_and_evaluates_as_the_python_path(pipeline_dir, tmp_path):
+    """search -> train --mlp-config <out>.selected.cfg -> eval gives the
+    checkpoints, ensemble.json and det.csv of the library calls."""
+    from ocon.configfile import build, load_config
+    from ocon.ensemble import save_ensemble, train_ensemble
+    from ocon.metrics import report_tables
+
+    matrix_path = str(pipeline_dir / "matrix.ocm")
+    stage = tmp_path / "stage.cfg"
+    stage.write_text("k_folds = 2\nepochs = 3\nfixed.batch_size = 16\n"
+                     "grid.hidden_nodes = [3, 5]\ngrid.learning_rate = [3e-3, 1e-3]\n")
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("epochs_per_batch_set = 3\nmax_batch_sets = 1\nseed = 4\n")
+    os.makedirs(tmp_path / "search")
+    ranked = str(tmp_path / "search" / "ranked.csv")
+    assert main(["search", "--matrix", matrix_path, "--stage", str(stage), "--out", ranked]) == 0
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    assert main(["train", "--matrix", matrix_path, "--mlp-config", ranked + ".selected.cfg",
+                 "--train-config", str(train_cfg), "--out-dir", str(cli / "model")]) == 0
+    assert main(["eval", "--model", str(cli / "model"), "--matrix", matrix_path,
+                 "--out-dir", str(cli / "eval")]) == 0
+
+    matrix = load_matrix(matrix_path)
+    mlp_cfg = MlpConfig.from_hps(load_config(ranked + ".selected.cfg"), 12, "selected")
+    model, _ = train_ensemble(matrix, mlp_cfg, build(TrainConfig, load_config(str(train_cfg)),
+                                                     "train"))
+    save_ensemble(model, str(lib / "model"))
+    report_tables(model, matrix).write_csv(str(lib / "eval"))
+    files = [f"model/{name}" for name in sorted(os.listdir(lib / "model"))] + ["eval/det.csv"]
+    assert "model/ensemble.json" in files and len(files) == 14
+    for name in files:
+        assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
 
 
 def test_train_reruns_byte_identical(pipeline_dir, tmp_path):
@@ -945,6 +1025,18 @@ class TestStartup:
                         for line in proc.stderr.splitlines() if line.startswith("import time:")}
             assert "numpy" not in imported and "ocon.dataset" in imported, argv
         assert "ingest" in proc.stdout  # report listed the ingest manifest
+
+    def test_train_from_a_selected_config_loads_no_search(self, pipeline_dir, tmp_path):
+        (tmp_path / "selected.cfg").write_text("hidden_nodes = 2\nlearning_rate = 1e-3\n")
+        (tmp_path / "train.cfg").write_text("epochs_per_batch_set = 1\nmax_batch_sets = 1\n")
+        proc = self.run_interpreter(
+            "-X", "importtime", "-m", "ocon.cli", "train", "--matrix",
+            str(pipeline_dir / "matrix.ocm"), "--mlp-config", str(tmp_path / "selected.cfg"),
+            "--train-config", str(tmp_path / "train.cfg"), "--out-dir", str(tmp_path / "m"))
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "ocon.search" not in imported and "ocon.training" in imported
+        assert load_ensemble(str(tmp_path / "m")).members[0].config.hidden_layers == (2,)
 
     def test_cli_import_leaves_metrics_search_and_process_pool_unloaded(self):
         loaded = self.run_python(

@@ -4,13 +4,7 @@ import pytest
 from ocon import search
 from ocon.errors import OconError, TooFewSamples
 from ocon.mlp import MlpConfig
-from ocon.search import (
-    SearchStage,
-    desk_scale,
-    hp_to_mlp_config,
-    run_stage,
-    stage_presets,
-)
+from ocon.search import SearchStage, desk_scale, run_stage, stage_presets
 from ocon.training import TrainConfig, k_fold_evaluate
 from ocon.util import derive_seed
 from tests.test_training import blob_matrix
@@ -133,9 +127,9 @@ class TestRunStage:
         accs = []
         for class_id in range(2):
             cell_seed = derive_seed(stage_seed, "cell", 0, class_id)
-            mlp = hp_to_mlp_config({**stage.fixed, "hidden_nodes": 6},
-                                   matrix.feature_set.dim,
-                                   seed=derive_seed(cell_seed, "init"))
+            mlp = MlpConfig.from_hps({**stage.fixed, "hidden_nodes": 6,
+                                      "seed": derive_seed(cell_seed, "init")},
+                                     matrix.feature_set.dim, "hyperparameters")
             tc = TrainConfig(epochs_per_batch_set=stage.epochs, max_batch_sets=1,
                              early_stop=None, k_folds=stage.k_folds,
                              seed=derive_seed(cell_seed, "train"),
@@ -188,16 +182,16 @@ class TestRunStage:
 
     def test_each_combination_builds_one_config(self, monkeypatch):
         builds, handed = [], []
-        build, run_cell = search.hp_to_mlp_config, search._run_cell
+        build, run_cell = MlpConfig.from_hps, search._run_cell
 
-        def counting(*args, **kwargs):
+        def counting(cls, *args):
             builds.append(args)
-            return build(*args, **kwargs)
+            return build(*args)
 
         def recording(matrix, stage, mlp_cfg, *args):
             handed.append(mlp_cfg)
             return run_cell(matrix, stage, mlp_cfg, *args)
-        monkeypatch.setattr(search, "hp_to_mlp_config", counting)
+        monkeypatch.setattr(MlpConfig, "from_hps", classmethod(counting))
         monkeypatch.setattr(search, "_run_cell", recording)
         stage = tiny_stage(grid={"hidden_nodes": [4, 8], "learning_rate": [3e-3, 1e-3]})
         run_stage(blob_matrix(n_per_class=20, n_classes=3, seed=2), stage, seed=1, workers=1)
@@ -269,7 +263,7 @@ class TestRunStage:
         with pytest.raises(OconError, match=named):
             run_stage(matrix, tiny_stage(grid=grid), seed=1)
         with pytest.raises(OconError, match=named):
-            hp_to_mlp_config({**tiny_stage().fixed, **{k: v[0] for k, v in grid.items()}}, 3)
+            tiny_stage(grid=grid).configs(3)
 
     def test_stage_file_with_a_bad_hyperparameter_is_refused(self, tmp_path):
         path = tmp_path / "stage.cfg"
@@ -288,12 +282,39 @@ class TestRunStage:
     def test_selection_deterministic_tiebreak(self):
         from ocon.search import CombinationResult, SearchResult
         rows = [
-            CombinationResult(0, {"x": 1}, 90.0, 2.0, {}, False),
-            CombinationResult(1, {"x": 2}, 95.0, 5.0, {}, False),
-            CombinationResult(2, {"x": 3}, 95.0, 3.0, {}, False),
-            CombinationResult(3, {"x": 4}, 95.0, 3.0, {}, False),
+            CombinationResult(0, {"x": 1}, 90.0, 2.0, {}, {}),
+            CombinationResult(1, {"x": 2}, 95.0, 5.0, {}, {}),
+            CombinationResult(2, {"x": 3}, 95.0, 3.0, {}, {}),
+            CombinationResult(3, {"x": 4}, 95.0, 3.0, {}, {}),
         ]
         result = SearchResult(stage_name="t", rows=rows)
-        assert result.selected.index == 2  # best acc, best time, lowest index
-        # persisted ranking ignores wall-clock so files are reproducible
+        # best accuracy, then grid order: wall-clock time does not count, so
+        # the winner is rank 1 of the reproducible ranked CSV
+        assert result.selected.index == 1
         assert [r.index for r in result.ranked] == [1, 2, 3, 0]
+        assert result.selected is result.ranked[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tie_picks_the_same_winner_whatever_the_times(self, monkeypatch, workers):
+        import concurrent.futures
+
+        def forged(matrix, stage, mlp_cfg, combo_index, stage_seed, class_ids):
+            # every cell scores 50 %; later combinations claim to train faster
+            return [(50.0, 1.0 / (1 + combo_index + workers), None) for _ in class_ids]
+        monkeypatch.setattr(search, "_run_cell", forged)
+        # threads stand in for the worker processes, so they see the patch
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            concurrent.futures.ThreadPoolExecutor)
+        stage = tiny_stage(grid={"hidden_nodes": [4, 8], "learning_rate": [3e-3, 1e-3]})
+        result = run_stage(blob_matrix(n_per_class=20, n_classes=2, seed=2), stage,
+                           seed=1, workers=workers)
+        assert result.rows[-1].mean_time < result.rows[0].mean_time
+        assert result.selected.index == 0 and result.selected is result.ranked[0]
+
+    def test_stage_where_nothing_scored_raises_search_failed(self):
+        from ocon.errors import SearchFailed
+        matrix = blob_matrix(n_per_class=20, n_classes=2, seed=2)
+        matrix.values[3] = np.nan
+        result = run_stage(matrix, tiny_stage(), seed=1)
+        with pytest.raises(SearchFailed, match=r"stage tiny: no combination scored \(diverged\)"):
+            result.selected

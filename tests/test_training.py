@@ -13,7 +13,7 @@ from ocon.ensemble import train_ensemble
 from ocon.errors import TooFewSamples, UnknownClass
 from ocon.features import FeatureMatrix, FeatureSetKind, ScalingRecord, speaker_view
 from ocon.mlp import MlpConfig, StackedParams
-from ocon.search import hp_to_mlp_config, run_stage
+from ocon.search import run_stage
 from ocon.training import (
     Cycle,
     EarlyStopRule,
@@ -510,8 +510,8 @@ class TestParallelLockstep:
         for row in serial.rows:
             for cid, name in enumerate(matrix.class_names):
                 cell_seed = derive_seed(5, "cell", row.index, cid)
-                mlp = hp_to_mlp_config({**stage.fixed, **row.hps}, 3,
-                                       seed=derive_seed(cell_seed, "init"))
+                mlp = MlpConfig.from_hps({**stage.fixed, **row.hps,
+                                          "seed": derive_seed(cell_seed, "init")}, 3, "hps")
                 tc = TrainConfig(epochs_per_batch_set=stage.epochs, max_batch_sets=1,
                                  early_stop=None, k_folds=stage.k_folds,
                                  seed=derive_seed(cell_seed, "train"),
