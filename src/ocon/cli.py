@@ -193,6 +193,8 @@ def _train_config_from(args):
 
     if args.train_config:
         raw = load_config(args.train_config)
+        if "k_folds" in raw:
+            raise OconError(f"{args.train_config}: k_folds is a stage key; train never folds")
         if isinstance(raw.get("early_stop"), dict):
             raw["early_stop"] = build(EarlyStopRule, raw["early_stop"],
                                       f"{args.train_config}: early_stop")

@@ -28,7 +28,7 @@ from .errors import (
     PartialEnsemble,
 )
 from .features import FeatureSetKind, ScalingRecord
-from .mlp import StackedParams, accuracy_pct, predict_proba, read_checkpoint, save_model
+from .mlp import StackedParams, accuracy_pct, load_model, predict_proba, save_model
 from .util import check_class_id, derive_seed, sha256_file
 
 ENSEMBLE_VERSION = 1
@@ -42,8 +42,7 @@ class OconModel:
     ``StackedParams``, and each member of the immutable ``members`` tuple is
     an ``MlpModel`` whose params are the K=1 ``select`` of its row, so an
     edit through a member shows in ``infer`` at once.  Building the model
-    copies each member into its row (``params=None`` leaves the row for the
-    caller to fill); ``replace_member`` copies a new one in.
+    copies each member into its row; ``replace_member`` copies a new one in.
     """
 
     def __init__(self, class_names, members, scaling, feature_set):
@@ -51,17 +50,17 @@ class OconModel:
         self.scaling, self.feature_set = scaling, feature_set
         if not members or len(members) != len(self.class_names):
             raise ManifestMismatch("one member required per class, and at least one")
-        self._members, bank_hash = tuple(members), scaling.content_hash()
+        self.store = StackedParams(members[0].config, len(members))
+        bank_hash = scaling.content_hash()
         for name, member in zip(self.class_names, members):
             self._check_member(name, member.config, member.scaling_hash, bank_hash)
-        self.store = StackedParams(members[0].config, len(members))
         self._members = tuple(self._adopt(k, m) for k, m in enumerate(members))
 
     def _check_member(self, name, config, scaling_hash="", bank_hash=None):
         """A member must fit the bank: the feature width, the first member's
         layer widths and batch-norm (one stacked forward runs them all with
         its config) and the bank's scaling (hash ``bank_hash`` if known)."""
-        bank = self._members[0].config
+        bank = self.store.config
         if config.input_dim != self.feature_set.dim:
             raise ManifestMismatch(
                 f"member {name!r} input dim {config.input_dim} != {self.feature_set.dim}")
@@ -75,10 +74,9 @@ class OconModel:
 
     def _adopt(self, k, member):
         """``member`` copied into row ``k``, as a view of the row."""
+        self.store.put(k, member.params)
         params = self.store.select(slice(k, k + 1))
-        if member.params is not None:
-            self.store.put(k, member.params)
-            params.step = member.params.step
+        params.step = member.params.step
         return replace(member, params=params)
 
     @property
@@ -271,8 +269,8 @@ def _require_keys(record, keys, where):
 
 def load_ensemble(dirpath):
     """Load and validate an ensemble directory (hashes, scaling; the
-    ``OconModel`` constructor checks the topology).  Each member's arrays
-    are read straight into its row of the model's store.
+    ``OconModel`` constructor checks the topology).  Each member is read
+    by ``mlp.load_model`` and copied into its row of the model's store.
 
     A manifest that is not JSON, lacks or mistypes a key, or lists a
     member entry at another class's position, raises ManifestMismatch.
@@ -306,18 +304,13 @@ def load_ensemble(dirpath):
         # a swapped entry would serve one class's member as another's
         raise ManifestMismatch(f"{MANIFEST_NAME}: member classes {classes} differ from "
                                f"class_names {manifest['class_names']}")
-    checkpoints = []
+    members = []
     for entry in manifest["members"]:
         path = os.path.join(dirpath, entry["file"])
         if not os.path.exists(path):
             raise MissingMember(entry["class"])
         if sha256_file(path) != entry["sha256"]:
             raise ManifestMismatch(f"member file {entry['file']} hash mismatch")
-        checkpoints.append(read_checkpoint(path))
-
-    model = OconModel(class_names=tuple(manifest["class_names"]),
-                      members=[member for member, _ in checkpoints],
-                      scaling=scaling, feature_set=feature_set)
-    for member, (_, fill) in zip(model.members, checkpoints):
-        fill(member.params)
-    return model
+        members.append(load_model(path))
+    return OconModel(class_names=tuple(manifest["class_names"]), members=members,
+                     scaling=scaling, feature_set=feature_set)

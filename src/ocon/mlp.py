@@ -663,14 +663,12 @@ def save_model(model, path):
                               meta, dict(_checkpoint_arrays(model.params)))
 
 
-def read_checkpoint(path):
-    """A v1 or v2 checkpoint (v1 optimizer moments are ignored) as its
-    ``MlpModel`` with ``params=None`` and ``fill(params)``, which writes the
-    arrays and step into params of that config and returns them.  Metadata
-    or arrays that do not fit the recorded config, a config that
-    ``configfile.build`` refuses, a config whose ``FIXED_CONFIG`` keys hold
-    other values, a step that is not a non-negative int and hashes that are
-    not strings raise CorruptPayload."""
+def load_model(path):
+    """A v1 or v2 checkpoint (v1 optimizer moments are ignored) as an
+    ``MlpModel`` with params of its own.  Metadata or arrays that do not fit
+    the recorded config, a config that ``configfile.build`` refuses, a
+    config whose ``FIXED_CONFIG`` keys hold other values, a step that is not
+    a non-negative int and hashes that are not strings raise CorruptPayload."""
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     try:
         raw = dict(meta["config"])
@@ -687,26 +685,15 @@ def read_checkpoint(path):
                              f"{manifest_hash!r} must be strings")
     except (KeyError, TypeError, ValueError, OconError) as err:
         raise CorruptPayload(f"{path}: bad checkpoint metadata ({err!r})") from err
-
-    def fill(params):
-        for name, target in _checkpoint_arrays(params):
-            stored = arrays.get(name)
-            if stored is None or stored.shape != target.shape or stored.dtype != target.dtype:
-                raise CorruptPayload(
-                    f"{path}: array {name!r} missing or of the wrong shape or dtype")
-            target[...] = stored
-        params.step = step
-        return params
-
-    return MlpModel(config=config, params=None, scaling_hash=scaling_hash,
-                    manifest_hash=manifest_hash), fill
-
-
-def load_model(path):
-    """Read a checkpoint into new buffers (see ``read_checkpoint``)."""
-    model, fill = read_checkpoint(path)
-    model.params = fill(StackedParams(model.config))
-    return model
+    params = StackedParams(config)
+    for name, target in _checkpoint_arrays(params):
+        stored = arrays.get(name)
+        if stored is None or stored.shape != target.shape or stored.dtype != target.dtype:
+            raise CorruptPayload(f"{path}: array {name!r} missing or of the wrong shape or dtype")
+        target[...] = stored
+    params.step = step
+    return MlpModel(config=config, params=params, scaling_hash=scaling_hash,
+                    manifest_hash=manifest_hash)
 
 
 def _config_dict(config):

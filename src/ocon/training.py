@@ -367,7 +367,8 @@ def _run_cycle(matrix, cycles):
     of training rows step together, at most ``STACK_MAX_VALUES`` values of
     rows x members x widest layer per group.  A member's ``train_seconds``
     is its batch-set 0 fetch plus its share of every epoch it took part in:
-    the epoch's wall time over the members then in the group.
+    the epoch's wall time over the members then in the group.  A diverging
+    member is found by its loss, so numpy's overflow warnings are silenced.
     """
     members = []
     for cycle in cycles:
@@ -383,7 +384,8 @@ def _run_cycle(matrix, cycles):
         rows = max(stop - start for start, stop in _step_bounds(n_train, config))
         size = max(1, STACK_MAX_VALUES // (rows * max(config.layer_dims)))
         for at in range(0, len(group), size):
-            _train_group(group[at: at + size], n_train, config, tc)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _train_group(group[at: at + size], n_train, config, tc)
     scaling_hash = matrix.scaling.content_hash()
     return [m.result(scaling_hash) for m in members]
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import warnings
 from argparse import Namespace
 from dataclasses import fields, replace
 
@@ -393,6 +394,8 @@ class TestErrorContract:
          "hidden_nodes needs a count of hidden_layers, not widths"),
         ("search", "--stage", "epochs = 1\nk_folds = 2\ngrid.input_dim = [5]\n",
          "hyperparameters: input_dim is not a key"),
+        ("train", "--train-config", "k_folds = 1\nmax_batch_sets = 1\n",
+         "k_folds is a stage key; train never folds"),
     ], ids=["train_epochs_str", "early_stop_unknown_key", "mlp_lr_str", "mlp_bool_as_int",
             "stage_lr_str", "stage_misspelt_hp", "stage_folds_str", "stage_grid_scalar",
             "stage_misspelt_section", "stage_one_fold", "stage_no_epochs",
@@ -400,7 +403,7 @@ class TestErrorContract:
             "stage_negative_layers", "stage_huge_layers", "early_stop_huge_int",
             "mlp_lr_nan", "stage_l2_nan", "train_tolerance_negative", "train_tolerance_nan",
             "mlp_retired_loss", "mlp_retired_activation", "stage_retired_loss",
-            "mlp_input_dim", "mlp_widths_with_nodes", "stage_input_dim"])
+            "mlp_input_dim", "mlp_widths_with_nodes", "stage_input_dim", "train_k_folds"])
     def test_bad_config_value_names_its_file(self, pipeline_dir, tmp_path, capsys,
                                              command, flag, text, named):
         cfg = tmp_path / "bad.cfg"
@@ -890,17 +893,20 @@ def test_preset_ladder_passes_every_winner_on(pipeline_dir, tmp_path):
         input_dim=12, hidden_layers=(chosen.pop("hidden_nodes"),), **chosen)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the diverging learning rate
 def test_search_manifest_names_failed_cells(pipeline_dir, tmp_path, capsys):
-    """A diverged combination ranks last and the manifest names its cells;
-    a stage where no combination scored exits 1 and selects nothing."""
+    """A diverged combination ranks last, raises no numpy warning, and the
+    manifest names its cells; a stage where no combination scored exits 1
+    and selects nothing."""
     from ocon.configfile import load_config
     stage = tmp_path / "stage.cfg"
     stage.write_text("k_folds = 2\nepochs = 2\nfixed.batch_size = 16\n"
                      "grid.hidden_nodes = [3]\ngrid.learning_rate = [3e-3, 1e300]\n")
     ranked = str(tmp_path / "ranked.csv")
-    assert main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
-                 "--stage", str(stage), "--out", ranked]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["search", "--matrix", str(pipeline_dir / "matrix.ocm"),
+                     "--stage", str(stage), "--out", ranked]) == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     [failed] = search_manifest(tmp_path)["extra"]["failed_cells"].items()
     assert failed[0] == "1" and set(failed[1].values()) == {"diverged"}
     assert load_config(ranked + ".selected.cfg") == {"hidden_nodes": 3, "learning_rate": 3e-3}

@@ -30,6 +30,45 @@ def unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def dead_private_names(sources):
+    """(module, line, name) of each module-level ``_name`` (a function, a
+    class or an assignment target; dunders excepted) defined in the
+    ``sources`` mapping of module name -> source that no module reads, as a
+    name, an attribute or an imported name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name[:2] == name[-2:] == "__"]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [entry for entry in defined if entry[2] not in read]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+def test_dead_private_name_is_found():
+    sources = {"a": ("__version__ = '1'\n_dead = 2\n_named = 3\n_x, _y = 4, 5\n"
+                     "def _helper():\n    return _named + _x\n\nclass _Orphan:\n    pass\n"
+                     "_attr: int = 6\n"),
+               "b": "from a import _helper\nimport a\nprint(a._attr)\n"}
+    assert dead_private_names(sources) == [("a", 2, "_dead"), ("a", 4, "_y"),
+                                           ("a", 8, "_Orphan")]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
