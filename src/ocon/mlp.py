@@ -6,9 +6,11 @@ Everything is float64 numpy; a fixed seed gives a bitwise-reproducible run.
 
 Dropout rates are *keep* probabilities (0.8 input / 0.5 hidden in the tuned
 setup) and surviving activations are scaled by 1/keep at train time, so
-inference needs no rescaling.  Batch-norm normalizes with batch statistics in
-train mode while updating running statistics (momentum 0.1, biased variance)
-used verbatim in infer mode.
+inference needs no rescaling; a unit is kept where a 16-bit uniform draw is
+below keep, so the kept share is keep rounded to a multiple of 2^-16.
+Batch-norm normalizes with batch statistics in train mode, folded into one
+``centred * (gamma/std) + beta`` pass, while updating running statistics
+(momentum 0.1, biased variance) used verbatim in infer mode.
 
 Flat parameter layout: a ``StackedParams`` holds K same-topology members,
 each one row of a (K, P) float64 ``theta`` -- all weight matrices
@@ -273,7 +275,7 @@ class _Buffers:
     #: roles sized (members, rows, ...); the rest are (members, 1, width)
     #: statistics or (members, P) optimizer temporaries
     ROW_ROLES = ("inp", "z", "act", "mask", "da", "zout", "e")
-    ROLES = ROW_ROLES + ("mu", "std", "sum_d", "sum_dz", "p1", "p2", "pw")
+    ROLES = ROW_ROLES + ("scale", "inv_std", "p1", "p2", "pw")
 
     def __init__(self, **roles):
         for role in self.ROLES:
@@ -296,8 +298,7 @@ def _cut(buf, at):
 @functools.cache
 def _fresh(n_hidden):
     """Infer-mode buffers: ``None`` everywhere, so every operation allocates."""
-    return _Buffers(**{role: (None,) * n_hidden for role in ("z", "act", "mask", "da",
-                                                             "mu", "std", "sum_d", "sum_dz")})
+    return _Buffers(z=(None,) * n_hidden, act=(None,) * n_hidden)
 
 
 class _Workspace:
@@ -307,7 +308,8 @@ class _Workspace:
     100, 300 KB) is above glibc's 128 KiB mmap threshold, so glibc would map
     and unmap it on every operation, at hundreds of page faults per step.
     So every step writes into one (K, rows, width) block per role and hidden
-    layer, (K, 1, width) batch-norm statistics and two (K, P) optimizer
+    layer, (K, 1, width) batch-norm blocks (``scale`` holds the batch mean,
+    then gamma/std; ``inv_std`` 1/std) and two (K, P) optimizer
     temporaries.  Blocks are reused once their value is dead: ReLU runs in
     place, the squared centred batch goes through the batch-norm output
     block, and the backward pass turns each activation block into scratch
@@ -331,8 +333,7 @@ class _Workspace:
             inp=block(config.input_dim) if config.dropout_keep_input < 1 else None,
             z=per_layer(), act=per_layer(bn),
             mask=per_layer(config.dropout_keep_hidden < 1), da=per_layer(),
-            mu=per_layer(bn, 1), std=per_layer(bn, 1),
-            sum_d=per_layer(bn, 1), sum_dz=per_layer(bn, 1),
+            scale=per_layer(bn, 1), inv_std=per_layer(bn, 1),
             zout=block(1), e=np.empty((n_members, rows)),
             p1=p1, p2=np.empty((n_members, n_params)), pw=p1[:, :n_weights])
         self._views = {}
@@ -365,13 +366,16 @@ def bce_per_sample(zout, y, e=None):
 
 
 def _dropout(rngs, keep, buf):
-    """Keep indicators (1.0 where a uniform draw is below ``keep``, else 0.0)
-    in ``buf``, one draw per member from its own generator, in member order,
-    as ``rng.random(shape) < keep`` draws for one member."""
+    """Keep indicators (1.0 where a 16-bit uniform draw is below ``keep``,
+    rounded to a multiple of 2^-16 within [2^-16, 1 - 2^-16], else 0.0) in
+    ``buf``, one block per member from its own generator, in member order.
+    Each 64-bit ``random_raw`` output gives four draws, low bits first."""
+    size = buf[0].size
+    raw = np.empty((len(buf), -(-size // 4)), "<u8")     # little-endian on any host
     for k, rng in enumerate(rngs):
-        rng.random(out=buf[k])
-    np.less(buf, keep, out=buf)
-    return buf
+        raw[k] = rng.bit_generator.random_raw(raw.shape[1])
+    threshold = min(max(round(keep * 65536), 1), 65535)
+    return np.less(raw.view("<u2")[:, :size].reshape(buf.shape), threshold, out=buf)
 
 
 def forward(stack, config, batch, mode="infer", rng=None):
@@ -419,26 +423,29 @@ def _forward(stack, config, x, train, rng, buffers):
         if config.batch_norm:
             if train:
                 # z.mean(axis) and z.var(axis) spelled out as numpy computes
-                # them (same bits), so the centred batch is reused for zhat
-                mu = np.add.reduce(z, axis=-2, keepdims=True, out=buffers.mu[l])
+                # them; the centred batch stays in z for the backward pass
+                mu = np.add.reduce(z, axis=-2, keepdims=True, out=buffers.scale[l])
                 mu /= n
                 z -= mu
                 var = np.add.reduce(np.multiply(z, z, out=buffers.act[l]), axis=-2,
-                                    keepdims=True, out=buffers.std[l])
+                                    keepdims=True, out=buffers.inv_std[l])
                 var /= n
                 running_mean, running_var = stack.running_mean[l], stack.running_var[l]
                 running_mean *= 1.0 - BN_MOMENTUM
                 running_mean += np.multiply(mu, BN_MOMENTUM, out=mu)
                 running_var *= 1.0 - BN_MOMENTUM
                 running_var += np.multiply(var, BN_MOMENTUM, out=mu)
-                std = var
-                std += BN_EPS
-                np.sqrt(std, out=std)
+                inv_std = var
+                inv_std += BN_EPS
+                np.sqrt(inv_std, out=inv_std)
+                np.divide(1.0, inv_std, out=inv_std)
+                # normalize and scale in one broadcast: centred * (gamma / std)
+                scale = np.multiply(stack.gamma[l], inv_std, out=buffers.scale[l])
+                pre_act = np.multiply(z, scale, out=buffers.act[l])
             else:
                 z -= stack.running_mean[l]
-                std = np.sqrt(stack.running_var[l] + BN_EPS)
-            z /= std
-            pre_act = np.multiply(stack.gamma[l], z, out=buffers.act[l])
+                z /= np.sqrt(stack.running_var[l] + BN_EPS)
+                pre_act = np.multiply(stack.gamma[l], z, out=buffers.act[l])
             pre_act += stack.beta[l]
         else:
             pre_act = z
@@ -460,8 +467,9 @@ def _backward(stack, config, x, buffers, probs, y):
     """Gradients of each member's mean loss on the (K, rows, d) batch ``x``
     and (K, rows) labels ``y``, written into ``stack.grad``.  It reads what
     ``_forward`` left in ``buffers``: each hidden layer's output (``act``
-    under batch-norm, else ``z``, as ReLU ran in place), normalized batch
-    (``z``), ``std`` and dropout ``mask``, and the dropped-out input ``inp``."""
+    under batch-norm, else ``z``, as ReLU ran in place), centred batch
+    (``z``), ``inv_std`` (1/std), ``scale`` (gamma/std) and dropout ``mask``,
+    and the dropped-out input ``inp``."""
     b = y.shape[-1]
     g = ((probs - y) / b)[..., None]
     outputs = buffers.act if config.batch_norm else buffers.z
@@ -484,20 +492,22 @@ def _backward(stack, config, x, buffers, probs, y):
         scratch = np.greater(outputs[l], 0, out=outputs[l])
         da *= scratch
         if config.batch_norm:
-            zhat = buffers.z[l]
-            np.add.reduce(np.multiply(da, zhat, out=scratch), axis=-2, keepdims=True,
-                          out=stack.d_gamma[l])
-            np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_beta[l])
-            da *= stack.gamma[l]                      # now d loss / d zhat
-            inv_std = np.divide(1.0, buffers.std[l], out=buffers.mu[l])
-            sum_d = np.add.reduce(da, axis=-2, keepdims=True, out=buffers.sum_d[l])
-            sum_dz = np.add.reduce(np.multiply(da, zhat, out=scratch), axis=-2,
-                                   keepdims=True, out=buffers.sum_dz[l])
-            da *= b
-            da -= sum_d
-            da -= np.multiply(zhat, sum_dz, out=scratch)
-            inv_std /= b
-            da *= inv_std                             # now d loss / d z
+            # d loss / d z = da*s + centred*c1 + c0 with s = gamma/std,
+            # c1 = -s/std * d_gamma/b and c0 = -s * d_beta/b: the sums of
+            # d loss / d zhat and of its product with zhat are gamma*d_beta
+            # and gamma*d_gamma.  c0 borrows d_biases[l], written below.
+            centred, inv_std, s = buffers.z[l], buffers.inv_std[l], buffers.scale[l]
+            d_gamma = np.add.reduce(np.multiply(da, centred, out=scratch), axis=-2,
+                                    keepdims=True, out=stack.d_gamma[l])
+            d_gamma *= inv_std
+            d_beta = np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_beta[l])
+            c0 = np.multiply(s, -1.0 / b, out=stack.d_biases[l])   # -s/b so far
+            c1 = np.multiply(inv_std, d_gamma, out=inv_std)
+            c1 *= c0
+            c0 *= d_beta
+            da *= s
+            da += np.multiply(centred, c1, out=scratch)
+            da += c0
         np.matmul(da.mT, inputs[l], out=stack.d_weights[l])
         np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_biases[l])
         if l:

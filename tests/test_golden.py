@@ -36,7 +36,7 @@ TWO_LAYER_RMSPROP = MlpConfig(input_dim=12, hidden_layers=(16, 8), optimizer="rm
 CASES = {
     "tuned_bn_dropout_adam": (
         MlpConfig.tuned(12, seed=5), TRAIN, 8,
-        "65cf6f14c4831357b80507434eea8d18a91c4f1f9aa9368b592b8a65dbd812c2"),
+        "669a78cb43e043792f79c868b0f9e6dc7453ee0eef04692ed379fc7887b7ee8b"),
     "two_layer_rmsprop": (
         TWO_LAYER_RMSPROP, TRAIN, 8,
         "a694b3f1b5d11bbad2378b757e70960d0c4bfcb68b9269b13c7adf8203e8ee67"),
@@ -94,13 +94,13 @@ CLI_CHAIN_DIGESTS = {
     "records.csv.stats.txt": "cfd5b118d363fd4262fb425b8b2ed7b96d029dc09499961f06a1f535182dfcea",
     "matrix.ocm": "44fc230893008ca4e89c58ecc4e1a757efa479348f0461bce42f9a38a4cfd768",
     "matrix.ocm.stats.txt": "80d1d9755b4bd3b99ab56cad903030a8291c03210b524ecee97e884ffaafdfb6",
-    "model/ensemble.json": "2ae20dc614495992a95a2d050f33634ed99065ec80067611b88b9aa9cd5b120f",
-    "model/member_ae.ocmdl": "2b17449037fddd831f203ebd75b5dad5af6dfcf221ba413364d99859b6109e83",
-    "eval/det.csv": "1e0d12385ff69c3b3047682a4bd04874937c5bb3d1856b2b3e94c5a34b31ca1e",
-    "eval/roc_ae.csv": "57635a71f7a1d0fbbb0ae617f4c2941fb802b4d19bdf302e0bc0f1192f8bbe81",
-    "infer.csv": "b36a81a868c74f14b023f3d713d4b36b4b4a2bd63fe4d7ede437f7e438b13e79",
-    "infer.jsonl": "10138c81cdcfccb8abc34e5e6faf20af4694f442275ceb384c1f327c1dd697aa",
-    "infer_single.csv": "dde41d7684723f17c43b055a98c87f34ff72dc95e93afab8469028f06bab7501",
+    "model/ensemble.json": "f77f86dc5d889600c19749518746d5bf0ed49f75cbc77a616d3050ab0d52b4a9",
+    "model/member_ae.ocmdl": "2838d1c6ebdab0bdd1e290c0b72766963726177946cc5dbaad0bfdbb70101b5a",
+    "eval/det.csv": "3bc4abae666d80e92397970dc489814ce119b5eb753c99d9f92ffbcf957bd9d3",
+    "eval/roc_ae.csv": "ddfe22cba8f07a39b97b47dc7c3deb3ec268b7d2d8cfaed920bc15b859fb1945",
+    "infer.csv": "c5f2d93849d687950ed5ba8d29326998aa50dba992d95efafc81d653a87c2bf3",
+    "infer.jsonl": "0cabde0dac7de06f80d425000f3516a327ef89f908cfa4df95dd32c13b1c58ba",
+    "infer_single.csv": "e552764e507e97bc9387af27d41030c5e6303c94a553ec057a0b37a0ea1c2b18",
 }
 
 CLI_TRAIN_CONFIG = "epochs_per_batch_set = 3\nmax_batch_sets = 1\nearly_stop = null\nseed = 5\n"

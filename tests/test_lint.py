@@ -79,3 +79,35 @@ def test_unused_import_is_found():
               "from . import helpers\n__all__ = ['helpers']\n\n"
               "@dataclass\nclass A:\n    x: int = np.int64(os.sep == '/')\n")
     assert unused_imports(source) == [(3, "field")]
+
+
+#: the only ``np.random.<name>(...)`` calls allowed: seeded generators and
+#: bit generators, never numpy's global RandomState
+SEEDED_RNG_CALLS = {"default_rng", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
+
+
+def global_rng_calls(source):
+    """(line, name) of each ``np.random.<name>(...)`` or
+    ``numpy.random.<name>(...)`` call in ``source`` that is not in
+    ``SEEDED_RNG_CALLS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "random" and isinstance(func.value.value, ast.Name)
+                and func.value.value.id in ("np", "numpy")
+                and func.attr not in SEEDED_RNG_CALLS):
+            found.append((node.lineno, func.attr))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_global_rng_calls(path):
+    assert global_rng_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_global_rng_call_is_found():
+    source = ("import numpy\nimport numpy as np\n\nrng = np.random.default_rng(3)\n"
+              "bits = np.random.PCG64(4)\nx = np.random.rand(2)\nnp.random.seed(1)\n"
+              "y = rng.random(2)\nz = numpy.random.normal(size=3)\n")
+    assert global_rng_calls(source) == [(6, "rand"), (7, "seed"), (9, "normal")]

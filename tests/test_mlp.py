@@ -10,6 +10,7 @@ import pytest
 from ocon import container
 from ocon.errors import CorruptPayload, DimensionMismatch, VersionMismatch
 from ocon.mlp import (
+    _dropout,
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
     MlpConfig,
@@ -40,25 +41,31 @@ def rand_batch(rng, n, d):
 
 # --- independent oracle: central finite differences on the loss ---
 
-def numerical_loss(params, config, batch, labels):
+def mask_rng(mask_seed):
+    """A fresh dropout generator list, so every pass draws the same masks."""
+    return None if mask_seed is None else [np.random.default_rng(mask_seed)]
+
+
+def numerical_loss(params, config, batch, labels, mask_seed=None):
     """Loss recomputed from a plain forward pass (no gradient machinery)."""
     y = np.asarray(labels, dtype=np.float64)
-    _, zout = forward(params, config, batch[None], mode="train")
+    _, zout = forward(params, config, batch[None], mode="train", rng=mask_rng(mask_seed))
     data = bce_per_sample(zout, y).mean()
     l2 = 0.5 * config.l2_lambda * sum(np.sum(w * w) for w in params.weights)
     return float(data + l2)
 
 
-def finite_difference_grads(params, config, batch, labels, h=1e-5):
-    """Central differences over every entry of the (1, P) ``params.theta``."""
+def finite_difference_grads(params, config, batch, labels, h=1e-5, mask_seed=None):
+    """Central differences over every entry of the (1, P) ``params.theta``,
+    with the dropout masks of ``mask_seed`` fixed."""
     theta = params.theta[0]
     grads = np.zeros_like(theta)
     for i in range(theta.size):
         keep = theta[i]
         theta[i] = keep + h
-        up = numerical_loss(params, config, batch, labels)
+        up = numerical_loss(params, config, batch, labels, mask_seed)
         theta[i] = keep - h
-        down = numerical_loss(params, config, batch, labels)
+        down = numerical_loss(params, config, batch, labels, mask_seed)
         theta[i] = keep
         grads[i] = (up - down) / (2 * h)
     return grads
@@ -72,7 +79,10 @@ def max_relative_error(analytic, numeric):
 class TestGradients:
     @pytest.mark.parametrize("case", range(20))
     def test_analytic_matches_finite_differences(self, case):
+        # every third case drops inputs and hidden units, through masks that
+        # a fresh generator of one seed fixes for every loss evaluation
         rng = np.random.default_rng(1000 + case)
+        dropout = case % 3 == 2
         config = MlpConfig(
             input_dim=int(rng.integers(2, 5)),
             hidden_layers=tuple(int(rng.integers(2, 6))
@@ -81,14 +91,17 @@ class TestGradients:
             l2_lambda=float(rng.choice([0.0, 1e-2])),
             learning_rate=1e-3,
             seed=int(rng.integers(0, 2 ** 31)),
+            dropout_keep_input=0.8 if dropout else 1.0,
+            dropout_keep_hidden=0.7 if dropout else 1.0,
         )
         params = init_params(config)
         # move off the freshly initialized point so batch-norm state is generic
         for arr in params.trainables():
             arr += rng.normal(0, 0.05, size=arr.shape)
         x, y = rand_batch(rng, int(rng.integers(3, 9)), config.input_dim)
-        _, grads, _ = loss_and_grads(params, config, x[None], y)
-        numeric = finite_difference_grads(params, config, x, y)
+        mask_seed = 50 + case if dropout else None
+        _, grads, _ = loss_and_grads(params, config, x[None], y, rng=mask_rng(mask_seed))
+        numeric = finite_difference_grads(params, config, x, y, mask_seed=mask_seed)
         assert max_relative_error(grads[0], numeric) < 1e-4
 
 
@@ -196,6 +209,40 @@ class TestForward:
         mean = total / n_masks
         ref = infer_zout[0, 0]
         assert abs(mean - ref) < 1e-2 * max(1.0, abs(ref))
+
+
+def explicit_keeps(seeds, shape, threshold):
+    """Keep indicators built by hand: each member's ``random_raw`` words cut
+    into 16-bit draws from the low bits up, kept below ``threshold``."""
+    size = math.prod(shape)
+    out = []
+    for seed in seeds:
+        words = np.random.default_rng(seed).bit_generator.random_raw(-(-size // 4))
+        draws = [(int(w) >> (16 * i)) & 0xFFFF for w in words for i in range(4)][:size]
+        out.append(np.array([float(d < threshold) for d in draws]).reshape(shape))
+    return np.array(out)
+
+
+class TestDropoutDraws:
+    @pytest.mark.parametrize("keep", [0.5, 0.8, 0.9])
+    def test_kept_share_is_keep(self, keep):
+        buf = _dropout([np.random.default_rng(5)], keep, np.empty((1, 400, 250)))
+        sigma = math.sqrt(keep * (1 - keep) / buf.size)
+        assert abs(buf.mean() - keep) < 4 * sigma
+
+    @pytest.mark.parametrize("keep, threshold", [(0.8, 52429), (0.5, 32768), (0.3, 19661)])
+    def test_indicators_are_16_bit_draws_low_bits_first(self, keep, threshold):
+        # 7 x 5 draws per member leave one word's top draw unused
+        buf = _dropout([np.random.default_rng(s) for s in (3, 4)], keep, np.empty((2, 7, 5)))
+        assert np.array_equal(buf, explicit_keeps((3, 4), (7, 5), threshold))
+
+    @pytest.mark.parametrize("keep, threshold", [(2.0 ** -18, 1), (1 - 2.0 ** -18, 65535)])
+    def test_extreme_keep_is_clamped(self, keep, threshold):
+        # a keep below 2^-17 would round to no draw at all; it keeps 2^-16
+        buf = _dropout([np.random.default_rng(8)], keep, np.empty((1, 512, 512)))
+        assert np.array_equal(buf, explicit_keeps((8,), (512, 512), threshold))
+        rate = threshold / 65536
+        assert abs(buf.mean() - rate) < 4 * math.sqrt(rate * (1 - rate) / buf.size)
 
 
 class TestLoss:
