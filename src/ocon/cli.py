@@ -47,11 +47,6 @@ from .util import read_text
 _FEATURE_SETS = {kind.value: kind for kind in FeatureSetKind}
 
 
-def _manifest_out(manifest, directory):
-    manifest.finish()
-    return manifest.write(directory)
-
-
 def cmd_ingest(args):
     layout = ColumnLayout.from_file(args.layout) if args.layout else ColumnLayout.hgcw_bigdata()
     manifest = RunManifest("ingest", {"data": args.data, "layout": args.layout},
@@ -66,7 +61,7 @@ def cmd_ingest(args):
         fh.write(stats.format_table())
     manifest.add_output(args.out)
     manifest.add_output(stats_path)
-    _manifest_out(manifest, os.path.dirname(os.path.abspath(args.out)))
+    manifest.write(os.path.dirname(os.path.abspath(args.out)))
     print(f"ingested {len(records)} rows -> {args.out}")
     return 0
 
@@ -100,7 +95,7 @@ def cmd_preprocess(args):
         manifest.add_output(path)
     manifest.extra["usable_rows"] = matrix.n_rows
     manifest.extra["dropped_rows"] = len(dropped)
-    _manifest_out(manifest, os.path.dirname(os.path.abspath(args.out)))
+    manifest.write(os.path.dirname(os.path.abspath(args.out)))
     print(f"kept {matrix.n_rows} rows, dropped {len(dropped)} -> {args.out}")
     return 0
 
@@ -174,7 +169,7 @@ def cmd_search(args):
                                       for row in result.rows if row.failures}
     manifest.extra["selected_accuracy"] = best.mean_accuracy
     manifest.extra["cycles"] = stage.cycle_count(matrix.n_classes)
-    _manifest_out(manifest, os.path.dirname(os.path.abspath(args.out)))
+    manifest.write(os.path.dirname(os.path.abspath(args.out)))
     print(f"stage {stage.name}: {len(result.rows)} combinations -> {args.out}")
     print(f"selected {best.hps} (mean accuracy {best.mean_accuracy:.2f}%)")
     return 0
@@ -226,7 +221,7 @@ def cmd_train(args):
     manifest.add_output(report_path)
     mean_acc = sum(r.test_accuracy for r in reports) / len(reports)
     manifest.extra["mean_test_accuracy"] = mean_acc
-    _manifest_out(manifest, args.out_dir)
+    manifest.write(args.out_dir)
     for r in reports:
         print(f"{r.class_name:<10} acc {r.test_accuracy:6.2f}%  "
               f"{r.train_seconds:7.2f}s  {r.stop_reason}")
@@ -253,7 +248,7 @@ def cmd_eval(args):
         tables.write_csv(args.out_dir)
         for name in ("accuracy.csv", "det.csv", "confusion.csv"):
             manifest.add_output(os.path.join(args.out_dir, name))
-        _manifest_out(manifest, args.out_dir)
+        manifest.write(args.out_dir)
     return 0
 
 

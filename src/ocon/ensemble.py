@@ -75,9 +75,7 @@ class OconModel:
     def _adopt(self, k, member):
         """``member`` copied into row ``k``, as a view of the row."""
         self.store.put(k, member.params)
-        params = self.store.select(slice(k, k + 1))
-        params.step = member.params.step
-        return replace(member, params=params)
+        return replace(member, params=self.store.select(slice(k, k + 1)))
 
     @property
     def members(self):

@@ -202,21 +202,22 @@ def save_matrix(matrix, path):
 
 def load_matrix(path):
     """Read a matrix file; a missing or ill-typed array or metadata key,
-    ``values`` that are not float64, a label or group code out of range, or a
-    scaling mode other than min-max, raises CorruptPayload."""
+    class names that are not a list of strings, arrays whose shapes
+    ``FeatureMatrix`` refuses, ``values`` that are not float64, a label or
+    group code out of range, or a scaling mode other than min-max, raises
+    CorruptPayload naming the file."""
     _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
     try:
+        names = meta["class_names"]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"class_names {names!r} is not a list of strings")
         scaling = ScalingRecord.from_dict({"mode": meta["scaling_mode"],
                                            "lo": arrays["scaling_lo"], "hi": arrays["scaling_hi"]})
         matrix = FeatureMatrix(
-            values=arrays["values"],
-            labels=arrays["labels"],
-            groups=arrays["groups"],
-            scaling=scaling,
-            feature_set=FeatureSetKind(meta["feature_set"]),
-            class_names=tuple(meta["class_names"]),
-        )
-    except (KeyError, TypeError, ValueError) as err:
+            values=arrays["values"], labels=arrays["labels"], groups=arrays["groups"],
+            scaling=scaling, feature_set=FeatureSetKind(meta["feature_set"]),
+            class_names=tuple(names))
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as err:
         raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err
     if matrix.values.dtype != np.float64:
         raise CorruptPayload(f"{path}: values must be float64, not {matrix.values.dtype}")

@@ -1,8 +1,10 @@
 """Run manifests: append-only JSON records tying outputs to their inputs.
 
-Every CLI command writes one manifest file named after its UTC start time
-and config hash.  A manifest lists the command, the merged effective config,
-the master seed, and content hashes of every input and output file, which is
+``ingest``, ``preprocess``, ``search`` and ``train`` each write one manifest
+file named after its UTC start time and config hash, and ``eval`` does with
+``--out-dir``; ``infer`` and ``report`` write none.  A manifest lists the
+command, the merged effective config, the master seed, content hashes of
+every input and output file, and its start and finish times, which is
 enough to re-run the command and to audit which run produced which artifact.
 """
 
@@ -40,13 +42,12 @@ class RunManifest:
     def add_output(self, path):
         self.outputs.append({"path": str(path), "sha256": sha256_file(path)})
 
-    def finish(self):
-        self.finished = _utc_now()
-
     def to_dict(self):
         return {**asdict(self), "config_hash": self.config_hash}
 
     def write(self, directory):
+        """Stamp ``finished``, then write into ``directory``; returns the path."""
+        self.finished = _utc_now()
         os.makedirs(directory, exist_ok=True)
         stamp = self.started.replace(":", "").replace("-", "")
         path = os.path.join(directory,

@@ -176,12 +176,13 @@ class StackedParams:
     ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
     ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
     ``grad``; ``gamma`` and ``beta`` are empty when batch-norm is off.
-    ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins, and ``step`` counts
-    the optimizer steps all K members took together.  A new stack holds
-    zeros, unit running variances.  Train-mode steps write their temporaries
-    into ``workspace``, which the stack keeps between steps.  A stack that
-    ``select`` cut from another writes through to it; pickling or copying
-    one carries only its values, into buffers of its own.
+    ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins, and the (K,) int64
+    ``steps`` counts each member's optimizer steps (``step`` reads row 0: a
+    stack's rows step together).  A new stack holds zeros, unit running
+    variances.  Train-mode steps write their temporaries into ``workspace``,
+    which the stack keeps between steps.  A stack that ``select`` cut from
+    another writes through to it; pickling or copying one carries only its
+    values, into buffers of its own.
     """
 
     def __init__(self, config, n_members=1):
@@ -196,10 +197,11 @@ class StackedParams:
         widths = config.hidden_layers if config.batch_norm else ()
         running = ([np.zeros((n_members, 1, w)) for w in widths]
                    + [np.ones((n_members, 1, w)) for w in widths])
-        self._bind(theta, running, *(np.zeros_like(theta) for _ in range(3)))
+        self._bind(theta, running, *(np.zeros_like(theta) for _ in range(3)),
+                   np.zeros(n_members, dtype=np.int64))
 
-    def _bind(self, theta, running, grad, opt_m, opt_v, step=0):
-        self.theta, self.grad, self.opt_m, self.opt_v, self.step = theta, grad, opt_m, opt_v, step
+    def _bind(self, theta, running, grad, opt_m, opt_v, steps):
+        self.theta, self.grad, self.opt_m, self.opt_v, self.steps = theta, grad, opt_m, opt_v, steps
         n_bn = len(running) // 2
         self.running_mean, self.running_var = running[:n_bn], running[n_bn:]
         self.weights, self.biases, self.gamma, self.beta = _split(self.shapes, self.n_layers, theta)
@@ -207,12 +209,17 @@ class StackedParams:
             self.shapes, self.n_layers, grad)
 
     def _state(self):
-        """Parameters, running statistics, then moments."""
-        return [self.theta, *self.running_mean, *self.running_var, self.opt_m, self.opt_v]
+        """Parameters, running statistics, moments, then step counts."""
+        return [self.theta, *self.running_mean, *self.running_var, self.opt_m, self.opt_v,
+                self.steps]
 
     @property
     def n_members(self):
         return len(self.theta)
+
+    @property
+    def step(self):
+        return int(self.steps[0])
 
     def buffers(self, config, rows):
         """Workspace views for one train step of ``rows`` rows per member
@@ -224,12 +231,12 @@ class StackedParams:
         return ws.at(self.n_members, rows)
 
     def select(self, rows):
-        """The members at the slice ``rows``, as views of this stack that
-        share its workspace and start from its step count."""
+        """The members at the slice ``rows``, as views of this stack (step
+        counts included) that share its workspace."""
         part = object.__new__(StackedParams)
         part.__dict__.update(self.__dict__)
         part._bind(self.theta[rows], [s[rows] for s in self.running_mean + self.running_var],
-                   *(a[rows] for a in (self.grad, self.opt_m, self.opt_v)), step=self.step)
+                   *(a[rows] for a in (self.grad, self.opt_m, self.opt_v, self.steps)))
         return part
 
     def put(self, k, params):
@@ -242,14 +249,13 @@ class StackedParams:
         return self.weights + self.biases + self.gamma + self.beta
 
     def __getstate__(self):
-        return self.config, self._state(), self.step
+        return self.config, self._state()
 
     def __setstate__(self, state):
-        config, values, step = state
+        config, values = state
         self.__init__(config, len(values[0]))
         for mine, saved in zip(self._state(), values):
             mine[...] = saved
-        self.step = step
 
     def copy(self):
         return copy.deepcopy(self)
@@ -550,7 +556,7 @@ def loss_and_grads(stack, config, batch, labels, rng=None):
 def optimizer_step(stack, grads, config):
     """One in-place Adam (bias-corrected) or RMSProp update of the K rows of
     ``stack.theta`` from the (K, P) gradient ``grads``."""
-    stack.step += 1
+    stack.steps += 1
     t = stack.step
     lr = config.learning_rate
     m, v = stack.opt_m, stack.opt_v
@@ -678,7 +684,7 @@ def load_model(path):
     ``MlpModel`` with params of its own.  Metadata or arrays that do not fit
     the recorded config, a config that ``configfile.build`` refuses, a
     config whose ``FIXED_CONFIG`` keys hold other values, a step that is not
-    a non-negative int and hashes that are not strings raise CorruptPayload."""
+    an int in 0..2**63-1 and hashes that are not strings raise CorruptPayload."""
     _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
     try:
         raw = dict(meta["config"])
@@ -688,8 +694,8 @@ def load_model(path):
         config = build(MlpConfig, raw, "config")
         step, scaling_hash, manifest_hash = (
             meta["step"], meta["scaling_hash"], meta["manifest_hash"])
-        if type(step) is not int or step < 0:
-            raise ValueError(f"step {step!r} is not a non-negative int")
+        if type(step) is not int or not 0 <= step < 2**63:
+            raise ValueError(f"step {step!r} is not an int in 0..2**63-1")
         if not (isinstance(scaling_hash, str) and isinstance(manifest_hash, str)):
             raise ValueError(f"scaling_hash {scaling_hash!r} and manifest_hash "
                              f"{manifest_hash!r} must be strings")
@@ -701,7 +707,7 @@ def load_model(path):
         if stored is None or stored.shape != target.shape or stored.dtype != target.dtype:
             raise CorruptPayload(f"{path}: array {name!r} missing or of the wrong shape or dtype")
         target[...] = stored
-    params.step = step
+    params.steps[0] = step
     return MlpModel(config=config, params=params, scaling_hash=scaling_hash,
                     manifest_hash=manifest_hash)
 

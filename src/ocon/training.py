@@ -190,8 +190,9 @@ class _SplitData:
     y: np.ndarray
 
 
-def _gather(matrix, pos_mask, idx):
-    return _SplitData(x=matrix.values[idx], y=pos_mask[idx].astype(np.float64))
+def _gather(matrix, class_id, idx):
+    """Rows ``idx`` of ``matrix``, labelled 1.0 where they are ``class_id``."""
+    return _SplitData(x=matrix.values[idx], y=(matrix.labels[idx] == class_id).astype(np.float64))
 
 
 @dataclass
@@ -290,8 +291,8 @@ class _Member:
 
 def _leave(stack, members, done, rows=()):
     """Move the live members at positions ``done`` behind the others, with
-    their rows of the stack's state and of ``rows``; returns the stack of
-    those left.  Each takes the step count, and a view of its row if moved."""
+    their rows of the stack's state (step counts too) and of ``rows``; gives
+    each moved member a view of its new row and returns the stack of those left."""
     n = stack.n_members
     order = [j for j in range(n) if j not in done] + done
     for a in (*stack._state(), *rows):
@@ -300,7 +301,6 @@ def _leave(stack, members, done, rows=()):
     for j in range(n):
         if order[j] != j:
             members[j].params = stack.select(slice(j, j + 1))
-        members[j].params.step = stack.step
     return stack.select(slice(0, n - len(done)))
 
 
@@ -355,8 +355,6 @@ def _train_group(members, n_train, config, tc):
             clock = now
             if not stack.n_members:
                 return
-    for m in members[:stack.n_members]:
-        m.params.step = stack.step
 
 
 def _run_cycle(matrix, cycles):
@@ -417,20 +415,17 @@ def one_class_cycle(matrix, class_id, mlp_config, train_config):
     """The ``Cycle`` of one class's full training run."""
     check_class_id(matrix, class_id)
     tc = train_config
-    pos_mask = np.zeros(matrix.n_rows, dtype=bool)
     state = {}
 
     def provider(bs):
         if bs == 0 or tc.reencode_per_batch_set:
             seed = derive_seed(tc.seed, "subset", bs)
             subset = build_balanced_subset(matrix, class_id, seed)
-            pos_mask[:] = False
-            pos_mask[subset.positives] = True
             state["subset"] = subset
             state["seed"] = seed
         subset = state["subset"]
         parts = split_dataset(subset, SPLIT_FRACTIONS, derive_seed(tc.seed, "split", bs))
-        splits = tuple(_gather(matrix, pos_mask, idx) for idx in parts)
+        splits = tuple(_gather(matrix, class_id, idx) for idx in parts)
         return splits, state["seed"], (subset.n_positive, subset.n_negative)
 
     return Cycle(matrix.class_names[class_id], provider, mlp_config, train_config)
@@ -486,8 +481,6 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config):
     rng = rng_from(tc.seed, "kfold-folds")
     pos_folds, neg_folds = _fold_assignment(subset.n_positive, subset.n_negative, k, rng)
     positives, negatives = subset.positives, subset.negatives
-    pos_mask = np.zeros(matrix.n_rows, dtype=bool)
-    pos_mask[positives] = True
 
     frac = SPLIT_FRACTIONS
     inner = (frac[0] / (frac[0] + frac[1]), frac[1] / (frac[0] + frac[1]), 0.0)
@@ -506,8 +499,7 @@ def plan_k_fold(matrix, class_id, mlp_config, train_config):
         def provider(bs, _tp=test_idx, _rp=rest_pos, _rn=rest_neg, _f=f):
             seed = derive_seed(tc.seed, "fold", _f, "split", bs)
             tr, dv, _ = _stratified_split(_rp, _rn, inner, seed)
-            splits = (_gather(matrix, pos_mask, tr), _gather(matrix, pos_mask, dv),
-                      _gather(matrix, pos_mask, _tp))
+            splits = tuple(_gather(matrix, class_id, idx) for idx in (tr, dv, _tp))
             return splits, seed, (subset.n_positive, subset.n_negative)
 
         fold_cfg = replace(mlp_config, seed=derive_seed(mlp_config.seed, "fold", f))

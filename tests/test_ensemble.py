@@ -41,9 +41,9 @@ from ocon.mlp import (
     load_model,
     save_model,
 )
-from ocon.training import TrainConfig
+from ocon.training import TrainConfig, train_one_class
 from ocon.util import sha256_file, sha256_json
-from tests.test_training import blob_matrix
+from tests.test_training import blob_matrix, early_stop_bank, steps_taken
 
 
 def constant_member(logit_bias, scaling_hash=""):
@@ -409,6 +409,25 @@ class TestTopology:
 
 
 class TestTrainEnsemble:
+    def test_step_counts_survive_the_bank_its_copies_and_a_swap(self, tmp_path):
+        matrix, mlp, tc = early_stop_bank()
+        model, reports = train_ensemble(matrix, mlp, tc)
+        steps = [steps_taken(r, mlp) for r in reports]
+        assert len(set(steps)) > 1
+        parallel, _ = train_ensemble(matrix, mlp, tc, workers=2)
+        save_ensemble(parallel, str(tmp_path / "bank"))
+        loaded = load_ensemble(str(tmp_path / "bank"))
+        for bank in (model, parallel, loaded):
+            assert [m.params.step for m in bank.members] == steps == bank.store.steps.tolist()
+        old = loaded.members[1]
+        short = TrainConfig(epochs_per_batch_set=2, max_batch_sets=1, early_stop=None)
+        member, report = train_one_class(matrix, 1, mlp, short)
+        assert member.params.step == steps_taken(report, mlp) != steps[1]
+        loaded.replace_member(1, member)
+        assert loaded.store.steps.tolist() == [steps[0], member.params.step, *steps[2:]]
+        assert loaded.members[1].params.step == member.params.step
+        assert old.params.step == steps[1]
+
     def test_members_and_reports(self):
         matrix = blob_matrix(n_per_class=60, n_classes=3, seed=9)
         mlp, tc = quick_configs()

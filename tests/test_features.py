@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocon import container
-from ocon.dataset import ColumnLayout, filter_usable, load_dataset
+from ocon.dataset import ARPABET_CODES, ColumnLayout, filter_usable, load_dataset
 from ocon.errors import ConstantColumn, CorruptPayload, DimensionMismatch, UnusableRecord, VersionMismatch
 from ocon.features import (
     MATRIX_KIND,
@@ -254,3 +255,33 @@ class TestMatrixSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptPayload):
             load_matrix(str(path))
+
+    def rewrite(self, tmp_path, matrix, meta=None, arrays=None):
+        """A saved ``matrix`` with metadata or arrays replaced."""
+        path = str(tmp_path / "matrix.ocm")
+        save_matrix(matrix, path)
+        _, saved_meta, saved_arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
+        container.write_container(path, MATRIX_KIND, MATRIX_VERSION, {**saved_meta, **(meta or {})},
+                                  {**saved_arrays, **(arrays or {})})
+        return path
+
+    @pytest.mark.parametrize("names", ["".join(ARPABET_CODES), list(range(12)),
+                                       [*ARPABET_CODES[:11], None]])
+    def test_class_names_not_a_list_of_strings_is_corrupt(self, tmp_path, synth_matrix, names):
+        # a string would load as one class per character, and integer names
+        # would train a bank that load_ensemble refuses
+        path = self.rewrite(tmp_path, synth_matrix, meta={"class_names": names})
+        with pytest.raises(CorruptPayload, match="class_names"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("arrays", [
+        lambda m: {"labels": m.labels[:-1]},
+        lambda m: {"groups": m.groups[:-1]},
+        lambda m: {"values": m.values[:, :-1]},
+        lambda m: {"scaling_lo": m.scaling.lo[:-1], "scaling_hi": m.scaling.hi[:-1]},
+    ], ids=["labels_length", "groups_length", "width", "scaling_width"])
+    def test_misshapen_arrays_are_corrupt_and_name_the_file(self, tmp_path, synth_matrix,
+                                                             arrays):
+        path = self.rewrite(tmp_path, synth_matrix, arrays=arrays(synth_matrix))
+        with pytest.raises(CorruptPayload, match=re.escape(path)):
+            load_matrix(path)

@@ -468,6 +468,20 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(CorruptPayload):
             load_model(path)
 
+    @pytest.mark.parametrize("step, loads", [(2**63 - 1, True), (2**63, False)])
+    def test_step_must_fit_an_int64_row(self, tmp_path, step, loads):
+        config, params, _ = self.run_steps()
+        path = str(tmp_path / "model.ocmdl")
+        save_model(MlpModel(config=config, params=params), path)
+        _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
+        container.write_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION,
+                                  {**meta, "step": step}, arrays)
+        if loads:
+            assert load_model(path).params.step == step
+        else:
+            with pytest.raises(CorruptPayload, match="step"):
+                load_model(path)
+
 
 class TestFlatLayout:
     def test_views_cover_theta_in_trainables_order(self):

@@ -317,6 +317,21 @@ def together(matrix, cycles):
 TUNED_TC = TrainConfig(epochs_per_batch_set=2, max_batch_sets=2, early_stop=None, seed=4)
 
 
+def early_stop_bank():
+    """(matrix, mlp, tc) of a 4-member bank whose members stop at different epochs."""
+    matrix = blob_matrix(n_per_class=60, n_classes=4, seed=3)
+    mlp = MlpConfig(input_dim=3, hidden_layers=(8,), learning_rate=3e-3,
+                    batch_norm=True, dropout_keep_hidden=0.8, seed=6)
+    tc = TrainConfig(epochs_per_batch_set=15, max_batch_sets=3,
+                     early_stop=EarlyStopRule(0.3, 90.0, loss_window=40), seed=2)
+    return matrix, mlp, tc
+
+
+def steps_taken(report, config):
+    """The optimizer steps of a cycle: one per minibatch of every epoch run."""
+    return report.epochs_run * len(_step_bounds(report.split_sizes[0][0], config))
+
+
 class TestLockstep:
     def test_bank_as_one_group_as_5_and_7_and_alone(self, synth_matrix):
         mlp = MlpConfig.tuned(12, seed=3)
@@ -366,6 +381,13 @@ class TestLockstep:
                 and len({epochs for _, epochs in stops}) > 1), stops
         assert ([digest(*out) for out in trained]
                 == solo(matrix, member_cycles(matrix, range(4), mlp, tc)))
+
+    def test_each_member_counts_its_own_steps(self):
+        # the count is Adam's t: a member that stops early keeps its own
+        matrix, mlp, tc = early_stop_bank()
+        trained = _run_cycle(matrix, member_cycles(matrix, range(4), mlp, tc))
+        assert len({r.epochs_run for _, r in trained}) > 1
+        assert [m.params.step for m, _ in trained] == [steps_taken(r, mlp) for _, r in trained]
 
     def test_a_group_trains_in_one_stack_its_members_keep(self, monkeypatch):
         matrix = blob_matrix(n_per_class=60, n_classes=4, seed=3)
