@@ -102,10 +102,11 @@ def _read_array(path, entry, body, payload_at):
     return name, arr.reshape(shape).astype(dtype.newbyteorder("="))
 
 
-def read_container(path, kind, max_version):
-    """Read and validate a container, returning ``(version, meta, arrays)``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def read_container(path, kind, max_version, blob=None):
+    """Validate a container (``blob``: its bytes, if read) into ``(version, meta, arrays)``."""
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
     min_len = len(MAGIC) + _KIND_LEN + 1 + 4 + 4
     if len(blob) < min_len or blob[: len(MAGIC)] != MAGIC:
         raise CorruptPayload(f"{path}: not a container file")

@@ -27,9 +27,9 @@ from .errors import (
     NonFiniteInput,
     PartialEnsemble,
 )
-from .features import FeatureSetKind, ScalingRecord
+from .features import F0_MODE, FeatureSetKind, ScalingRecord
 from .mlp import StackedParams, accuracy_pct, load_model, predict_proba, save_model
-from .util import check_class_id, derive_seed, sha256_file
+from .util import check_class_id, derive_seed, sha256_bytes, sha256_file
 
 ENSEMBLE_VERSION = 1
 MANIFEST_NAME = "ensemble.json"
@@ -38,7 +38,7 @@ MANIFEST_NAME = "ensemble.json"
 class OconModel:
     """Ordered member bank plus the shared feature-space provenance.
 
-    The bank owns its members' buffers: ``store`` is one (K, P) training
+    The bank owns its members' buffers: ``store`` is one (K, P) serving
     ``StackedParams``, and each member of the immutable ``members`` tuple is
     an ``MlpModel`` whose params are the K=1 ``select`` of its row, so an
     edit through a member shows in ``infer`` at once.  Building the model
@@ -242,7 +242,7 @@ def save_ensemble(model, dirpath):
         "version": ENSEMBLE_VERSION,
         "class_names": list(model.class_names),
         "feature_set": model.feature_set.value,
-        "f0_mode": "raw",  # v1 format key: the SS4 F0 channel is always raw Hz
+        "f0_mode": F0_MODE,
         "scaling": model.scaling.to_dict(),
         "scaling_hash": model.scaling.content_hash(),
         "members": entries,
@@ -267,11 +267,12 @@ def _require_keys(record, keys, where):
 
 def load_ensemble(dirpath):
     """Load and validate an ensemble directory (hashes, scaling; the
-    ``OconModel`` constructor checks the topology).  Each member is read
-    by ``mlp.load_model`` and copied into its row of the model's store.
+    ``OconModel`` constructor checks the topology).  Each member file is
+    read once, hashed, parsed by ``mlp.load_model`` and copied into its row.
 
-    A manifest that is not JSON, lacks or mistypes a key, or lists a
-    member entry at another class's position, raises ManifestMismatch.
+    A manifest that is not JSON, lacks or mistypes a key, has an ``f0_mode``
+    but raw, or lists a member entry at another class's position, raises
+    ManifestMismatch.
     """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -287,6 +288,8 @@ def load_ensemble(dirpath):
         raise ManifestMismatch(f"ensemble version {version!r} unsupported")
     if not all(isinstance(name, str) for name in manifest["class_names"]):
         raise ManifestMismatch(f"{MANIFEST_NAME}: class_names must be strings")
+    if manifest["f0_mode"] != F0_MODE:
+        raise ManifestMismatch(f"{MANIFEST_NAME}: f0_mode {manifest['f0_mode']!r} is not raw")
     try:
         feature_set = FeatureSetKind(manifest["feature_set"])
         scaling = ScalingRecord.from_dict(manifest["scaling"])
@@ -307,8 +310,10 @@ def load_ensemble(dirpath):
         path = os.path.join(dirpath, entry["file"])
         if not os.path.exists(path):
             raise MissingMember(entry["class"])
-        if sha256_file(path) != entry["sha256"]:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if sha256_bytes(blob) != entry["sha256"]:
             raise ManifestMismatch(f"member file {entry['file']} hash mismatch")
-        members.append(load_model(path))
+        members.append(load_model(path, blob))
     return OconModel(class_names=tuple(manifest["class_names"]), members=members,
                      scaling=scaling, feature_set=feature_set)

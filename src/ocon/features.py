@@ -24,6 +24,8 @@ MATRIX_KIND = "feature_matrix"
 MATRIX_VERSION = 1
 #: The scaling mode matrix files and scaling records carry (v1 format key).
 SCALING_MODE = "minmax"
+#: The F0 mode matrix files and ``ensemble.json`` carry: raw Hz (v1 format key).
+F0_MODE = "raw"
 
 
 def ratio_matrix(records, kind):
@@ -185,7 +187,7 @@ def save_matrix(matrix, path):
     """Write a matrix file; the round-trip is bit-exact."""
     meta = {
         "feature_set": matrix.feature_set.value,
-        "f0_mode": "raw",  # v1 format key: the SS4 F0 channel is always raw Hz
+        "f0_mode": F0_MODE,
         "class_names": list(matrix.class_names),
         "scaling_mode": SCALING_MODE,
         "rows": int(matrix.n_rows),
@@ -201,11 +203,11 @@ def save_matrix(matrix, path):
 
 
 def load_matrix(path):
-    """Read a matrix file; a missing or ill-typed array or metadata key,
-    class names that are not a list of strings, arrays whose shapes
-    ``FeatureMatrix`` refuses, ``values`` that are not float64, a label or
-    group code out of range, or a scaling mode other than min-max, raises
-    CorruptPayload naming the file."""
+    """Read a matrix file.  A missing or ill-typed array or metadata key,
+    class names that are not a list of strings, arrays that ``FeatureMatrix``
+    or the header's ``rows`` and ``dim`` do not fit, non-float64 ``values``,
+    a label or group code out of range, or a scaling or F0 mode other than
+    min-max and raw, raises CorruptPayload naming the file."""
     _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
     try:
         names = meta["class_names"]
@@ -217,6 +219,9 @@ def load_matrix(path):
             values=arrays["values"], labels=arrays["labels"], groups=arrays["groups"],
             scaling=scaling, feature_set=FeatureSetKind(meta["feature_set"]),
             class_names=tuple(names))
+        header = (meta["rows"], meta["dim"], meta["f0_mode"])
+        if header != (*matrix.values.shape, F0_MODE):
+            raise ValueError(f"header {header} does not fit {matrix.values.shape} raw-F0 values")
     except (KeyError, TypeError, ValueError, DimensionMismatch) as err:
         raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err
     if matrix.values.dtype != np.float64:

@@ -15,14 +15,12 @@ Batch-norm normalizes with batch statistics in train mode, folded into one
 Flat parameter layout: a ``StackedParams`` holds K same-topology members,
 each one row of a (K, P) float64 ``theta`` -- all weight matrices
 (row-major, W[l] shaped (fan_out, fan_in)), then all biases, then the
-batch-norm scales and shifts.  ``weights``/``biases``/``gamma``/``beta`` are
-reshaped views into it with a leading member axis.  The gradient ``grad``
-and the optimizer moments ``opt_m``/``opt_v`` are (K, P) twins of ``theta``:
-backprop writes straight into views of ``grad``, and an Adam or RMSProp
-update is a fixed handful of ufunc calls on whole arrays.  Because the
-weights come first, the L2 term touches only the prefix
-``theta[:, :n_weights]``.  Batch-norm running statistics are not trained and
-stay per-layer arrays outside ``theta``.
+batch-norm scales and shifts -- with their batch-norm running statistics
+and step counts: all that serving reads.  The gradient and the optimizer
+moments are (K, P) twins of ``theta`` in the stack's train-step workspace
+(``_Workspace``), so an Adam or RMSProp update is a fixed handful of ufunc
+calls on whole arrays, and the L2 term touches only the weight prefix
+``theta[:, :n_weights]``.
 
 ``forward``, ``loss_and_grads``, ``optimizer_step``, ``predict_proba`` and
 ``binary_accuracy`` run all K members of a stack in one set of numpy calls,
@@ -33,12 +31,7 @@ K=1 ``select`` of its row of a stack -- a stack of its own, a lockstep
 training group (``training``) or a bank's store (``ensemble.OconModel``) --
 so nothing copies members into or out of a stack for a step.  In infer
 mode all K members see one (B, d) batch; in train mode each has its own
-(rows, d) block and dropout generator, drawn in member order.  Train-mode
-temporaries live in a workspace the stack keeps (``_Workspace``), and
-backprop reads the values it needs from the blocks the forward pass left
-them in, so they are valid until the stack's next step.  ``predict_proba``
-picks the infer path: one stacked pass, or for a batch too large to stack
-one member at a time through buffers it allocates once.
+(rows, d) block and dropout generator, drawn in member order.
 
 Input is converted and checked once, by the entry point it arrives at
 (``forward`` or ``predict_proba``, with ``ensemble.infer`` in front for
@@ -173,16 +166,13 @@ class StackedParams:
 
     ``theta`` is (K, P), one member's flat parameters per row; weight views
     are (K, out, in), vector views and running statistics (K, 1, width).
-    ``weights``/``biases``/``gamma``/``beta`` are views into ``theta`` and
-    ``d_weights``/``d_biases``/``d_gamma``/``d_beta`` the same views into
-    ``grad``; ``gamma`` and ``beta`` are empty when batch-norm is off.
-    ``grad``, ``opt_m`` and ``opt_v`` are (K, P) twins, and the (K,) int64
+    ``weights``/``biases``/``gamma``/``beta`` are views into ``theta``;
+    ``gamma`` and ``beta`` are empty when batch-norm is off.  The (K,) int64
     ``steps`` counts each member's optimizer steps (``step`` reads row 0: a
     stack's rows step together).  A new stack holds zeros, unit running
-    variances.  Train-mode steps write their temporaries into ``workspace``,
-    which the stack keeps between steps.  A stack that ``select`` cut from
-    another writes through to it; pickling or copying one carries only its
-    values, into buffers of its own.
+    variances and no ``workspace`` until its first train step.  A stack that
+    ``select`` cut from another writes through to it; pickling or copying
+    one carries only its values, into buffers of its own.
     """
 
     def __init__(self, config, n_members=1):
@@ -197,21 +187,17 @@ class StackedParams:
         widths = config.hidden_layers if config.batch_norm else ()
         running = ([np.zeros((n_members, 1, w)) for w in widths]
                    + [np.ones((n_members, 1, w)) for w in widths])
-        self._bind(theta, running, *(np.zeros_like(theta) for _ in range(3)),
-                   np.zeros(n_members, dtype=np.int64))
+        self._bind(theta, running, np.zeros(n_members, dtype=np.int64))
 
-    def _bind(self, theta, running, grad, opt_m, opt_v, steps):
-        self.theta, self.grad, self.opt_m, self.opt_v, self.steps = theta, grad, opt_m, opt_v, steps
+    def _bind(self, theta, running, steps):
+        self.theta, self.steps = theta, steps
         n_bn = len(running) // 2
         self.running_mean, self.running_var = running[:n_bn], running[n_bn:]
         self.weights, self.biases, self.gamma, self.beta = _split(self.shapes, self.n_layers, theta)
-        self.d_weights, self.d_biases, self.d_gamma, self.d_beta = _split(
-            self.shapes, self.n_layers, grad)
 
     def _state(self):
-        """Parameters, running statistics, moments, then step counts."""
-        return [self.theta, *self.running_mean, *self.running_var, self.opt_m, self.opt_v,
-                self.steps]
+        """Parameters, running statistics, then step counts."""
+        return [self.theta, *self.running_mean, *self.running_var, self.steps]
 
     @property
     def n_members(self):
@@ -223,20 +209,19 @@ class StackedParams:
 
     def buffers(self, config, rows):
         """Workspace views for one train step of ``rows`` rows per member
-        (the optimizer temporaries are the same for every ``rows``)."""
+        (the optimizer's blocks are the same for every ``rows``)."""
         ws = self.workspace
         if ws is None or not (self.n_members <= ws.members and rows <= ws.rows):
-            ws = self.workspace = _Workspace(config, self.n_members, rows,
-                                             self.theta.shape[1], self.n_weights)
+            ws = self.workspace = _Workspace(config, self, rows, ws)
         return ws.at(self.n_members, rows)
 
     def select(self, rows):
         """The members at the slice ``rows``, as views of this stack (step
-        counts included) that share its workspace."""
+        counts included); only a slice from row 0 shares its workspace."""
         part = object.__new__(StackedParams)
-        part.__dict__.update(self.__dict__)
-        part._bind(self.theta[rows], [s[rows] for s in self.running_mean + self.running_var],
-                   *(a[rows] for a in (self.grad, self.opt_m, self.opt_v, self.steps)))
+        part.__dict__.update(self.__dict__, workspace=None if rows.start else self.workspace)
+        theta, *running, steps = (a[rows] for a in self._state())
+        part._bind(theta, running, steps)
         return part
 
     def put(self, k, params):
@@ -279,9 +264,10 @@ class _Buffers:
     ``None`` where the operation should allocate its result."""
 
     #: roles sized (members, rows, ...); the rest are (members, 1, width)
-    #: statistics or (members, P) optimizer temporaries
+    #: statistics or (members, P) optimizer blocks and the gradient's views
     ROW_ROLES = ("inp", "z", "act", "mask", "da", "zout", "e")
-    ROLES = ROW_ROLES + ("scale", "inv_std", "p1", "p2", "pw")
+    GRAD_ROLES = ("d_weights", "d_biases", "d_gamma", "d_beta")
+    ROLES = ROW_ROLES + ("scale", "inv_std", "grad", "m", "v", "p1", "p2", "pw") + GRAD_ROLES
 
     def __init__(self, **roles):
         for role in self.ROLES:
@@ -308,24 +294,26 @@ def _fresh(n_hidden):
 
 
 class _Workspace:
-    """Preallocated temporaries of stacked train steps.
+    """Preallocated train-step state of a stack.
 
     A fresh (K, rows, width) float64 temporary of the tuned bank (12 x 32 x
     100, 300 KB) is above glibc's 128 KiB mmap threshold, so glibc would map
     and unmap it on every operation, at hundreds of page faults per step.
     So every step writes into one (K, rows, width) block per role and hidden
     layer, (K, 1, width) batch-norm blocks (``scale`` holds the batch mean,
-    then gamma/std; ``inv_std`` 1/std) and two (K, P) optimizer
-    temporaries.  Blocks are reused once their value is dead: ReLU runs in
-    place, the squared centred batch goes through the batch-norm output
-    block, and the backward pass turns each activation block into scratch
-    once it has read the ReLU mask from it.  ``at(k, rows)`` gives the
-    leading ``[:k, :rows]`` views, cached per key.
+    then gamma/std; ``inv_std`` 1/std) and ``opt``, the (K, P) gradient
+    (with ``d_*`` views), moments and two temporaries; a larger workspace
+    that replaces this one keeps ``opt``, for the moments are state.  Blocks
+    are reused once their value is dead: ReLU runs in place, the squared
+    centred batch goes through the batch-norm output block, and the backward
+    pass turns each activation block into scratch once it has read the ReLU
+    mask from it.  ``at(k, rows)`` caches the leading ``[:k, :rows]`` views.
     """
 
-    def __init__(self, config, n_members, rows, n_params, n_weights):
+    def __init__(self, config, stack, rows, old=None):
         hidden = config.hidden_layers
         bn = config.batch_norm
+        n_members, n_params = stack.theta.shape
 
         def block(width, rows=rows):
             return np.empty((n_members, rows, width))
@@ -333,7 +321,8 @@ class _Workspace:
         def per_layer(on=True, rows=rows):
             return [block(w, rows) if on else None for w in hidden]
 
-        p1 = np.empty((n_members, n_params))
+        self.opt = np.zeros((5, n_members, n_params)) if old is None else old.opt[:, :n_members]
+        grad, m, v, p1, p2 = self.opt
         self.members, self.rows = n_members, rows
         self._full = _Buffers(
             inp=block(config.input_dim) if config.dropout_keep_input < 1 else None,
@@ -341,7 +330,8 @@ class _Workspace:
             mask=per_layer(config.dropout_keep_hidden < 1), da=per_layer(),
             scale=per_layer(bn, 1), inv_std=per_layer(bn, 1),
             zout=block(1), e=np.empty((n_members, rows)),
-            p1=p1, p2=np.empty((n_members, n_params)), pw=p1[:, :n_weights])
+            grad=grad, m=m, v=v, p1=p1, p2=p2, pw=p1[:, :stack.n_weights],
+            **dict(zip(_Buffers.GRAD_ROLES, _split(stack.shapes, stack.n_layers, grad))))
         self._views = {}
 
     def at(self, k, rows):
@@ -471,7 +461,7 @@ def _forward(stack, config, x, train, rng, buffers):
 
 def _backward(stack, config, x, buffers, probs, y):
     """Gradients of each member's mean loss on the (K, rows, d) batch ``x``
-    and (K, rows) labels ``y``, written into ``stack.grad``.  It reads what
+    and (K, rows) labels ``y``, written into ``buffers.grad``.  It reads what
     ``_forward`` left in ``buffers``: each hidden layer's output (``act``
     under batch-norm, else ``z``, as ReLU ran in place), centred batch
     (``z``), ``inv_std`` (1/std), ``scale`` (gamma/std) and dropout ``mask``,
@@ -481,8 +471,8 @@ def _backward(stack, config, x, buffers, probs, y):
     outputs = buffers.act if config.batch_norm else buffers.z
     inputs = [buffers.inp if config.dropout_keep_input < 1 else x, *outputs]
 
-    np.matmul(g.mT, inputs[-1], out=stack.d_weights[-1])
-    np.add.reduce(g, axis=-2, keepdims=True, out=stack.d_biases[-1])
+    np.matmul(g.mT, inputs[-1], out=buffers.d_weights[-1])
+    np.add.reduce(g, axis=-2, keepdims=True, out=buffers.d_biases[-1])
     n_hidden = len(config.hidden_layers)
     if n_hidden:
         # the outer product g (x) w_out: one product per entry, as a k=1
@@ -504,26 +494,26 @@ def _backward(stack, config, x, buffers, probs, y):
             # and gamma*d_gamma.  c0 borrows d_biases[l], written below.
             centred, inv_std, s = buffers.z[l], buffers.inv_std[l], buffers.scale[l]
             d_gamma = np.add.reduce(np.multiply(da, centred, out=scratch), axis=-2,
-                                    keepdims=True, out=stack.d_gamma[l])
+                                    keepdims=True, out=buffers.d_gamma[l])
             d_gamma *= inv_std
-            d_beta = np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_beta[l])
-            c0 = np.multiply(s, -1.0 / b, out=stack.d_biases[l])   # -s/b so far
+            d_beta = np.add.reduce(da, axis=-2, keepdims=True, out=buffers.d_beta[l])
+            c0 = np.multiply(s, -1.0 / b, out=buffers.d_biases[l])   # -s/b so far
             c1 = np.multiply(inv_std, d_gamma, out=inv_std)
             c1 *= c0
             c0 *= d_beta
             da *= s
             da += np.multiply(centred, c1, out=scratch)
             da += c0
-        np.matmul(da.mT, inputs[l], out=stack.d_weights[l])
-        np.add.reduce(da, axis=-2, keepdims=True, out=stack.d_biases[l])
+        np.matmul(da.mT, inputs[l], out=buffers.d_weights[l])
+        np.add.reduce(da, axis=-2, keepdims=True, out=buffers.d_biases[l])
         if l:
             da = np.matmul(da, stack.weights[l], out=buffers.da[l - 1])
 
     # L2 on weight matrices only: they are the leading n_weights entries
     if config.l2_lambda:
         w = slice(0, stack.n_weights)
-        stack.grad[:, w] += np.multiply(stack.theta[:, w], config.l2_lambda, out=buffers.pw)
-    return stack.grad
+        buffers.grad[:, w] += np.multiply(stack.theta[:, w], config.l2_lambda, out=buffers.pw)
+    return buffers.grad
 
 
 def loss_and_grads(stack, config, batch, labels, rng=None):
@@ -532,10 +522,10 @@ def loss_and_grads(stack, config, batch, labels, rng=None):
 
     ``batch`` is (K, rows, d), ``labels`` the K x rows labels flat and
     ``rng`` one dropout generator per member.  Returns the (K,) losses, for
-    the caller to check, the gradients ``stack.grad`` (the (K, P) twin of
-    ``stack.theta``, which the next call overwrites) and the (K, rows)
-    per-sample losses.  The L2 term covers weight matrices only, never
-    biases or batch-norm scale/shift.
+    the caller to check, the (K, P) gradients (the stack's workspace block,
+    which the next call overwrites) and the (K, rows) per-sample losses.
+    The L2 term covers weight matrices only, never biases or batch-norm
+    scale/shift.
     """
     x = np.asarray(batch, dtype=np.float64)
     probs, zout = forward(stack, config, x, mode="train", rng=rng)
@@ -555,13 +545,12 @@ def loss_and_grads(stack, config, batch, labels, rng=None):
 
 def optimizer_step(stack, grads, config):
     """One in-place Adam (bias-corrected) or RMSProp update of the K rows of
-    ``stack.theta`` from the (K, P) gradient ``grads``."""
+    ``stack.theta`` from the (K, P) gradient ``grads`` and workspace moments."""
     stack.steps += 1
     t = stack.step
     lr = config.learning_rate
-    m, v = stack.opt_m, stack.opt_v
     buffers = stack.buffers(config, 1)
-    p1, p2 = buffers.p1, buffers.p2
+    m, v, p1, p2 = buffers.m, buffers.v, buffers.p1, buffers.p2
     if config.optimizer == "adam":
         c1 = 1.0 - ADAM_BETA1 ** t
         c2 = 1.0 - ADAM_BETA2 ** t
@@ -679,13 +668,13 @@ def save_model(model, path):
                               meta, dict(_checkpoint_arrays(model.params)))
 
 
-def load_model(path):
-    """A v1 or v2 checkpoint (v1 optimizer moments are ignored) as an
-    ``MlpModel`` with params of its own.  Metadata or arrays that do not fit
-    the recorded config, a config that ``configfile.build`` refuses, a
-    config whose ``FIXED_CONFIG`` keys hold other values, a step that is not
-    an int in 0..2**63-1 and hashes that are not strings raise CorruptPayload."""
-    _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)
+def load_model(path, blob=None):
+    """A v1 or v2 checkpoint (v1 optimizer moments are ignored; ``blob``: its
+    bytes, if read) as an ``MlpModel`` with params of its own.  Metadata or
+    arrays that do not fit the recorded config, a config ``configfile.build``
+    refuses or whose ``FIXED_CONFIG`` keys hold other values, a step that is
+    not an int in 0..2**63-1 and hashes that are not strings raise CorruptPayload."""
+    _, meta, arrays = container.read_container(path, CHECKPOINT_KIND, CHECKPOINT_VERSION, blob)
     try:
         raw = dict(meta["config"])
         fixed = {key: raw.pop(key, value) for key, value in FIXED_CONFIG.items()}

@@ -291,11 +291,11 @@ class _Member:
 
 def _leave(stack, members, done, rows=()):
     """Move the live members at positions ``done`` behind the others, with
-    their rows of the stack's state (step counts too) and of ``rows``; gives
-    each moved member a view of its new row and returns the stack of those left."""
+    their rows of the stack, its workspace's ``opt`` and ``rows``; gives each
+    moved member a view of its new row and returns the stack of those left."""
     n = stack.n_members
     order = [j for j in range(n) if j not in done] + done
-    for a in (*stack._state(), *rows):
+    for a in (*stack._state(), *stack.workspace.opt[:3], *rows):   # opt[:3]: grad, m, v
         a[:n] = a[order]
     members[:n] = [members[j] for j in order]
     for j in range(n):
@@ -311,7 +311,6 @@ def _train_group(members, n_train, config, tc):
     list ``members`` to match)."""
     steps = _step_bounds(n_train, config)
     stack = StackedParams(config, len(members))
-    stack.buffers(config, max(stop - start for start, stop in steps))
     for j, m in enumerate(members):
         m.params = init_params(m.config, stack, j)
     xe = np.empty((len(members), n_train, config.input_dim))
@@ -329,7 +328,7 @@ def _train_group(members, n_train, config, tc):
                 np.take(m.splits[0].y, order, out=ye[j])
             for start, stop in steps:
                 k = stack.n_members
-                loss, _, per_sample = loss_and_grads(
+                loss, grads, per_sample = loss_and_grads(
                     stack, config, xe[:k, start:stop], ye[:k, start:stop].ravel(),
                     rng=[m.dropout_rng for m in members[:k]])
                 if not np.isfinite(loss).all():
@@ -338,12 +337,11 @@ def _train_group(members, n_train, config, tc):
                     diverged = np.flatnonzero(~np.isfinite(loss)).tolist()
                     for j in diverged:
                         members[j].report.stop_reason = "diverged"
-                    stack = _leave(stack, members, diverged,
-                                   (stack.grad, per_sample, xe, ye, losses))
+                    stack = _leave(stack, members, diverged, (per_sample, xe, ye, losses))
                     k = stack.n_members
                     if not k:
                         break
-                optimizer_step(stack, stack.grad, config)
+                optimizer_step(stack, grads[:k], config)
                 losses[:k, start:stop] = per_sample[:k]
             stopped = [j for j, m in enumerate(members[:stack.n_members])
                        if m.end_epoch(losses[j])]

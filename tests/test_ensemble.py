@@ -1,9 +1,11 @@
+import builtins
 import copy
 import json
 import os
 import pickle
 import re
 import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +289,26 @@ class TestParameterStore:
         assert np.array_equal(old.params.theta, before)
         assert not np.shares_memory(old.params.theta, model.store.theta)
 
+    def test_serving_stacks_hold_no_training_arrays(self, saved_ensemble):
+        # a trained member's params are a view of its group's stack without
+        # the workspace; one that holds a workspace drops it when pickled, as
+        # fan_out's results are
+        trained, _ = train_one_class(blob_matrix(n_per_class=30, n_classes=2, seed=7), 0,
+                                     *bn_configs())
+        stepped = trained.params.copy()
+        stepped.buffers(trained.config, 1)
+        assert stepped.workspace is not None
+        for params in (load_ensemble(saved_ensemble).store,
+                       load_model(os.path.join(saved_ensemble, "member_c0.ocmdl")).params,
+                       trained.params, pickle.loads(pickle.dumps(stepped))):
+            assert params.workspace is None
+            assert [name for name, value in vars(params).items()
+                    if isinstance(value, np.ndarray) and value.ndim == 2] == ["theta"]
+            _, state = params.__getstate__()
+            assert len(state) == len(params.running_mean + params.running_var) + 2
+            assert all(a is b for a, b in zip(state, [params.theta, *params.running_mean,
+                                                      *params.running_var, params.steps]))
+
     @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
     def test_copies_alias_their_own_store(self, banks, clone):
@@ -560,8 +582,21 @@ class TestSaveLoad:
         blob = bytearray(open(target, "rb").read())
         blob[-10] ^= 0xFF
         open(target, "wb").write(bytes(blob))
-        with pytest.raises(ManifestMismatch):
+        with pytest.raises(ManifestMismatch, match=re.escape(os.path.basename(target))):
             load_ensemble(path)
+
+    def test_load_reads_each_member_file_once(self, saved_ensemble, monkeypatch):
+        opened, real_open = Counter(), builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[os.path.basename(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        model = load_ensemble(saved_ensemble)
+        monkeypatch.undo()
+        assert {name: n for name, n in opened.items() if name.startswith("member_")} == {
+            f"member_{name}.ocmdl": 1 for name in model.class_names}
 
     def test_swapped_member_updates_manifest(self, tmp_path):
         matrix, model, path = self.make_model(tmp_path)
@@ -587,7 +622,8 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("key, value", [
         ("class_names", "ae"), ("class_names", [1, 2]), ("feature_set", "tt13"),
-        ("f0_mode", 3), ("scaling", {"lo": [0.0]}), ("scaling_hash", None),
+        ("f0_mode", 3), ("f0_mode", "normalized"), ("scaling", {"lo": [0.0]}),
+        ("scaling_hash", None),
         ("members", {}), ("members", ["member_ae.ocmdl"]), ("version", "1"),
     ])
     def test_mistyped_manifest_value(self, saved_ensemble, tmp_path, key, value):

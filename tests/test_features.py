@@ -285,3 +285,13 @@ class TestMatrixSerialization:
         path = self.rewrite(tmp_path, synth_matrix, arrays=arrays(synth_matrix))
         with pytest.raises(CorruptPayload, match=re.escape(path)):
             load_matrix(path)
+
+    @pytest.mark.parametrize("meta", [
+        lambda m: {"rows": m.n_rows - 1},
+        lambda m: {"dim": m.feature_set.dim + 1},
+        lambda m: {"f0_mode": "normalized"},
+    ], ids=["rows", "dim", "f0_mode"])
+    def test_header_that_misdescribes_the_arrays_is_corrupt(self, tmp_path, synth_matrix, meta):
+        path = self.rewrite(tmp_path, synth_matrix, meta=meta(synth_matrix))
+        with pytest.raises(CorruptPayload, match=re.escape(path)):
+            load_matrix(path)

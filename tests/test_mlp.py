@@ -186,8 +186,9 @@ class TestForward:
         x = np.random.default_rng(0).random((1, 3))
         loss_and_grads(params, config, x[None], np.ones(1))
         assert np.array_equal(params.running_var[0][0, 0], np.full(4, 0.9))
-        assert not params.d_weights[0].any() and not params.d_gamma[0].any()
-        assert not params.d_beta[0].any()
+        grads = params.buffers(config, 1)
+        assert not grads.d_weights[0].any() and not grads.d_gamma[0].any()
+        assert not grads.d_beta[0].any()
 
     def test_dropout_expectation_matches_infer_in_linear_regime(self):
         # positive weights, biases, and inputs keep ReLU in its identity
@@ -300,17 +301,18 @@ class TestLoss:
 
 class TestOptimizers:
     def zero_grads(self, params):
-        """The (1, P) gradient of the member's stack, zeroed;
-        ``params.d_weights`` etc. are views into it."""
-        params.grad[:] = 0.0
-        return params.grad
+        """The member's workspace, its (1, P) gradient ``grad`` zeroed;
+        ``d_weights`` etc. are views into it."""
+        buffers = params.buffers(params.config, 1)
+        buffers.grad[:] = 0.0
+        return buffers
 
     @pytest.mark.parametrize("optimizer", ["adam", "rmsprop"])
     def test_zero_gradient_leaves_params(self, optimizer):
         config = small_config(optimizer=optimizer)
         params = init_params(config)
         before = [a.copy() for a in params.trainables()]
-        optimizer_step(params, self.zero_grads(params), config)
+        optimizer_step(params, self.zero_grads(params).grad, config)
         for a, b in zip(params.trainables(), before):
             assert np.array_equal(a, b)
 
@@ -322,8 +324,8 @@ class TestOptimizers:
         params = init_params(config)
         start = params.weights[0][0, 0, 0]
         grads = self.zero_grads(params)
-        params.d_weights[0][:] = 1.0
-        optimizer_step(params, grads, config)
+        grads.d_weights[0][:] = 1.0
+        optimizer_step(params, grads.grad, config)
         delta = params.weights[0][0, 0, 0] - start
         assert np.isclose(delta, -lr, rtol=1e-7)
         assert params.step == 1
@@ -336,8 +338,8 @@ class TestOptimizers:
         params = init_params(config)
         start = params.weights[0][0, 0, 0]
         grads = self.zero_grads(params)
-        params.d_weights[0][:] = 1.0
-        optimizer_step(params, grads, config)
+        grads.d_weights[0][:] = 1.0
+        optimizer_step(params, grads.grad, config)
         delta = params.weights[0][0, 0, 0] - start
         assert np.isclose(delta, -lr / (math.sqrt(0.1) + 1e-8), rtol=1e-12)
 
@@ -345,7 +347,7 @@ class TestOptimizers:
         config = small_config(learning_rate=0.0)
         params = init_params(config)
         before = [a.copy() for a in params.trainables()]
-        grads = self.zero_grads(params)
+        grads = self.zero_grads(params).grad
         grads[:] = 1.0
         optimizer_step(params, grads, config)
         for a, b in zip(params.trainables(), before):
@@ -359,8 +361,8 @@ class TestOptimizers:
         params = init_params(config)
         params.weights[0][:] = 1.0
         grads = self.zero_grads(params)
-        params.d_weights[0][:] = 2.0 * params.weights[0][0, 0, 0]
-        optimizer_step(params, grads, config)
+        grads.d_weights[0][:] = 2.0 * params.weights[0][0, 0, 0]
+        optimizer_step(params, grads.grad, config)
         assert 0 < params.weights[0][0, 0, 0] < 1.0
 
 
@@ -441,7 +443,7 @@ class TestDeterminismAndCheckpoints:
         for a, b in zip(back.params.running_mean + back.params.running_var,
                         params.running_mean + params.running_var):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert not back.params.opt_m.any() and not back.params.opt_v.any()
+        assert back.params.workspace is None
         x = np.random.default_rng(1).random((5, 3))
         assert np.array_equal(back.predict_proba(x), model.predict_proba(x))
 
@@ -492,21 +494,23 @@ class TestFlatLayout:
         assert params.n_weights == 3 * 4 + 4 * 3 + 3 * 1
         for view in params.trainables():
             assert np.shares_memory(view, params.theta)
-        grad_views = params.d_weights + params.d_biases + params.d_gamma + params.d_beta
+        grads = params.buffers(config, 1)
+        grad_views = grads.d_weights + grads.d_biases + grads.d_gamma + grads.d_beta
         assert [g.shape for g in grad_views] == [a.shape for a in params.trainables()]
-        params.d_gamma[1][:] = 7.0
+        grads.d_gamma[1][:] = 7.0
         offset = sum(a.size for a in params.trainables()[:-3])
-        assert np.all(params.grad[0, offset: offset + 3] == 7.0)
+        assert np.all(grads.grad[0, offset: offset + 3] == 7.0)
 
     def test_pickle_and_copy_keep_views_on_fresh_buffers(self):
         config, params, _ = TestDeterminismAndCheckpoints().run_steps()
         for twin in (pickle.loads(pickle.dumps(params)), params.copy()):
             assert np.array_equal(twin.theta, params.theta)
-            assert np.array_equal(twin.opt_v, params.opt_v) and twin.step == params.step
+            assert twin.step == params.step and twin.workspace is None
             assert np.array_equal(twin.running_var[0], params.running_var[0])
             assert not np.shares_memory(twin.theta, params.theta)
             assert all(np.shares_memory(v, twin.theta) for v in twin.trainables())
-            assert all(np.shares_memory(v, twin.grad) for v in twin.d_weights)
+            grads = twin.buffers(config, 1)
+            assert all(np.shares_memory(v, grads.grad) for v in grads.d_weights)
 
 
 def stack_of(config, members):
@@ -590,14 +594,61 @@ class TestStackedParams:
             step_both(shrunk, rows)
         assert shrunk.workspace is stack.workspace
         assert shrunk.step == len(row_counts) + len(shrunk_row_counts)
+        moments = stack.buffers(config, 1)
         for k, params in enumerate(singles):
             out = (shrunk if k < 2 else stack).select(slice(k, k + 1))
             assert params.step == out.step
-            for mine, theirs in zip([out.theta, out.opt_m, out.opt_v, *out.running_mean,
+            solo = params.buffers(config, 1)
+            for mine, theirs in zip([out.theta, moments.m[k], moments.v[k], *out.running_mean,
                                      *out.running_var],
-                                    [params.theta, params.opt_m, params.opt_v,
+                                    [params.theta, solo.m[0], solo.v[0],
                                      *params.running_mean, *params.running_var]):
                 assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
+    def test_select_past_row_0_trains_without_the_stack_workspace(self):
+        # sharing the workspace, a select from row 2 would step with row 0's
+        # moments and write its gradient and temporaries into rows 0 and 1
+        config = MlpConfig.tuned(3)
+        stack = stack_of(config, [init_params(replace(config, seed=seed)) for seed in range(3)])
+        data = np.random.default_rng(5)
+
+        def step(stack):
+            k = stack.n_members
+            x = data.random((k, 8, 3))
+            y = (data.random((k, 8)) < 0.5).astype(np.float64)
+            _, grads, _ = loss_and_grads(stack, config, x, y.ravel(),
+                                         rng=[np.random.default_rng(j) for j in range(k)])
+            optimizer_step(stack, grads, config)
+
+        step(stack)
+        workspace, ws = stack.workspace, stack.buffers(config, 8)
+        rows = [stack.theta, ws.grad, ws.m, ws.v, ws.zout, ws.e, *ws.z, *ws.act, *ws.mask]
+        kept = [a[:2].copy() for a in rows]
+        last = stack.select(slice(2, 3))
+        before = last.theta.copy()
+        step(last)
+        assert last.workspace is not workspace and stack.workspace is workspace
+        assert not np.array_equal(last.theta, before) and stack.steps.tolist() == [1, 1, 2]
+        for mine, theirs in zip(rows, kept):
+            assert np.array_equal(mine[:2].view(np.uint64), theirs.view(np.uint64))
+
+    @pytest.mark.parametrize("optimizer", ["adam", "rmsprop"])
+    def test_a_workspace_that_grows_keeps_the_moments(self, optimizer):
+        # a 3-row step sizes the workspace; the 8-row step after it replaces
+        # it, and must step with the moments the first step left
+        config = small_config(batch_norm=True, optimizer=optimizer)
+        grown, sized = init_params(config), init_params(config)
+        sized.buffers(config, 8)
+        data = np.random.default_rng(9)
+        for rows in (3, 8):
+            x, y = rand_batch(data, rows, 3)
+            for params in (grown, sized):
+                _, grads, _ = loss_and_grads(params, config, x[None], y)
+                optimizer_step(params, grads, config)
+        assert grown.workspace.rows == sized.workspace.rows == 8
+        mine, theirs = grown.buffers(config, 1), sized.buffers(config, 1)
+        for a, b in ((grown.theta, sized.theta), (mine.m, theirs.m), (mine.v, theirs.v)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_non_finite_member_leaves_the_others_alone(self):
         config = small_config(batch_norm=True, dropout_keep_hidden=0.5)

@@ -290,8 +290,8 @@ class TestKFold:
 def digest(model, report):
     """Bytes of everything a cycle produces, timing excluded."""
     params = model.params
-    arrays = (params.theta, params.opt_m, params.opt_v, *params.running_mean,
-              *params.running_var, np.asarray(report.loss_curve, dtype=np.float64))
+    arrays = (params.theta, *params.running_mean, *params.running_var,
+              np.asarray(report.loss_curve, dtype=np.float64))
     fields = {k: v for k, v in report.to_dict().items() if k != "train_seconds"}
     return b"".join(a.tobytes() for a in arrays), repr(fields), params.step
 
