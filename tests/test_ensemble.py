@@ -622,9 +622,9 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("key, value", [
         ("class_names", "ae"), ("class_names", [1, 2]), ("feature_set", "tt13"),
-        ("f0_mode", 3), ("f0_mode", "normalized"), ("scaling", {"lo": [0.0]}),
-        ("scaling_hash", None),
+        ("f0_mode", 3), ("scaling", {"lo": [0.0]}), ("scaling_hash", None),
         ("members", {}), ("members", ["member_ae.ocmdl"]), ("version", "1"),
+        ("f0_mode", "normalized"),
     ])
     def test_mistyped_manifest_value(self, saved_ensemble, tmp_path, key, value):
         path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
