@@ -21,7 +21,6 @@ stderr as ``ERROR <Name>: ...``), 2 usage error, 3 missing file.
 """
 
 import argparse
-import io
 import json
 import math
 import os
@@ -34,7 +33,9 @@ from .dataset import (
     ClassStats,
     ColumnLayout,
     FeatureSetKind,
+    _split_row,
     class_statistics,
+    data_rows,
     filter_usable,
     load_dataset,
     read_records_csv,
@@ -42,7 +43,6 @@ from .dataset import (
 )
 from .errors import MalformedRow, OconError
 from .manifest import RunManifest, summarize_manifests
-from .util import read_text
 
 _FEATURE_SETS = {kind.value: kind for kind in FeatureSetKind}
 
@@ -253,24 +253,20 @@ def cmd_eval(args):
 
 
 def _read_vectors(args):
-    """The ``--input`` vector, or one vector per non-blank line of
-    ``--input-file``.  A token that is not a number raises MalformedRow
-    naming the line (line 1 for ``--input``); in the file, so do bytes that
-    are not UTF-8, a non-finite token, or a row whose width differs from the
-    first row's, and a file with no vector raises OconError naming it."""
+    """The ``--input`` vector, or one per non-blank line of ``--input-file``,
+    cut by ``dataset._split_row``.  A cell that is not a number (an empty one
+    too) raises MalformedRow naming the line (line 1 for ``--input``); in the
+    file, so do bytes that are not UTF-8, a non-finite cell, or a row of
+    another width than the first, and a file with no vector raises OconError."""
     import numpy as np
 
     if not args.input_file:
         try:  # nan and inf parse, and infer refuses them as NonFiniteInput
-            return np.array([[float(t) for t in args.input.replace(",", " ").split()]])
+            return np.array([[float(t) for t in _split_row(args.input)]])
         except ValueError as err:
             raise MalformedRow(1, str(err)) from None
     rows = []
-    lines = io.StringIO(read_text(args.input_file), newline=None)
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.replace(",", " ").split()
-        if not tokens:
-            continue
+    for line_no, tokens in data_rows(args.input_file):
         try:
             row = [float(t) for t in tokens]
         except ValueError as err:

@@ -33,8 +33,8 @@ def parse_value(raw):
 
 
 def parse_config_text(text):
-    """Parse config text into a (possibly nested) dict; a malformed line
-    raises OconError naming it."""
+    """Parse config text into a (possibly nested) dict; a malformed line or
+    a key assigned twice raises OconError naming the line."""
     out = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -52,6 +52,8 @@ def parse_config_text(text):
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise OconError(f"line {ln}: {key!r} conflicts with a scalar key")
+        if parts[-1] in node:
+            raise OconError(f"line {ln}: {key!r} is assigned twice")
         node[parts[-1]] = parse_value(raw)
     return out
 

@@ -4,10 +4,12 @@ Handles filename decoding (speaker group, speaker number, ARPABet phoneme),
 row parsing against a configurable column layout, the feature-set kinds and
 usable-sample filtering by them, and per-class statistics.  All functions
 are pure; records are immutable.  The module needs no numpy, so the
-``ingest`` command does not load it.
+``ingest`` command does not load it.  Every text row -- of a measurement
+file, a records CSV or ``ocon infer`` input -- splits into cells by one
+rule, ``_split_row``: at commas if it has one, each cell stripped (an empty
+cell stays ``""``), else at whitespace.
 """
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -223,8 +225,17 @@ class ColumnLayout:
 
 def _split_row(line):
     if "," in line:
-        return [tok.strip() for tok in line.split(",")]
+        return list(map(str.strip, line.split(",")))
     return line.split()
+
+
+def data_rows(path, skip_rows=0):
+    """(1-based line number, cells) of each non-blank line of the text file
+    ``path`` after its first ``skip_rows`` lines."""
+    lines = io.StringIO(read_text(path), newline=None)
+    for line_no, line in enumerate(lines, start=1):
+        if line_no > skip_rows and (cells := _split_row(line)):
+            yield line_no, cells
 
 
 def _cell(token, key, line_no):
@@ -246,30 +257,21 @@ def load_dataset(path, layout=None):
     No filtering happens here; rows with zero-valued cells are kept so that
     :func:`filter_usable` can report them.  Raises MalformedRow (with the
     1-based line number) on unparseable rows, including NaN, infinite and
-    negative cells, and MissingColumn when the layout points past the row's
-    end.
+    negative cells, and MissingColumn when the layout points past its end.
     """
     if layout is None:
         layout = ColumnLayout.hgcw_bigdata()
     records = []
-    lines = io.StringIO(read_text(path), newline=None)
-    for line_no, line in enumerate(lines, start=1):
-        if line_no <= layout.skip_rows:
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        tokens = _split_row(line)
+    for line_no, tokens in data_rows(path, layout.skip_rows):
         try:
             group, speaker_no, phoneme = decode_filename(tokens[0])
         except OconError as err:
             raise MalformedRow(line_no, str(err)) from err
-        values = {}
-        for key in FEATURE_KEYS:
-            col = layout.columns[key]
-            if col >= len(tokens):
-                raise MissingColumn(key, line_no=line_no)
-            values[key] = _cell(tokens[col], key, line_no)
+        try:
+            values = {k: _cell(tokens[layout.columns[k]], k, line_no) for k in FEATURE_KEYS}
+        except IndexError:
+            short = next(k for k in FEATURE_KEYS if layout.columns[k] >= len(tokens))
+            raise MissingColumn(short, line_no=line_no) from None
         records.append(FeatureRecord(group, speaker_no, phoneme, **values))
     return records
 
@@ -351,38 +353,35 @@ _RECORD_COLUMNS = ("filename", "group", "speaker", "phoneme", "label_id") + FEAT
 
 def write_records_csv(records, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_COLUMNS)
+        fh.write(",".join(_RECORD_COLUMNS) + "\r\n")
         for rec in records:
-            writer.writerow(
-                [rec.filename, rec.group.value, rec.speaker_no, rec.phoneme.arpabet,
-                 rec.phoneme.label_id]
-                + [repr(rec.value(k)) for k in FEATURE_KEYS]
-            )
+            cells = [rec.filename, rec.group.value, str(rec.speaker_no), rec.phoneme.arpabet,
+                     str(rec.phoneme.label_id)] + [repr(rec.value(k)) for k in FEATURE_KEYS]
+            fh.write(",".join(cells) + "\r\n")
 
 
 def read_records_csv(path):
-    """Read a records CSV.  A missing header column, a short row, a bad
-    group, speaker or phoneme cell, or a cell ``load_dataset`` would refuse
-    raises MalformedRow with the 1-based line number."""
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    """Read a records CSV, whose first row names its columns.  A header
+    without a needed column, a row shorter than the header, a bad group,
+    speaker or phoneme cell, or a cell ``load_dataset`` would refuse raises
+    MalformedRow with the 1-based line number."""
+    rows = data_rows(path)
+    line_no, header = next(rows, (1, []))
+    missing = [c for c in ("group", "speaker", "phoneme") + FEATURE_KEYS if c not in header]
+    if missing:
+        raise MalformedRow(line_no, f"header lacks column(s) {', '.join(missing)}")
     records = []
-    try:
-        missing = [c for c in ("group", "speaker", "phoneme") + FEATURE_KEYS
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise MalformedRow(1, f"header lacks column(s) {', '.join(missing)}")
-        for row in reader:
-            line_no = reader.line_num
-            try:
-                group = SpeakerGroup.from_char(row["group"])
-                speaker_no = int(row["speaker"])
-                phoneme = PhonemeLabel.from_code(row["phoneme"])
-                encode_filename(group, speaker_no, phoneme)  # 2-digit speaker number
-            except (OconError, TypeError, ValueError) as err:
-                raise MalformedRow(line_no, str(err)) from err
-            values = {k: _cell(row[k], k, line_no) for k in FEATURE_KEYS}
-            records.append(FeatureRecord(group, speaker_no, phoneme, **values))
-    except csv.Error as err:
-        raise MalformedRow(reader.line_num, f"unreadable CSV ({err})") from None
+    for line_no, cells in rows:
+        if len(cells) < len(header):
+            raise MalformedRow(line_no, f"{len(cells)} cells where the header has {len(header)}")
+        row = dict(zip(header, cells))
+        try:
+            group = SpeakerGroup.from_char(row["group"])
+            speaker_no = int(row["speaker"])
+            phoneme = PhonemeLabel.from_code(row["phoneme"])
+            encode_filename(group, speaker_no, phoneme)  # 2-digit speaker number
+        except (OconError, ValueError) as err:
+            raise MalformedRow(line_no, str(err)) from err
+        values = {k: _cell(row[k], k, line_no) for k in FEATURE_KEYS}
+        records.append(FeatureRecord(group, speaker_no, phoneme, **values))
     return records

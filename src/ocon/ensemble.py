@@ -270,9 +270,9 @@ def load_ensemble(dirpath):
     ``OconModel`` constructor checks the topology).  Each member file is
     read once, hashed, parsed by ``mlp.load_model`` and copied into its row.
 
-    A manifest that is not JSON, lacks or mistypes a key, has an ``f0_mode``
-    but raw, or lists a member entry at another class's position, raises
-    ManifestMismatch.
+    A manifest that is not JSON (or nests too deep to decode), lacks or
+    mistypes a key, has an ``f0_mode`` but raw, or lists a member entry at
+    another class's position, raises ManifestMismatch.
     """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -280,7 +280,7 @@ def load_ensemble(dirpath):
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:   # RecursionError: nesting too deep
             raise ManifestMismatch(f"{manifest_path} is not valid JSON ({err})") from err
     _require_keys(manifest, _MANIFEST_KEYS, MANIFEST_NAME)
     version = manifest.get("version", 0)

@@ -62,11 +62,11 @@ def _utc_now():
 
 
 def read_manifest(path):
-    """A manifest's JSON; a file that is not UTF-8 JSON raises ManifestMismatch."""
+    """A manifest's JSON; a file that is not decodable UTF-8 JSON raises ManifestMismatch."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ManifestMismatch(f"{path}: unreadable run manifest "
                                f"({type(err).__name__}: {err})") from None
 

@@ -168,11 +168,12 @@ class StackedParams:
     are (K, out, in), vector views and running statistics (K, 1, width).
     ``weights``/``biases``/``gamma``/``beta`` are views into ``theta``;
     ``gamma`` and ``beta`` are empty when batch-norm is off.  The (K,) int64
-    ``steps`` counts each member's optimizer steps (``step`` reads row 0: a
-    stack's rows step together).  A new stack holds zeros, unit running
-    variances and no ``workspace`` until its first train step.  A stack that
-    ``select`` cut from another writes through to it; pickling or copying
-    one carries only its values, into buffers of its own.
+    ``steps`` counts each member's lifetime optimizer steps (``step`` reads
+    row 0: a stack's rows step together).  A new stack holds zeros, unit
+    running variances and no ``workspace`` until its first train step.  A
+    stack that ``select`` cut from another writes through to it; pickling or
+    copying one carries only its values, into buffers of its own.  A copy,
+    a ``load_model`` member and a ``select`` past row 0 start Adam afresh.
     """
 
     def __init__(self, config, n_members=1):
@@ -301,13 +302,14 @@ class _Workspace:
     and unmap it on every operation, at hundreds of page faults per step.
     So every step writes into one (K, rows, width) block per role and hidden
     layer, (K, 1, width) batch-norm blocks (``scale`` holds the batch mean,
-    then gamma/std; ``inv_std`` 1/std) and ``opt``, the (K, P) gradient
-    (with ``d_*`` views), moments and two temporaries; a larger workspace
-    that replaces this one keeps ``opt``, for the moments are state.  Blocks
-    are reused once their value is dead: ReLU runs in place, the squared
-    centred batch goes through the batch-norm output block, and the backward
-    pass turns each activation block into scratch once it has read the ReLU
-    mask from it.  ``at(k, rows)`` caches the leading ``[:k, :rows]`` views.
+    then gamma/std; ``inv_std`` 1/std), ``opt``, the (K, P) gradient (with
+    ``d_*`` views), moments and two temporaries, and ``opt_steps``, the
+    moments' step count (Adam's t); a larger workspace that replaces this
+    one keeps both, for they are state.  Blocks are reused once their value
+    is dead: ReLU runs in place, the squared centred batch goes through the
+    batch-norm output block, and the backward pass turns each activation
+    block into a work buffer once it has read the ReLU mask from it.
+    ``at(k, rows)`` caches the leading ``[:k, :rows]`` views.
     """
 
     def __init__(self, config, stack, rows, old=None):
@@ -323,7 +325,7 @@ class _Workspace:
 
         self.opt = np.zeros((5, n_members, n_params)) if old is None else old.opt[:, :n_members]
         grad, m, v, p1, p2 = self.opt
-        self.members, self.rows = n_members, rows
+        self.members, self.rows, self.opt_steps = n_members, rows, getattr(old, "opt_steps", 0)
         self._full = _Buffers(
             inp=block(config.input_dim) if config.dropout_keep_input < 1 else None,
             z=per_layer(), act=per_layer(bn),
@@ -544,12 +546,12 @@ def loss_and_grads(stack, config, batch, labels, rng=None):
 
 
 def optimizer_step(stack, grads, config):
-    """One in-place Adam (bias-corrected) or RMSProp update of the K rows of
-    ``stack.theta`` from the (K, P) gradient ``grads`` and workspace moments."""
+    """One in-place Adam or RMSProp update of the K rows of ``stack.theta`` from
+    the (K, P) ``grads`` and the workspace moments; Adam corrects by their step count."""
     stack.steps += 1
-    t = stack.step
-    lr = config.learning_rate
     buffers = stack.buffers(config, 1)
+    stack.workspace.opt_steps += 1
+    t, lr = stack.workspace.opt_steps, config.learning_rate
     m, v, p1, p2 = buffers.m, buffers.v, buffers.p1, buffers.p2
     if config.optimizer == "adam":
         c1 = 1.0 - ADAM_BETA1 ** t

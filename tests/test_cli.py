@@ -455,8 +455,9 @@ class TestErrorContract:
     def test_bad_layout_value_names_its_file(self, pipeline_dir, tmp_path, capsys, line, named):
         from ocon.dataset import FEATURE_KEYS
         layout = tmp_path / "layout.cfg"
-        layout.write_text("".join(f"{k} = {i + 1}\n" for i, k in enumerate(FEATURE_KEYS))
-                          + line + "\n")
+        lines = {k: f"{k} = {i + 1}" for i, k in enumerate(FEATURE_KEYS)}
+        lines[line.partition("=")[0].strip()] = line   # in place of its good line, if any
+        layout.write_text("".join(text + "\n" for text in lines.values()))
         code = main(["ingest", "--data", str(pipeline_dir / "synth.dat"), "--layout", str(layout),
                      "--out", str(tmp_path / "r.csv")])
         err = capsys.readouterr().err
@@ -502,6 +503,44 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR ManifestMismatch: {path}: unreadable run manifest "
                               f"({error}: "), err
+
+    @pytest.mark.parametrize("content", [
+        "early_stop.loss_threshold = 0.15\nearly_stop = null\n",
+        "seed = 1\nseed = 2\n",
+    ], ids=["scalar_over_table", "scalar_twice"])
+    @pytest.mark.parametrize("flag", CONFIG_FLAGS)
+    def test_repeated_config_key_names_its_line(self, pipeline_dir, tmp_path, capsys, flag,
+                                                content):
+        # the last assignment won silently: early_stop = null trained with no
+        # early stopping
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(content)
+        key = content.splitlines()[1].partition(" =")[0]
+        code = main(config_flag_argv(flag, str(cfg), pipeline_dir / "matrix.ocm",
+                                     pipeline_dir / "synth.dat", tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (f"ERROR OconError: {cfg}: line 2: "
+                                           f"{key!r} is assigned twice\n")
+
+    def test_too_deep_ensemble_manifest_exit_1(self, pipeline_dir, tmp_path, capsys):
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        with open(os.path.join(model_dir, "ensemble.json"), "w") as fh:
+            fh.write("[" * 200_000 + "]" * 200_000)
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, "--input", ",".join(["0.5"] * 12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR ManifestMismatch: ")
+        assert "ensemble.json" in captured.err and "Traceback" not in captured.err
+
+    def test_too_deep_run_manifest_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "manifest-deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR ManifestMismatch: {path}: unreadable run manifest "
+                              f"(RecursionError: ")
+        assert "Traceback" not in err
 
     def test_non_utf8_infer_file_names_its_line(self, pipeline_dir, tmp_path, capsys):
         model_dir = train_tiny_model(pipeline_dir, tmp_path)
@@ -748,6 +787,28 @@ def test_malformed_infer_file_names_its_line(pipeline_dir, tmp_path, capsys, bod
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"ERROR MalformedRow: {line}" in captured.err
+
+
+@pytest.mark.parametrize("line, cell", [
+    ("0.5,," + ",".join(["0.5"] * 11), ""),
+    (",".join(["0.5"] * 12) + ",", ""),
+    ("0.5, 0.5 0.5," + ",".join(["0.5"] * 9), "0.5 0.5"),
+], ids=["empty_cell", "trailing_comma", "mixed_separators"])
+@pytest.mark.parametrize("source", ["--input", "--input-file"])
+def test_infer_refuses_a_vector_with_a_cell_that_is_no_number(pipeline_dir, tmp_path, capsys,
+                                                             source, line, cell):
+    # each line holds the model's 12 numbers; split at whitespace after
+    # commas became spaces, the first was served with its cells shifted
+    model_dir = train_tiny_model(pipeline_dir, tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(",".join(["0.5"] * 12) + "\n\n" + line + "\n")
+    arg, line_no = (line, 1) if source == "--input" else (str(vectors), 3)
+    capsys.readouterr()
+    assert main(["infer", "--model", model_dir, source, arg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ERROR MalformedRow: line {line_no}: could not convert "
+                            f"string to float: {cell!r}\n")
 
 
 @pytest.mark.parametrize("body", ["", "\n  \n\t\n"], ids=["empty", "blank_lines"])

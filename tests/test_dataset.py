@@ -5,12 +5,14 @@ import itertools
 import math
 import os
 import tempfile
+from argparse import Namespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocon.cli import main
+from ocon.cli import _read_vectors, main
 from ocon.dataset import (
     ARPABET_CODES,
     FEATURE_KEYS,
@@ -297,6 +299,12 @@ class TestRecordsCsv:
             self.read_lines(tmp_path, lines)
         assert err.value.line_no == 3
 
+    def test_columns_are_found_by_name(self, tmp_path):
+        lines = records_csv_lines()
+        moved = [",".join(reversed(line.split(","))) for line in lines]
+        assert moved[0].startswith("f3_80,") and moved[0].endswith(",filename")
+        assert self.read_lines(tmp_path, moved) == self.read_lines(tmp_path, lines)
+
     @pytest.mark.parametrize("column, token", [
         (1, "q"), (1, ""), (2, "x1"), (2, "1.5"), (2, "100"), (2, "-1"), (3, "zz"),
         (3, "AE"), (5, "inf"), (7, "nan"), (16, "-1e999"), (9, "-3"), (12, "five")])
@@ -417,6 +425,18 @@ class TestReaderFuzz:
             assert_sane(read_records_csv(str(path)))
         except OconError:
             pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=LINES)
+    def test_infer_file_reader_returns_floats_or_ocon_error(self, fuzz_dir, lines):
+        path = fuzz_dir / "any.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            vectors = _read_vectors(Namespace(input=None, input_file=str(path)))
+        except OconError:
+            return
+        assert vectors.dtype == np.float64 and vectors.ndim == 2
+        assert np.isfinite(vectors).all()
 
     @settings(max_examples=60, deadline=None)
     @given(case=malformed_dat())

@@ -650,6 +650,47 @@ class TestStackedParams:
         for a, b in ((grown.theta, sized.theta), (mine.m, theirs.m), (mine.v, theirs.v)):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    def fresh_twin(self, config, params):
+        """A new one-member stack holding the theta and running statistics
+        of the K=1 stack ``params``, with no steps taken."""
+        twin = stack_of(config, [params])
+        twin.steps[:] = 0
+        return twin
+
+    def assert_next_steps_equal(self, config, params, twin, data):
+        x, y = data.random((1, 8, 3)), (data.random(8) < 0.5).astype(np.float64)
+        for stack in (params, twin):
+            _, grads, _ = loss_and_grads(stack, config, x, y, rng=[np.random.default_rng(7)])
+            optimizer_step(stack, grads, config)
+        assert np.array_equal(params.theta.view(np.uint64), twin.theta.view(np.uint64))
+
+    def test_a_select_past_row_0_starts_adam_afresh(self):
+        # its moments are fresh, so Adam's bias correction counts one step of
+        # them, not the two its row has taken
+        config = MlpConfig.tuned(3)
+        stack = stack_of(config, [init_params(replace(config, seed=seed)) for seed in range(3)])
+        data = np.random.default_rng(5)
+        _, grads, _ = loss_and_grads(stack, config, data.random((3, 8, 3)),
+                                     (data.random(24) < 0.5).astype(np.float64),
+                                     rng=[np.random.default_rng(k) for k in range(3)])
+        optimizer_step(stack, grads, config)
+        last = stack.select(slice(2, 3))
+        self.assert_next_steps_equal(config, last, self.fresh_twin(config, last), data)
+        assert stack.steps.tolist() == [1, 1, 2]
+
+    def test_a_loaded_member_starts_adam_afresh(self, tmp_path):
+        config = MlpConfig.tuned(3)
+        params, data = init_params(config), np.random.default_rng(5)
+        for _ in range(3):
+            _, grads, _ = loss_and_grads(params, config, data.random((1, 8, 3)),
+                                         (data.random(8) < 0.5).astype(np.float64),
+                                         rng=[np.random.default_rng(3)])
+            optimizer_step(params, grads, config)
+        save_model(MlpModel(config=config, params=params), str(tmp_path / "m.ocmdl"))
+        loaded = load_model(str(tmp_path / "m.ocmdl")).params
+        self.assert_next_steps_equal(config, loaded, self.fresh_twin(config, loaded), data)
+        assert loaded.step == 4
+
     def test_non_finite_member_leaves_the_others_alone(self):
         config = small_config(batch_norm=True, dropout_keep_hidden=0.5)
         members = [init_params(replace(config, seed=seed)) for seed in range(3)]
