@@ -363,7 +363,9 @@ def write_records_csv(records, path):
 def read_records_csv(path):
     """Read a records CSV, whose first row names its columns.  A header
     without a needed column, a row shorter than the header, a bad group,
-    speaker or phoneme cell, or a cell ``load_dataset`` would refuse raises
+    speaker or phoneme cell, a ``filename`` or ``label_id`` cell (when the
+    header has that column) that is not the one ``write_records_csv``
+    derives from them, or a cell ``load_dataset`` would refuse raises
     MalformedRow with the 1-based line number."""
     rows = data_rows(path)
     line_no, header = next(rows, (1, []))
@@ -379,9 +381,14 @@ def read_records_csv(path):
             group = SpeakerGroup.from_char(row["group"])
             speaker_no = int(row["speaker"])
             phoneme = PhonemeLabel.from_code(row["phoneme"])
-            encode_filename(group, speaker_no, phoneme)  # 2-digit speaker number
+            derived = {"filename": encode_filename(group, speaker_no, phoneme),
+                       "label_id": str(phoneme.label_id)}
         except (OconError, ValueError) as err:
             raise MalformedRow(line_no, str(err)) from err
+        for column, want in derived.items():
+            if row.get(column, want) != want:
+                raise MalformedRow(line_no, f"{column} {row[column]!r} contradicts group, "
+                                            f"speaker and phoneme, which give {want!r}")
         values = {k: _cell(row[k], k, line_no) for k in FEATURE_KEYS}
         records.append(FeatureRecord(group, speaker_no, phoneme, **values))
     return records

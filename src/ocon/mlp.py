@@ -2,7 +2,11 @@
 
 Single sigmoid output node trained with binary cross-entropy.  Hidden
 layers run affine -> batch-norm (optional) -> ReLU -> inverted dropout.
-Everything is float64 numpy; a fixed seed gives a bitwise-reproducible run.
+A fixed seed gives a bitwise-reproducible run.  The dtype is the stack's:
+a ``StackedParams`` is float64 unless built otherwise, a train step runs in
+its stack's dtype, and infer mode, ``predict_proba`` and checkpoints are
+float64.  ``training`` steps its groups in float32 and widens the result,
+exactly, to float64.
 
 Dropout rates are *keep* probabilities (0.8 input / 0.5 hidden in the tuned
 setup) and surviving activations are scaled by 1/keep at train time, so
@@ -13,7 +17,7 @@ Batch-norm normalizes with batch statistics in train mode, folded into one
 (momentum 0.1, biased variance) used verbatim in infer mode.
 
 Flat parameter layout: a ``StackedParams`` holds K same-topology members,
-each one row of a (K, P) float64 ``theta`` -- all weight matrices
+each one row of a (K, P) ``theta`` -- all weight matrices
 (row-major, W[l] shaped (fan_out, fan_in)), then all biases, then the
 batch-norm scales and shifts -- with their batch-norm running statistics
 and step counts: all that serving reads.  The gradient and the optimizer
@@ -60,9 +64,10 @@ OPT_EPS = 1e-8
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-#: Largest rows x members x widest layer one stacked pass handles, in float64
-#: values (about 1 MB per (K, rows, width) temporary, inside a 2 MB L2
-#: cache).  Stacked inference and lockstep training both size stacks by it.
+#: Largest rows x members x widest layer one stacked pass handles, in values,
+#: not bytes (about 1 MB per (K, rows, width) float64 temporary, inside a
+#: 2 MB L2 cache; a float32 training temporary is half that).  Stacked
+#: inference and lockstep training both size stacks by it.
 STACK_MAX_VALUES = 1 << 17
 
 CHECKPOINT_KIND = "mlp_checkpoint"
@@ -166,6 +171,9 @@ class StackedParams:
 
     ``theta`` is (K, P), one member's flat parameters per row; weight views
     are (K, out, in), vector views and running statistics (K, 1, width).
+    ``theta`` and the running statistics are in ``dtype`` (float64 unless
+    given), which a train step, a copy and a pickle keep; ``astype`` makes
+    a stack of its own in another dtype.
     ``weights``/``biases``/``gamma``/``beta`` are views into ``theta``;
     ``gamma`` and ``beta`` are empty when batch-norm is off.  The (K,) int64
     ``steps`` counts each member's lifetime optimizer steps (``step`` reads
@@ -176,7 +184,7 @@ class StackedParams:
     a ``load_model`` member and a ``select`` past row 0 start Adam afresh.
     """
 
-    def __init__(self, config, n_members=1):
+    def __init__(self, config, n_members=1, dtype=np.float64):
         dims = config.layer_dims
         pairs = list(zip(dims[:-1], dims[1:]))
         self.shapes = ([(fan_out, fan_in) for fan_in, fan_out in pairs]
@@ -184,10 +192,10 @@ class StackedParams:
                        + [(w,) for w in config.hidden_layers] * (2 * config.batch_norm))
         self.config, self.n_layers, self.workspace = config, len(pairs), None
         self.n_weights = sum(math.prod(shape) for shape in self.shapes[:self.n_layers])
-        theta = np.zeros((n_members, sum(math.prod(shape) for shape in self.shapes)))
+        theta = np.zeros((n_members, sum(math.prod(shape) for shape in self.shapes)), dtype)
         widths = config.hidden_layers if config.batch_norm else ()
-        running = ([np.zeros((n_members, 1, w)) for w in widths]
-                   + [np.ones((n_members, 1, w)) for w in widths])
+        running = ([np.zeros((n_members, 1, w), dtype) for w in widths]
+                   + [np.ones((n_members, 1, w), dtype) for w in widths])
         self._bind(theta, running, np.zeros(n_members, dtype=np.int64))
 
     def _bind(self, theta, running, steps):
@@ -237,11 +245,18 @@ class StackedParams:
     def __getstate__(self):
         return self.config, self._state()
 
-    def __setstate__(self, state):
+    def __setstate__(self, state, dtype=None):
         config, values = state
-        self.__init__(config, len(values[0]))
+        self.__init__(config, len(values[0]), dtype or values[0].dtype)
         for mine, saved in zip(self._state(), values):
             mine[...] = saved
+
+    def astype(self, dtype):
+        """A stack of its own holding this one's values in ``dtype`` (float32
+        to float64 is exact), step counts included, and no workspace."""
+        other = object.__new__(StackedParams)
+        other.__setstate__(self.__getstate__(), dtype)
+        return other
 
     def copy(self):
         return copy.deepcopy(self)
@@ -298,9 +313,10 @@ class _Workspace:
     """Preallocated train-step state of a stack.
 
     A fresh (K, rows, width) float64 temporary of the tuned bank (12 x 32 x
-    100, 300 KB) is above glibc's 128 KiB mmap threshold, so glibc would map
-    and unmap it on every operation, at hundreds of page faults per step.
-    So every step writes into one (K, rows, width) block per role and hidden
+    100, 300 KB; 150 KB in float32) is above glibc's 128 KiB mmap threshold,
+    so glibc would map and unmap it on every operation, at hundreds of page
+    faults per step.  So every step writes, in the stack's dtype
+    (``theta.dtype``), into one (K, rows, width) block per role and hidden
     layer, (K, 1, width) batch-norm blocks (``scale`` holds the batch mean,
     then gamma/std; ``inv_std`` 1/std), ``opt``, the (K, P) gradient (with
     ``d_*`` views), moments and two temporaries, and ``opt_steps``, the
@@ -316,14 +332,16 @@ class _Workspace:
         hidden = config.hidden_layers
         bn = config.batch_norm
         n_members, n_params = stack.theta.shape
+        dtype = stack.theta.dtype
 
         def block(width, rows=rows):
-            return np.empty((n_members, rows, width))
+            return np.empty((n_members, rows, width), dtype)
 
         def per_layer(on=True, rows=rows):
             return [block(w, rows) if on else None for w in hidden]
 
-        self.opt = np.zeros((5, n_members, n_params)) if old is None else old.opt[:, :n_members]
+        self.opt = (np.zeros((5, n_members, n_params), dtype) if old is None
+                    else old.opt[:, :n_members])
         grad, m, v, p1, p2 = self.opt
         self.members, self.rows, self.opt_steps = n_members, rows, getattr(old, "opt_steps", 0)
         self._full = _Buffers(
@@ -331,7 +349,7 @@ class _Workspace:
             z=per_layer(), act=per_layer(bn),
             mask=per_layer(config.dropout_keep_hidden < 1), da=per_layer(),
             scale=per_layer(bn, 1), inv_std=per_layer(bn, 1),
-            zout=block(1), e=np.empty((n_members, rows)),
+            zout=block(1), e=np.empty((n_members, rows), dtype),
             grad=grad, m=m, v=v, p1=p1, p2=p2, pw=p1[:, :stack.n_weights],
             **dict(zip(_Buffers.GRAD_ROLES, _split(stack.shapes, stack.n_layers, grad))))
         self._views = {}
@@ -384,13 +402,14 @@ def forward(stack, config, batch, mode="infer", rng=None):
     statistics and no dropout.  Train mode: the batch is (K, rows, d), one
     block per member, ``rng`` holds one dropout generator per member, and
     batch-norm uses batch statistics while updating the running estimates
-    in place; the pre-sigmoid outputs are then a view of the stack's
-    workspace, valid until its next step.
+    in place, all in the stack's dtype; the pre-sigmoid outputs are then a
+    view of the stack's workspace, valid until its next step.  Infer mode
+    runs on a float64 batch.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    train = mode == "train"
+    x = np.asarray(batch, dtype=stack.theta.dtype if train else np.float64)
     if x.shape[-1] != config.input_dim:
         raise DimensionMismatch(f"batch width {x.shape[-1]} != input dim {config.input_dim}")
-    train = mode == "train"
     if x.ndim != 2 + train or train and len(x) != stack.n_members:
         raise DimensionMismatch(f"a batch is (rows, width), in train mode "
                                 f"(members={stack.n_members}, rows, width)")
@@ -525,13 +544,14 @@ def loss_and_grads(stack, config, batch, labels, rng=None):
     ``batch`` is (K, rows, d), ``labels`` the K x rows labels flat and
     ``rng`` one dropout generator per member.  Returns the (K,) losses, for
     the caller to check, the (K, P) gradients (the stack's workspace block,
-    which the next call overwrites) and the (K, rows) per-sample losses.
-    The L2 term covers weight matrices only, never biases or batch-norm
+    which the next call overwrites) and the (K, rows) per-sample losses, all
+    in the stack's dtype, to which the batch and labels are converted.  The
+    L2 term covers weight matrices only, never biases or batch-norm
     scale/shift.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=stack.theta.dtype)
     probs, zout = forward(stack, config, x, mode="train", rng=rng)
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=stack.theta.dtype).ravel()
     if len(y) != probs.size:
         raise DimensionMismatch("labels length != batch size")
     y = y.reshape(probs.shape)

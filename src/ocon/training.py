@@ -20,10 +20,17 @@ group, and each minibatch step of a group is one stacked ``loss_and_grads``
 and ``optimizer_step`` over all its members (see ``mlp``), at most
 ``STACK_MAX_VALUES`` values of rows x members x widest layer per group.
 Every member keeps its own shuffle, dropout stream, loss curve, early-stop
-window and held-out checks, so its bits are those of a solo run.  Its
-params are the K=1 ``select`` of its row of the group's one stack; one that
-stops early or whose loss is not finite (before the next optimizer step)
-moves behind the members still training, and the live stack shrinks.  A
+window and held-out checks, so its bits are those of a solo run.  A group
+steps in float32: its stack, batches and labels are float32, and while it
+trains a member's params are the K=1 ``select`` of its row of that stack.
+One that stops early or whose loss is not finite (before the next optimizer
+step) moves behind the members still training, and the live stack shrinks;
+a loss that overflows float32 counts as diverged.  When the group ends its
+stack is widened, exactly, into one float64 stack, and each member's params
+become the ``select`` of its row of that, so models, checkpoints and
+serving are float64.  Every accuracy a ``TrainReport`` records -- the
+early-stop held-out checks, ``dev_accuracy`` and ``test_accuracy`` -- runs
+the float64 infer path on the member's widened parameters.  A
 member's ``train_seconds`` is its batch-set 0 fetch plus, for every epoch
 it took part in, the epoch's wall time divided by the members then in the
 group: the shares of a group add up to the group's wall time.  ``fan_out``
@@ -225,7 +232,7 @@ def _step_bounds(n, config):
 class _Member:
     """One cycle inside a lockstep group: its random streams, its
     ``report``, filled in place as it trains, and its ``params``, a view of
-    its row of the group's stack."""
+    its row of the group's float32 stack, then of the widened float64 one."""
 
     def __init__(self, cycle, first, seconds):
         self.cycle = cycle
@@ -270,7 +277,7 @@ class _Member:
         if not float(np.mean(self.window)) < rule.loss_threshold:
             return False
         held = self.splits[2] if tc.escape_on_test else self.splits[1]
-        acc = binary_accuracy(self.params, self.config, held.x, held.y)
+        acc = binary_accuracy(self.params.astype(np.float64), self.config, held.x, held.y)
         if acc < rule.accuracy_threshold:
             return False
         self.report.stop_reason = "early_stop"
@@ -305,19 +312,22 @@ def _leave(stack, members, done, rows=()):
 
 
 def _train_group(members, n_train, config, tc):
-    """Train ``members`` in lockstep, one stacked step per minibatch, until
-    each has stopped or spent its budget.  They train as the rows of one
-    stack, the live ones always its leading rows (``_leave`` reorders the
-    list ``members`` to match)."""
+    """Train ``members`` in lockstep, one stacked float32 step per minibatch,
+    until each has stopped or spent its budget.  They train as the rows of
+    one stack, the live ones always its leading rows (``_leave`` reorders
+    the list ``members`` to match); then each member's params become its
+    row of the float64 widening of that stack."""
     steps = _step_bounds(n_train, config)
-    stack = StackedParams(config, len(members))
+    stack = group = StackedParams(config, len(members), np.float32)
     for j, m in enumerate(members):
         m.params = init_params(m.config, stack, j)
-    xe = np.empty((len(members), n_train, config.input_dim))
-    ye = np.empty((len(members), n_train))
+    xe = np.empty((len(members), n_train, config.input_dim), np.float32)
+    ye = np.empty((len(members), n_train), np.float32)
     losses = np.empty((len(members), n_train))
     clock = time.perf_counter()
     for bs in range(tc.max_batch_sets):
+        if not stack.n_members:
+            break
         if any([len(m.start_batch_set(bs).y) != n_train for m in members[:stack.n_members]]):
             raise ValueError("a lockstep member's training split changed size")
         for _ in range(tc.epochs_per_batch_set):
@@ -352,7 +362,10 @@ def _train_group(members, n_train, config, tc):
                 m.report.train_seconds += (now - clock) / len(entered)
             clock = now
             if not stack.n_members:
-                return
+                break
+    wide = group.astype(np.float64)
+    for j, m in enumerate(members):
+        m.params = wide.select(slice(j, j + 1))
 
 
 def _run_cycle(matrix, cycles):

@@ -305,6 +305,23 @@ class TestRecordsCsv:
         assert moved[0].startswith("f3_80,") and moved[0].endswith(",filename")
         assert self.read_lines(tmp_path, moved) == self.read_lines(tmp_path, lines)
 
+    @pytest.mark.parametrize("cells, named", [
+        ({0: "w99iy", 4: "7"}, "filename 'w99iy'"),
+        ({0: "w99iy"}, "filename 'w99iy'"),
+        ({4: "7"}, "label_id '7'"),
+        ({4: "00"}, "label_id '00'"),
+    ], ids=["both", "filename", "label_id", "padded_label_id"])
+    def test_filename_and_label_id_must_match_the_row(self, tmp_path, cells, named):
+        lines = records_csv_lines()
+        row = lines[1].split(",")
+        assert row[:5] == ["m01ae", "m", "1", "ae", "0"]
+        for column, token in cells.items():
+            row[column] = token
+        lines[1] = ",".join(row)
+        with pytest.raises(MalformedRow) as err:
+            self.read_lines(tmp_path, lines)
+        assert err.value.line_no == 2 and named in str(err.value)
+
     @pytest.mark.parametrize("column, token", [
         (1, "q"), (1, ""), (2, "x1"), (2, "1.5"), (2, "100"), (2, "-1"), (3, "zz"),
         (3, "AE"), (5, "inf"), (7, "nan"), (16, "-1e999"), (9, "-3"), (12, "five")])

@@ -10,9 +10,13 @@ stop epoch also pins how the window carries losses across epochs and
 batch-sets.  The desk-scaled stage-1 ranked search CSV is pinned at one and
 two workers, so its bytes hold for any worker count.
 
-The digests are float64 results of this numpy and its BLAS; a different BLAS
-kernel can round a matmul differently.  Re-pin only after the parent commit
-reproduces the new digests on the same build.
+Training steps in float32 and its results are widened, exactly, to the
+float64 models, checkpoints and files that are hashed here; so the digests
+pin float32 training arithmetic of this numpy and its BLAS (the sgemm and
+float32 ufunc kernels), and the float64 serving path behind ``confusion.csv``
+and the CLI's eval and infer output.  A different BLAS kernel can round a
+matmul differently.  Re-pin only after the parent commit reproduces the old
+digests on the same build.
 """
 
 import hashlib
@@ -36,23 +40,23 @@ TWO_LAYER_RMSPROP = MlpConfig(input_dim=12, hidden_layers=(16, 8), optimizer="rm
 CASES = {
     "tuned_bn_dropout_adam": (
         MlpConfig.tuned(12, seed=5), TRAIN, 8,
-        "669a78cb43e043792f79c868b0f9e6dc7453ee0eef04692ed379fc7887b7ee8b"),
+        "bdda36960a5015b4c2d5f529161fae6076db33a0023097f1228b62aefd43e316"),
     "two_layer_rmsprop": (
         TWO_LAYER_RMSPROP, TRAIN, 8,
-        "a694b3f1b5d11bbad2378b757e70960d0c4bfcb68b9269b13c7adf8203e8ee67"),
+        "af84e57db2687a1891cde2b4e642bebfb824c54d5835dac7834c59cd40e22cb7"),
     "early_stop_multi_epoch_window": (
         TWO_LAYER_RMSPROP,
         TrainConfig(epochs_per_batch_set=3, max_batch_sets=3, seed=3,
                     early_stop=EarlyStopRule(0.66, 0.0, loss_window=500)), 7,
-        "e4452103e61cb93a552d4d7e758082161517f04725245dcb2ecc837c90c0817f"),
+        "8e6a5cb406eeee3dc7e8e609659c1a5491c5eca11bfa658a24be6cedaa540790"),
 }
 
 # class or file -> sha256 of the speaker bank trained in
 # ``test_speaker_bank_is_bit_identical``
 SPEAKER_BANK_DIGESTS = {
-    "male": "24d8392d1cd282c9f04f682d7e90643c70cfe92a670ab6d704b0256fb20c1ba6",
-    "female": "fe010898ebb440bc088224c416f1bf5aa3ee27d32ab1cba9cb091dd5a25d07e7",
-    "children": "bbe3017ebf9c6b51c483e38307bac5bac08ad12108349fd33cae6bbfb0f74066",
+    "male": "1e2ed06c7ea23aa2cb6a9a85dda1675208beecaefe32e5167b2a56272026980e",
+    "female": "5d4a4b6d7ce21a2f91fc972c9543b2aad86318727aed4e959f31d2a20b330492",
+    "children": "b3d14320e9311cedb0e41cfc1f50e3dbaf314f1ac88425b58d0ebc3d39456d1d",
     "confusion.csv": "a6f37570459ff4b0b43ab9c077c8c7dd70b1b0c262c7707077fbba87165c8b3b",
 }
 
@@ -94,13 +98,13 @@ CLI_CHAIN_DIGESTS = {
     "records.csv.stats.txt": "cfd5b118d363fd4262fb425b8b2ed7b96d029dc09499961f06a1f535182dfcea",
     "matrix.ocm": "44fc230893008ca4e89c58ecc4e1a757efa479348f0461bce42f9a38a4cfd768",
     "matrix.ocm.stats.txt": "80d1d9755b4bd3b99ab56cad903030a8291c03210b524ecee97e884ffaafdfb6",
-    "model/ensemble.json": "f77f86dc5d889600c19749518746d5bf0ed49f75cbc77a616d3050ab0d52b4a9",
-    "model/member_ae.ocmdl": "2838d1c6ebdab0bdd1e290c0b72766963726177946cc5dbaad0bfdbb70101b5a",
-    "eval/det.csv": "3bc4abae666d80e92397970dc489814ce119b5eb753c99d9f92ffbcf957bd9d3",
-    "eval/roc_ae.csv": "ddfe22cba8f07a39b97b47dc7c3deb3ec268b7d2d8cfaed920bc15b859fb1945",
-    "infer.csv": "c5f2d93849d687950ed5ba8d29326998aa50dba992d95efafc81d653a87c2bf3",
-    "infer.jsonl": "0cabde0dac7de06f80d425000f3516a327ef89f908cfa4df95dd32c13b1c58ba",
-    "infer_single.csv": "e552764e507e97bc9387af27d41030c5e6303c94a553ec057a0b37a0ea1c2b18",
+    "model/ensemble.json": "99bdf30eae6114731ffa455199002a3210e2031aab91e35adb3550984ef13f19",
+    "model/member_ae.ocmdl": "99d075ea0a25e589fed25be8af9385509895ab021a9b30f9a8beda6d4b0f95bc",
+    "eval/det.csv": "f07f9b8435865d8ac1dc288567a8cc4512a1ba3118049d1cbb8f759328789319",
+    "eval/roc_ae.csv": "7cba14fe2542f4b973f3b9c2ab5dce00e35e93c5e5c6a7f5ad2d476cf74bd2b2",
+    "infer.csv": "694ae9ed0567a855a12348fc80e173e97e645f35f830d1d87d14b573812e5848",
+    "infer.jsonl": "457853b98b20e2b6bf3b151dcf2e0d8a8b93b08f2b03335ab16ab350adfa1277",
+    "infer_single.csv": "4243baca5d9bcaf534e32c34adc8db6eb35f0d4123afae30ebd6dd64cea560d8",
 }
 
 CLI_TRAIN_CONFIG = "epochs_per_batch_set = 3\nmax_batch_sets = 1\nearly_stop = null\nseed = 5\n"

@@ -104,6 +104,35 @@ class TestGradients:
         numeric = finite_difference_grads(params, config, x, y, mask_seed=mask_seed)
         assert max_relative_error(grads[0], numeric) < 1e-4
 
+    @pytest.mark.parametrize("config", [
+        MlpConfig.tuned(12),
+        MlpConfig(input_dim=12, hidden_layers=(100,), learning_rate=1e-3),
+    ], ids=["tuned", "no_batch_norm"])
+    def test_float32_step_matches_float64_of_its_widened_params(self, config):
+        # training steps in float32.  On float32-exact parameters and batch,
+        # its losses and gradients must be the float64 ones up to float32
+        # rounding: the bound is 1e-3 in the relative error above (float32's
+        # epsilon is 1.2e-7; 20 seeds read at most 6.7e-5 tuned, 1.2e-5
+        # without batch-norm), and 1e-6 relative on the losses
+        for trial in range(3):
+            rng = np.random.default_rng(trial)
+            narrow = StackedParams(config, 3, np.float32)
+            for k in range(3):
+                init_params(replace(config, seed=10 * trial + k), narrow, k)
+            narrow.theta += rng.normal(0, 0.05, narrow.theta.shape).astype(np.float32)
+            wide = narrow.astype(np.float64)
+            x = rng.random((3, 32, config.input_dim)).astype(np.float32)
+            y = (rng.random(96) < 0.5).astype(np.float32)
+            (loss32, grads32), (loss64, grads64) = [
+                [a.copy() for a in loss_and_grads(
+                    stack, config, x, y, rng=[np.random.default_rng(k) for k in range(3)])[:2]]
+                for stack in (narrow, wide)]
+            assert grads32.dtype == loss32.dtype == np.float32
+            assert grads64.dtype == np.float64
+            for k in range(3):
+                assert max_relative_error(grads32[k], grads64[k]) < 1e-3
+            assert np.all(np.abs(loss32 - loss64) <= 1e-6 * np.abs(loss64))
+
 
 class TestInit:
     def test_deterministic_per_seed(self):
@@ -559,14 +588,21 @@ class TestStackedParams:
         small_config(hidden_layers=()),
     ], ids=["tuned", "two_layer_bn_rmsprop", "no_hidden"])
     def test_stacked_train_steps_equal_member_steps(self, config):
+        # in float64, and in float32, the dtype lockstep training steps in
+        for dtype in (np.float64, np.float32):
+            self.check_stacked_train_steps(config, dtype)
+
+    def check_stacked_train_steps(self, config, dtype):
         # full 8-row steps, then a 3-row tail through [:, :rows] workspace
         # views; then the first two members go on alone in a select that
         # shares the 3-member workspace, as a lockstep group that lost a
-        # member does, through [:2, :rows] views
+        # member does, through [:2, :rows] views (a 5-row tail)
         n_members, row_counts, shrunk_row_counts = 3, (8, 8, 3, 8), (8, 5)
-        members = [init_params(replace(config, seed=seed)) for seed in range(n_members)]
+        members = [init_params(replace(config, seed=seed), StackedParams(config, 1, dtype))
+                   for seed in range(n_members)]
         singles = [p.copy() for p in members]
-        stack = stack_of(config, members)
+        stack = stack_of(config, members).astype(dtype)
+        bits = f"u{np.dtype(dtype).itemsize}"
         stacked_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         single_rngs = [np.random.default_rng(100 + k) for k in range(n_members)]
         data = np.random.default_rng(7)
@@ -584,7 +620,7 @@ class TestStackedParams:
                                                          y[k], rng=[single_rngs[k]])
                 optimizer_step(params, grad, config)
                 assert loss == losses[k]
-                assert np.array_equal(samples.view(np.uint64), per_sample[k].view(np.uint64))
+                assert np.array_equal(samples.view(bits), per_sample[k].view(bits))
 
         for rows in row_counts:
             step_both(stack, rows)
@@ -603,7 +639,8 @@ class TestStackedParams:
                                      *out.running_var],
                                     [params.theta, solo.m[0], solo.v[0],
                                      *params.running_mean, *params.running_var]):
-                assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+                assert mine.dtype == theirs.dtype == dtype
+                assert np.array_equal(mine.view(bits), theirs.view(bits))
 
     def test_select_past_row_0_trains_without_the_stack_workspace(self):
         # sharing the workspace, a select from row 2 would step with row 0's

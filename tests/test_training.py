@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from ocon import training
 from ocon.balancer import build_balanced_subset
-from ocon.ensemble import train_ensemble
+from ocon.ensemble import load_ensemble, save_ensemble, train_ensemble
 from ocon.errors import TooFewSamples, UnknownClass
 from ocon.features import FeatureMatrix, FeatureSetKind, ScalingRecord, speaker_view
-from ocon.mlp import MlpConfig, StackedParams
+from ocon.mlp import MlpConfig, StackedParams, binary_accuracy
 from ocon.search import run_stage
 from ocon.training import (
     Cycle,
@@ -404,11 +404,17 @@ class TestLockstep:
 
         monkeypatch.setattr(StackedParams, "__init__", counting_init)
         trained = _run_cycle(matrix, member_cycles(matrix, range(4), mlp, tc))
-        assert len(stacks) == 1 and stacks[0].n_members == 4
+        # one float32 training stack, one float64 result stack, and between
+        # them the float64 K=1 widening each held-out check runs on
+        train, *checks, result = stacks
+        assert (train.n_members, train.theta.dtype) == (4, np.float32)
+        assert (result.n_members, result.theta.dtype) == (4, np.float64)
+        assert checks and all((s.n_members, s.theta.dtype) == (1, np.float64) for s in checks)
         assert "early_stop" in {r.stop_reason for _, r in trained}
         rows = set()
         for model, _ in trained:
-            assert np.shares_memory(model.params.theta, stacks[0].theta)
+            assert np.shares_memory(model.params.theta, result.theta)
+            assert all(a.dtype == np.float64 for a in model.params._state()[:-1])
             rows.add(model.params.theta.__array_interface__["data"][0])
         assert len(rows) == 4
 
@@ -456,6 +462,26 @@ class TestLockstep:
         assert [r.stop_reason for _, r in trained] == ["exhausted_budget", "diverged"] + [
             "exhausted_budget"] * 2
         assert [digest(*out) for out in trained] == reference
+
+    def test_reports_score_the_saved_members(self, synth_matrix, tmp_path):
+        # a group steps in float32, but every accuracy its reports record --
+        # the early-stop check's dev_accuracy, the final dev and test ones --
+        # is the float64 score of the member as saved and loaded again
+        mlp = MlpConfig.tuned(12, seed=1)
+        tc = TrainConfig(epochs_per_batch_set=20, max_batch_sets=2,
+                         early_stop=EarlyStopRule(0.6, 80.0), seed=1)
+        model, reports = train_ensemble(synth_matrix, mlp, tc)
+        assert {"early_stop", "exhausted_budget"} == {r.stop_reason for r in reports}
+        save_ensemble(model, str(tmp_path / "bank"))
+        loaded = load_ensemble(str(tmp_path / "bank"))
+        cycles = member_cycles(synth_matrix, range(12), mlp, tc)
+        for member, report, cycle in zip(loaded.members, reports, cycles):
+            assert member.params.theta.dtype == np.float64
+            _, dev, test = cycle.provider(len(report.split_sizes) - 1)[0]
+            assert report.dev_accuracy == binary_accuracy(member.params, member.config,
+                                                          dev.x, dev.y)
+            assert report.test_accuracy == binary_accuracy(member.params, member.config,
+                                                           test.x, test.y)
 
     def test_shares_of_group_time_add_up(self, synth_matrix):
         mlp = MlpConfig.tuned(12, seed=3)
