@@ -6,8 +6,10 @@ heuristic grid stage and writes the winners so far as ``<out>.selected.cfg``
 (for the next ``--inherit``, or ``train --mlp-config``), ``train`` fits the
 bank, ``eval`` produces the report tables, ``infer`` scores feature vectors,
 and ``report`` summarizes run manifests.  Config files use the plain ``key =
-value`` grammar; flags override file values, and the merged effective
-config is echoed into the run manifest.
+value`` grammar, and flags override file values.  ``main`` opens the run
+manifest with every parsed flag as its config; the command adds the files it
+read and wrote and its findings (``train`` its effective configs and seed),
+and ``main`` writes it beside the outputs if there are any.
 
 Each command imports what only it needs in its own body, so it pays the
 start-up of its own work alone: ``ingest`` and ``report`` load ``dataset``,
@@ -47,11 +49,10 @@ from .manifest import RunManifest, summarize_manifests
 _FEATURE_SETS = {kind.value: kind for kind in FeatureSetKind}
 
 
-def cmd_ingest(args):
+def cmd_ingest(args, manifest):
     layout = ColumnLayout.from_file(args.layout) if args.layout else ColumnLayout.hgcw_bigdata()
-    manifest = RunManifest("ingest", {"data": args.data, "layout": args.layout},
-                           master_seed=0)
-    manifest.add_input(args.data)
+    for path in filter(None, (args.layout, args.data)):
+        manifest.add_input(path)
     records = load_dataset(args.data, layout)
     write_records_csv(records, args.out)
     stats = class_statistics(records)
@@ -61,18 +62,13 @@ def cmd_ingest(args):
         fh.write(stats.format_table())
     manifest.add_output(args.out)
     manifest.add_output(stats_path)
-    manifest.write(os.path.dirname(os.path.abspath(args.out)))
     print(f"ingested {len(records)} rows -> {args.out}")
-    return 0
 
 
-def cmd_preprocess(args):
+def cmd_preprocess(args, manifest):
     from .features import SCALING_MODE, build_feature_matrix, save_matrix
 
     kind = _FEATURE_SETS[args.feature_set]
-    manifest = RunManifest("preprocess", {
-        "records": args.records, "feature_set": args.feature_set,
-        "exclude_children": args.exclude_children}, master_seed=0)
     manifest.add_input(args.records)
     records = read_records_csv(args.records)
     if args.exclude_children:
@@ -95,9 +91,7 @@ def cmd_preprocess(args):
         manifest.add_output(path)
     manifest.extra["usable_rows"] = matrix.n_rows
     manifest.extra["dropped_rows"] = len(dropped)
-    manifest.write(os.path.dirname(os.path.abspath(args.out)))
     print(f"kept {matrix.n_rows} rows, dropped {len(dropped)} -> {args.out}")
-    return 0
 
 
 def _write_projections(records, prefix):
@@ -138,15 +132,11 @@ def _task_matrix(args):
     return speaker_view(matrix) if args.task == "speaker" else matrix
 
 
-def cmd_search(args):
+def cmd_search(args, manifest):
     from .configfile import save_config
     from .search import desk_scale, run_stage
 
     stage = desk_scale(_load_stage(args.stage), args.desk_scale)
-    manifest = RunManifest("search", {
-        "matrix": args.matrix, "stage": args.stage, "inherit": args.inherit,
-        "desk_scale": args.desk_scale, "workers": args.workers, "task": args.task},
-        master_seed=args.seed)
     inherited = load_config(args.inherit) if args.inherit else {}
     # grid > inherited > stage fixed > defaults
     stage = replace(stage, fixed={**stage.fixed, **inherited})
@@ -169,10 +159,8 @@ def cmd_search(args):
                                       for row in result.rows if row.failures}
     manifest.extra["selected_accuracy"] = best.mean_accuracy
     manifest.extra["cycles"] = stage.cycle_count(matrix.n_classes)
-    manifest.write(os.path.dirname(os.path.abspath(args.out)))
     print(f"stage {stage.name}: {len(result.rows)} combinations -> {args.out}")
     print(f"selected {best.hps} (mean accuracy {best.mean_accuracy:.2f}%)")
-    return 0
 
 
 def _mlp_config_from(args, input_dim):
@@ -201,17 +189,16 @@ def _train_config_from(args):
     return tc
 
 
-def cmd_train(args):
+def cmd_train(args, manifest):
     from .ensemble import save_ensemble, train_ensemble
 
     matrix = _task_matrix(args)
     mlp_cfg = _mlp_config_from(args, matrix.feature_set.dim)
     train_cfg = _train_config_from(args)
-    manifest = RunManifest("train", {
-        "matrix": args.matrix, "task": args.task,
-        "mlp": asdict(mlp_cfg), "train": asdict(train_cfg)},
-        master_seed=train_cfg.seed)
-    manifest.add_input(args.matrix)
+    manifest.config.update(mlp=asdict(mlp_cfg), train=asdict(train_cfg))
+    manifest.master_seed = train_cfg.seed
+    for path in filter(None, (args.mlp_config, args.train_config, args.matrix)):
+        manifest.add_input(path)
     model, reports = train_ensemble(matrix, mlp_cfg, train_cfg, workers=args.workers)
     save_ensemble(model, args.out_dir)
     report_path = os.path.join(args.out_dir, "train_reports.json")
@@ -221,23 +208,20 @@ def cmd_train(args):
     manifest.add_output(report_path)
     mean_acc = sum(r.test_accuracy for r in reports) / len(reports)
     manifest.extra["mean_test_accuracy"] = mean_acc
-    manifest.write(args.out_dir)
     for r in reports:
         print(f"{r.class_name:<10} acc {r.test_accuracy:6.2f}%  "
               f"{r.train_seconds:7.2f}s  {r.stop_reason}")
     print(f"mean one-class test accuracy: {mean_acc:.2f}% -> {args.out_dir}")
-    return 0
 
 
-def cmd_eval(args):
+def cmd_eval(args, manifest):
     from .ensemble import load_ensemble
     from .features import SPEAKER_CLASS_NAMES, load_matrix, speaker_view
     from .metrics import report_tables
 
-    manifest = RunManifest("eval", {"model": args.model, "matrix": args.matrix},
-                           master_seed=0)
     manifest.add_input(args.matrix)
     model = load_ensemble(args.model)
+    manifest.add_input(os.path.join(args.model, "ensemble.json"))
     matrix = load_matrix(args.matrix)
     if model.class_names == SPEAKER_CLASS_NAMES:
         matrix = speaker_view(matrix)
@@ -248,8 +232,6 @@ def cmd_eval(args):
         tables.write_csv(args.out_dir)
         for name in ("accuracy.csv", "det.csv", "confusion.csv"):
             manifest.add_output(os.path.join(args.out_dir, name))
-        manifest.write(args.out_dir)
-    return 0
 
 
 def _read_vectors(args):
@@ -283,7 +265,7 @@ def _read_vectors(args):
     return np.array(rows, dtype=np.float64)
 
 
-def cmd_infer(args):
+def cmd_infer(args, manifest):
     from .ensemble import infer, load_ensemble
 
     model = load_ensemble(args.model)
@@ -296,10 +278,9 @@ def cmd_infer(args):
     else:
         lines = [",".join(map(repr, probs)) + f",{pred},{names[pred]}" for probs, pred in rows]
     sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0
 
 
-def cmd_report(args):
+def cmd_report(args, manifest):
     paths = list(args.manifests)
     if args.dir:
         paths += [os.path.join(args.dir, f) for f in sorted(os.listdir(args.dir))
@@ -307,7 +288,6 @@ def cmd_report(args):
     if not paths:
         raise OconError("no manifests given")
     print(summarize_manifests(paths))
-    return 0
 
 
 def _positive_int(text):
@@ -391,17 +371,20 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    manifest = RunManifest(args.command, config, master_seed=getattr(args, "seed", None) or 0)
     try:
-        return args.func(args)
+        args.func(args, manifest)
+        if manifest.outputs:
+            out_dir = getattr(args, "out_dir", None)
+            manifest.write(out_dir or os.path.dirname(os.path.abspath(args.out)))
     except FileNotFoundError as err:
         print(f"ERROR FileNotFoundError: {err}", file=sys.stderr)
         return 3
-    except OconError as err:
+    except (OconError, ValueError, OSError, MemoryError) as err:
         print(f"ERROR {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
-        print(f"ERROR {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

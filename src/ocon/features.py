@@ -88,11 +88,16 @@ class ScalingRecord:
 
     @classmethod
     def from_dict(cls, d):
-        """The record of ``to_dict``; another mode raises ValueError."""
+        """The record of ``to_dict``; another mode, or bounds that are not
+        finite 1-D arrays of one length with ``hi > lo``, raise ValueError."""
         if d["mode"] != SCALING_MODE:
             raise ValueError(f"scaling mode {d['mode']!r} is not {SCALING_MODE!r}")
-        return cls(np.asarray(d["lo"], dtype=np.float64),
-                   np.asarray(d["hi"], dtype=np.float64))
+        lo, hi = np.asarray(d["lo"], dtype=np.float64), np.asarray(d["hi"], dtype=np.float64)
+        # NaN bounds would serve NaN probabilities, swapped ones mirrored features
+        if not (lo.ndim == 1 and lo.shape == hi.shape and np.isfinite((lo, hi)).all()
+                and (hi > lo).all()):
+            raise ValueError("scaling bounds must be finite 1-D arrays of one length with hi > lo")
+        return cls(lo, hi)
 
     def content_hash(self):
         return sha256_json(self.to_dict())

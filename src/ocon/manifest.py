@@ -1,11 +1,12 @@
 """Run manifests: append-only JSON records tying outputs to their inputs.
 
-``ingest``, ``preprocess``, ``search`` and ``train`` each write one manifest
-file named after its UTC start time and config hash, and ``eval`` does with
-``--out-dir``; ``infer`` and ``report`` write none.  A manifest lists the
-command, the merged effective config, the master seed, content hashes of
-every input and output file, and its start and finish times, which is
-enough to re-run the command and to audit which run produced which artifact.
+``cli.main`` writes one for each command that writes an output (``ingest``,
+``preprocess``, ``search``, ``train``, and ``eval`` with ``--out-dir``), named
+after its UTC start time and config hash.  It lists the command, its config
+(every parsed flag, plus the effective MLP and training configs of
+``train``), the master seed, content hashes of every file the command read
+and wrote, and its start and finish times: enough to re-run the command and
+to audit which run produced which artifact.
 """
 
 import datetime as _dt

@@ -705,6 +705,50 @@ class TestErrorContract:
         self._assert_edited_member_is_corrupt(
             pipeline_dir, tmp_path, capsys, lambda meta: meta.update({key: value}), key)
 
+    @pytest.mark.parametrize("case", ["nan_lo", "swapped"])
+    def test_invalid_scaling_record_exit_1(self, pipeline_dir, tmp_path, capsys, case):
+        """A NaN bound would serve NaN probabilities and swapped bounds mirrored
+        features: a matrix file (valid CRC) holding either is refused by
+        ``train``, and a bank fitted to one by ``infer``."""
+        from ocon.ensemble import save_ensemble, train_ensemble
+        from ocon.features import ScalingRecord
+
+        _, meta, arrays = read_container(str(pipeline_dir / "matrix.ocm"), MATRIX_KIND,
+                                         MATRIX_VERSION)
+        lo, hi = arrays["scaling_lo"], arrays["scaling_hi"]
+        lo, hi = (np.r_[np.nan, lo[1:]], hi) if case == "nan_lo" else (hi, lo)
+        crafted = str(tmp_path / "crafted.ocm")
+        write_container(crafted, MATRIX_KIND, MATRIX_VERSION, meta,
+                        {**arrays, "scaling_lo": lo, "scaling_hi": hi})
+        (tmp_path / "train.cfg").write_text("epochs_per_batch_set = 1\nmax_batch_sets = 1\n")
+        assert main(["train", "--matrix", crafted, "--train-config", str(tmp_path / "train.cfg"),
+                     "--out-dir", str(tmp_path / "m")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR CorruptPayload: {crafted}:") and "hi > lo" in err
+
+        matrix = replace(load_matrix(str(pipeline_dir / "matrix.ocm")),
+                         scaling=ScalingRecord(lo, hi))
+        model, _ = train_ensemble(matrix, MlpConfig(input_dim=12, hidden_layers=(2,)),
+                                  TrainConfig(epochs_per_batch_set=1, max_batch_sets=1))
+        save_ensemble(model, str(tmp_path / "bank"))
+        assert main(["infer", "--model", str(tmp_path / "bank"),
+                     "--input", ",".join(["4.0"] * 12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR ManifestMismatch: ") and "hi > lo" in captured.err
+
+    def test_unallocatable_network_is_memory_error_exit_1(self, pipeline_dir, tmp_path,
+                                                          capsys):
+        # hundreds of TiB exceed a 47-bit address space, so the allocation
+        # fails at once and touches no memory
+        (tmp_path / "wide.cfg").write_text("hidden_nodes = 10000000000000\n")
+        code = main(["train", "--matrix", str(pipeline_dir / "matrix.ocm"),
+                     "--mlp-config", str(tmp_path / "wide.cfg"), "--out-dir", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR MemoryError: ") and "Traceback" not in err
+        assert not (tmp_path / "m").exists()
+
 
 class TestConfigFuzz:
     """Config text through the loader of every config-reading flag, without
