@@ -362,19 +362,21 @@ def write_records_csv(records, path):
 
 def read_records_csv(path):
     """Read a records CSV, whose first row names its columns.  A header
-    without a needed column, a row shorter than the header, a bad group,
-    speaker or phoneme cell, a ``filename`` or ``label_id`` cell (when the
-    header has that column) that is not the one ``write_records_csv``
-    derives from them, or a cell ``load_dataset`` would refuse raises
-    MalformedRow with the 1-based line number."""
+    without a needed column or naming one twice, a row whose cell count is
+    not the header's, a bad group, speaker or phoneme cell, a ``filename``
+    or ``label_id`` cell (when the header has that column) that is not the
+    one ``write_records_csv`` derives from them, or a cell ``load_dataset``
+    would refuse raises MalformedRow with the 1-based line number."""
     rows = data_rows(path)
     line_no, header = next(rows, (1, []))
     missing = [c for c in ("group", "speaker", "phoneme") + FEATURE_KEYS if c not in header]
     if missing:
         raise MalformedRow(line_no, f"header lacks column(s) {', '.join(missing)}")
+    if twice := [c for i, c in enumerate(header) if c in header[:i]]:
+        raise MalformedRow(line_no, f"header names column {twice[0]!r} twice")
     records = []
     for line_no, cells in rows:
-        if len(cells) < len(header):
+        if len(cells) != len(header):
             raise MalformedRow(line_no, f"{len(cells)} cells where the header has {len(header)}")
         row = dict(zip(header, cells))
         try:

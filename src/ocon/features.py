@@ -5,9 +5,11 @@ utterance's steady-state F0, then the whole feature set is min-max scaled
 into [0, 1].  Scaling is fit on the full processed dataset before any split
 (this reproduces the reference pipeline; the train/test leakage this implies
 is deliberate and documented).  Min-max is the only scaling: the files
-still record it as ``"minmax"`` and refuse any other mode.
-``FeatureSetKind`` lives in ``ocon.dataset`` (record filtering needs it
-without numpy) and is re-exported here.
+still record it as ``"minmax"`` and refuse any other mode.  A
+``ScalingRecord`` or ``FeatureMatrix`` checks its own arrays when it is
+built, so one that exists is valid; ``load_matrix`` only translates a
+refusal into CorruptPayload.  ``FeatureSetKind`` lives in ``ocon.dataset``
+(record filtering needs it without numpy) and is re-exported here.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,22 +35,23 @@ def ratio_matrix(records, kind):
 
     Every component is Fi(t)/F0 with the single steady-state F0, all rows in
     one numpy division; the SS4 variant appends the raw F0 in Hz.  Raises
-    UnusableRecord naming the first record with a required field <= 0 or a
-    ratio that is not finite (a tiny but positive F0 such as 1e-320).
+    UnusableRecord naming the first record with a required field <= 0 or an
+    output row that is not finite (a tiny but positive F0 such as 1e-320
+    overflows its ratios; an infinite one is SS4's raw channel).
     """
     keys = kind.required_keys
     fields = np.array([[getattr(rec, k) for k in keys] for rec in records], dtype=np.float64)
     with np.errstate(all="ignore"):  # a zero or tiny F0 is refused below
-        ratios = fields[:, 1:] / fields[:, :1]
-    nonpositive = fields <= 0
-    if nonpositive.any() or not np.isfinite(ratios).all():
-        first = int(np.argmax(nonpositive.any(axis=1) | ~np.isfinite(ratios).all(axis=1)))
-        reason = ("has non-positive required fields" if nonpositive[first].any()
-                  else "has a non-finite F0 ratio")
-        raise UnusableRecord(f"record {records[first].filename} {reason}")
+        rows = fields[:, 1:] / fields[:, :1]
     if kind is FeatureSetKind.SS4:
-        ratios = np.concatenate((ratios, fields[:, :1]), axis=1)
-    return ratios
+        rows = np.concatenate((rows, fields[:, :1]), axis=1)
+    nonpositive = (fields <= 0).any(axis=1)
+    if (unusable := nonpositive | ~np.isfinite(rows).all(axis=1)).any():
+        first = int(np.argmax(unusable))
+        reason = ("has non-positive required fields" if nonpositive[first]
+                  else "has a non-finite F0 ratio or F0")
+        raise UnusableRecord(f"record {records[first].filename} {reason}")
+    return rows
 
 
 def normalize_by_f0(record, kind):
@@ -58,17 +61,22 @@ def normalize_by_f0(record, kind):
 
 @dataclass(frozen=True)
 class ScalingRecord:
-    """Per-column min-max scaling actually used to produce a matrix: lo/hi
-    are the fitted per-column min and max, and application clamps into
-    [0, 1].  ``span`` is ``hi - lo``, computed once when the record is
-    built."""
+    """Per-column min-max scaling used to produce a matrix: lo/hi are the
+    fitted per-column min and max (float64), application clamps into [0, 1].
+    Bounds that are not 1-D of one length with hi > lo and a finite ``span =
+    hi - lo`` raise ValueError: they would serve NaN or mirrored features."""
 
     lo: np.ndarray
     hi: np.ndarray
     span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "span", self.hi - self.lo)
+        lo, hi = np.asarray(self.lo, dtype=np.float64), np.asarray(self.hi, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            if not (lo.ndim == 1 and lo.shape == hi.shape and (hi > lo).all()
+                    and np.isfinite(span := hi - lo).all()):
+                raise ValueError("scaling needs 1-D bounds of one length, hi > lo, finite hi - lo")
+        self.__dict__.update(lo=lo, hi=hi, span=span)   # the class is frozen
 
     @property
     def dim(self):
@@ -88,16 +96,10 @@ class ScalingRecord:
 
     @classmethod
     def from_dict(cls, d):
-        """The record of ``to_dict``; another mode, or bounds that are not
-        finite 1-D arrays of one length with ``hi > lo``, raise ValueError."""
+        """The record of ``to_dict``; another mode raises ValueError."""
         if d["mode"] != SCALING_MODE:
             raise ValueError(f"scaling mode {d['mode']!r} is not {SCALING_MODE!r}")
-        lo, hi = np.asarray(d["lo"], dtype=np.float64), np.asarray(d["hi"], dtype=np.float64)
-        # NaN bounds would serve NaN probabilities, swapped ones mirrored features
-        if not (lo.ndim == 1 and lo.shape == hi.shape and np.isfinite((lo, hi)).all()
-                and (hi > lo).all()):
-            raise ValueError("scaling bounds must be finite 1-D arrays of one length with hi > lo")
-        return cls(lo, hi)
+        return cls(d["lo"], d["hi"])
 
     def content_hash(self):
         return sha256_json(self.to_dict())
@@ -131,6 +133,9 @@ class FeatureMatrix:
     ``labels`` index into ``class_names`` (phoneme codes by default);
     ``groups`` keep the raw speaker-group code of each row so the 3-class
     speaker task can be derived from the same matrix (``speaker_view``).
+    Arrays that do not fit each other raise DimensionMismatch; non-float64
+    values, class names that are not strings, or labels and groups that
+    are not 1-D integers in 0..K-1 and 0..3 raise ValueError.
     """
 
     values: np.ndarray          # (N, d) float64, scaled
@@ -141,6 +146,8 @@ class FeatureMatrix:
     class_names: tuple = ARPABET_CODES
 
     def __post_init__(self):
+        if self.values.dtype != np.float64:
+            raise ValueError(f"values must be float64, not {self.values.dtype}")
         n, d = self.values.shape
         if d != self.feature_set.dim:
             raise DimensionMismatch(
@@ -149,6 +156,14 @@ class FeatureMatrix:
             raise DimensionMismatch("labels/groups length != row count")
         if self.scaling.dim != d:
             raise DimensionMismatch("scaling record width != matrix width")
+        if not all(isinstance(name, str) for name in self.class_names):
+            raise ValueError(f"class_names {self.class_names!r} must be strings")
+        for name, n_codes in (("labels", self.n_classes), ("groups", len(SpeakerGroup))):
+            codes = getattr(self, name)
+            # a label past the class table would index out of it, a negative one wrap
+            if not (np.issubdtype(codes.dtype, np.integer) and codes.ndim == 1
+                    and (not codes.size or 0 <= codes.min() <= codes.max() < n_codes)):
+                raise ValueError(f"{name} must be integers in 0..{n_codes - 1}")
 
     @property
     def n_rows(self):
@@ -176,16 +191,10 @@ def build_feature_matrix(records, kind):
         raise UnusableRecord(f"no usable records for feature set {kind.value}")
     raw = ratio_matrix(kept, kind)
     scaling = fit_minmax(raw)
-    values = scaling.apply(raw)
-    # the one finiteness check of the matrix path: ScalingRecord.apply also
-    # serves single-vector infer, which checks its input before scaling
-    if not all(np.isfinite(a).all() for a in (values, scaling.lo, scaling.hi)):
-        raise UnusableRecord("the scaled feature matrix or its scaling is not finite")
     labels = np.array([rec.phoneme.label_id for rec in kept], dtype=np.int64)
     groups = np.array([rec.group.code for rec in kept], dtype=np.int64)
-    matrix = FeatureMatrix(values=values, labels=labels, groups=groups,
-                           scaling=scaling, feature_set=kind)
-    return matrix, dropped
+    return FeatureMatrix(values=scaling.apply(raw), labels=labels, groups=groups,
+                         scaling=scaling, feature_set=kind), dropped
 
 
 def save_matrix(matrix, path):
@@ -209,15 +218,14 @@ def save_matrix(matrix, path):
 
 def load_matrix(path):
     """Read a matrix file.  A missing or ill-typed array or metadata key,
-    class names that are not a list of strings, arrays that ``FeatureMatrix``
-    or the header's ``rows`` and ``dim`` do not fit, non-float64 ``values``,
-    a label or group code out of range, or a scaling or F0 mode other than
-    min-max and raw, raises CorruptPayload naming the file."""
+    ``class_names`` that are not a list, a header whose ``rows``, ``dim`` or
+    ``f0_mode`` do not fit the arrays, or arrays that ``ScalingRecord`` or
+    ``FeatureMatrix`` refuse raise CorruptPayload naming the file."""
     _, meta, arrays = container.read_container(path, MATRIX_KIND, MATRIX_VERSION)
     try:
         names = meta["class_names"]
-        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-            raise ValueError(f"class_names {names!r} is not a list of strings")
+        if not isinstance(names, list):
+            raise ValueError(f"class_names {names!r} is not a list")
         scaling = ScalingRecord.from_dict({"mode": meta["scaling_mode"],
                                            "lo": arrays["scaling_lo"], "hi": arrays["scaling_hi"]})
         matrix = FeatureMatrix(
@@ -227,15 +235,8 @@ def load_matrix(path):
         header = (meta["rows"], meta["dim"], meta["f0_mode"])
         if header != (*matrix.values.shape, F0_MODE):
             raise ValueError(f"header {header} does not fit {matrix.values.shape} raw-F0 values")
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as err:
+    except (KeyError, TypeError) as err:
         raise CorruptPayload(f"{path}: bad matrix metadata or arrays ({err!r})") from err
-    if matrix.values.dtype != np.float64:
-        raise CorruptPayload(f"{path}: values must be float64, not {matrix.values.dtype}")
-    for name, n_codes in (("labels", matrix.n_classes), ("groups", len(SpeakerGroup))):
-        codes = getattr(matrix, name)
-        # a label past the class table would index out of it, a negative one wrap
-        if not (np.issubdtype(codes.dtype, np.integer) and codes.ndim == 1
-                and (not codes.size or 0 <= codes.min() <= codes.max() < n_codes)):
-            raise CorruptPayload(f"{path}: {name} must be integers in 0..{n_codes - 1}")
+    except (ValueError, DimensionMismatch) as err:
+        raise CorruptPayload(f"{path}: {err}") from err
     return matrix
-

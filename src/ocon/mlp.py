@@ -44,7 +44,6 @@ Every accuracy and confusion count thresholds probabilities through
 ``decide``.
 """
 
-import copy
 import functools
 import math
 import numbers
@@ -259,7 +258,7 @@ class StackedParams:
         return other
 
     def copy(self):
-        return copy.deepcopy(self)
+        return self.astype(self.theta.dtype)
 
 
 def init_params(config, stack=None, k=0):

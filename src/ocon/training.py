@@ -21,11 +21,11 @@ and ``optimizer_step`` over all its members (see ``mlp``), at most
 ``STACK_MAX_VALUES`` values of rows x members x widest layer per group.
 Every member keeps its own shuffle, dropout stream, loss curve, early-stop
 window and held-out checks, so its bits are those of a solo run.  A group
-steps in float32: its stack, batches and labels are float32, and while it
-trains a member's params are the K=1 ``select`` of its row of that stack.
-One that stops early or whose loss is not finite (before the next optimizer
-step) moves behind the members still training, and the live stack shrinks;
-a loss that overflows float32 counts as diverged.  When the group ends its
+steps in float32: its stack, batches and labels are float32, and a
+member's position in the group's list is its row of that stack.  One that
+stops early or whose loss is not finite (before the next optimizer step)
+moves behind the members still training, and the live stack shrinks; a
+loss that overflows float32 counts as diverged.  When the group ends its
 stack is widened, exactly, into one float64 stack, and each member's params
 become the ``select`` of its row of that, so models, checkpoints and
 serving are float64.  Every accuracy a ``TrainReport`` records -- the
@@ -231,8 +231,8 @@ def _step_bounds(n, config):
 
 class _Member:
     """One cycle inside a lockstep group: its random streams, its
-    ``report``, filled in place as it trains, and its ``params``, a view of
-    its row of the group's float32 stack, then of the widened float64 one."""
+    ``report``, filled in place as it trains, and its ``params``, set when
+    the group ends to its row of the widened float64 stack."""
 
     def __init__(self, cycle, first, seconds):
         self.cycle = cycle
@@ -260,9 +260,9 @@ class _Member:
         self.shuffle_rng = rng_from(self.cycle.train_config.seed, "shuffle", bs)
         return splits[0]
 
-    def end_epoch(self, losses):
+    def end_epoch(self, losses, stack, row):
         """Record an epoch's per-sample losses; True when the early-stop
-        escape holds."""
+        escape holds for the member at ``row`` of ``stack``."""
         tc = self.cycle.train_config
         # np.add.reduce(...) / n is how .mean() computes it (same bits)
         self.report.loss_curve.append(float(np.add.reduce(losses) / len(losses)))
@@ -277,7 +277,8 @@ class _Member:
         if not float(np.mean(self.window)) < rule.loss_threshold:
             return False
         held = self.splits[2] if tc.escape_on_test else self.splits[1]
-        acc = binary_accuracy(self.params.astype(np.float64), self.config, held.x, held.y)
+        wide = stack.select(slice(row, row + 1)).astype(np.float64)
+        acc = binary_accuracy(wide, self.config, held.x, held.y)
         if acc < rule.accuracy_threshold:
             return False
         self.report.stop_reason = "early_stop"
@@ -298,16 +299,13 @@ class _Member:
 
 def _leave(stack, members, done, rows=()):
     """Move the live members at positions ``done`` behind the others, with
-    their rows of the stack, its workspace's ``opt`` and ``rows``; gives each
-    moved member a view of its new row and returns the stack of those left."""
+    their rows of the stack, its workspace's ``opt`` and ``rows``; returns
+    the stack of those left."""
     n = stack.n_members
     order = [j for j in range(n) if j not in done] + done
     for a in (*stack._state(), *stack.workspace.opt[:3], *rows):   # opt[:3]: grad, m, v
         a[:n] = a[order]
     members[:n] = [members[j] for j in order]
-    for j in range(n):
-        if order[j] != j:
-            members[j].params = stack.select(slice(j, j + 1))
     return stack.select(slice(0, n - len(done)))
 
 
@@ -320,7 +318,7 @@ def _train_group(members, n_train, config, tc):
     steps = _step_bounds(n_train, config)
     stack = group = StackedParams(config, len(members), np.float32)
     for j, m in enumerate(members):
-        m.params = init_params(m.config, stack, j)
+        init_params(m.config, stack, j)
     xe = np.empty((len(members), n_train, config.input_dim), np.float32)
     ye = np.empty((len(members), n_train), np.float32)
     losses = np.empty((len(members), n_train))
@@ -354,7 +352,7 @@ def _train_group(members, n_train, config, tc):
                 optimizer_step(stack, grads[:k], config)
                 losses[:k, start:stop] = per_sample[:k]
             stopped = [j for j, m in enumerate(members[:stack.n_members])
-                       if m.end_epoch(losses[j])]
+                       if m.end_epoch(losses[j], stack, j)]
             if stopped:
                 stack = _leave(stack, members, stopped)
             now = time.perf_counter()

@@ -23,7 +23,7 @@ from ocon.mlp import CHECKPOINT_KIND, CHECKPOINT_VERSION, MlpConfig
 from ocon.search import SearchStage
 from ocon.synth import write_synth_dat
 from ocon.training import EarlyStopRule, TrainConfig
-from ocon.util import read_text, sha256_file
+from ocon.util import read_text, sha256_file, sha256_json
 from tests.test_container import MALFORMED_HEADERS, PAYLOAD, write_raw
 
 
@@ -705,18 +705,18 @@ class TestErrorContract:
         self._assert_edited_member_is_corrupt(
             pipeline_dir, tmp_path, capsys, lambda meta: meta.update({key: value}), key)
 
-    @pytest.mark.parametrize("case", ["nan_lo", "swapped"])
+    @pytest.mark.parametrize("case", ["nan_lo", "swapped", "wide_span"])
     def test_invalid_scaling_record_exit_1(self, pipeline_dir, tmp_path, capsys, case):
-        """A NaN bound would serve NaN probabilities and swapped bounds mirrored
-        features: a matrix file (valid CRC) holding either is refused by
-        ``train``, and a bank fitted to one by ``infer``."""
-        from ocon.ensemble import save_ensemble, train_ensemble
-        from ocon.features import ScalingRecord
-
+        """A NaN bound would serve NaN probabilities, swapped bounds mirrored
+        features and bounds whose span hi - lo overflows NaN again: a matrix
+        file (valid CRC) holding such bounds is refused by ``train``, and an
+        ``ensemble.json`` holding them (its scaling hash recomputed) by
+        ``infer``."""
         _, meta, arrays = read_container(str(pipeline_dir / "matrix.ocm"), MATRIX_KIND,
                                          MATRIX_VERSION)
         lo, hi = arrays["scaling_lo"], arrays["scaling_hi"]
-        lo, hi = (np.r_[np.nan, lo[1:]], hi) if case == "nan_lo" else (hi, lo)
+        lo, hi = {"nan_lo": (np.r_[np.nan, lo[1:]], hi), "swapped": (hi, lo),
+                  "wide_span": (np.full_like(lo, -1e308), np.full_like(hi, 1e308))}[case]
         crafted = str(tmp_path / "crafted.ocm")
         write_container(crafted, MATRIX_KIND, MATRIX_VERSION, meta,
                         {**arrays, "scaling_lo": lo, "scaling_hi": hi})
@@ -726,13 +726,16 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR CorruptPayload: {crafted}:") and "hi > lo" in err
 
-        matrix = replace(load_matrix(str(pipeline_dir / "matrix.ocm")),
-                         scaling=ScalingRecord(lo, hi))
-        model, _ = train_ensemble(matrix, MlpConfig(input_dim=12, hidden_layers=(2,)),
-                                  TrainConfig(epochs_per_batch_set=1, max_batch_sets=1))
-        save_ensemble(model, str(tmp_path / "bank"))
-        assert main(["infer", "--model", str(tmp_path / "bank"),
-                     "--input", ",".join(["4.0"] * 12)]) == 1
+        model_dir = train_tiny_model(pipeline_dir, tmp_path)
+        manifest_path = os.path.join(model_dir, "ensemble.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["scaling"].update(lo=lo.tolist(), hi=hi.tolist())
+        manifest["scaling_hash"] = sha256_json(manifest["scaling"])
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert main(["infer", "--model", model_dir, "--input", ",".join(["4.0"] * 12)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ERROR ManifestMismatch: ") and "hi > lo" in captured.err

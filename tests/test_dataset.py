@@ -299,6 +299,22 @@ class TestRecordsCsv:
             self.read_lines(tmp_path, lines)
         assert err.value.line_no == 3
 
+    def test_long_row(self, tmp_path):
+        # an extra cell would be dropped without a word
+        lines = records_csv_lines()
+        lines[2] += ",5.0"
+        with pytest.raises(MalformedRow) as err:
+            self.read_lines(tmp_path, lines)
+        assert err.value.line_no == 3
+
+    def test_column_named_twice(self, tmp_path):
+        # the later f0_ss column would win: the first row's F0 would read 999.0
+        lines = records_csv_lines()
+        lines = [lines[0] + ",f0_ss", *(line + ",999.0" for line in lines[1:])]
+        with pytest.raises(MalformedRow) as err:
+            self.read_lines(tmp_path, lines)
+        assert err.value.line_no == 1 and "'f0_ss' twice" in str(err.value)
+
     def test_columns_are_found_by_name(self, tmp_path):
         lines = records_csv_lines()
         moved = [",".join(reversed(line.split(","))) for line in lines]

@@ -14,6 +14,7 @@ from ocon.features import (
     MATRIX_KIND,
     MATRIX_VERSION,
     FeatureSetKind,
+    ScalingRecord,
     build_feature_matrix,
     fit_minmax,
     load_matrix,
@@ -175,6 +176,55 @@ class TestMinMax:
         assert np.all(matrix.scaling.lo > 0)
 
 
+class TestRefusedOnConstruction:
+    """The Python path refuses what the file readers refuse: a record or
+    matrix that exists is valid."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([1.0, 0.0], [0.0, 1.0]),
+        ([0.0, 0.0], [1.0, 1.0, 1.0]),
+        ([[0.0, 0.0]], [[1.0, 1.0]]),
+        ([-1e308, 0.0], [1e308, 1.0]),
+    ], ids=["nan", "swapped", "ragged", "two_d", "overflowing_span"])
+    def test_scaling_record(self, lo, hi):
+        with pytest.raises(ValueError, match="hi > lo"):
+            ScalingRecord(np.array(lo), np.array(hi))
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: {"labels": np.r_[m.labels[:-1], m.n_classes]}, "labels"),
+        (lambda m: {"labels": np.r_[m.labels[:-1], -1]}, "labels"),
+        (lambda m: {"labels": m.labels.astype(np.float64)}, "labels"),
+        (lambda m: {"groups": np.r_[m.groups[:-1], 4]}, "groups"),
+        (lambda m: {"class_names": (*m.class_names[:-1], 11)}, "class_names"),
+        (lambda m: {"values": m.values.astype(np.float32)}, "float64"),
+    ], ids=["label_past_classes", "label_negative", "label_float", "group_past_codes",
+            "class_name_not_a_string", "values_float32"])
+    def test_feature_matrix(self, synth_matrix, edit, named):
+        with pytest.raises(ValueError, match=named):
+            replace(synth_matrix, **edit(synth_matrix))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(allow_nan=False,
+                                                                   allow_infinity=False)),
+                    min_size=1, max_size=4))
+    def test_accepted_bounds_scale_finite_input_into_unit_interval(self, columns):
+        a, b, x = map(np.array, zip(*columns))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)   # ordered, so more pairs are accepted
+        with np.errstate(over="ignore", invalid="ignore"):
+            usable = bool((hi > lo).all() and np.isfinite(hi - lo).all())
+        try:
+            scaling = ScalingRecord(lo, hi)
+        except ValueError:
+            assert not usable
+            return
+        assert usable
+        # a query far outside the bounds can overflow x - lo; it clips to 0 or 1
+        with np.errstate(over="ignore"):
+            scaled = scaling.apply(x)
+        assert np.isfinite(scaled).all() and ((scaled >= 0.0) & (scaled <= 1.0)).all()
+
+
 class TestBuildFeatureMatrix:
     def test_labels_groups_and_unit_range(self, synth_corpus):
         matrix, dropped = build_feature_matrix(synth_corpus, FeatureSetKind.TT12)
@@ -192,13 +242,13 @@ class TestBuildFeatureMatrix:
             build_feature_matrix(records, FeatureSetKind.TT12)
 
     def test_infinite_ss4_f0_raises(self, synth_corpus):
-        # its ratios are all 0.0 and pass ratio_matrix; the raw F0 channel
-        # then scales to NaN, which the scaled-matrix check refuses
+        # its ratios are all 0.0, but its raw F0 channel is not finite, so
+        # ratio_matrix names the record before any scaling (and warning)
         kept, _ = filter_usable(synth_corpus, FeatureSetKind.SS4)
         records = list(synth_corpus)
         at = records.index(kept[5])
         records[at] = replace(records[at], f0_ss=np.inf)
-        with np.errstate(invalid="ignore"), pytest.raises(UnusableRecord, match="not finite"):
+        with pytest.raises(UnusableRecord, match=f"{records[at].filename} has a non-finite"):
             build_feature_matrix(records, FeatureSetKind.SS4)
 
 
