@@ -284,7 +284,8 @@ def load_ensemble(dirpath):
             raise ManifestMismatch(f"{manifest_path} is not valid JSON ({err})") from err
     _require_keys(manifest, _MANIFEST_KEYS, MANIFEST_NAME)
     version = manifest.get("version", 0)
-    if not isinstance(version, int) or version > ENSEMBLE_VERSION:
+    # bool is an int subclass, but ``true`` is no version
+    if type(version) is not int or not 0 <= version <= ENSEMBLE_VERSION:
         raise ManifestMismatch(f"ensemble version {version!r} unsupported")
     if not all(isinstance(name, str) for name in manifest["class_names"]):
         raise ManifestMismatch(f"{MANIFEST_NAME}: class_names must be strings")

@@ -20,7 +20,11 @@ group, and each minibatch step of a group is one stacked ``loss_and_grads``
 and ``optimizer_step`` over all its members (see ``mlp``), at most
 ``STACK_MAX_VALUES`` values of rows x members x widest layer per group.
 Every member keeps its own shuffle, dropout stream, loss curve, early-stop
-window and held-out checks, so its bits are those of a solo run.  A group
+window and held-out checks, so its bits are those of a solo run.  An
+epoch's data work is group work: the members draw their shuffles in member
+order into one index block, one gather fills the group's epoch batches
+from float32 blocks of the training splits (converted once per batch-set),
+and one row-wise reduction gives every member's loss-curve mean.  A group
 steps in float32: its stack, batches and labels are float32, and a
 member's position in the group's list is its row of that stack.  One that
 stops early or whose loss is not finite (before the next optimizer step)
@@ -260,12 +264,12 @@ class _Member:
         self.shuffle_rng = rng_from(self.cycle.train_config.seed, "shuffle", bs)
         return splits[0]
 
-    def end_epoch(self, losses, stack, row):
-        """Record an epoch's per-sample losses; True when the early-stop
-        escape holds for the member at ``row`` of ``stack``."""
+    def end_epoch(self, losses, mean, stack, row):
+        """Record an epoch's per-sample ``losses`` and their ``mean``; True
+        when the early-stop escape holds for the member at ``row`` of
+        ``stack``."""
         tc = self.cycle.train_config
-        # np.add.reduce(...) / n is how .mean() computes it (same bits)
-        self.report.loss_curve.append(float(np.add.reduce(losses) / len(losses)))
+        self.report.loss_curve.append(mean)
         rule = tc.early_stop
         if rule is None:
             return False
@@ -299,8 +303,9 @@ class _Member:
 
 def _leave(stack, members, done, rows=()):
     """Move the live members at positions ``done`` behind the others, with
-    their rows of the stack, its workspace's ``opt`` and ``rows``; returns
-    the stack of those left."""
+    their rows of the stack, its workspace's ``opt`` and the group's
+    per-member blocks ``rows``, which follow their members on both exits,
+    divergence and early stop; returns the stack of those left."""
     n = stack.n_members
     order = [j for j in range(n) if j not in done] + done
     for a in (*stack._state(), *stack.workspace.opt[:3], *rows):   # opt[:3]: grad, m, v
@@ -314,26 +319,49 @@ def _train_group(members, n_train, config, tc):
     until each has stopped or spent its budget.  They train as the rows of
     one stack, the live ones always its leading rows (``_leave`` reorders
     the list ``members`` to match); then each member's params become its
-    row of the float64 widening of that stack."""
+    row of the float64 widening of that stack.
+
+    An epoch's data work is group work.  At batch-set start each live
+    member's training split is converted, once, into its row of float32
+    source blocks ``xs`` and ``ys``.  Each epoch every member shuffles its
+    row of an index block with its own generator, in member order (the
+    draw of ``permutation(n_train)``, offset by the row's start in the
+    flattened blocks); one gather each then fills the epoch blocks ``xe``
+    and ``ye``, and one row-wise reduction gives every member's loss-curve
+    mean.  The source blocks are refilled only at batch-set start, so
+    ``_leave`` moves them with the members on both exits.
+    """
     steps = _step_bounds(n_train, config)
-    stack = group = StackedParams(config, len(members), np.float32)
+    size, d = len(members), config.input_dim
+    stack = group = StackedParams(config, size, np.float32)
     for j, m in enumerate(members):
         init_params(m.config, stack, j)
-    xe = np.empty((len(members), n_train, config.input_dim), np.float32)
-    ye = np.empty((len(members), n_train), np.float32)
-    losses = np.empty((len(members), n_train))
+    xs = np.empty((size, n_train, d), np.float32)
+    ys = np.empty((size, n_train), np.float32)
+    xe, ye = np.empty_like(xs), np.empty_like(ys)
+    flat_x, flat_y = xs.reshape(-1, d), ys.reshape(-1)
+    unshuffled = np.arange(size * n_train).reshape(size, n_train)
+    order = np.empty_like(unshuffled)
+    losses = np.empty((size, n_train))
     clock = time.perf_counter()
     for bs in range(tc.max_batch_sets):
         if not stack.n_members:
             break
-        if any([len(m.start_batch_set(bs).y) != n_train for m in members[:stack.n_members]]):
-            raise ValueError("a lockstep member's training split changed size")
+        for j, m in enumerate(members[:stack.n_members]):
+            train = m.start_batch_set(bs)
+            if len(train.y) != n_train:
+                raise ValueError("a lockstep member's training split changed size")
+            xs[j], ys[j] = train.x, train.y
         for _ in range(tc.epochs_per_batch_set):
-            entered = members[:stack.n_members]
+            k = stack.n_members
+            entered = members[:k]
+            order[:k] = unshuffled[:k]
             for j, m in enumerate(entered):
-                order = m.shuffle_rng.permutation(n_train)
-                np.take(m.splits[0].x, order, axis=0, out=xe[j])
-                np.take(m.splits[0].y, order, out=ye[j])
+                m.shuffle_rng.shuffle(order[j])
+            # the indices are in range by construction; "clip" lets take
+            # write straight into ``out`` instead of through a copy
+            np.take(flat_x, order[:k], axis=0, out=xe[:k], mode="clip")
+            np.take(flat_y, order[:k], out=ye[:k], mode="clip")
             for start, stop in steps:
                 k = stack.n_members
                 loss, grads, per_sample = loss_and_grads(
@@ -345,16 +373,20 @@ def _train_group(members, n_train, config, tc):
                     diverged = np.flatnonzero(~np.isfinite(loss)).tolist()
                     for j in diverged:
                         members[j].report.stop_reason = "diverged"
-                    stack = _leave(stack, members, diverged, (per_sample, xe, ye, losses))
+                    stack = _leave(stack, members, diverged,
+                                   (per_sample, xe, ye, losses, xs, ys))
                     k = stack.n_members
                     if not k:
                         break
                 optimizer_step(stack, grads[:k], config)
                 losses[:k, start:stop] = per_sample[:k]
-            stopped = [j for j, m in enumerate(members[:stack.n_members])
-                       if m.end_epoch(losses[j], stack, j)]
+            k = stack.n_members
+            # np.add.reduce(...) / n is how .mean() computes it (same bits)
+            means = (np.add.reduce(losses[:k], axis=1) / n_train).tolist()
+            stopped = [j for j, m in enumerate(members[:k])
+                       if m.end_epoch(losses[j], means[j], stack, j)]
             if stopped:
-                stack = _leave(stack, members, stopped)
+                stack = _leave(stack, members, stopped, (xs, ys))
             now = time.perf_counter()
             for m in entered:
                 m.report.train_seconds += (now - clock) / len(entered)

@@ -624,13 +624,18 @@ class TestSaveLoad:
         ("class_names", "ae"), ("class_names", [1, 2]), ("feature_set", "tt13"),
         ("f0_mode", 3), ("scaling", {"lo": [0.0]}), ("scaling_hash", None),
         ("members", {}), ("members", ["member_ae.ocmdl"]), ("version", "1"),
-        ("f0_mode", "normalized"),
+        ("f0_mode", "normalized"), ("version", True), ("version", False), ("version", -3),
     ])
     def test_mistyped_manifest_value(self, saved_ensemble, tmp_path, key, value):
         path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
         edit_manifest(path, lambda m: m.__setitem__(key, value))
         with pytest.raises(ManifestMismatch):
             load_ensemble(path)
+
+    def test_manifest_without_version_loads_as_legacy(self, saved_ensemble, tmp_path):
+        path = shutil.copytree(saved_ensemble, tmp_path / "ensemble")
+        edit_manifest(path, lambda m: m.pop("version"))
+        assert load_ensemble(path).class_names == load_ensemble(saved_ensemble).class_names
 
     def test_zscore_scaling_is_refused(self, saved_ensemble, tmp_path):
         # the record matches its hash, so only the mode tells the bank apart

@@ -17,6 +17,11 @@ float32 ufunc kernels), and the float64 serving path behind ``confusion.csv``
 and the CLI's eval and infer output.  A different BLAS kernel can round a
 matmul differently.  Re-pin only after the parent commit reproduces the old
 digests on the same build.
+
+The digests were pinned on numpy 2.4.6, with its bundled OpenBLAS 0.3.31
+picking its SkylakeX kernel, and numpy CPU dispatch up to X86_V4.  Under a
+forced Haswell kernel (``OPENBLAS_CORETYPE=Haswell``) 5 golden and chain
+tests fail: the three ``CASES``, the speaker bank and the CLI chain.
 """
 
 import hashlib

@@ -463,6 +463,41 @@ class TestLockstep:
             "exhausted_budget"] * 2
         assert [digest(*out) for out in trained] == reference
 
+    def test_blocks_follow_members_out_by_both_routes(self, monkeypatch):
+        # member 1 diverges mid-epoch in batch-set 0 and member 0 stops early
+        # in batch-set 2; the training splits are copied into the group's
+        # blocks only at batch-set start, so the survivors read the right
+        # rows for the rest of batch-set 0 and all of batch-set 2 only if
+        # the blocks moved with the members each time
+        matrix = blob_matrix(n_per_class=60, n_classes=5, seed=3)
+        mlp = MlpConfig(input_dim=3, hidden_layers=(8,), learning_rate=3e-3,
+                        batch_norm=True, dropout_keep_hidden=0.8, seed=8)
+        tc = TrainConfig(epochs_per_batch_set=15, max_batch_sets=3,
+                         early_stop=EarlyStopRule(0.3, 90.0, loss_window=40), seed=2)
+        poisoned = replace(matrix, values=matrix.values.copy())
+        poisoned.values[np.flatnonzero(matrix.labels == 1)[0]] = np.nan
+
+        def cycles():
+            return member_cycles(matrix, range(5), mlp, tc, {1: poisoned})
+
+        finite, real = [], training.loss_and_grads
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            finite.append(bool(np.isfinite(out[0]).all()))
+            return out
+
+        with np.errstate(invalid="ignore"):
+            monkeypatch.setattr(training, "loss_and_grads", spy)
+            trained = _run_cycle(matrix, cycles())
+            monkeypatch.undo()
+            reference = solo(matrix, cycles())
+        reports = [r for _, r in trained]
+        assert finite.index(False) % len(_step_bounds(reports[0].split_sizes[0][0], mlp)) > 0
+        assert [(r.stop_reason, len(r.batch_set_boundaries)) for r in reports] == [
+            ("early_stop", 3), ("diverged", 1)] + [("exhausted_budget", 3)] * 3
+        assert [digest(*out) for out in trained] == reference
+
     def test_reports_score_the_saved_members(self, synth_matrix, tmp_path):
         # a group steps in float32, but every accuracy its reports record --
         # the early-stop check's dev_accuracy, the final dev and test ones --
